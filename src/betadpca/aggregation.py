@@ -1,19 +1,26 @@
 """Coordinator-side aggregation: the matrix beta-mean over local truncated
 eigendecompositions, the generic phi-mean it specializes, and the
 projection-averaging baseline.
+
+Summary aggregation never forms a p x p matrix: every branch is a fixed value
+outside the span of the summaries, so one eigensolve of a k x k core
+(k <= total summary rank) gives the result in factored form (AggregateResult),
+at O(p (m q)^2) for m machines of rank q.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InvalidInput, TieWarning
-from .linalg import EIGEN_FLOOR, eig_sym, matrix_function, matrix_power, symmetrize
-from .local_pca import TruncatedEig, truncated_eig
+from .errors import InvalidInput, TieWarning
+from .linalg import (EIGEN_FLOOR, canonical_order, complete_basis, eig_sym, matrix_function, matrix_power,
+                     spectral_map, spectral_power, symmetrize, thin_svd)
+from .local_pca import TruncatedEig
 
 
 @dataclass(frozen=True)
@@ -38,19 +45,46 @@ class BetaConfig:
 
 @dataclass(frozen=True, eq=False)
 class AggregateResult:
-    """Aggregated covariance estimate plus its leading block.
+    """Aggregated covariance estimate in factored form, plus its leading block.
 
-    `leading` is always derived from sigma_beta by truncated_eig.  branch
-    records which formula produced sigma_beta.  The optional fields carry
-    protocol metadata when the result comes out of a coordinator round.
+    Every branch acts as a fixed value outside the span of the summaries, so
+
+        sigma_beta = span_vectors diag(span_values) span_vectors^T
+                     + complement_value (I - span_vectors span_vectors^T).
+
+    span_vectors (p x k, k <= total summary rank) are eigenvectors of
+    sigma_beta in linalg's sign/tie convention with span_values
+    non-increasing; every direction orthogonal to them has eigenvalue
+    complement_value.  The p x p sigma_beta is built only when read.
+    `leading` is top(r).  branch records which formula was used; the
+    optional fields carry protocol metadata from a coordinator round.
     """
 
-    sigma_beta: np.ndarray
+    span_values: np.ndarray
+    span_vectors: np.ndarray
+    complement_value: float
     leading: TruncatedEig
     branch: str  # "positive" | "limit_zero" | "negative" | "projection_average"
     beta_used: float | None = None
     cv: object | None = None
     missing: tuple[int, ...] = ()
+
+    @cached_property
+    def sigma_beta(self) -> np.ndarray:
+        """The dense p x p estimate, formed on first access (O(p^2 k) time, O(p^2) memory)."""
+        v, c = self.span_vectors, self.complement_value
+        sigma = (v * (self.span_values - c)) @ v.T
+        sigma[np.diag_indices_from(sigma)] += c
+        return symmetrize(sigma)
+
+    def top(self, k: int) -> TruncatedEig:
+        """Top-k eigenpairs of sigma_beta without forming it; k may exceed the span rank.
+
+        Span values at or above complement_value come first, then complement
+        directions (complete_basis of the span, in its deterministic order),
+        then the remaining span values.  top(j) is a prefix of top(k) for j < k.
+        """
+        return _top_block(self.span_values, self.span_vectors, self.complement_value, k)
 
 
 def _normalized_weights(count: int, weights) -> np.ndarray:
@@ -112,19 +146,6 @@ def beta_mean(inputs: Sequence, cfg: BetaConfig, weights=None) -> np.ndarray:
     return matrix_power(acc, 1.0 / b, floor=cfg.eigen_floor)
 
 
-def _leading_block(sigma: np.ndarray, r: int) -> TruncatedEig:
-    # One eig serves both the leading block and the boundary-tie check.
-    es = eig_sym(sigma)
-    if r < es.values.size and es.values[r - 1] == es.values[r]:
-        warnings.warn(
-            f"eigenvalues {r} and {r + 1} of the aggregate coincide "
-            f"({es.values[r - 1]:.17g}); ordering uses the deterministic tie-break",
-            TieWarning,
-            stacklevel=3,
-        )
-    return truncated_eig(es, r)
-
-
 def _validated_summaries(summaries: Sequence[TruncatedEig]):
     if not summaries:
         raise InvalidInput("need at least one local summary")
@@ -135,58 +156,132 @@ def _validated_summaries(summaries: Sequence[TruncatedEig]):
     return p, q
 
 
+@dataclass(frozen=True)
+class BranchTransform:
+    """One aggregation branch as maps on eigenvalues.
+
+    forward maps a summary's eigenvalues into the averaging space; complement
+    is the value that space gives every direction outside the summary; inverse
+    maps eigenvalues of the average back, with the floor and PSD-window clamps
+    of linalg's matrix_power / matrix_function.
+    """
+
+    name: str
+    forward: Callable[[np.ndarray], np.ndarray]
+    complement: float
+    inverse: Callable[[np.ndarray], np.ndarray]
+
+
+def branch_transform(cfg: BetaConfig) -> BranchTransform:
+    """The table entry for cfg.beta (see beta_aggregate for the formulas)."""
+    b, floor = cfg.beta, cfg.eigen_floor
+    if b > 0:
+        return BranchTransform("positive", lambda v: v ** b, 0.0,
+                               lambda g: spectral_power(g, 1.0 / b, floor=floor))
+    if b == 0:
+        return BranchTransform("limit_zero", lambda v: np.log(np.where(v < floor, floor, v)), 0.0,
+                               lambda g: spectral_map(g, np.exp))
+    return BranchTransform("negative", lambda v: (v + cfg.delta) ** b, cfg.delta ** b,
+                           lambda g: spectral_power(g, 1.0 / b, floor=floor))
+
+
+PROJECTION_AVERAGE = BranchTransform("projection_average", np.ones_like, 0.0, lambda g: g)
+
+
+def _top_layout(values: np.ndarray, complement: float, p: int, k: int) -> tuple[slice, int, slice]:
+    # The top k of the full spectrum: span values `first` (those >= complement),
+    # then `n_comp` complement directions, then span values `rest`.
+    if not 1 <= k <= p:
+        raise InvalidInput(f"need 1 <= k <= p={p}, got k={k}")
+    above = int(np.count_nonzero(values >= complement))
+    head = min(k, above)
+    n_comp = min(k - head, p - values.size)
+    return slice(0, head), n_comp, slice(above, above + k - head - n_comp)
+
+
+def _top_values(values: np.ndarray, complement: float, layout) -> np.ndarray:
+    first, n_comp, rest = layout
+    return np.concatenate([values[first], np.full(n_comp, complement), values[rest]])
+
+
+def _top_block(values: np.ndarray, vectors: np.ndarray, complement: float, k: int) -> TruncatedEig:
+    layout = _top_layout(values, complement, vectors.shape[0], k)
+    first, n_comp, rest = layout
+    top_vectors = np.hstack([vectors[:, first], complete_basis(vectors, n_comp), vectors[:, rest]])
+    return TruncatedEig(values=np.clip(_top_values(values, complement, layout), 0.0, None),
+                        vectors=top_vectors)
+
+
+def _warn_on_tie(values: np.ndarray, complement: float, p: int, r: int) -> None:
+    if r >= p:
+        return
+    top = _top_values(values, complement, _top_layout(values, complement, p, r + 1))
+    if top[r - 1] == top[r]:
+        warnings.warn(
+            f"eigenvalues {r} and {r + 1} of the aggregate coincide "
+            f"({top[r - 1]:.17g}); ordering uses the deterministic tie-break",
+            TieWarning,
+            stacklevel=4,
+        )
+
+
+def _span_aggregate(summaries: Sequence[TruncatedEig], transform: BranchTransform, r: int,
+                    weights, beta_used: float | None = None) -> AggregateResult:
+    """Sigma = inverse( sum_l w_l transform(M_l) ), solved on an orthonormal basis Q
+    of the stacked summary vectors.
+
+    Q comes from a rank-revealing thin SVD of [V_1 ... V_m] (p x sum q_l), so
+    machines sharing directions give k < sum q_l.  With B_l = Q^T V_l, the only
+    eigensolve is of the k x k core
+
+        C = sum_l w_l B_l diag(forward(lam_l) - c) B_l^T + c I,
+
+    since the average equals Q C Q^T + c (I - Q Q^T).  Cost O(p (sum q_l)^2).
+    """
+    w = _normalized_weights(len(summaries), weights)
+    stacked = np.hstack([s.vectors for s in summaries])
+    u, sv, vt = thin_svd(stacked)
+    k = int(np.count_nonzero(sv > sv[0] * max(stacked.shape) * np.finfo(float).eps))
+    coords = sv[:k, None] * vt[:k]  # [B_1 ... B_m]
+    c = transform.complement
+    scale = np.concatenate([wl * (transform.forward(s.values) - c) for wl, s in zip(w, summaries)])
+    core = eig_sym((coords * scale) @ coords.T + c * np.eye(k))
+    values, vectors = canonical_order(transform.inverse(core.values), u[:, :k] @ core.vectors)
+    complement = float(transform.inverse(np.array([c]))[0])
+    _warn_on_tie(values, complement, stacked.shape[0], r)
+    return AggregateResult(span_values=values, span_vectors=vectors, complement_value=complement,
+                           leading=_top_block(values, vectors, complement, r),
+                           branch=transform.name, beta_used=beta_used)
+
+
 def beta_aggregate(summaries: Sequence[TruncatedEig], cfg: BetaConfig, r: int, weights=None) -> AggregateResult:
     """Aggregate local rank-q summaries into Sigma_beta and take its top-r block.
 
     With M_l = V_l diag(lam_l) V_l^T machine l's rank-q reconstruction:
 
     beta > 0:  Sigma = { mean(V_l lam_l^beta V_l^T) }^(1/beta)
-    beta = 0:  Sigma = exp( mean(V_l log(lam_l) V_l^T) )
+    beta = 0:  Sigma = exp( mean(V_l log(lam_l) V_l^T) ), lam_l floored at eigen_floor
     beta < 0:  Sigma = { mean((M_l + delta I)^beta) }^(1/beta), with the term
                computed in closed form as
                V_l ((lam_l + delta)^beta - delta^beta) V_l^T + delta^beta I.
 
-    Summation runs in list order; callers with machine ids sort first.
+    Outside the span of the summaries Sigma therefore has eigenvalue 0
+    (beta > 0), 1 (beta = 0) or delta (beta < 0).  The result is computed in
+    that span (see AggregateResult) in O(p (m q)^2); summation runs in list
+    order, so callers with machine ids sort first.
     """
-    p, q = _validated_summaries(summaries)
+    _, q = _validated_summaries(summaries)
     if not 1 <= r <= q:
         raise InvalidInput(f"need 1 <= r <= q={q}, got r={r}")
-    w = _normalized_weights(len(summaries), weights)
-    b = cfg.beta
-    acc = np.zeros((p, p))
-    if b > 0:
-        for wl, s in zip(w, summaries):
-            acc += wl * (s.vectors * s.values ** b) @ s.vectors.T
-        sigma = matrix_power(acc, 1.0 / b, floor=cfg.eigen_floor)
-        branch = "positive"
-    elif b == 0:
-        for wl, s in zip(w, summaries):
-            vals = np.where(s.values < cfg.eigen_floor, cfg.eigen_floor, s.values)
-            if (vals <= 0).any():
-                raise DomainError("non-positive eigenvalue survived flooring in the beta=0 branch")
-            acc += wl * (s.vectors * np.log(vals)) @ s.vectors.T
-        sigma = matrix_function(acc, np.exp)
-        branch = "limit_zero"
-    else:
-        db = cfg.delta ** b
-        for wl, s in zip(w, summaries):
-            acc += wl * (s.vectors * ((s.values + cfg.delta) ** b - db)) @ s.vectors.T
-        acc += db * np.eye(p)  # weights sum to 1
-        sigma = matrix_power(acc, 1.0 / b, floor=cfg.eigen_floor)
-        branch = "negative"
-    return AggregateResult(sigma_beta=sigma, leading=_leading_block(sigma, r), branch=branch, beta_used=b)
+    return _span_aggregate(summaries, branch_transform(cfg), r, weights, beta_used=cfg.beta)
 
 
 def fan_aggregate(summaries: Sequence[TruncatedEig], weights=None) -> AggregateResult:
     """Aggregate by averaging the rank-r projection matrices V_l V_l^T.
 
     Eigenvalue weights are discarded entirely; the summaries must already be
-    truncated at the target rank r (their common q).
+    truncated at the target rank r (their common q).  Computed in the span of
+    the summaries like beta_aggregate, with forward map 1 and complement 0.
     """
-    p, r = _validated_summaries(summaries)
-    w = _normalized_weights(len(summaries), weights)
-    acc = np.zeros((p, p))
-    for wl, s in zip(w, summaries):
-        acc += wl * s.vectors @ s.vectors.T
-    sigma = symmetrize(acc)
-    return AggregateResult(sigma_beta=sigma, leading=_leading_block(sigma, r), branch="projection_average")
+    _, r = _validated_summaries(summaries)
+    return _span_aggregate(summaries, PROJECTION_AVERAGE, r, weights)

@@ -341,17 +341,19 @@ def serve(host: str, port: int, m: int, job: JobSpec,
 
 
 def send_summary(host: str, port: int, msg: LocalSummaryMsg,
-                 retries: int = 5, backoff: float = 0.2) -> int:
+                 retries: int = 5, backoff: float = 0.2, timeout: float | None = None) -> int:
     """Worker side of the TCP transport: one connection, one frame.
 
     Retries connection refusals briefly so workers may start slightly before
-    the coordinator.  Returns the number of bytes sent.
+    the coordinator.  timeout bounds each connect and send (resolved by
+    resolve_timeout).  Returns the number of bytes sent.
     """
     frame = encode_summary(msg)
+    secs = resolve_timeout(timeout)
     attempt = 0
     while True:
         try:
-            with socket.create_connection((host, port), timeout=resolve_timeout(None)) as conn:
+            with socket.create_connection((host, port), timeout=secs) as conn:
                 conn.sendall(frame)
             return len(frame)
         except OSError as exc:
@@ -385,7 +387,7 @@ def run_sockets(shards: Sequence[DataShard], job: JobSpec, host: str = "127.0.0.
         raise box["error"]
     bound_host, bound_port = box["addr"]
     for shard in shards:
-        send_summary(bound_host, bound_port, worker_round(shard, job))
+        send_summary(bound_host, bound_port, worker_round(shard, job), timeout=timeout)
     thread.join(resolve_timeout(timeout) + 5.0)
     if thread.is_alive():
         raise IoError("coordinator thread did not finish")

@@ -13,7 +13,7 @@ import numpy as np
 
 from .aggregation import BetaConfig, beta_aggregate, fan_aggregate
 from .errors import InvalidInput, IoError, ParseError
-from .local_pca import local_summary, truncate_summary, truncated_eig
+from .local_pca import local_summary, truncate_summary
 from .rngs import REPLICATE, child_seed
 from .selection import DEFAULT_CANDIDATES, make_folds, select_beta
 from .simgen import GAUSSIAN, make_population, rho_similarity, sample_data, split_shards
@@ -116,9 +116,8 @@ def _replicate_rows(spec: ExperimentSpec, rep: int) -> tuple[list[tuple], float 
         else:
             beta_used = _parse_beta_method(method)
             agg = beta_aggregate(summaries_q, BetaConfig(beta=beta_used, delta=spec.delta), spec.r)
-        # curves need up to k_max directions, which may exceed q; take them
-        # straight from the aggregated matrix
-        block = truncated_eig(agg.sigma_beta, k_eff)
+        # curves need up to k_max directions, which may exceed q
+        block = agg.top(k_eff)
         for k in ks:
             rho = rho_similarity(truncate_summary(block, k), truth)
             rows.append((rep, method, beta_used, k, rho))

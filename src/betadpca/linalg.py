@@ -1,5 +1,6 @@
 """Symmetric eigendecomposition with a deterministic output convention, plus
-spectral functional calculus (f(M), M^beta, symmetric square-root factor).
+spectral functional calculus (f(M), M^beta, symmetric square-root factor),
+the thin SVD, and deterministic completion of an orthonormal basis.
 
 All functions are pure: inputs are never mutated, outputs are fresh arrays.
 Outputs are deterministic down to the bit for bit-identical inputs, which the
@@ -80,11 +81,56 @@ def eig_sym(m) -> EigenSystem:
         vals, vecs = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure is rare
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
-    vals = vals[::-1].copy()
-    vecs = np.ascontiguousarray(vecs[:, ::-1])
-    vecs = _fix_signs(vecs)
-    vals, vecs = _order_tied_columns(vals, vecs)
+    vals, vecs = canonical_order(vals[::-1], np.ascontiguousarray(vecs[:, ::-1]))
     return EigenSystem(values=vals, vectors=vecs)
+
+
+def canonical_order(values, vectors) -> tuple[np.ndarray, np.ndarray]:
+    """Put eigenpairs into eig_sym's output convention.
+
+    Values are sorted non-increasing (stably), each vector's largest-magnitude
+    entry is made positive (ties broken by lowest row index), and columns with
+    exactly equal values are ordered lexicographically descending.  Used for
+    eigenvectors that come from a factored solve rather than eig_sym itself.
+    """
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(-values, kind="stable")
+    return _order_tied_columns(values[order], _fix_signs(np.asarray(vectors)[:, order]))
+
+
+def thin_svd(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD x = u diag(s) vt with s non-increasing; LAPACK failure raises ConvergenceError."""
+    try:
+        return np.linalg.svd(np.asarray(x, dtype=float), full_matrices=False)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure is rare
+        raise ConvergenceError(f"SVD did not converge: {exc}") from exc
+
+
+def complete_basis(basis, count: int) -> np.ndarray:
+    """`count` orthonormal columns orthogonal to the orthonormal columns of `basis`.
+
+    The completion is deterministic: each new column is the canonical basis
+    vector with the largest residual off the columns chosen so far (lowest
+    index on ties), projected off them twice and normalized, then signed by
+    eig_sym's convention.  Cost O(p * (k + count) * count) for a p x k basis.
+    """
+    basis = np.asarray(basis, dtype=float)
+    p, k = basis.shape
+    if not 0 <= count <= p - k:
+        raise InvalidInput(f"cannot add {count} columns to a rank-{k} basis in dimension {p}")
+    cols = basis
+    resid = 1.0 - np.einsum("ij,ij->i", basis, basis)  # squared distance of e_i from span(cols)
+    out = np.empty((p, count))
+    for j in range(count):
+        i = int(np.argmax(resid))
+        v = -(cols @ cols[i])
+        v[i] += 1.0
+        v -= cols @ (cols.T @ v)
+        v /= np.linalg.norm(v)
+        out[:, j] = v
+        cols = np.column_stack([cols, v])
+        resid -= v * v
+    return _fix_signs(out)
 
 
 def matrix_function(m, f: Callable[[np.ndarray], np.ndarray], *, floor: float | None = None) -> np.ndarray:
@@ -96,7 +142,12 @@ def matrix_function(m, f: Callable[[np.ndarray], np.ndarray], *, floor: float | 
     otherwise reject the tiny negatives round-off introduces.
     """
     es = eig_sym(m)
-    vals = es.values
+    return symmetrize((es.vectors * spectral_map(es.values, f, floor=floor)) @ es.vectors.T)
+
+
+def spectral_map(values, f: Callable[[np.ndarray], np.ndarray], *, floor: float | None = None) -> np.ndarray:
+    """The eigenvalue part of matrix_function: f(values) after the optional floor clamp."""
+    vals = np.asarray(values, dtype=float)
     if floor is not None:
         vals = np.where((vals > -PSD_TOL) & (vals < floor), floor, vals)
     with np.errstate(all="ignore"):
@@ -106,7 +157,7 @@ def matrix_function(m, f: Callable[[np.ndarray], np.ndarray], *, floor: float | 
     bad = ~np.isfinite(fvals)
     if bad.any():
         raise DomainError(f"scalar map undefined at eigenvalue {vals[bad][0]:.17g}")
-    return symmetrize((es.vectors * fvals) @ es.vectors.T)
+    return fvals
 
 
 def matrix_power(m, beta: float, *, floor: float = EIGEN_FLOOR) -> np.ndarray:
@@ -120,7 +171,12 @@ def matrix_power(m, beta: float, *, floor: float = EIGEN_FLOOR) -> np.ndarray:
     if beta == 0:
         raise InvalidInput("beta=0 has no direct power form; use the log/exp limit")
     es = eig_sym(m)
-    vals = es.values
+    return symmetrize((es.vectors * spectral_power(es.values, beta, floor=floor)) @ es.vectors.T)
+
+
+def spectral_power(values, beta: float, *, floor: float = EIGEN_FLOOR) -> np.ndarray:
+    """The eigenvalue part of matrix_power: values**beta with its clamps and domain checks."""
+    vals = np.asarray(values, dtype=float)
     if beta < 0:
         vals = np.where((vals > -PSD_TOL) & (vals < floor), floor, vals)
         if vals.min() < floor:
@@ -134,7 +190,7 @@ def matrix_power(m, beta: float, *, floor: float = EIGEN_FLOOR) -> np.ndarray:
     bad = ~np.isfinite(pvals)
     if bad.any():
         raise DomainError(f"power {beta} undefined at eigenvalue {vals[bad][0]:.17g}")
-    return symmetrize((es.vectors * pvals) @ es.vectors.T)
+    return pvals
 
 
 def sqrt_factor(m) -> np.ndarray:

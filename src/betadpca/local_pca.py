@@ -1,5 +1,7 @@
-"""Worker-side PCA: shard covariance, rank-q truncated eigendecomposition,
-and the shard file formats (binary and CSV) consumed by the CLI and cluster.
+"""Worker-side PCA: shard covariance, rank-q truncated eigendecomposition
+(local_summary takes it from a thin SVD of the shard, O(p n_ell^2) for
+n_ell <= p), and the shard file formats (binary and CSV) consumed by the CLI
+and cluster.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, IoError, ParseError
-from .linalg import EigenSystem, eig_sym, symmetrize
+from .linalg import EigenSystem, canonical_order, complete_basis, eig_sym, symmetrize, thin_svd
 
 logger = logging.getLogger(__name__)
 
@@ -117,18 +119,34 @@ def truncate_summary(summary: TruncatedEig, r: int) -> TruncatedEig:
 
 
 def local_summary(shard: DataShard, q: int, center: bool = False) -> TruncatedEig:
-    """Shard covariance followed by rank-q truncation: the whole worker step.
+    """Top-q eigenpairs of the shard covariance (1/n_ell) X X^T: the whole worker step.
 
-    q may exceed n_ell; the trailing eigenvalues are then ~0 (clamped) and a
-    warning is logged, since those directions carry no sample information.
+    Computed from the thin SVD X = U S W^T as values S^2/n_ell and vectors U,
+    in O(p n_ell min(p, n_ell)) without forming the p x p covariance; vectors
+    follow eig_sym's sign and tie convention.  center=True centres X first, as
+    sample_covariance does.  q may exceed n_ell: the trailing values are then
+    exactly 0 and their vectors complete the basis deterministically
+    (linalg.complete_basis), and a warning is logged, since those directions
+    carry no sample information.
     """
+    if not 1 <= q <= shard.p:
+        raise InvalidInput(f"need 1 <= q <= p={shard.p}, got q={q}")
     if q > shard.n_ell:
         logger.warning(
             "q=%d exceeds the local sample count n=%d on machine %d; "
-            "trailing eigenvalues are ~0 and clamped",
+            "trailing eigenvalues are 0",
             q, shard.n_ell, shard.machine_id,
         )
-    return truncated_eig(sample_covariance(shard, center=center), q)
+    x = shard.samples
+    if center:
+        x = x - x.mean(axis=1, keepdims=True)
+    u, s, _ = thin_svd(x)
+    values, vectors = canonical_order(s ** 2 / shard.n_ell, u)
+    extra = q - values.size
+    if extra > 0:
+        values = np.concatenate([values, np.zeros(extra)])
+        vectors = np.hstack([vectors, complete_basis(vectors, extra)])
+    return TruncatedEig(values=values[:q], vectors=vectors[:, :q])
 
 
 def write_shard(path, shard: DataShard) -> None:

@@ -63,11 +63,15 @@ def make_folds(m: int, k: int, seed: int, *, candidate_set: Sequence[float] = DE
 
 
 def projection_discrepancy(a: TruncatedEig, b: TruncatedEig) -> float:
-    """Squared Frobenius distance between the two rank-r projection matrices."""
+    """Squared Frobenius distance between the two rank-r projection matrices.
+
+    Computed on r x r blocks as |A^T A|^2 - 2 |A^T B|^2 + |B^T B|^2, without
+    the p x p projectors; bit-identical blocks give exactly 0.
+    """
     if a.p != b.p or a.q != b.q:
         raise InvalidInput("summaries must share p and rank")
-    diff = a.vectors @ a.vectors.T - b.vectors @ b.vectors.T
-    return float(np.sum(diff * diff))
+    aa, ab, bb = a.vectors.T @ a.vectors, a.vectors.T @ b.vectors, b.vectors.T @ b.vectors
+    return max(0.0, float(np.sum(aa * aa) - 2.0 * np.sum(ab * ab) + np.sum(bb * bb)))
 
 
 @dataclass(frozen=True, eq=False)

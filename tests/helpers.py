@@ -1,11 +1,13 @@
-"""Shared test fixtures: random SPD generators and independent closed-form
-oracles (2x2 characteristic polynomial, scenario builders)."""
+"""Shared test fixtures: random SPD generators, independent closed-form
+oracles (2x2 characteristic polynomial, scenario builders) and the dense p x p
+aggregation formulas the span path is checked against."""
 
 import dataclasses
 
 import numpy as np
 
-from betadpca import PerturbationScenario, TruncatedEig, signal_eigenvalues, tolerance
+from betadpca import (PerturbationScenario, TruncatedEig, matrix_function, matrix_power,
+                      sample_covariance, signal_eigenvalues, symmetrize, tolerance, truncated_eig)
 
 
 def rand_orthogonal(rng, p):
@@ -98,3 +100,41 @@ def planted_scenario(rng: np.random.Generator, beta: float) -> PerturbationScena
     d = float(10.0 ** rng.uniform(0.0, 8.0))
     return PerturbationScenario(base_spectra=spectra, r=r, noise_index=noise_index,
                                 d_l=d, beta=beta)
+
+
+def projector_distance(a, b):
+    """Frobenius distance between the projectors onto span(a) and span(b)."""
+    return float(np.linalg.norm(a @ a.T - b @ b.T))
+
+
+def dense_local_summary(shard, q, center=False):
+    """Worker oracle: eigh of the p x p sample covariance, then truncation."""
+    return truncated_eig(sample_covariance(shard, center=center), q)
+
+
+def dense_beta_sigma(summaries, cfg):
+    """Aggregation oracle: the beta-mean of rank-q summaries on full p x p
+    matrices, one transformed term per machine and a dense inverse map."""
+    p = summaries[0].p
+    w = np.full(len(summaries), 1.0 / len(summaries))
+    b = cfg.beta
+    acc = np.zeros((p, p))
+    if b > 0:
+        for wl, s in zip(w, summaries):
+            acc += wl * (s.vectors * s.values ** b) @ s.vectors.T
+        return matrix_power(acc, 1.0 / b, floor=cfg.eigen_floor)
+    if b == 0:
+        for wl, s in zip(w, summaries):
+            vals = np.where(s.values < cfg.eigen_floor, cfg.eigen_floor, s.values)
+            acc += wl * (s.vectors * np.log(vals)) @ s.vectors.T
+        return matrix_function(acc, np.exp)
+    db = cfg.delta ** b
+    for wl, s in zip(w, summaries):
+        acc += wl * (s.vectors * ((s.values + cfg.delta) ** b - db)) @ s.vectors.T
+    acc += db * np.eye(p)
+    return matrix_power(acc, 1.0 / b, floor=cfg.eigen_floor)
+
+
+def dense_fan_sigma(summaries):
+    """Projection-average oracle: the mean of V_l V_l^T as a p x p matrix."""
+    return symmetrize(sum(s.vectors @ s.vectors.T for s in summaries) / len(summaries))

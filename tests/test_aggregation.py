@@ -12,13 +12,17 @@ from betadpca import (
     TruncatedEig,
     beta_aggregate,
     beta_mean,
+    eig_sym,
     fan_aggregate,
     matrix_power,
     phi_mean,
     rho_similarity,
     truncated_eig,
 )
-from helpers import eig2x2, rand_spd, rand_summary
+from helpers import (dense_beta_sigma, dense_fan_sigma, eig2x2, projector_distance, rand_spd,
+                     rand_summary)
+
+BETAS = [-1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
 
 
 def e_summary(values, p, offset=0):
@@ -244,3 +248,94 @@ class TestFanAggregate:
         b = beta_aggregate(summaries, BetaConfig(beta=1.0), 3)
         rho = rho_similarity(a.leading, b.leading.vectors)
         assert rho > 1.0 - 1e-8
+
+
+def assert_leading_matches(block, sigma, tol=1e-12):
+    """Leading values (relative) and leading projector agree with the dense sigma."""
+    dense = eig_sym(sigma)
+    k = block.q
+    assert_allclose(block.values, dense.values[:k], rtol=tol, atol=0)
+    assert projector_distance(block.vectors, dense.vectors[:, :k]) <= tol
+
+
+class TestSpanMatchesDenseOracle:
+    """The span path against the dense p x p formulas in helpers."""
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_random_summaries(self, beta):
+        rng = np.random.default_rng(45)
+        summaries = [rand_summary(rng, 20, 4) for _ in range(3)]
+        cfg = BetaConfig(beta=beta)
+        res = beta_aggregate(summaries, cfg, 3)
+        assert res.span_vectors.shape == (20, 12)
+        assert_leading_matches(res.leading, dense_beta_sigma(summaries, cfg))
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_rank_deficient_stack(self, beta):
+        # the third machine repeats the first one's directions with other values
+        rng = np.random.default_rng(46)
+        summaries = [rand_summary(rng, 16, 4) for _ in range(2)]
+        summaries.append(TruncatedEig(values=summaries[1].values, vectors=summaries[0].vectors))
+        cfg = BetaConfig(beta=beta)
+        res = beta_aggregate(summaries, cfg, 3)
+        assert res.span_vectors.shape == (16, 8)
+        assert_leading_matches(res.leading, dense_beta_sigma(summaries, cfg))
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_top_beyond_span_rank(self, beta):
+        rng = np.random.default_rng(47)
+        summaries = [rand_summary(rng, 12, 3) for _ in range(2)]
+        cfg = BetaConfig(beta=beta)
+        res = beta_aggregate(summaries, cfg, 2)
+        k = 9  # beyond the six span directions
+        top = res.top(k)
+        dense = eig_sym(dense_beta_sigma(summaries, cfg))
+        comp = top.values == res.complement_value
+        assert comp.sum() >= k - 6
+        assert_allclose(top.values[~comp], dense.values[:k][~comp], rtol=1e-12, atol=0)
+        # a fractional root of round-off leaves the dense complement near sqrt(eps)
+        assert_allclose(top.values[comp], dense.values[:k][comp], rtol=1e-12, atol=1e-7 * dense.values[0])
+        assert projector_distance(top.vectors[:, ~comp], dense.vectors[:, :k][:, ~comp]) <= 1e-12
+        assert_allclose(top.vectors.T @ top.vectors, np.eye(k), rtol=0, atol=1e-14)
+        stacked = np.hstack([s.vectors for s in summaries])
+        assert np.abs(stacked.T @ top.vectors[:, comp]).max() <= 1e-14
+        # top(j) is a prefix of top(k), and leading is top(r)
+        assert np.array_equal(res.top(2).vectors, top.vectors[:, :2])
+        assert np.array_equal(res.leading.values, top.values[:2])
+
+    def test_limit_zero_sub_unit_spectra_full_spectrum(self):
+        # every summary value is below 1, so the complement (eigenvalue 1)
+        # outranks the whole span and the leading block lies outside it
+        rng = np.random.default_rng(48)
+        summaries = [rand_summary(rng, 10, 2, lo=0.05, hi=0.9) for _ in range(3)]
+        cfg = BetaConfig(beta=0.0)
+        with pytest.warns(TieWarning):
+            res = beta_aggregate(summaries, cfg, 2)
+        dense = dense_beta_sigma(summaries, cfg)
+        full = np.sort(np.linalg.eigvalsh(res.sigma_beta))[::-1]
+        want = np.sort(np.linalg.eigvalsh(dense))[::-1]
+        assert want[0] == pytest.approx(1.0)
+        assert_allclose(full, want, rtol=1e-12, atol=0)
+        assert np.array_equal(res.leading.values, [1.0, 1.0])
+        stacked = np.hstack([s.vectors for s in summaries])
+        assert np.abs(stacked.T @ res.leading.vectors).max() <= 1e-14
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_sigma_beta_matches_dense_matrix(self, beta):
+        rng = np.random.default_rng(49)
+        summaries = [rand_summary(rng, 9, 3) for _ in range(2)]
+        cfg = BetaConfig(beta=beta)
+        dense = dense_beta_sigma(summaries, cfg)
+        sigma = beta_aggregate(summaries, cfg, 2).sigma_beta
+        assert np.array_equal(sigma, sigma.T)
+        # beta > 1 takes a fractional root of the dense complement's round-off
+        assert_allclose(sigma, dense, rtol=0, atol=1e-12 * np.abs(dense).max() + (1e-7 if beta > 1 else 0.0))
+
+    def test_fan_aggregate(self):
+        rng = np.random.default_rng(50)
+        summaries = [rand_summary(rng, 15, 3) for _ in range(4)]
+        res = fan_aggregate(summaries)
+        dense = dense_fan_sigma(summaries)
+        assert_leading_matches(res.leading, dense)
+        assert res.complement_value == 0.0
+        assert_allclose(res.sigma_beta, dense, rtol=0, atol=1e-14)

@@ -294,6 +294,20 @@ class TestTimeoutResolution:
         with pytest.raises(InvalidInput):
             resolve_timeout(None)
 
+    def test_run_sockets_passes_its_timeout_to_every_send(self, monkeypatch):
+        monkeypatch.delenv("BDPCA_TIMEOUT_SECS", raising=False)
+        seen = []
+        real = socket.create_connection
+
+        def spy(address, timeout=None, *args, **kwargs):
+            seen.append(timeout)
+            return real(address, timeout, *args, **kwargs)
+
+        monkeypatch.setattr(socket, "create_connection", spy)
+        shards, _ = gaussian_shards(m=2)
+        run_sockets(shards, JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0)), timeout=4.5)
+        assert seen == [4.5, 4.5]
+
 
 class TestAggregateBeatsLocals:
     def test_aggregation_wins_across_replicates(self):

@@ -18,7 +18,7 @@ from betadpca import (
     truncated_eig,
     write_shard,
 )
-from helpers import eig2x2, rand_spd
+from helpers import dense_local_summary, eig2x2, projector_distance, rand_spd
 
 
 def make_shard(samples, machine_id=1):
@@ -111,14 +111,38 @@ class TestLocalSummary:
         shard = make_shard(rng.standard_normal((6, 40)), machine_id=3)
         got = local_summary(shard, 4)
         want = truncated_eig(sample_covariance(shard), 4)
-        assert np.array_equal(got.values, want.values)
-        assert np.array_equal(got.vectors, want.vectors)
+        # the worker takes a thin SVD of the shard instead of eigh of X X^T / n,
+        # so agreement is to round-off rather than bitwise
+        assert_allclose(got.values, want.values, rtol=1e-12, atol=0)
+        assert projector_distance(got.vectors, want.vectors) <= 1e-12
 
     def test_rank_deficient_spectrum(self):
         rng = np.random.default_rng(26)
         shard = make_shard(rng.standard_normal((10, 4)))
         got = local_summary(shard, 10)
         assert np.sum(got.values > 1e-10) <= 4
+
+    @pytest.mark.parametrize("p,n", [(6, 40), (30, 10)])
+    def test_centered_matches_dense_oracle(self, p, n):
+        rng = np.random.default_rng(27)
+        shard = make_shard(rng.standard_normal((p, n)) + 3.0)
+        got = local_summary(shard, 5, center=True)
+        want = dense_local_summary(shard, 5, center=True)
+        assert_allclose(got.values, want.values, rtol=1e-12, atol=0)
+        assert projector_distance(got.vectors, want.vectors) <= 1e-12
+
+    def test_rank_beyond_samples_completes_the_basis(self):
+        rng = np.random.default_rng(28)
+        x = rng.standard_normal((8, 3))
+        got = local_summary(make_shard(x), 6)
+        want = dense_local_summary(make_shard(x), 3)
+        assert_allclose(got.values[:3], want.values, rtol=1e-12, atol=0)
+        assert projector_distance(got.vectors[:, :3], want.vectors) <= 1e-12
+        assert np.array_equal(got.values[3:], np.zeros(3))
+        assert_allclose(got.vectors.T @ got.vectors, np.eye(6), rtol=0, atol=1e-14)
+        assert np.abs(x.T @ got.vectors[:, 3:]).max() <= 1e-13
+        again = local_summary(make_shard(x), 6)
+        assert np.array_equal(again.vectors, got.vectors)
 
     def test_warns_when_rank_exceeds_samples(self, caplog):
         shard = make_shard(np.eye(3)[:, :2])

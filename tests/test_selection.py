@@ -84,6 +84,13 @@ class TestProjectionDiscrepancy:
         assert_allclose(projection_discrepancy(rotated, b),
                         projection_discrepancy(a, b), rtol=1e-9, atol=1e-12)
 
+    def test_matches_dense_projector_difference(self):
+        rng = np.random.default_rng(74)
+        for _ in range(5):
+            a, b = rand_summary(rng, 12, 4), rand_summary(rng, 12, 4)
+            diff = a.vectors @ a.vectors.T - b.vectors @ b.vectors.T
+            assert_allclose(projection_discrepancy(a, b), np.sum(diff * diff), rtol=1e-12)
+
     def test_rank_mismatch_rejected(self):
         rng = np.random.default_rng(73)
         with pytest.raises(InvalidInput):
