@@ -18,8 +18,7 @@ spec = ExperimentSpec(p=120, n=200, m=5, r=5, q=10, replicates=8,
 
 for dist in (GAUSSIAN, STUDENT_T3):
     t0 = time.perf_counter()
-    result = run_experiment(ExperimentSpec(**{**spec.__dict__, "distribution": dist}),
-                            workers=4)
+    result = run_experiment(ExperimentSpec(**{**spec.__dict__, "distribution": dist}))
     took = time.perf_counter() - t0
 
     print(f"--- {dist}  (p={spec.p}, m={spec.m}, {spec.replicates} replicates, "

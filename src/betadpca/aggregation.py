@@ -1,6 +1,7 @@
 """Coordinator-side aggregation: the matrix beta-mean over local truncated
-eigendecompositions, the generic phi-mean it specializes, and the
-projection-averaging baseline.
+eigendecompositions and the projection-averaging baseline.  Every beta branch
+is one entry of the branch-transform table (branch_transform), which both the
+dense beta_mean and summary aggregation apply.
 
 Summary aggregation never forms a p x p matrix: every branch is a fixed value
 outside the span of the summaries, so one eigensolve of a k x k core
@@ -17,8 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInput, TieWarning
-from .linalg import (EIGEN_FLOOR, canonical_order, complete_basis, eig_sym, matrix_function, matrix_power,
+from .errors import InvalidInput, NotPSD, TieWarning
+from .linalg import (EIGEN_FLOOR, PSD_TOL, canonical_order, complete_basis, eig_sym, matrix_function,
                      spectral_map, spectral_power, symmetrize, thin_svd)
 from .local_pca import TruncatedEig
 
@@ -96,54 +97,32 @@ def _normalized_weights(count: int, weights) -> np.ndarray:
     return w / w.sum()
 
 
-def _validated_square(inputs) -> list[np.ndarray]:
-    mats = [symmetrize(m) for m in inputs]
-    if not mats:
-        raise InvalidInput("need at least one input matrix")
-    p = mats[0].shape[0]
-    if any(m.shape != (p, p) for m in mats):
-        raise InvalidInput("input matrices differ in dimension")
-    return mats
-
-
-def phi_mean(inputs: Sequence, phi: Callable, phi_inverse: Callable) -> np.ndarray:
-    """Generalized matrix mean: phi_inverse of the average of phi applied spectrally.
-
-    phi must be strictly increasing on the spectra involved and phi_inverse
-    must invert it there; both are applied through matrix_function, so domain
-    violations surface as DomainError.
-    """
-    mats = _validated_square(inputs)
-    acc = np.zeros_like(mats[0])
-    for m in mats:
-        acc += matrix_function(m, phi)
-    return matrix_function(acc / len(mats), phi_inverse)
-
-
 def beta_mean(inputs: Sequence, cfg: BetaConfig, weights=None) -> np.ndarray:
-    """Matrix beta-mean of PSD matrices.
+    """Matrix beta-mean of PSD matrices: inverse( sum_l w_l forward(M_l) ), with
+    the maps of branch_transform(cfg) applied spectrally.
 
     beta > 0:  { mean(M_l^beta) }^(1/beta)
     beta = 0:  exp( mean(log M_l) )          (geometric / log-Euclidean limit)
     beta < 0:  { mean((M_l + delta I)^beta) }^(1/beta), no delta subtracted after
 
-    The beta = 0 branch floors eigenvalues at cfg.eigen_floor before the log;
-    the beta < 0 branch regularizes every input by +delta I before powering.
+    An input with an eigenvalue below -PSD_TOL raises NotPSD for every beta;
+    round-off negatives above it are clipped to 0.  The beta = 0 branch floors
+    eigenvalues at cfg.eigen_floor before the log.
     """
-    mats = _validated_square(inputs)
-    w = _normalized_weights(len(mats), weights)
-    p = mats[0].shape[0]
-    b = cfg.beta
-    if b == 0:
-        acc = np.zeros((p, p))
-        for wl, m in zip(w, mats):
-            acc += wl * matrix_function(m, np.log, floor=cfg.eigen_floor)
-        return matrix_function(acc, np.exp)
-    shift = cfg.delta * np.eye(p) if b < 0 else 0.0
+    systems = [eig_sym(m) for m in inputs]
+    if not systems:
+        raise InvalidInput("need at least one input matrix")
+    p = systems[0].values.size
+    if any(es.values.size != p for es in systems):
+        raise InvalidInput("input matrices differ in dimension")
+    w = _normalized_weights(len(systems), weights)
+    transform = branch_transform(cfg)
     acc = np.zeros((p, p))
-    for wl, m in zip(w, mats):
-        acc += wl * matrix_power(m + shift, b, floor=cfg.eigen_floor)
-    return matrix_power(acc, 1.0 / b, floor=cfg.eigen_floor)
+    for wl, es in zip(w, systems):
+        if es.values[-1] < -PSD_TOL:
+            raise NotPSD(f"input eigenvalue {es.values[-1]:.17g} is below -{PSD_TOL:g}")
+        acc += wl * (es.vectors * transform.forward(np.clip(es.values, 0.0, None))) @ es.vectors.T
+    return matrix_function(acc, transform.inverse)
 
 
 def _validated_summaries(summaries: Sequence[TruncatedEig]):

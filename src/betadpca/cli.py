@@ -16,11 +16,9 @@ import numpy as np
 from . import cluster, experiment
 from .errors import (ConvergenceError, CorruptMessage, DomainError, InvalidInput, IoError,
                      ParseError, PreconditionError)
-from .local_pca import local_summary, read_shard, truncate_summary, write_shard
+from .local_pca import read_shard, write_shard
 from .perturbation import PerturbationScenario, tolerance
 from .rngs import NOISE_EIGENVALUES, stream
-from .selection import DEFAULT_CANDIDATES, make_folds, select_beta
-from .aggregation import BetaConfig
 from .simgen import DISTRIBUTIONS, make_population, sample_data, signal_eigenvalues, split_shards
 
 logger = logging.getLogger(__name__)
@@ -42,23 +40,30 @@ def _float_list(text: str):
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
-def _add_size_flags(sub, q_default=10):
+def _add_size_flags(sub):
     sub.add_argument("--p", type=int, default=200, help="ambient dimension")
     sub.add_argument("--n", type=int, default=250, help="total sample count")
     sub.add_argument("--m", type=int, default=5, help="number of machines")
     sub.add_argument("--r", type=int, default=5, help="target rank")
-    sub.add_argument("--q", type=int, default=q_default, help="local summary rank (q >= r)")
 
 
-def _add_cv_flags(sub):
+def _add_job_flags(sub, beta_flag=True):
+    """The JobSpec flags of aggregate, select-beta, serve and worker (see _build_job)."""
+    sub.add_argument("--r", type=int, default=5, help="target rank")
+    sub.add_argument("--q", type=int, default=10, help="local summary rank (q >= r)")
+    if beta_flag:
+        sub.add_argument("--beta", type=_beta_value, default=1.0,
+                         help="a number or 'cv'; serve and worker must agree "
+                              "('cv' bundles the rank-r block)")
+    sub.add_argument("--delta", type=float, default=1e-5)
+    sub.add_argument("--center", action="store_true")
     sub.add_argument("--cv-folds", type=int, default=5, help="folds for beta selection")
     sub.add_argument("--cv-seed", type=int, default=0, help="fold-shuffle seed")
 
 
 def _build_job(args) -> cluster.JobSpec:
     if args.beta == "cv":
-        mode = cluster.CvSelect(candidates=DEFAULT_CANDIDATES,
-                                folds=args.cv_folds, seed=args.cv_seed)
+        mode = cluster.CvSelect(folds=args.cv_folds, seed=args.cv_seed)
     else:
         mode = cluster.FixedBeta(beta=args.beta)
     return cluster.JobSpec(r=args.r, q=args.q, beta_mode=mode,
@@ -159,7 +164,7 @@ def cmd_perturb(args) -> int:
     lines += [f"{b!r},{d!r},{t!r},{tau!r},{int(inv)}" for b, d, t, tau, inv in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
-        experiment._write_text(args.out, text)
+        experiment.write_text(args.out, text)
         print(f"wrote {args.out} ({len(rows)} rows)")
     else:
         sys.stdout.write(text)
@@ -167,19 +172,15 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_select_beta(args) -> int:
-    shards = _load_shards(args.shards)
-    summaries_q = [local_summary(s, args.q, center=args.center) for s in shards]
-    summaries_r = [truncate_summary(s, args.r) for s in summaries_q]
-    plan = make_folds(len(shards), args.cv_folds, args.cv_seed, r=args.r, q=args.q)
-    cv = select_beta(summaries_q, summaries_r, plan, BetaConfig(beta=1.0, delta=args.delta))
+    cv = cluster.run_local(_load_shards(args.shards), _build_job(args)).cv
     for b, s in cv.scores.items():
         print(f"beta={b:g}: mean discrepancy {s:.6g}")
     print(f"selected beta = {cv.best_beta:g}")
     if args.out:
-        lines = ["fold," + ",".join(f"beta={b:g}" for b in plan.candidate_set)]
-        for j in range(plan.k):
-            lines.append(f"{j + 1}," + ",".join(repr(v) for v in cv.per_fold[j]))
-        experiment._write_text(args.out, "\n".join(lines) + "\n")
+        lines = ["fold," + ",".join(f"beta={b:g}" for b in cv.scores)]
+        for j, row in enumerate(cv.per_fold):
+            lines.append(f"{j + 1}," + ",".join(repr(v) for v in row))
+        experiment.write_text(args.out, "\n".join(lines) + "\n")
         print(f"wrote {args.out}")
     return 0
 
@@ -222,6 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = subs.add_parser("simulate", help="run the replicated method comparison")
     _add_size_flags(sim)
+    sim.add_argument("--q", type=int, default=10, help="local summary rank (q >= r)")
     sim.add_argument("--dist", choices=DISTRIBUTIONS, default="gaussian")
     sim.add_argument("--reps", type=int, default=20)
     sim.add_argument("--seed", type=int, default=0)
@@ -230,18 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--center", action="store_true")
     sim.add_argument("--paper-scale", action="store_true",
                      help="p=500, n=250, m=5, 100 replicates")
-    _add_cv_flags(sim)
+    sim.add_argument("--cv-folds", type=int, default=5, help="folds for beta selection")
     sim.add_argument("--out", default="results.csv")
     sim.set_defaults(func=cmd_simulate)
 
     agg = subs.add_parser("aggregate", help="aggregate shard files in one round")
     agg.add_argument("shards", nargs="+", help="shard files (binary or CSV)")
-    agg.add_argument("--r", type=int, default=5)
-    agg.add_argument("--q", type=int, default=10)
-    agg.add_argument("--beta", type=_beta_value, default=1.0, help="a number or 'cv'")
-    agg.add_argument("--delta", type=float, default=1e-5)
-    agg.add_argument("--center", action="store_true")
-    _add_cv_flags(agg)
+    _add_job_flags(agg)
     agg.add_argument("--out", help="write sigma/leading block to this .npz")
     agg.set_defaults(func=cmd_aggregate)
 
@@ -257,26 +254,17 @@ def build_parser() -> argparse.ArgumentParser:
     pert.add_argument("--out", help="CSV path (stdout when omitted)")
     pert.set_defaults(func=cmd_perturb)
 
-    sel = subs.add_parser("select-beta", help="cross-validated beta on shard files")
+    sel = subs.add_parser("select-beta", help="the CV round of aggregate --beta cv, with per-fold scores")
     sel.add_argument("shards", nargs="+")
-    sel.add_argument("--r", type=int, default=5)
-    sel.add_argument("--q", type=int, default=10)
-    sel.add_argument("--delta", type=float, default=1e-5)
-    sel.add_argument("--center", action="store_true")
-    _add_cv_flags(sel)
+    _add_job_flags(sel, beta_flag=False)
     sel.add_argument("--out", help="per-fold score CSV")
-    sel.set_defaults(func=cmd_select_beta)
+    sel.set_defaults(func=cmd_select_beta, beta="cv")
 
     srv = subs.add_parser("serve", help="coordinator: listen for worker summaries")
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument("--port", type=int, default=7071)
     srv.add_argument("--m", type=int, required=True, help="number of expected workers")
-    srv.add_argument("--r", type=int, default=5)
-    srv.add_argument("--q", type=int, default=10)
-    srv.add_argument("--beta", type=_beta_value, default=1.0)
-    srv.add_argument("--delta", type=float, default=1e-5)
-    srv.add_argument("--center", action="store_true")
-    _add_cv_flags(srv)
+    _add_job_flags(srv)
     srv.add_argument("--timeout", type=float, default=None,
                      help=f"seconds to wait (default ${cluster.TIMEOUT_ENV_VAR} or 30)")
     srv.add_argument("--out", help="write sigma/leading block to this .npz")
@@ -288,13 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="id for CSV shards (binary shards carry their own)")
     wrk.add_argument("--host", default="127.0.0.1")
     wrk.add_argument("--port", type=int, default=7071)
-    wrk.add_argument("--r", type=int, default=5)
-    wrk.add_argument("--q", type=int, default=10)
-    wrk.add_argument("--beta", type=_beta_value, default=1.0,
-                     help="must match the coordinator's job ('cv' bundles the rank-r block)")
-    wrk.add_argument("--delta", type=float, default=1e-5)
-    wrk.add_argument("--center", action="store_true")
-    _add_cv_flags(wrk)
+    _add_job_flags(wrk)
     wrk.set_defaults(func=cmd_worker)
 
     plot = subs.add_parser("plot-script", help="emit a gnuplot script for a results CSV")

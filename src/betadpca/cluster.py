@@ -237,21 +237,30 @@ def coordinator_round(msgs: Sequence[LocalSummaryMsg], job: JobSpec,
         if missing:
             logger.warning("aggregating without machines %s (%d of %d reported)",
                            missing, len(msgs), expected_m)
-    summaries = [m.summary for m in msgs]
-    if isinstance(job.beta_mode, FixedBeta):
-        cfg = BetaConfig(beta=job.beta_mode.beta, delta=job.delta)
-        agg = beta_aggregate(summaries, cfg, job.r)
-        return replace(agg, missing=missing)
+    agg = resolve_beta([m.summary for m in msgs], [m.validation for m in msgs], job)
+    return replace(agg, missing=missing)
+
+
+def resolve_beta(summaries: Sequence[TruncatedEig], validations: Sequence[TruncatedEig | None],
+                 job: JobSpec) -> AggregateResult:
+    """Aggregate the summaries at the job's beta: the announced one (FixedBeta),
+    or the winner of machine-level cross-validation (CvSelect), whose CvResult
+    is attached as `cv`.
+
+    validations are the machines' own rank-r blocks in the order of summaries;
+    only CvSelect reads them.
+    """
     mode = job.beta_mode
-    validations = [m.validation for m in msgs]
+    if isinstance(mode, FixedBeta):
+        return beta_aggregate(summaries, BetaConfig(beta=mode.beta, delta=job.delta), job.r)
     if any(v is None for v in validations):
         raise InvalidInput("cv mode needs the bundled rank-r block from every worker")
-    plan = make_folds(len(msgs), mode.folds, mode.seed,
+    plan = make_folds(len(summaries), mode.folds, mode.seed,
                       candidate_set=mode.candidates, r=job.r, q=job.q)
     cv = select_beta(summaries, validations, plan,
                      BetaConfig(beta=mode.candidates[0], delta=job.delta))
     agg = beta_aggregate(summaries, BetaConfig(beta=cv.best_beta, delta=job.delta), job.r)
-    return replace(agg, cv=cv, missing=missing)
+    return replace(agg, cv=cv)
 
 
 def run_local(shards: Sequence[DataShard], job: JobSpec) -> AggregateResult:

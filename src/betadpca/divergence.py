@@ -155,15 +155,11 @@ def verify_minimizer(inputs: Sequence, cfg: BetaConfig, trials: int, noise_scale
         raise InvalidInput("need at least one trial")
     if not noise_scale > 0:
         raise InvalidInput("noise_scale must be positive")
-    mats = [symmetrize(m) for m in inputs]
-    if not mats:
-        raise InvalidInput("need at least one input matrix")
-    p = mats[0].shape[0]
-    if any(m.shape != (p, p) for m in mats):
-        raise InvalidInput("input matrices differ in dimension")
     kind = as_kind(cfg.beta)
-    center = beta_mean(mats, cfg)
-    targets = mats if cfg.beta >= 0 else [m + cfg.delta * np.eye(p) for m in mats]
+    center = beta_mean(inputs, cfg)  # validates the inputs
+    p = center.shape[0]
+    shift = cfg.delta * np.eye(p) if cfg.beta < 0 else 0.0
+    targets = [symmetrize(m) + shift for m in inputs]
 
     def objective(candidate: np.ndarray) -> float:
         return float(np.mean([divergence(candidate, t, kind) for t in targets]))

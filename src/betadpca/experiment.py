@@ -11,11 +11,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregation import BetaConfig, beta_aggregate, fan_aggregate
+from .aggregation import fan_aggregate
+from .cluster import CvSelect, FixedBeta, JobSpec, resolve_beta
 from .errors import InvalidInput, IoError, ParseError
 from .local_pca import local_summary, truncate_summary
 from .rngs import REPLICATE, child_seed
-from .selection import DEFAULT_CANDIDATES, make_folds, select_beta
+from .selection import DEFAULT_CANDIDATES
 from .simgen import GAUSSIAN, make_population, rho_similarity, sample_data, split_shards
 
 logger = logging.getLogger(__name__)
@@ -101,26 +102,20 @@ def _replicate_rows(spec: ExperimentSpec, rep: int) -> tuple[list[tuple], float 
     rows: list[tuple] = []
     selected: float | None = None
     for method in spec.methods:
-        beta_used: float | None
         if method == "fan":
             agg = fan_aggregate(summaries_r)
-            beta_used = None
-        elif method == "beta=cv":
-            plan = make_folds(spec.m, spec.cv_folds, seed_rep,
-                              candidate_set=spec.candidate_set, r=spec.r, q=spec.q)
-            cv = select_beta(summaries_q, summaries_r, plan,
-                             BetaConfig(beta=spec.candidate_set[0], delta=spec.delta))
-            selected = cv.best_beta
-            beta_used = cv.best_beta
-            agg = beta_aggregate(summaries_q, BetaConfig(beta=beta_used, delta=spec.delta), spec.r)
         else:
-            beta_used = _parse_beta_method(method)
-            agg = beta_aggregate(summaries_q, BetaConfig(beta=beta_used, delta=spec.delta), spec.r)
+            mode = (CvSelect(candidates=spec.candidate_set, folds=spec.cv_folds, seed=seed_rep)
+                    if method == "beta=cv" else FixedBeta(_parse_beta_method(method)))
+            job = JobSpec(r=spec.r, q=spec.q, beta_mode=mode, delta=spec.delta)
+            agg = resolve_beta(summaries_q, summaries_r, job)
+            if agg.cv is not None:
+                selected = agg.cv.best_beta
         # curves need up to k_max directions, which may exceed q
         block = agg.top(k_eff)
         for k in ks:
             rho = rho_similarity(truncate_summary(block, k), truth)
-            rows.append((rep, method, beta_used, k, rho))
+            rows.append((rep, method, agg.beta_used, k, rho))
     return rows, selected
 
 
@@ -167,7 +162,7 @@ def write_rows_csv(rows, path) -> None:
     """The main output: one row per (replicate, method, k)."""
     lines = [CSV_HEADER]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
-    _write_text(path, "\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_summary_files(result: ExperimentResult, out_dir) -> tuple[Path, Path]:
@@ -180,18 +175,19 @@ def write_summary_files(result: ExperimentResult, out_dir) -> tuple[Path, Path]:
             result.spec.distribution, str(result.spec.p), str(result.spec.m),
             repr(float(b)), str(result.selection_counts[float(b)]),
         ]))
-    _write_text(freq_path, "\n".join(lines) + "\n")
+    write_text(freq_path, "\n".join(lines) + "\n")
 
     rho_path = out_dir / RHO_FILENAME
     lines = [RHO_HEADER]
     for method in result.spec.methods:
         for k in result.k_range:
             lines.append(f"{method},{k},{repr(result.mean_rho[method][k])}")
-    _write_text(rho_path, "\n".join(lines) + "\n")
+    write_text(rho_path, "\n".join(lines) + "\n")
     return freq_path, rho_path
 
 
-def _write_text(path, text: str) -> None:
+def write_text(path, text: str) -> None:
+    """Write text to path, raising IoError on failure."""
     try:
         with open(path, "w", newline="") as fh:
             fh.write(text)
@@ -199,9 +195,9 @@ def _write_text(path, text: str) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def run_and_write(spec: ExperimentSpec, out_path, workers: int = 1) -> ExperimentResult:
+def run_and_write(spec: ExperimentSpec, out_path) -> ExperimentResult:
     """Run the experiment and emit the main CSV plus both summary files."""
-    result = run_experiment(spec, workers=workers)
+    result = run_experiment(spec)
     out_path = Path(out_path)
     write_rows_csv(result.rows, out_path)
     write_summary_files(result, out_path.parent)
@@ -253,5 +249,5 @@ def emit_plot_script(csv_path, out_path=None) -> str:
         "",
     ])
     if out_path is not None:
-        _write_text(out_path, script)
+        write_text(out_path, script)
     return script

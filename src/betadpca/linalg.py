@@ -1,6 +1,6 @@
 """Symmetric eigendecomposition with a deterministic output convention, plus
-spectral functional calculus (f(M), M^beta, symmetric square-root factor),
-the thin SVD, and deterministic completion of an orthonormal basis.
+spectral functional calculus (f(M), M^beta), the thin SVD, and deterministic
+completion of an orthonormal basis.
 
 All functions are pure: inputs are never mutated, outputs are fresh arrays.
 Outputs are deterministic down to the bit for bit-identical inputs, which the
@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, InvalidInput, NotPSD
+from .errors import ConvergenceError, DomainError, InvalidInput
 
 # Round-off window: eigenvalues in (-PSD_TOL, EIGEN_FLOOR) are treated as
 # EIGEN_FLOOR (or 0) by maps whose domain excludes them.  Anything below
@@ -191,17 +191,3 @@ def spectral_power(values, beta: float, *, floor: float = EIGEN_FLOOR) -> np.nda
     if bad.any():
         raise DomainError(f"power {beta} undefined at eigenvalue {vals[bad][0]:.17g}")
     return pvals
-
-
-def sqrt_factor(m) -> np.ndarray:
-    """Symmetric factor L with L @ L.T = M, for PSD M.
-
-    Round-off negatives above -1e-10 are clamped to zero; anything lower
-    raises NotPSD.
-    """
-    es = eig_sym(m)
-    vals = es.values
-    if vals.min() < -PSD_TOL:
-        raise NotPSD(f"eigenvalue {vals.min():.17g} is below -{PSD_TOL:g}")
-    vals = np.clip(vals, 0.0, None)
-    return symmetrize((es.vectors * np.sqrt(vals)) @ es.vectors.T)

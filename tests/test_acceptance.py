@@ -203,7 +203,7 @@ def test_criterion_5_order_invariance_tolerance():
 @pytest.fixture(scope="module")
 def desk_runs():
     t0 = time.perf_counter()
-    runs = {dist: run_experiment(ExperimentSpec(distribution=dist, seed=0), workers=4)
+    runs = {dist: run_experiment(ExperimentSpec(distribution=dist, seed=0))
             for dist in (STUDENT_T3, GAUSSIAN)}
     runs["elapsed"] = time.perf_counter() - t0
     return runs

@@ -8,6 +8,7 @@ from betadpca import (
     AggregateResult,
     BetaConfig,
     InvalidInput,
+    NotPSD,
     TieWarning,
     TruncatedEig,
     beta_aggregate,
@@ -15,7 +16,6 @@ from betadpca import (
     eig_sym,
     fan_aggregate,
     matrix_power,
-    phi_mean,
     rho_similarity,
     truncated_eig,
 )
@@ -29,19 +29,6 @@ def e_summary(values, p, offset=0):
     """Summary whose vectors are canonical basis columns offset..offset+q-1."""
     values = np.asarray(values, dtype=float)
     return TruncatedEig(values=values, vectors=np.eye(p)[:, offset:offset + len(values)])
-
-
-class TestPhiMean:
-    def test_identical_inputs_recovered(self):
-        rng = np.random.default_rng(31)
-        m = rand_spd(rng, 5, lo=0.5, hi=3.0)
-        for f, finv in ((np.log, np.exp), (np.sqrt, np.square)):
-            out = phi_mean([m, m, m], f, finv)
-            assert_allclose(out, m, rtol=1e-10, atol=1e-12)
-
-    def test_log_exp_gives_geometric_mean(self):
-        out = phi_mean([np.diag([1.0, 4.0]), np.diag([4.0, 1.0])], np.log, np.exp)
-        assert_allclose(out, 2.0 * np.eye(2), rtol=1e-12)
 
 
 class TestBetaMean:
@@ -114,6 +101,23 @@ class TestBetaMean:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidInput):
             beta_mean([np.eye(2), np.eye(3)], BetaConfig(beta=1.0))
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_indefinite_input_rejected(self, beta):
+        with pytest.raises(NotPSD):
+            beta_mean([np.diag([1.0, -0.5]), np.eye(2)], BetaConfig(beta=beta))
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_matches_dense_oracle_on_full_decompositions(self, beta):
+        # The oracle subtracts and re-adds delta^beta for beta < 0, which costs
+        # it digits that beta_mean never loses; hence the looser bound there.
+        rng = np.random.default_rng(37)
+        p = 7
+        ms = [rand_spd(rng, p, lo=0.3, hi=4.0) for _ in range(3)]
+        cfg = BetaConfig(beta=beta)
+        expected = dense_beta_sigma([truncated_eig(m, p) for m in ms], cfg)
+        rel = np.linalg.norm(beta_mean(ms, cfg) - expected) / np.linalg.norm(expected)
+        assert rel <= (1e-13 if beta >= 0 else 1e-8)
 
 
 class TestBetaConfig:

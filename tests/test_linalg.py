@@ -5,11 +5,9 @@ from numpy.testing import assert_allclose
 from betadpca import (
     DomainError,
     InvalidInput,
-    NotPSD,
     eig_sym,
     matrix_function,
     matrix_power,
-    sqrt_factor,
     symmetrize,
 )
 from helpers import eig2x2, rand_spd
@@ -156,22 +154,3 @@ class TestMatrixPower:
     def test_integer_power_of_indefinite_matrix(self):
         m = np.diag([2.0, -5.0])
         assert_allclose(matrix_power(m, 2.0), np.diag([4.0, 25.0]), rtol=1e-12)
-
-
-class TestSqrtFactor:
-    def test_diagonal(self):
-        assert_allclose(sqrt_factor(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-12)
-
-    def test_squares_back(self):
-        rng = np.random.default_rng(14)
-        m = rand_spd(rng, 7)
-        half = sqrt_factor(m)
-        assert_allclose(half @ half.T, m, rtol=1e-10, atol=1e-12)
-
-    def test_round_off_negative_clamped(self):
-        out = sqrt_factor(np.diag([1.0, -1e-13]))
-        assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
-
-    def test_indefinite_rejected(self):
-        with pytest.raises(NotPSD):
-            sqrt_factor(np.diag([1.0, -1.0]))
