@@ -6,7 +6,9 @@ dense beta_mean and summary aggregation apply.
 Summary aggregation never forms a p x p matrix: every branch is a fixed value
 outside the span of the summaries, so one eigensolve of a k x k core
 (k <= total summary rank) gives the result in factored form (AggregateResult),
-at O(p (m q)^2) for m machines of rank q.
+at O(p (m q)^2) for m machines of rank q.  leading_blocks runs the same solve
+for a subset of machines inside a basis taken once for all of them, which is
+how the CV fold loop aggregates every fold.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidInput, NotPSD, TieWarning
-from .linalg import (EIGEN_FLOOR, PSD_TOL, canonical_order, complete_basis, eig_sym, matrix_function,
-                     spectral_map, spectral_power, symmetrize, thin_svd)
+from .linalg import (EIGEN_FLOOR, PSD_TOL, EigenSystem, canonical_order, complete_basis, eig_sym,
+                     matrix_function, spectral_map, spectral_power, symmetrize, thin_svd)
 from .local_pca import TruncatedEig
 
 
@@ -150,6 +152,11 @@ class BranchTransform:
     complement: float
     inverse: Callable[[np.ndarray], np.ndarray]
 
+    @property
+    def complement_value(self) -> float:
+        """The aggregate's eigenvalue outside the span: inverse(complement)."""
+        return float(self.inverse(np.array([self.complement]))[0])
+
 
 def branch_transform(cfg: BetaConfig) -> BranchTransform:
     """The table entry for cfg.beta (see beta_aggregate for the formulas)."""
@@ -204,14 +211,38 @@ def _warn_on_tie(values: np.ndarray, complement: float, p: int, r: int) -> None:
         )
 
 
+def span_basis(stacked: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis of the columns of `stacked`, and the columns' coordinates in it.
+
+    A rank-revealing thin SVD: singular values at or below
+    sv[0] * max(p, columns) * eps count as zero, so machines sharing directions
+    give fewer basis columns than summary columns.  p is the ambient dimension:
+    the row count of summary vectors, or the p of the larger orthonormal basis
+    whose coordinates `stacked` holds, so the rank is the one the columns have
+    in R^p.
+    """
+    u, sv, vt = thin_svd(stacked)
+    k = int(np.count_nonzero(sv > sv[0] * max(p, stacked.shape[1]) * np.finfo(float).eps))
+    return u[:, :k], sv[:k, None] * vt[:k]
+
+
+def _span_core(coords: np.ndarray, values: Sequence[np.ndarray], w: np.ndarray,
+               transform: BranchTransform) -> EigenSystem:
+    # eig_sym of C = sum_l w_l B_l diag(forward(lam_l) - c) B_l^T + c I, with
+    # coords = [B_1 ... B_m] and values = [lam_1 ... lam_m].
+    c = transform.complement
+    scale = np.concatenate([wl * (transform.forward(v) - c) for wl, v in zip(w, values)])
+    return eig_sym((coords * scale) @ coords.T + c * np.eye(coords.shape[0]))
+
+
 def _span_aggregate(summaries: Sequence[TruncatedEig], transform: BranchTransform, r: int,
                     weights, beta_used: float | None = None) -> AggregateResult:
     """Sigma = inverse( sum_l w_l transform(M_l) ), solved on an orthonormal basis Q
     of the stacked summary vectors.
 
-    Q comes from a rank-revealing thin SVD of [V_1 ... V_m] (p x sum q_l), so
-    machines sharing directions give k < sum q_l.  With B_l = Q^T V_l, the only
-    eigensolve is of the k x k core
+    Q comes from span_basis([V_1 ... V_m]) (p x sum q_l), so machines sharing
+    directions give k < sum q_l.  With B_l = Q^T V_l, the only eigensolve is of
+    the k x k core
 
         C = sum_l w_l B_l diag(forward(lam_l) - c) B_l^T + c I,
 
@@ -219,18 +250,46 @@ def _span_aggregate(summaries: Sequence[TruncatedEig], transform: BranchTransfor
     """
     w = _normalized_weights(len(summaries), weights)
     stacked = np.hstack([s.vectors for s in summaries])
-    u, sv, vt = thin_svd(stacked)
-    k = int(np.count_nonzero(sv > sv[0] * max(stacked.shape) * np.finfo(float).eps))
-    coords = sv[:k, None] * vt[:k]  # [B_1 ... B_m]
-    c = transform.complement
-    scale = np.concatenate([wl * (transform.forward(s.values) - c) for wl, s in zip(w, summaries)])
-    core = eig_sym((coords * scale) @ coords.T + c * np.eye(k))
-    values, vectors = canonical_order(transform.inverse(core.values), u[:, :k] @ core.vectors)
-    complement = float(transform.inverse(np.array([c]))[0])
+    basis, coords = span_basis(stacked, stacked.shape[0])
+    core = _span_core(coords, [s.values for s in summaries], w, transform)
+    values, vectors = canonical_order(transform.inverse(core.values), basis @ core.vectors)
+    complement = transform.complement_value
     _warn_on_tie(values, complement, stacked.shape[0], r)
     return AggregateResult(span_values=values, span_vectors=vectors, complement_value=complement,
                            leading=_top_block(values, vectors, complement, r),
                            branch=transform.name, beta_used=beta_used)
+
+
+def leading_blocks(basis: np.ndarray, coords: np.ndarray, values: Sequence[np.ndarray],
+                   cfgs: Sequence[BetaConfig], r: int) -> list[np.ndarray]:
+    """The leading rank-r subspace (p x r orthonormal) of beta_aggregate at each of cfgs,
+    for summaries given in coordinates of a wider span.
+
+    coords = [B_1 ... B_n] are the summaries' vectors in the orthonormal p x K
+    basis (V_l = basis B_l) and values their eigenvalues.  One span_basis of
+    coords (K x sum q_l) serves every config, so each costs one eigensolve of
+    its core and a lift of r columns to R^p.  When fewer than r span values
+    reach the complement value, the block is completed in R^p as
+    AggregateResult.top does.  The block spans what beta_aggregate(...).leading
+    spans, to round-off; its basis, signs and tie order are not canonical.
+    """
+    p = basis.shape[0]
+    sub, sub_coords = span_basis(coords, p)
+    w = _normalized_weights(len(values), None)
+    blocks = []
+    for cfg in cfgs:
+        transform = branch_transform(cfg)
+        core = _span_core(sub_coords, values, w, transform)
+        span_values = transform.inverse(core.values)
+        order = np.argsort(-span_values, kind="stable")
+        span_values, vectors = span_values[order], sub @ core.vectors[:, order]
+        complement = transform.complement_value
+        _warn_on_tie(span_values, complement, p, r)
+        if np.count_nonzero(span_values >= complement) >= r:
+            blocks.append(basis @ vectors[:, :r])
+        else:
+            blocks.append(_top_block(span_values, basis @ vectors, complement, r).vectors)
+    return blocks
 
 
 def beta_aggregate(summaries: Sequence[TruncatedEig], cfg: BetaConfig, r: int, weights=None) -> AggregateResult:

@@ -61,6 +61,15 @@ def _add_job_flags(sub, beta_flag=True):
     sub.add_argument("--cv-seed", type=int, default=0, help="fold-shuffle seed")
 
 
+def _add_endpoint_flags(sub):
+    """The coordinator's address and the socket timeout, shared by serve and worker."""
+    sub.add_argument("--host", default="127.0.0.1")
+    sub.add_argument("--port", type=int, default=7071)
+    sub.add_argument("--timeout", type=float, default=None,
+                     help="seconds for each socket wait, connect and send "
+                          f"(default ${cluster.TIMEOUT_ENV_VAR} or 30)")
+
+
 def _build_job(args) -> cluster.JobSpec:
     if args.beta == "cv":
         mode = cluster.CvSelect(folds=args.cv_folds, seed=args.cv_seed)
@@ -179,7 +188,7 @@ def cmd_select_beta(args) -> int:
     if args.out:
         lines = ["fold," + ",".join(f"beta={b:g}" for b in cv.scores)]
         for j, row in enumerate(cv.per_fold):
-            lines.append(f"{j + 1}," + ",".join(repr(v) for v in row))
+            lines.append(f"{j + 1}," + ",".join(repr(float(v)) for v in row))
         experiment.write_text(args.out, "\n".join(lines) + "\n")
         print(f"wrote {args.out}")
     return 0
@@ -198,7 +207,7 @@ def cmd_serve(args) -> int:
 def cmd_worker(args) -> int:
     shard = read_shard(args.shard, machine_id=args.machine_id)
     msg = cluster.worker_round(shard, _build_job(args))
-    sent = cluster.send_summary(args.host, args.port, msg)
+    sent = cluster.send_summary(args.host, args.port, msg, timeout=args.timeout)
     print(f"machine {shard.machine_id}: sent {sent} bytes to {args.host}:{args.port}")
     return 0
 
@@ -261,12 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     sel.set_defaults(func=cmd_select_beta, beta="cv")
 
     srv = subs.add_parser("serve", help="coordinator: listen for worker summaries")
-    srv.add_argument("--host", default="127.0.0.1")
-    srv.add_argument("--port", type=int, default=7071)
+    _add_endpoint_flags(srv)
     srv.add_argument("--m", type=int, required=True, help="number of expected workers")
     _add_job_flags(srv)
-    srv.add_argument("--timeout", type=float, default=None,
-                     help=f"seconds to wait (default ${cluster.TIMEOUT_ENV_VAR} or 30)")
     srv.add_argument("--out", help="write sigma/leading block to this .npz")
     srv.set_defaults(func=cmd_serve)
 
@@ -274,8 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     wrk.add_argument("--shard", required=True)
     wrk.add_argument("--machine-id", type=int, default=1,
                      help="id for CSV shards (binary shards carry their own)")
-    wrk.add_argument("--host", default="127.0.0.1")
-    wrk.add_argument("--port", type=int, default=7071)
+    _add_endpoint_flags(wrk)
     _add_job_flags(wrk)
     wrk.set_defaults(func=cmd_worker)
 

@@ -4,7 +4,8 @@ Machines (not samples) are partitioned into folds.  For each fold, training
 machines are aggregated at rank r for every candidate beta, and the mismatch
 against each validation machine's own rank-r projection is averaged.  The
 candidate with the smallest mean mismatch wins; ties go to the earlier
-candidate in the declared order.
+candidate in the declared order.  Every aggregation runs in one basis of all
+machines' summaries, taken once per call.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .aggregation import BetaConfig, beta_aggregate
+from .aggregation import BetaConfig, leading_blocks, span_basis
 from .errors import InvalidInput
 from .local_pca import TruncatedEig
 from .rngs import FOLDS, stream
@@ -98,22 +99,34 @@ def select_beta(summaries_q: Sequence[TruncatedEig], summaries_r: Sequence[Trunc
         raise InvalidInput("validation summaries differ in rank")
     if plan.r is not None and plan.r != r:
         raise InvalidInput(f"plan expects rank r={plan.r}, validation summaries have {r}")
-    q = summaries_q[0].q
+    p, q = summaries_q[0].p, summaries_q[0].q
+    if any(s.p != p or s.q != q for s in summaries_q):
+        raise InvalidInput("training summaries differ in p or q")
+    if any(s.p != p for s in summaries_r):
+        raise InvalidInput("validation summaries differ from the training summaries in p")
     if plan.q is not None and plan.q != q:
         raise InvalidInput(f"plan expects rank q={plan.q}, training summaries have {q}")
     if r > q:
         raise InvalidInput(f"validation rank r={r} exceeds training rank q={q}")
 
     candidates = plan.candidate_set
+    cfgs = [replace(cfg_template, beta=b) for b in candidates]
+    # Every training span lies in the span of all m summaries, so one basis of
+    # it serves every fold (the range-finder view of Halko, Martinsson & Tropp
+    # 2011): a fold only takes the small SVD of its machines' coordinates.
+    basis, coords = span_basis(np.hstack([s.vectors for s in summaries_q]), p)
     per_fold = np.zeros((plan.k, len(candidates)))
     for j, fold in enumerate(plan.folds):
-        held = set(fold)
-        train = [summaries_q[i] for i in range(plan.m) if i not in held]
-        for bi, b in enumerate(candidates):
-            agg = beta_aggregate(train, replace(cfg_template, beta=b), r)
-            per_fold[j, bi] = float(np.mean(
-                [projection_discrepancy(agg.leading, summaries_r[i]) for i in fold]
-            ))
+        train = [i for i in range(plan.m) if i not in fold]
+        blocks = leading_blocks(basis, np.hstack([coords[:, i * q:(i + 1) * q] for i in train]),
+                                [summaries_q[i].values for i in train], cfgs, r)
+        held = np.hstack([summaries_r[i].vectors for i in fold])
+        for bi, lead in enumerate(blocks):
+            # ||P_lead - P_i||_F^2 = 2 ||V_i - P_lead V_i||_F^2 for orthonormal rank-r
+            # blocks; this residual form keeps round-off squared, where the
+            # projection_discrepancy form cancels to ~1e-16.
+            resid = held - lead @ (lead.T @ held)
+            per_fold[j, bi] = 2.0 * float(np.sum(resid * resid)) / len(fold)
     scores = per_fold.mean(axis=0)
     best = candidates[int(np.argmin(scores))]  # argmin takes the first minimum
     return CvResult(

@@ -1,13 +1,14 @@
 """Shared test fixtures: random SPD generators, independent closed-form
 oracles (2x2 characteristic polynomial, scenario builders) and the dense p x p
-aggregation formulas the span path is checked against."""
+aggregation formulas and the per-fold CV loop the span paths are checked against."""
 
 import dataclasses
 
 import numpy as np
 
-from betadpca import (PerturbationScenario, TruncatedEig, matrix_function, matrix_power,
-                      sample_covariance, signal_eigenvalues, symmetrize, tolerance, truncated_eig)
+from betadpca import (PerturbationScenario, TruncatedEig, beta_aggregate, matrix_function, matrix_power,
+                      projection_discrepancy, sample_covariance, signal_eigenvalues, symmetrize, tolerance,
+                      truncated_eig)
 
 
 def rand_orthogonal(rng, p):
@@ -138,3 +139,16 @@ def dense_beta_sigma(summaries, cfg):
 def dense_fan_sigma(summaries):
     """Projection-average oracle: the mean of V_l V_l^T as a p x p matrix."""
     return symmetrize(sum(s.vectors @ s.vectors.T for s in summaries) / len(summaries))
+
+
+def fold_loop_per_fold(summaries_q, summaries_r, plan, cfg_template):
+    """CV oracle: select_beta's per_fold from one beta_aggregate of each fold's
+    training machines per candidate, scored by projection_discrepancy."""
+    r = summaries_r[0].q
+    per_fold = np.zeros((plan.k, len(plan.candidate_set)))
+    for j, fold in enumerate(plan.folds):
+        train = [summaries_q[i] for i in range(plan.m) if i not in fold]
+        for bi, b in enumerate(plan.candidate_set):
+            agg = beta_aggregate(train, dataclasses.replace(cfg_template, beta=b), r)
+            per_fold[j, bi] = np.mean([projection_discrepancy(agg.leading, summaries_r[i]) for i in fold])
+    return per_fold

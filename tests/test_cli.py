@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from betadpca import cli
+from betadpca import CvSelect, JobSpec, cli, read_shard, run_local
 
 
 def free_port():
@@ -63,6 +63,10 @@ class TestGenAggregateSelect:
         lines = out.read_text().splitlines()
         assert lines[0] == "fold,beta=-1,beta=0,beta=1"
         assert len(lines) == 1 + 3  # leave-one-out over three machines
+        job = JobSpec(r=2, q=4, beta_mode=CvSelect())
+        cv = run_local([read_shard(path) for path in shards], job).cv
+        cells = [[float(cell) for cell in line.split(",")[1:]] for line in lines[1:]]
+        assert np.array_equal(np.array(cells), cv.per_fold)
 
     def test_missing_shard_file_is_reported(self, tmp_path, capsys):
         rc = run_cli("aggregate", str(tmp_path / "ghost.bdpx"))
@@ -151,6 +155,22 @@ class TestServeWorker:
         text = capsys.readouterr().out
         assert "listening on 127.0.0.1" in text
         assert "sent" in text and "bytes" in text
+
+    def test_worker_passes_its_timeout_to_send_summary(self, tmp_path, monkeypatch):
+        gen_dir = tmp_path / "shards"
+        assert run_cli("gen", "--p", "12", "--n", "40", "--m", "2", "--r", "2",
+                       "--seed", "7", "--out", str(gen_dir)) == 0
+        seen = []
+
+        def fake_send(host, port, msg, timeout=None):
+            seen.append(timeout)
+            return 0
+
+        monkeypatch.setattr(cli.cluster, "send_summary", fake_send)
+        shard = str(gen_dir / "shard_001.bdpx")
+        assert run_cli("worker", "--shard", shard, "--r", "2", "--q", "4", "--timeout", "2.5") == 0
+        assert run_cli("worker", "--shard", shard, "--r", "2", "--q", "4") == 0
+        assert seen == [2.5, None]  # None: send_summary resolves the env var or 30 s
 
 
 class TestArgumentParsing:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,6 +8,7 @@ from betadpca import (
     BetaConfig,
     CvPlan,
     InvalidInput,
+    TieWarning,
     TruncatedEig,
     beta_aggregate,
     make_folds,
@@ -13,7 +16,7 @@ from betadpca import (
     select_beta,
     truncate_summary,
 )
-from helpers import rand_summary
+from helpers import fold_loop_per_fold, rand_orthogonal, rand_summary
 
 
 class TestMakeFolds:
@@ -160,6 +163,16 @@ class TestSelectBeta:
         with pytest.raises(InvalidInput):
             select_beta(summaries_q, summaries_r, plan2, self.cfg())
 
+    def test_dimension_mismatch_rejected(self):
+        rng = np.random.default_rng(86)
+        summaries_q = [rand_summary(rng, 6, 3) for _ in range(3)]
+        summaries_r = [truncate_summary(s, 2) for s in summaries_q]
+        plan = make_folds(3, 3, seed=0)
+        with pytest.raises(InvalidInput):
+            select_beta(summaries_q[:2] + [rand_summary(rng, 7, 3)], summaries_r, plan, self.cfg())
+        with pytest.raises(InvalidInput):
+            select_beta(summaries_q, summaries_r[:2] + [rand_summary(rng, 7, 2)], plan, self.cfg())
+
     def test_validation_rank_must_fit_training_rank(self):
         rng = np.random.default_rng(79)
         summaries_q = [rand_summary(rng, 6, 2) for _ in range(3)]
@@ -167,3 +180,76 @@ class TestSelectBeta:
         plan = make_folds(3, 2, seed=0)
         with pytest.raises(InvalidInput):
             select_beta(summaries_q, summaries_r, plan, self.cfg())
+
+
+BETAS = (-1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
+
+
+class TestFoldLoopMatchesOracle:
+    """select_beta's shared-span fold loop against one beta_aggregate per fold
+    and candidate (helpers.fold_loop_per_fold): 1e-12 absolute for beta >= 0;
+    1e-8 for beta < 0, where both sides carry the delta^beta shift."""
+
+    def check(self, summaries_q, summaries_r, folds):
+        plan = make_folds(len(summaries_q), folds, seed=0, candidate_set=BETAS)
+        cfg = BetaConfig(beta=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TieWarning)
+            got = select_beta(summaries_q, summaries_r, plan, cfg).per_fold
+            want = fold_loop_per_fold(summaries_q, summaries_r, plan, cfg)
+        for bi, beta in enumerate(BETAS):
+            assert_allclose(got[:, bi], want[:, bi], rtol=0, atol=1e-12 if beta >= 0 else 1e-8)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_summaries(self, seed):
+        rng = np.random.default_rng([80, seed])
+        summaries = [rand_summary(rng, 14, 3) for _ in range(5)]
+        self.check(summaries, [truncate_summary(s, 2) for s in summaries], folds=3)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("p, values", [
+        (16, [[0.8, 0.5, 0.2]] * 4),  # complement directions fill the leading block
+        (10, [[0.8, 0.5, 0.2]] * 4),  # one complement direction, then span values
+        (16, [[3.0, 0.3, 0.2]] * 2 + [[0.8, 0.3, 0.2]] * 2),  # span values, then complement
+    ])
+    def test_limit_zero_complement_enters_leading_block(self, seed, p, values):
+        # at beta = 0 the complement has eigenvalue 1, above sub-unit span values
+        rng = np.random.default_rng([81, seed])
+        summaries = [TruncatedEig(values=np.array(v), vectors=rand_orthogonal(rng, p)[:, :3]) for v in values]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TieWarning)
+            agg = beta_aggregate(summaries[1:], BetaConfig(beta=0.0), 3)
+        assert 1.0 in agg.leading.values
+        self.check(summaries, [truncate_summary(s, 3) for s in summaries], folds=4)
+
+    def test_limit_zero_tie_warns(self):
+        rng = np.random.default_rng(82)
+        summaries = [rand_summary(rng, 10, 3, lo=0.05, hi=0.9) for _ in range(3)]
+        plan = make_folds(3, 3, seed=0, candidate_set=(0.0,))
+        with pytest.warns(TieWarning):
+            select_beta(summaries, [truncate_summary(s, 2) for s in summaries], plan, BetaConfig(beta=0.0))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_machines_sharing_directions(self, seed):
+        # machine 1 repeats machine 0's directions; machine 2 shares two of them
+        rng = np.random.default_rng([83, seed])
+        summaries = [rand_summary(rng, 12, 4) for _ in range(5)]
+        summaries[1] = TruncatedEig(values=summaries[1].values, vectors=summaries[0].vectors)
+        mixed, _ = np.linalg.qr(np.hstack([summaries[0].vectors[:, :2], rng.standard_normal((12, 2))]))
+        summaries[2] = TruncatedEig(values=summaries[2].values, vectors=mixed)
+        assert np.linalg.matrix_rank(np.hstack([s.vectors for s in summaries])) < 20
+        self.check(summaries, [truncate_summary(s, 2) for s in summaries], folds=2)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_machine_training_folds(self, seed):
+        rng = np.random.default_rng([84, seed])
+        summaries = [rand_summary(rng, 9, 4) for _ in range(2)]
+        self.check(summaries, [truncate_summary(s, 2) for s in summaries], folds=2)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_validation_blocks_outside_the_span(self, seed):
+        rng = np.random.default_rng([85, seed])
+        summaries = [rand_summary(rng, 30, 3) for _ in range(4)]
+        validations = [TruncatedEig(values=np.ones(2), vectors=rand_orthogonal(rng, 30)[:, :2])
+                       for _ in range(4)]
+        self.check(summaries, validations, folds=2)
