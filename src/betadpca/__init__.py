@@ -22,7 +22,7 @@ from .local_pca import (DataShard, TruncatedEig, local_summary, read_shard, samp
                         truncate_summary, truncated_eig, write_shard)
 from .perturbation import (PerturbationScenario, ToleranceReport, invariance_check,
                            perturbed_beta_spectrum, tolerance, unperturbed_beta_spectrum)
-from .selection import DEFAULT_CANDIDATES, CvPlan, CvResult, make_folds, projection_discrepancy, select_beta
+from .selection import DEFAULT_CANDIDATES, CvPlan, CvResult, make_folds, select_beta
 from .simgen import (DISTRIBUTIONS, GAUSSIAN, STUDENT_T3, PopulationModel, make_population,
                      rho_similarity, sample_data, signal_eigenvalues, split_shards)
 
@@ -44,7 +44,7 @@ __all__ = [
     "truncate_summary", "truncated_eig", "write_shard",
     "PerturbationScenario", "ToleranceReport", "invariance_check",
     "perturbed_beta_spectrum", "tolerance", "unperturbed_beta_spectrum",
-    "DEFAULT_CANDIDATES", "CvPlan", "CvResult", "make_folds", "projection_discrepancy", "select_beta",
+    "DEFAULT_CANDIDATES", "CvPlan", "CvResult", "make_folds", "select_beta",
     "DISTRIBUTIONS", "GAUSSIAN", "STUDENT_T3", "PopulationModel", "make_population",
     "rho_similarity", "sample_data", "signal_eigenvalues", "split_shards",
 ]

@@ -6,9 +6,9 @@ dense beta_mean and summary aggregation apply.
 Summary aggregation never forms a p x p matrix: every branch is a fixed value
 outside the span of the summaries, so one eigensolve of a k x k core
 (k <= total summary rank) gives the result in factored form (AggregateResult),
-at O(p (m q)^2) for m machines of rank q.  leading_blocks runs the same solve
-for a subset of machines inside a basis taken once for all of them, which is
-how the CV fold loop aggregates every fold.
+at O(p (m q)^2) for m machines of rank q.  _span_aggregate takes the basis
+as an argument, so the CV fold loop solves every fold inside one basis of all
+machines' summaries.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidInput, NotPSD, TieWarning
-from .linalg import (EIGEN_FLOOR, PSD_TOL, EigenSystem, canonical_order, complete_basis, eig_sym,
-                     matrix_function, spectral_map, spectral_power, symmetrize, thin_svd)
+from .linalg import (EIGEN_FLOOR, PSD_TOL, canonical_order, complete_basis, eig_sym, matrix_function,
+                     spectral_map, spectral_power, symmetrize, thin_svd)
 from .local_pca import TruncatedEig
 
 
@@ -152,11 +152,6 @@ class BranchTransform:
     complement: float
     inverse: Callable[[np.ndarray], np.ndarray]
 
-    @property
-    def complement_value(self) -> float:
-        """The aggregate's eigenvalue outside the span: inverse(complement)."""
-        return float(self.inverse(np.array([self.complement]))[0])
-
 
 def branch_transform(cfg: BetaConfig) -> BranchTransform:
     """The table entry for cfg.beta (see beta_aggregate for the formulas)."""
@@ -226,70 +221,32 @@ def span_basis(stacked: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return u[:, :k], sv[:k, None] * vt[:k]
 
 
-def _span_core(coords: np.ndarray, values: Sequence[np.ndarray], w: np.ndarray,
-               transform: BranchTransform) -> EigenSystem:
-    # eig_sym of C = sum_l w_l B_l diag(forward(lam_l) - c) B_l^T + c I, with
-    # coords = [B_1 ... B_m] and values = [lam_1 ... lam_m].
-    c = transform.complement
-    scale = np.concatenate([wl * (transform.forward(v) - c) for wl, v in zip(w, values)])
-    return eig_sym((coords * scale) @ coords.T + c * np.eye(coords.shape[0]))
+def _span_aggregate(basis: np.ndarray, coords: np.ndarray, values: Sequence[np.ndarray],
+                    transform: BranchTransform, r: int, weights,
+                    beta_used: float | None = None) -> AggregateResult:
+    """Sigma = inverse( sum_l w_l transform(M_l) ) for summaries given in an
+    orthonormal p x k basis Q: V_l = Q B_l, coords = [B_1 ... B_m] (from
+    span_basis) and values = [lam_1 ... lam_m].
 
-
-def _span_aggregate(summaries: Sequence[TruncatedEig], transform: BranchTransform, r: int,
-                    weights, beta_used: float | None = None) -> AggregateResult:
-    """Sigma = inverse( sum_l w_l transform(M_l) ), solved on an orthonormal basis Q
-    of the stacked summary vectors.
-
-    Q comes from span_basis([V_1 ... V_m]) (p x sum q_l), so machines sharing
-    directions give k < sum q_l.  With B_l = Q^T V_l, the only eigensolve is of
+    beta_aggregate and fan_aggregate pass Q = span_basis([V_1 ... V_m]), so
+    machines sharing directions give k < sum q_l.  The only eigensolve is of
     the k x k core
 
         C = sum_l w_l B_l diag(forward(lam_l) - c) B_l^T + c I,
 
-    since the average equals Q C Q^T + c (I - Q Q^T).  Cost O(p (sum q_l)^2).
+    since the average equals Q C Q^T + c (I - Q Q^T).  Cost O(p k^2).
     """
-    w = _normalized_weights(len(summaries), weights)
-    stacked = np.hstack([s.vectors for s in summaries])
-    basis, coords = span_basis(stacked, stacked.shape[0])
-    core = _span_core(coords, [s.values for s in summaries], w, transform)
-    values, vectors = canonical_order(transform.inverse(core.values), basis @ core.vectors)
-    complement = transform.complement_value
-    _warn_on_tie(values, complement, stacked.shape[0], r)
-    return AggregateResult(span_values=values, span_vectors=vectors, complement_value=complement,
-                           leading=_top_block(values, vectors, complement, r),
+    p, k = basis.shape
+    w = _normalized_weights(len(values), weights)
+    c = transform.complement
+    scale = np.concatenate([wl * (transform.forward(v) - c) for wl, v in zip(w, values)])
+    core = eig_sym((coords * scale) @ coords.T + c * np.eye(k))
+    span_values, vectors = canonical_order(transform.inverse(core.values), basis @ core.vectors)
+    complement = float(transform.inverse(np.array([c]))[0])
+    _warn_on_tie(span_values, complement, p, r)
+    return AggregateResult(span_values=span_values, span_vectors=vectors, complement_value=complement,
+                           leading=_top_block(span_values, vectors, complement, r),
                            branch=transform.name, beta_used=beta_used)
-
-
-def leading_blocks(basis: np.ndarray, coords: np.ndarray, values: Sequence[np.ndarray],
-                   cfgs: Sequence[BetaConfig], r: int) -> list[np.ndarray]:
-    """The leading rank-r subspace (p x r orthonormal) of beta_aggregate at each of cfgs,
-    for summaries given in coordinates of a wider span.
-
-    coords = [B_1 ... B_n] are the summaries' vectors in the orthonormal p x K
-    basis (V_l = basis B_l) and values their eigenvalues.  One span_basis of
-    coords (K x sum q_l) serves every config, so each costs one eigensolve of
-    its core and a lift of r columns to R^p.  When fewer than r span values
-    reach the complement value, the block is completed in R^p as
-    AggregateResult.top does.  The block spans what beta_aggregate(...).leading
-    spans, to round-off; its basis, signs and tie order are not canonical.
-    """
-    p = basis.shape[0]
-    sub, sub_coords = span_basis(coords, p)
-    w = _normalized_weights(len(values), None)
-    blocks = []
-    for cfg in cfgs:
-        transform = branch_transform(cfg)
-        core = _span_core(sub_coords, values, w, transform)
-        span_values = transform.inverse(core.values)
-        order = np.argsort(-span_values, kind="stable")
-        span_values, vectors = span_values[order], sub @ core.vectors[:, order]
-        complement = transform.complement_value
-        _warn_on_tie(span_values, complement, p, r)
-        if np.count_nonzero(span_values >= complement) >= r:
-            blocks.append(basis @ vectors[:, :r])
-        else:
-            blocks.append(_top_block(span_values, basis @ vectors, complement, r).vectors)
-    return blocks
 
 
 def beta_aggregate(summaries: Sequence[TruncatedEig], cfg: BetaConfig, r: int, weights=None) -> AggregateResult:
@@ -308,10 +265,12 @@ def beta_aggregate(summaries: Sequence[TruncatedEig], cfg: BetaConfig, r: int, w
     that span (see AggregateResult) in O(p (m q)^2); summation runs in list
     order, so callers with machine ids sort first.
     """
-    _, q = _validated_summaries(summaries)
+    p, q = _validated_summaries(summaries)
     if not 1 <= r <= q:
         raise InvalidInput(f"need 1 <= r <= q={q}, got r={r}")
-    return _span_aggregate(summaries, branch_transform(cfg), r, weights, beta_used=cfg.beta)
+    basis, coords = span_basis(np.hstack([s.vectors for s in summaries]), p)
+    return _span_aggregate(basis, coords, [s.values for s in summaries], branch_transform(cfg), r, weights,
+                           beta_used=cfg.beta)
 
 
 def fan_aggregate(summaries: Sequence[TruncatedEig], weights=None) -> AggregateResult:
@@ -321,5 +280,6 @@ def fan_aggregate(summaries: Sequence[TruncatedEig], weights=None) -> AggregateR
     truncated at the target rank r (their common q).  Computed in the span of
     the summaries like beta_aggregate, with forward map 1 and complement 0.
     """
-    _, r = _validated_summaries(summaries)
-    return _span_aggregate(summaries, PROJECTION_AVERAGE, r, weights)
+    p, r = _validated_summaries(summaries)
+    basis, coords = span_basis(np.hstack([s.vectors for s in summaries]), p)
+    return _span_aggregate(basis, coords, [s.values for s in summaries], PROJECTION_AVERAGE, r, weights)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .aggregation import BetaConfig, leading_blocks, span_basis
+from .aggregation import BetaConfig, _span_aggregate, branch_transform, span_basis
 from .errors import InvalidInput
 from .local_pca import TruncatedEig
 from .rngs import FOLDS, stream
@@ -63,18 +63,6 @@ def make_folds(m: int, k: int, seed: int, *, candidate_set: Sequence[float] = DE
                   seed=seed, r=r, q=q)
 
 
-def projection_discrepancy(a: TruncatedEig, b: TruncatedEig) -> float:
-    """Squared Frobenius distance between the two rank-r projection matrices.
-
-    Computed on r x r blocks as |A^T A|^2 - 2 |A^T B|^2 + |B^T B|^2, without
-    the p x p projectors; bit-identical blocks give exactly 0.
-    """
-    if a.p != b.p or a.q != b.q:
-        raise InvalidInput("summaries must share p and rank")
-    aa, ab, bb = a.vectors.T @ a.vectors, a.vectors.T @ b.vectors, b.vectors.T @ b.vectors
-    return max(0.0, float(np.sum(aa * aa) - 2.0 * np.sum(ab * ab) + np.sum(bb * bb)))
-
-
 @dataclass(frozen=True, eq=False)
 class CvResult:
     """Mean mismatch per candidate, the winner, and the per-fold breakdown."""
@@ -110,7 +98,7 @@ def select_beta(summaries_q: Sequence[TruncatedEig], summaries_r: Sequence[Trunc
         raise InvalidInput(f"validation rank r={r} exceeds training rank q={q}")
 
     candidates = plan.candidate_set
-    cfgs = [replace(cfg_template, beta=b) for b in candidates]
+    transforms = [branch_transform(replace(cfg_template, beta=b)) for b in candidates]
     # Every training span lies in the span of all m summaries, so one basis of
     # it serves every fold (the range-finder view of Halko, Martinsson & Tropp
     # 2011): a fold only takes the small SVD of its machines' coordinates.
@@ -118,13 +106,15 @@ def select_beta(summaries_q: Sequence[TruncatedEig], summaries_r: Sequence[Trunc
     per_fold = np.zeros((plan.k, len(candidates)))
     for j, fold in enumerate(plan.folds):
         train = [i for i in range(plan.m) if i not in fold]
-        blocks = leading_blocks(basis, np.hstack([coords[:, i * q:(i + 1) * q] for i in train]),
-                                [summaries_q[i].values for i in train], cfgs, r)
+        sub, sub_coords = span_basis(np.hstack([coords[:, i * q:(i + 1) * q] for i in train]), p)
+        fold_basis = basis @ sub
+        values = [summaries_q[i].values for i in train]
         held = np.hstack([summaries_r[i].vectors for i in fold])
-        for bi, lead in enumerate(blocks):
+        for bi, transform in enumerate(transforms):
+            lead = _span_aggregate(fold_basis, sub_coords, values, transform, r, None).leading.vectors
             # ||P_lead - P_i||_F^2 = 2 ||V_i - P_lead V_i||_F^2 for orthonormal rank-r
-            # blocks; this residual form keeps round-off squared, where the
-            # projection_discrepancy form cancels to ~1e-16.
+            # blocks; this residual form keeps round-off squared, where
+            # |A^T A|^2 - 2 |A^T B|^2 + |B^T B|^2 cancels to ~1e-16.
             resid = held - lead @ (lead.T @ held)
             per_fold[j, bi] = 2.0 * float(np.sum(resid * resid)) / len(fold)
     scores = per_fold.mean(axis=0)

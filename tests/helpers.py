@@ -6,9 +6,8 @@ import dataclasses
 
 import numpy as np
 
-from betadpca import (PerturbationScenario, TruncatedEig, beta_aggregate, matrix_function, matrix_power,
-                      projection_discrepancy, sample_covariance, signal_eigenvalues, symmetrize, tolerance,
-                      truncated_eig)
+from betadpca import (InvalidInput, PerturbationScenario, TruncatedEig, beta_aggregate, matrix_function,
+                      matrix_power, sample_covariance, signal_eigenvalues, symmetrize, tolerance, truncated_eig)
 
 
 def rand_orthogonal(rng, p):
@@ -139,6 +138,18 @@ def dense_beta_sigma(summaries, cfg):
 def dense_fan_sigma(summaries):
     """Projection-average oracle: the mean of V_l V_l^T as a p x p matrix."""
     return symmetrize(sum(s.vectors @ s.vectors.T for s in summaries) / len(summaries))
+
+
+def projection_discrepancy(a: TruncatedEig, b: TruncatedEig) -> float:
+    """Squared Frobenius distance between the two rank-r projection matrices.
+
+    Computed on r x r blocks as |A^T A|^2 - 2 |A^T B|^2 + |B^T B|^2, without
+    the p x p projectors; bit-identical blocks give exactly 0.
+    """
+    if a.p != b.p or a.q != b.q:
+        raise InvalidInput("summaries must share p and rank")
+    aa, ab, bb = a.vectors.T @ a.vectors, a.vectors.T @ b.vectors, b.vectors.T @ b.vectors
+    return max(0.0, float(np.sum(aa * aa) - 2.0 * np.sum(ab * ab) + np.sum(bb * bb)))
 
 
 def fold_loop_per_fold(summaries_q, summaries_r, plan, cfg_template):

@@ -12,11 +12,10 @@ from betadpca import (
     TruncatedEig,
     beta_aggregate,
     make_folds,
-    projection_discrepancy,
     select_beta,
     truncate_summary,
 )
-from helpers import fold_loop_per_fold, rand_orthogonal, rand_summary
+from helpers import fold_loop_per_fold, projection_discrepancy, rand_orthogonal, rand_summary
 
 
 class TestMakeFolds:
