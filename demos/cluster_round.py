@@ -44,9 +44,11 @@ print(f"aggregate rho_r = {rho_similarity(a.leading, model.gamma[:, :R]):.4f} "
       f"(branch: {a.branch})")
 
 # --- CV mode rides the same round ------------------------------------------
-# Version-2 frames bundle each worker's rank-r validation block, so beta
-# selection happens with still exactly one message per worker.
+# Workers send the very same frames: the coordinator validates on each
+# machine's leading r columns, so beta selection costs no extra bytes.
 job_cv = JobSpec(r=R, q=Q, beta_mode=CvSelect(candidates=(-1.0, 0.0, 1.0), folds=5))
 res = run_sockets(shards, job_cv)
 print(f"\nCV over the wire picked beta={res.beta_used:+.0f} "
       f"(scores: {{{', '.join(f'{b:+.0f}: {s:.4f}' for b, s in res.cv.scores.items())}}})")
+print("CV-mode frame == fixed-beta frame:",
+      encode_summary(worker_round(shards[0], job_cv)) == frame)

@@ -53,8 +53,8 @@ def _add_job_flags(sub, beta_flag=True):
     sub.add_argument("--q", type=int, default=10, help="local summary rank (q >= r)")
     if beta_flag:
         sub.add_argument("--beta", type=_beta_value, default=1.0,
-                         help="a number or 'cv'; serve and worker must agree "
-                              "('cv' bundles the rank-r block)")
+                         help="a number or 'cv'; only the coordinator reads it "
+                              "(a worker sends the same frame for every beta)")
     sub.add_argument("--delta", type=float, default=1e-5)
     sub.add_argument("--center", action="store_true")
     sub.add_argument("--cv-folds", type=int, default=5, help="folds for beta selection")

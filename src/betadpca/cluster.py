@@ -9,20 +9,17 @@ Wire frame, all little-endian:
 
     u32  frame length (bytes after this field)
     4s   magic "BDPC"
-    u16  version: 1 = rank-q summary, 2 = adds the bundled rank-r block
+    u16  version (1)
     u32  machine_id
     u32  p
     u32  q
     u32  n_ell
     f64* values  (q)
     f64* vectors (p*q, column-major)
-    -- version 2 only --
-    u32  r
-    f64* values_r  (r)
-    f64* vectors_r (p*r, column-major)
     u32  CRC32 over everything between the version field and this checksum
 
-For version 1 the frame size is exactly q*(p+1)*8 + FRAME_OVERHEAD bytes.
+The frame size is exactly q*(p+1)*8 + FRAME_OVERHEAD bytes, in fixed-beta and
+CV rounds alike (see resolve_beta).
 """
 
 from __future__ import annotations
@@ -47,8 +44,7 @@ from .selection import DEFAULT_CANDIDATES, make_folds, select_beta
 logger = logging.getLogger(__name__)
 
 FRAME_MAGIC = b"BDPC"
-VERSION_BASE = 1
-VERSION_WITH_VALIDATION = 2
+VERSION = 1
 # length prefix + magic + version + four u32 fields + crc32
 FRAME_OVERHEAD = 4 + 4 + 2 + 16 + 4
 
@@ -58,22 +54,15 @@ TIMEOUT_ENV_VAR = "BDPCA_TIMEOUT_SECS"
 
 @dataclass(frozen=True, eq=False)
 class LocalSummaryMsg:
-    """One worker's contribution: the rank-q summary plus, in CV mode, its
-    own rank-r projection for the validation side."""
+    """One worker's contribution: its rank-q summary and sample count."""
 
     machine_id: int
     n_ell: int
     summary: TruncatedEig
-    validation: TruncatedEig | None = None
 
     def __post_init__(self):
         if self.machine_id < 0 or self.n_ell < 1:
             raise InvalidInput("machine_id must be >= 0 and n_ell >= 1")
-        if self.validation is not None:
-            if self.validation.p != self.summary.p:
-                raise InvalidInput("validation block has a different p")
-            if self.validation.q > self.summary.q:
-                raise InvalidInput("validation rank exceeds the summary rank")
 
     @property
     def p(self) -> int:
@@ -118,38 +107,15 @@ class JobSpec:
         if not self.delta > 0:
             raise InvalidInput("delta must be positive")
 
-    @property
-    def protocol_version(self) -> int:
-        return VERSION_WITH_VALIDATION if isinstance(self.beta_mode, CvSelect) else VERSION_BASE
-
-
-def _block_bytes(block: TruncatedEig) -> bytes:
-    return (block.values.astype("<f8").tobytes()
-            + block.vectors.astype("<f8").tobytes(order="F"))
-
 
 def encode_summary(msg: LocalSummaryMsg) -> bytes:
     """Serialize one message into a full frame (length prefix included)."""
-    version = VERSION_BASE if msg.validation is None else VERSION_WITH_VALIDATION
     payload = struct.pack("<IIII", msg.machine_id, msg.p, msg.q, msg.n_ell)
-    payload += _block_bytes(msg.summary)
-    if msg.validation is not None:
-        payload += struct.pack("<I", msg.validation.q)
-        payload += _block_bytes(msg.validation)
-    body = FRAME_MAGIC + struct.pack("<H", version) + payload
+    payload += msg.summary.values.astype("<f8").tobytes()
+    payload += msg.summary.vectors.astype("<f8").tobytes(order="F")
+    body = FRAME_MAGIC + struct.pack("<H", VERSION) + payload
     body += struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
     return struct.pack("<I", len(body)) + body
-
-
-def _take_block(payload: bytes, offset: int, p: int, q: int, what: str):
-    need = 8 * q * (p + 1)
-    if len(payload) < offset + need:
-        raise ParseError(f"frame too short for the {what} block")
-    values = np.frombuffer(payload, dtype="<f8", count=q, offset=offset).copy()
-    offset += 8 * q
-    vectors = np.frombuffer(payload, dtype="<f8", count=p * q, offset=offset) \
-        .reshape((p, q), order="F").copy()
-    return values, vectors, offset + 8 * p * q
 
 
 def decode_summary(frame: bytes) -> LocalSummaryMsg:
@@ -167,7 +133,7 @@ def decode_summary(frame: bytes) -> LocalSummaryMsg:
     if body[:4] != FRAME_MAGIC:
         raise ParseError(f"bad magic {body[:4]!r}")
     (version,) = struct.unpack("<H", body[4:6])
-    if version not in (VERSION_BASE, VERSION_WITH_VALIDATION):
+    if version != VERSION:
         raise ParseError(f"unsupported protocol version {version}")
     payload, (crc,) = body[6:-4], struct.unpack("<I", body[-4:])
     if len(payload) < 16:
@@ -177,22 +143,14 @@ def decode_summary(frame: bytes) -> LocalSummaryMsg:
         raise CorruptMessage(machine_id, "checksum mismatch")
     if p < 1 or q < 1 or q > p:
         raise ParseError(f"inconsistent dimensions p={p}, q={q}")
-    values, vectors, offset = _take_block(payload, 16, p, q, "summary")
-    validation = None
-    if version == VERSION_WITH_VALIDATION:
-        if len(payload) < offset + 4:
-            raise ParseError("version-2 frame is missing the validation rank")
-        (r,) = struct.unpack("<I", payload[offset:offset + 4])
-        if r < 1 or r > q:
-            raise ParseError(f"validation rank r={r} inconsistent with q={q}")
-        v_values, v_vectors, offset = _take_block(payload, offset + 4, p, r, "validation")
-        validation = TruncatedEig(values=v_values, vectors=v_vectors)
-    if offset != len(payload):
-        raise ParseError(f"{len(payload) - offset} trailing bytes in frame")
+    if len(payload) != 16 + 8 * q * (p + 1):
+        raise ParseError(f"payload of {len(payload)} bytes does not fit p={p}, q={q}")
+    values = np.frombuffer(payload, dtype="<f8", count=q, offset=16).copy()
+    vectors = np.frombuffer(payload, dtype="<f8", count=p * q, offset=16 + 8 * q) \
+        .reshape((p, q), order="F").copy()
     try:
         summary = TruncatedEig(values=values, vectors=vectors)
-        return LocalSummaryMsg(machine_id=machine_id, n_ell=n_ell,
-                               summary=summary, validation=validation)
+        return LocalSummaryMsg(machine_id=machine_id, n_ell=n_ell, summary=summary)
     except InvalidInput as exc:
         # the payload is intact (CRC passed) but violates the summary invariants
         raise ParseError(f"frame from machine {machine_id} carries an invalid summary: {exc}") from exc
@@ -201,15 +159,10 @@ def decode_summary(frame: bytes) -> LocalSummaryMsg:
 def worker_round(shard: DataShard, job: JobSpec) -> LocalSummaryMsg:
     """The entire worker side: covariance, rank-q truncation, one message.
 
-    In CV mode the message bundles the worker's own rank-r projection so the
-    coordinator can validate without a second round.
+    The message is the same in every beta mode; CV needs nothing extra.
     """
     summary = local_summary(shard, job.q, center=job.center)
-    validation = None
-    if isinstance(job.beta_mode, CvSelect):
-        validation = truncate_summary(summary, job.r)
-    return LocalSummaryMsg(machine_id=shard.machine_id, n_ell=shard.n_ell,
-                           summary=summary, validation=validation)
+    return LocalSummaryMsg(machine_id=shard.machine_id, n_ell=shard.n_ell, summary=summary)
 
 
 def coordinator_round(msgs: Sequence[LocalSummaryMsg], job: JobSpec,
@@ -237,27 +190,24 @@ def coordinator_round(msgs: Sequence[LocalSummaryMsg], job: JobSpec,
         if missing:
             logger.warning("aggregating without machines %s (%d of %d reported)",
                            missing, len(msgs), expected_m)
-    agg = resolve_beta([m.summary for m in msgs], [m.validation for m in msgs], job)
+    agg = resolve_beta([m.summary for m in msgs], job)
     return replace(agg, missing=missing)
 
 
-def resolve_beta(summaries: Sequence[TruncatedEig], validations: Sequence[TruncatedEig | None],
-                 job: JobSpec) -> AggregateResult:
+def resolve_beta(summaries: Sequence[TruncatedEig], job: JobSpec) -> AggregateResult:
     """Aggregate the summaries at the job's beta: the announced one (FixedBeta),
     or the winner of machine-level cross-validation (CvSelect), whose CvResult
     is attached as `cv`.
 
-    validations are the machines' own rank-r blocks in the order of summaries;
-    only CvSelect reads them.
+    A validation machine is represented by the leading r columns of its own
+    summary, so CV needs nothing beyond the rank-q summaries.
     """
     mode = job.beta_mode
     if isinstance(mode, FixedBeta):
         return beta_aggregate(summaries, BetaConfig(beta=mode.beta, delta=job.delta), job.r)
-    if any(v is None for v in validations):
-        raise InvalidInput("cv mode needs the bundled rank-r block from every worker")
     plan = make_folds(len(summaries), mode.folds, mode.seed,
                       candidate_set=mode.candidates, r=job.r, q=job.q)
-    cv = select_beta(summaries, validations, plan,
+    cv = select_beta(summaries, [truncate_summary(s, job.r) for s in summaries], plan,
                      BetaConfig(beta=mode.candidates[0], delta=job.delta))
     agg = beta_aggregate(summaries, BetaConfig(beta=cv.best_beta, delta=job.delta), job.r)
     return replace(agg, cv=cv)

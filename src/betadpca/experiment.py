@@ -94,7 +94,6 @@ def _replicate_rows(spec: ExperimentSpec, rep: int) -> tuple[list[tuple], float 
     model = make_population(spec.p, spec.n, spec.r, spec.distribution, seed_rep)
     shards = split_shards(sample_data(model), spec.m)
     summaries_q = [local_summary(s, spec.q, center=spec.center) for s in shards]
-    summaries_r = [truncate_summary(s, spec.r) for s in summaries_q]
     truth = model.truth_basis()
     k_eff = min(spec.k_max, spec.p)
     ks = range(spec.r, k_eff + 1)
@@ -103,12 +102,12 @@ def _replicate_rows(spec: ExperimentSpec, rep: int) -> tuple[list[tuple], float 
     selected: float | None = None
     for method in spec.methods:
         if method == "fan":
-            agg = fan_aggregate(summaries_r)
+            agg = fan_aggregate([truncate_summary(s, spec.r) for s in summaries_q])
         else:
             mode = (CvSelect(candidates=spec.candidate_set, folds=spec.cv_folds, seed=seed_rep)
                     if method == "beta=cv" else FixedBeta(_parse_beta_method(method)))
             job = JobSpec(r=spec.r, q=spec.q, beta_mode=mode, delta=spec.delta)
-            agg = resolve_beta(summaries_q, summaries_r, job)
+            agg = resolve_beta(summaries_q, job)
             if agg.cv is not None:
                 selected = agg.cv.best_beta
         # curves need up to k_max directions, which may exceed q

@@ -3,6 +3,8 @@ oracles (2x2 characteristic polynomial, scenario builders) and the dense p x p
 aggregation formulas and the per-fold CV loop the span paths are checked against."""
 
 import dataclasses
+import struct
+import zlib
 
 import numpy as np
 
@@ -27,6 +29,13 @@ def rand_summary(rng, p, q, lo=0.5, hi=4.0):
     basis = rand_orthogonal(rng, p)[:, :q]
     vals = np.sort(rng.uniform(lo, hi, q))[::-1]
     return TruncatedEig(values=vals, vectors=basis)
+
+
+def wrap_frame(payload: bytes, version: int = 1) -> bytes:
+    """A wire frame with a valid length prefix, magic and CRC around any payload."""
+    body = b"BDPC" + struct.pack("<H", version) + payload
+    body += struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+    return struct.pack("<I", len(body)) + body
 
 
 def sign_fix(v):

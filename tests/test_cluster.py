@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from betadpca import (
     GAUSSIAN,
+    BetaConfig,
     CorruptMessage,
     CvSelect,
     DataShard,
@@ -18,6 +19,7 @@ from betadpca import (
     JobSpec,
     LocalSummaryMsg,
     ParseError,
+    beta_aggregate,
     coordinator_round,
     decode_summary,
     encode_summary,
@@ -34,19 +36,15 @@ from betadpca import (
     worker_round,
 )
 from betadpca.cluster import FRAME_OVERHEAD
-from helpers import rand_summary
+from helpers import rand_summary, wrap_frame
 
 
-def rand_msg(rng, p=None, q=None, with_validation=False):
+def rand_msg(rng, p=None, q=None):
     p = p or int(rng.integers(3, 12))
     q = q or int(rng.integers(1, p + 1))
-    summary = rand_summary(rng, p, q)
-    validation = None
-    if with_validation:
-        validation = truncate_summary(summary, int(rng.integers(1, q + 1)))
     return LocalSummaryMsg(machine_id=int(rng.integers(1, 500)),
                            n_ell=int(rng.integers(1, 1000)),
-                           summary=summary, validation=validation)
+                           summary=rand_summary(rng, p, q))
 
 
 def gaussian_shards(p=20, n=60, m=3, r=2, seed=0):
@@ -57,18 +55,13 @@ def gaussian_shards(p=20, n=60, m=3, r=2, seed=0):
 class TestCodec:
     def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(91)
-        for i in range(50):
-            msg = rand_msg(rng, with_validation=(i % 2 == 0))
+        for _ in range(50):
+            msg = rand_msg(rng)
             back = decode_summary(encode_summary(msg))
             assert back.machine_id == msg.machine_id
             assert back.n_ell == msg.n_ell
             assert np.array_equal(back.summary.values, msg.summary.values)
             assert np.array_equal(back.summary.vectors, msg.summary.vectors)
-            if msg.validation is None:
-                assert back.validation is None
-            else:
-                assert np.array_equal(back.validation.values, msg.validation.values)
-                assert np.array_equal(back.validation.vectors, msg.validation.vectors)
 
     def test_base_frame_size_is_exact(self):
         rng = np.random.default_rng(92)
@@ -98,6 +91,27 @@ class TestCodec:
         with pytest.raises(ParseError):
             decode_summary(bytes(frame))
 
+    def test_version_2_frame_rejected(self):
+        # a well-formed frame of the retired bundled-block layout: the rank-q
+        # summary followed by r, values_r and vectors_r, with a valid CRC
+        rng = np.random.default_rng(95)
+        msg = rand_msg(rng, p=4, q=2)
+        block = truncate_summary(msg.summary, 1)
+        payload = encode_summary(msg)[10:-4] + struct.pack("<I", 1)
+        payload += block.values.astype("<f8").tobytes()
+        payload += block.vectors.astype("<f8").tobytes(order="F")
+        with pytest.raises(ParseError, match="unsupported protocol version 2"):
+            decode_summary(wrap_frame(payload, version=2))
+
+    @pytest.mark.parametrize("extra", [-8, 1, 8])
+    def test_payload_must_fit_p_and_q(self, extra):
+        # CRC and length prefix valid, payload a float short or bytes too long
+        rng = np.random.default_rng(95)
+        payload = encode_summary(rand_msg(rng, p=4, q=2))[10:-4]
+        payload = payload[:extra] if extra < 0 else payload + bytes(extra)
+        with pytest.raises(ParseError, match="does not fit"):
+            decode_summary(wrap_frame(payload))
+
     def test_truncated_frame(self):
         rng = np.random.default_rng(96)
         frame = encode_summary(rand_msg(rng, p=4, q=2))
@@ -106,15 +120,11 @@ class TestCodec:
 
     def test_non_orthonormal_payload_rejected_after_crc(self):
         # hand-build a frame whose CRC is fine but whose vectors are invalid
-        import zlib
         payload = struct.pack("<IIII", 1, 2, 1, 10)
         payload += np.array([1.0]).astype("<f8").tobytes()
         payload += np.array([[2.0], [0.0]]).astype("<f8").tobytes(order="F")
-        body = b"BDPC" + struct.pack("<H", 1) + payload
-        body += struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
-        frame = struct.pack("<I", len(body)) + body
         with pytest.raises(ParseError, match="invalid summary"):
-            decode_summary(frame)
+            decode_summary(wrap_frame(payload))
 
 
 class TestWorkerRound:
@@ -125,15 +135,15 @@ class TestWorkerRound:
         # covariance diag(4, 0): top eigenpair is (4, e1)
         assert_allclose(msg.summary.values, [4.0], rtol=1e-12)
         assert_allclose(np.abs(msg.summary.vectors[:, 0]), [1.0, 0.0], atol=1e-12)
-        assert msg.validation is None
 
-    def test_cv_mode_bundles_validation_block(self):
+    def test_cv_mode_sends_the_fixed_beta_frame(self):
         rng = np.random.default_rng(97)
         shard = DataShard(samples=rng.standard_normal((6, 30)), machine_id=1)
-        job = JobSpec(r=2, q=4, beta_mode=CvSelect())
-        msg = worker_round(shard, job)
-        assert msg.validation is not None and msg.validation.q == 2
-        assert np.array_equal(msg.validation.values, msg.summary.values[:2])
+        cv_frame = encode_summary(worker_round(shard, JobSpec(r=2, q=4, beta_mode=CvSelect())))
+        fixed_frame = encode_summary(worker_round(shard, JobSpec(r=2, q=4,
+                                                                 beta_mode=FixedBeta(0.0))))
+        assert len(cv_frame) == 4 * (6 + 1) * 8 + FRAME_OVERHEAD
+        assert cv_frame == fixed_frame
 
     def test_matches_local_summary(self):
         rng = np.random.default_rng(98)
@@ -180,11 +190,14 @@ class TestCoordinatorRound:
         with pytest.raises(InvalidInput):
             coordinator_round(msgs, self.job(q=4))
 
-    def test_cv_without_validation_rejected(self):
-        msgs = self.msgs()
-        job = JobSpec(r=2, q=4, beta_mode=CvSelect())
-        with pytest.raises(InvalidInput):
-            coordinator_round(msgs, job)
+    def test_cv_aggregates_plain_summaries(self):
+        msgs = self.msgs(m=4)
+        job = JobSpec(r=2, q=4, beta_mode=CvSelect(folds=2, seed=0))
+        res = coordinator_round(msgs, job)
+        assert res.cv is not None and res.beta_used == res.cv.best_beta
+        want = beta_aggregate([m.summary for m in msgs],
+                              BetaConfig(beta=res.cv.best_beta, delta=job.delta), job.r)
+        assert np.array_equal(res.sigma_beta, want.sigma_beta)
 
     def test_missing_machines_reported(self, caplog):
         msgs = self.msgs(m=3)
