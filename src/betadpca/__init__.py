@@ -11,8 +11,7 @@ from .aggregation import AggregateResult, BetaConfig, beta_aggregate, beta_mean,
 from .cluster import (CvSelect, FixedBeta, JobSpec, LocalSummaryMsg, coordinator_round,
                       decode_summary, encode_summary, resolve_beta, resolve_timeout, run_local,
                       run_sockets, send_summary, serve, worker_round)
-from .divergence import (BETA, LOG_DET, VON_NEUMANN, DivergenceKind, MinimizerReport, as_kind,
-                         divergence, generating_value, verify_minimizer)
+from .divergence import MinimizerReport, divergence, generating_value, verify_minimizer
 from .errors import (ConvergenceError, CorruptMessage, DomainError, InvalidInput, IoError,
                      NotPSD, ParseError, PreconditionError, TieWarning)
 from .experiment import (CSV_HEADER, METHODS, ExperimentResult, ExperimentSpec, emit_plot_script,
@@ -33,8 +32,7 @@ __all__ = [
     "CvSelect", "FixedBeta", "JobSpec", "LocalSummaryMsg", "coordinator_round",
     "decode_summary", "encode_summary", "resolve_beta", "resolve_timeout", "run_local", "run_sockets",
     "send_summary", "serve", "worker_round",
-    "BETA", "LOG_DET", "VON_NEUMANN", "DivergenceKind", "MinimizerReport", "as_kind",
-    "divergence", "generating_value", "verify_minimizer",
+    "MinimizerReport", "divergence", "generating_value", "verify_minimizer",
     "ConvergenceError", "CorruptMessage", "DomainError", "InvalidInput", "IoError",
     "NotPSD", "ParseError", "PreconditionError", "TieWarning",
     "CSV_HEADER", "METHODS", "ExperimentResult", "ExperimentSpec", "emit_plot_script",

@@ -31,19 +31,16 @@ class BetaConfig:
     """Aggregator knobs.
 
     beta selects the branch (0 means the geometric-mean limit), delta
-    regularizes the beta < 0 branch, eigen_floor absorbs round-off ahead of
-    logs and negative powers.
+    regularizes the beta < 0 branch.  Round-off ahead of logs and negative
+    powers is absorbed at linalg.EIGEN_FLOOR.
     """
 
     beta: float
     delta: float = 1e-5
-    eigen_floor: float = EIGEN_FLOOR
 
     def __post_init__(self):
         if not self.delta > 0:
             raise InvalidInput("delta must be positive")
-        if not self.eigen_floor > 0:
-            raise InvalidInput("eigen_floor must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +106,7 @@ def beta_mean(inputs: Sequence, cfg: BetaConfig, weights=None) -> np.ndarray:
 
     An input with an eigenvalue below -PSD_TOL raises NotPSD for every beta;
     round-off negatives above it are clipped to 0.  The beta = 0 branch floors
-    eigenvalues at cfg.eigen_floor before the log.
+    eigenvalues at EIGEN_FLOOR before the log.
     """
     systems = [eig_sym(m) for m in inputs]
     if not systems:
@@ -155,15 +152,14 @@ class BranchTransform:
 
 def branch_transform(cfg: BetaConfig) -> BranchTransform:
     """The table entry for cfg.beta (see beta_aggregate for the formulas)."""
-    b, floor = cfg.beta, cfg.eigen_floor
+    b = cfg.beta
     if b > 0:
-        return BranchTransform("positive", lambda v: v ** b, 0.0,
-                               lambda g: spectral_power(g, 1.0 / b, floor=floor))
+        return BranchTransform("positive", lambda v: v ** b, 0.0, lambda g: spectral_power(g, 1.0 / b))
     if b == 0:
-        return BranchTransform("limit_zero", lambda v: np.log(np.where(v < floor, floor, v)), 0.0,
-                               lambda g: spectral_map(g, np.exp))
+        return BranchTransform("limit_zero", lambda v: np.log(np.where(v < EIGEN_FLOOR, EIGEN_FLOOR, v)),
+                               0.0, lambda g: spectral_map(g, np.exp))
     return BranchTransform("negative", lambda v: (v + cfg.delta) ** b, cfg.delta ** b,
-                           lambda g: spectral_power(g, 1.0 / b, floor=floor))
+                           lambda g: spectral_power(g, 1.0 / b))
 
 
 PROJECTION_AVERAGE = BranchTransform("projection_average", np.ones_like, 0.0, lambda g: g)
@@ -255,7 +251,7 @@ def beta_aggregate(summaries: Sequence[TruncatedEig], cfg: BetaConfig, r: int, w
     With M_l = V_l diag(lam_l) V_l^T machine l's rank-q reconstruction:
 
     beta > 0:  Sigma = { mean(V_l lam_l^beta V_l^T) }^(1/beta)
-    beta = 0:  Sigma = exp( mean(V_l log(lam_l) V_l^T) ), lam_l floored at eigen_floor
+    beta = 0:  Sigma = exp( mean(V_l log(lam_l) V_l^T) ), lam_l floored at EIGEN_FLOOR
     beta < 0:  Sigma = { mean((M_l + delta I)^beta) }^(1/beta), with the term
                computed in closed form as
                V_l ((lam_l + delta)^beta - delta^beta) V_l^T + delta^beta I.

@@ -50,6 +50,9 @@ FRAME_OVERHEAD = 4 + 4 + 2 + 16 + 4
 
 DEFAULT_TIMEOUT_SECS = 30.0
 TIMEOUT_ENV_VAR = "BDPCA_TIMEOUT_SECS"
+# send_summary retries a refused connection this often, this many seconds apart
+CONNECT_RETRIES = 5
+CONNECT_BACKOFF_SECS = 0.2
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,7 +270,7 @@ def _collect(server: socket.socket, m: int, timeout: float) -> list[LocalSummary
         with conn:
             try:
                 msgs.append(decode_summary(_read_frame(conn)))
-            except (CorruptMessage, ParseError, IoError) as exc:
+            except (CorruptMessage, ParseError, OSError) as exc:  # OSError: reset or closed mid-frame
                 logger.warning("dropping bad worker connection: %s", exc)
     return msgs
 
@@ -299,8 +302,7 @@ def serve(host: str, port: int, m: int, job: JobSpec,
     return coordinator_round(msgs, job, expected_m=m)
 
 
-def send_summary(host: str, port: int, msg: LocalSummaryMsg,
-                 retries: int = 5, backoff: float = 0.2, timeout: float | None = None) -> int:
+def send_summary(host: str, port: int, msg: LocalSummaryMsg, timeout: float | None = None) -> int:
     """Worker side of the TCP transport: one connection, one frame.
 
     Retries connection refusals briefly so workers may start slightly before
@@ -317,9 +319,9 @@ def send_summary(host: str, port: int, msg: LocalSummaryMsg,
             return len(frame)
         except OSError as exc:
             attempt += 1
-            if attempt > retries:
+            if attempt > CONNECT_RETRIES:
                 raise IoError(f"cannot deliver summary to {host}:{port}: {exc}") from exc
-            time.sleep(backoff)
+            time.sleep(CONNECT_BACKOFF_SECS)
 
 
 def run_sockets(shards: Sequence[DataShard], job: JobSpec, host: str = "127.0.0.1",

@@ -6,8 +6,9 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -31,7 +32,8 @@ RHO_FILENAME = "summary_rho.csv"
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One experiment: a population law, shard layout, and the methods to race.
+    """One experiment: a population law and shard layout, on which every
+    method of METHODS races; beta=cv chooses among DEFAULT_CANDIDATES.
 
     Defaults are the quick desk scale; paper_scale() switches the size knobs
     to the full setting.
@@ -43,39 +45,26 @@ class ExperimentSpec:
     r: int = 5
     q: int = 10
     distribution: str = GAUSSIAN
-    candidate_set: tuple[float, ...] = DEFAULT_CANDIDATES
     cv_folds: int = 5
     delta: float = 1e-5
     replicates: int = 20
     k_max: int = 15
     seed: int = 0
     center: bool = False
-    methods: tuple[str, ...] = METHODS
+    methods: ClassVar[tuple[str, ...]] = METHODS
 
     def __post_init__(self):
         if not 1 <= self.r <= self.q <= self.p:
             raise InvalidInput(f"need 1 <= r <= q <= p, got r={self.r}, q={self.q}, p={self.p}")
-        if not 1 <= self.m <= self.n:
-            raise InvalidInput(f"need 1 <= m <= n, got m={self.m}, n={self.n}")
+        if not 2 <= self.m <= self.n:
+            raise InvalidInput(f"beta=cv needs 2 <= m <= n, got m={self.m}, n={self.n}")
         if self.replicates < 1:
             raise InvalidInput("need at least one replicate")
         if self.k_max < self.r:
             raise InvalidInput(f"k_max={self.k_max} must be >= r={self.r}")
-        bad = [meth for meth in self.methods if meth not in METHODS and not _parse_beta_method(meth)]
-        if not self.methods or bad:
-            raise InvalidInput(f"unknown methods {bad}; valid forms: beta=<float>, beta=cv, fan")
 
     def paper_scale(self) -> "ExperimentSpec":
         return replace(self, p=500, n=250, m=5, replicates=100)
-
-
-def _parse_beta_method(method: str):
-    if not method.startswith("beta=") or method == "beta=cv":
-        return None
-    try:
-        return float(method.split("=", 1)[1])
-    except ValueError:
-        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +78,7 @@ class ExperimentResult:
     k_range: tuple[int, ...]
 
 
-def _replicate_rows(spec: ExperimentSpec, rep: int) -> tuple[list[tuple], float | None]:
+def _replicate_rows(spec: ExperimentSpec, rep: int) -> tuple[list[tuple], float]:
     seed_rep = child_seed(spec.seed, REPLICATE, rep)
     model = make_population(spec.p, spec.n, spec.r, spec.distribution, seed_rep)
     shards = split_shards(sample_data(model), spec.m)
@@ -99,13 +88,12 @@ def _replicate_rows(spec: ExperimentSpec, rep: int) -> tuple[list[tuple], float 
     ks = range(spec.r, k_eff + 1)
 
     rows: list[tuple] = []
-    selected: float | None = None
     for method in spec.methods:
         if method == "fan":
             agg = fan_aggregate([truncate_summary(s, spec.r) for s in summaries_q])
         else:
-            mode = (CvSelect(candidates=spec.candidate_set, folds=spec.cv_folds, seed=seed_rep)
-                    if method == "beta=cv" else FixedBeta(_parse_beta_method(method)))
+            mode = (CvSelect(folds=spec.cv_folds, seed=seed_rep)
+                    if method == "beta=cv" else FixedBeta(float(method.removeprefix("beta="))))
             job = JobSpec(r=spec.r, q=spec.q, beta_mode=mode, delta=spec.delta)
             agg = resolve_beta(summaries_q, job)
             if agg.cv is not None:
@@ -132,10 +120,9 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
         outcomes = [_replicate_rows(spec, rep) for rep in reps]
 
     rows = [row for out, _ in outcomes for row in out]
-    counts = {float(b): 0 for b in spec.candidate_set}
+    counts = {b: 0 for b in DEFAULT_CANDIDATES}
     for _, selected in outcomes:
-        if selected is not None:
-            counts[selected] += 1
+        counts[selected] += 1
 
     k_range = tuple(range(spec.r, min(spec.k_max, spec.p) + 1))
     mean_rho: dict[str, dict[int, float]] = {}
@@ -169,10 +156,10 @@ def write_summary_files(result: ExperimentResult, out_dir) -> tuple[Path, Path]:
     out_dir = Path(out_dir)
     freq_path = out_dir / FREQ_FILENAME
     lines = [FREQ_HEADER]
-    for b in result.spec.candidate_set:
+    for b in DEFAULT_CANDIDATES:
         lines.append(",".join([
             result.spec.distribution, str(result.spec.p), str(result.spec.m),
-            repr(float(b)), str(result.selection_counts[float(b)]),
+            repr(b), str(result.selection_counts[b]),
         ]))
     write_text(freq_path, "\n".join(lines) + "\n")
 

@@ -133,23 +133,18 @@ def complete_basis(basis, count: int) -> np.ndarray:
     return _fix_signs(out)
 
 
-def matrix_function(m, f: Callable[[np.ndarray], np.ndarray], *, floor: float | None = None) -> np.ndarray:
+def matrix_function(m, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Spectral functional calculus: V f(Lambda) V^T for the scalar map f.
 
-    f must accept an eigenvalue vector (any numpy ufunc-like map works).  With
-    `floor` set, eigenvalues inside the round-off window (-1e-10, floor) are
-    clamped to floor first, so PSD inputs survive maps such as log that would
-    otherwise reject the tiny negatives round-off introduces.
+    f must accept an eigenvalue vector (any numpy ufunc-like map works).
     """
     es = eig_sym(m)
-    return symmetrize((es.vectors * spectral_map(es.values, f, floor=floor)) @ es.vectors.T)
+    return symmetrize((es.vectors * spectral_map(es.values, f)) @ es.vectors.T)
 
 
-def spectral_map(values, f: Callable[[np.ndarray], np.ndarray], *, floor: float | None = None) -> np.ndarray:
-    """The eigenvalue part of matrix_function: f(values) after the optional floor clamp."""
+def spectral_map(values, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """The eigenvalue part of matrix_function: f(values), which must be finite."""
     vals = np.asarray(values, dtype=float)
-    if floor is not None:
-        vals = np.where((vals > -PSD_TOL) & (vals < floor), floor, vals)
     with np.errstate(all="ignore"):
         fvals = np.asarray(f(vals), dtype=float)
     if fvals.shape != vals.shape:
@@ -160,28 +155,28 @@ def spectral_map(values, f: Callable[[np.ndarray], np.ndarray], *, floor: float 
     return fvals
 
 
-def matrix_power(m, beta: float, *, floor: float = EIGEN_FLOOR) -> np.ndarray:
+def matrix_power(m, beta: float) -> np.ndarray:
     """Spectral power M^beta.
 
-    beta < 0 requires every eigenvalue (after the round-off clamp to `floor`)
-    to be at least `floor`; fractional positive powers clamp round-off
-    negatives to 0.  beta = 0 is a caller error: use matrix_function with
-    log/exp for the limiting branch.
+    beta < 0 requires every eigenvalue (after the round-off clamp to
+    EIGEN_FLOOR) to be at least EIGEN_FLOOR; fractional positive powers clamp
+    round-off negatives to 0.  beta = 0 is a caller error: use matrix_function
+    with log/exp for the limiting branch.
     """
     if beta == 0:
         raise InvalidInput("beta=0 has no direct power form; use the log/exp limit")
     es = eig_sym(m)
-    return symmetrize((es.vectors * spectral_power(es.values, beta, floor=floor)) @ es.vectors.T)
+    return symmetrize((es.vectors * spectral_power(es.values, beta)) @ es.vectors.T)
 
 
-def spectral_power(values, beta: float, *, floor: float = EIGEN_FLOOR) -> np.ndarray:
+def spectral_power(values, beta: float) -> np.ndarray:
     """The eigenvalue part of matrix_power: values**beta with its clamps and domain checks."""
     vals = np.asarray(values, dtype=float)
     if beta < 0:
-        vals = np.where((vals > -PSD_TOL) & (vals < floor), floor, vals)
-        if vals.min() < floor:
+        vals = np.where((vals > -PSD_TOL) & (vals < EIGEN_FLOOR), EIGEN_FLOOR, vals)
+        if vals.min() < EIGEN_FLOOR:
             raise DomainError(
-                f"negative power {beta} needs eigenvalues >= {floor:g}; found {vals.min():.17g}"
+                f"negative power {beta} needs eigenvalues >= {EIGEN_FLOOR:g}; found {vals.min():.17g}"
             )
     elif not float(beta).is_integer():
         vals = np.where((vals > -PSD_TOL) & (vals < 0.0), 0.0, vals)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, IoError, ParseError
-from .linalg import EigenSystem, canonical_order, complete_basis, eig_sym, symmetrize, thin_svd
+from .linalg import canonical_order, complete_basis, eig_sym, symmetrize, thin_svd
 
 logger = logging.getLogger(__name__)
 
@@ -79,8 +79,10 @@ class TruncatedEig:
             raise InvalidInput("non-finite entries in truncated eigendecomposition")
         if (vals < 0).any() or (np.diff(vals) > 0).any():
             raise InvalidInput("values must be non-negative and non-increasing")
-        gram = vecs.T @ vecs
-        if np.abs(gram - np.eye(vals.size)).max() > ORTHO_TOL:
+        # entries of orthonormal columns are at most 1 in size; bounding them
+        # first keeps the gram from overflowing on hostile input
+        if (np.abs(vecs).max() > 1.0 + ORTHO_TOL
+                or np.abs(vecs.T @ vecs - np.eye(vals.size)).max() > ORTHO_TOL):
             raise InvalidInput("vectors are not orthonormal")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "vectors", vecs)
@@ -99,11 +101,11 @@ class TruncatedEig:
 
 
 def truncated_eig(m, q: int) -> TruncatedEig:
-    """Top-q eigenpairs of a symmetric matrix (or a precomputed EigenSystem).
+    """Top-q eigenpairs of a symmetric matrix.
 
     Negative values are clamped to 0 so rank-deficient covariances stay PSD.
     """
-    es = m if isinstance(m, EigenSystem) else eig_sym(m)
+    es = eig_sym(m)
     p = es.values.size
     if not 1 <= q <= p:
         raise InvalidInput(f"need 1 <= q <= p={p}, got q={q}")
@@ -164,7 +166,7 @@ def write_shard(path, shard: DataShard) -> None:
         raise IoError(f"cannot write shard {path}: {exc}") from exc
 
 
-def _parse_binary_shard(raw: bytes, path) -> DataShard:
+def _parse_binary_shard(raw: bytes, path) -> tuple[np.ndarray, int]:
     if len(raw) < 20:
         raise ParseError(f"{path}: truncated shard header")
     version, p, n_ell, machine_id = struct.unpack("<IIII", raw[4:20])
@@ -173,11 +175,10 @@ def _parse_binary_shard(raw: bytes, path) -> DataShard:
     expected = 20 + 8 * p * n_ell
     if len(raw) != expected:
         raise ParseError(f"{path}: expected {expected} bytes for a {p}x{n_ell} shard, got {len(raw)}")
-    samples = np.frombuffer(raw[20:], dtype="<f8").reshape((p, n_ell), order="F").copy()
-    return DataShard(samples=samples, machine_id=machine_id)
+    return np.frombuffer(raw[20:], dtype="<f8").reshape((p, n_ell), order="F").copy(), machine_id
 
 
-def _parse_csv_shard(text: str, path, machine_id: int) -> DataShard:
+def _parse_csv_shard(text: str, path) -> np.ndarray:
     rows = []
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
@@ -202,14 +203,15 @@ def _parse_csv_shard(text: str, path, machine_id: int) -> DataShard:
             raise ParseError(f"{path}: ragged CSV rows ({len(row)} vs {width} columns)")
         rows.append(row)
     # CSV stores one sample per row; internally samples are columns.
-    return DataShard(samples=np.asarray(rows, dtype=float).T, machine_id=machine_id)
+    return np.asarray(rows, dtype=float).T
 
 
 def read_shard(path, machine_id: int = 1) -> DataShard:
     """Read a shard file: binary when the magic matches, CSV otherwise.
 
     CSV files carry no metadata, so machine_id comes from the argument;
-    binary files carry their own and ignore it.
+    binary files carry their own and ignore it.  A file that parses but holds
+    no valid shard (no samples, or non-finite ones) raises ParseError too.
     """
     try:
         with open(path, "rb") as fh:
@@ -217,9 +219,14 @@ def read_shard(path, machine_id: int = 1) -> DataShard:
     except OSError as exc:
         raise IoError(f"cannot read shard {path}: {exc}") from exc
     if raw[:4] == SHARD_MAGIC:
-        return _parse_binary_shard(raw, path)
+        samples, machine_id = _parse_binary_shard(raw, path)
+    else:
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: neither binary shard nor text CSV") from exc
+        samples = _parse_csv_shard(text, path)
     try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: neither binary shard nor text CSV") from exc
-    return _parse_csv_shard(text, path, machine_id)
+        return DataShard(samples=samples, machine_id=machine_id)
+    except InvalidInput as exc:
+        raise ParseError(f"{path}: invalid shard: {exc}") from exc

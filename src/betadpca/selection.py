@@ -31,7 +31,6 @@ class CvPlan:
     k: int
     folds: tuple[tuple[int, ...], ...]
     candidate_set: tuple[float, ...]
-    seed: int
     r: int | None = None
     q: int | None = None
 
@@ -59,8 +58,7 @@ def make_folds(m: int, k: int, seed: int, *, candidate_set: Sequence[float] = DE
     k_eff = min(k, m)
     perm = stream(seed, FOLDS).permutation(m)
     folds = tuple(tuple(int(i) for i in chunk) for chunk in np.array_split(perm, k_eff))
-    return CvPlan(m=m, k=k_eff, folds=folds, candidate_set=tuple(float(b) for b in candidate_set),
-                  seed=seed, r=r, q=q)
+    return CvPlan(m=m, k=k_eff, folds=folds, candidate_set=tuple(float(b) for b in candidate_set), r=r, q=q)
 
 
 @dataclass(frozen=True, eq=False)

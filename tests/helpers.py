@@ -10,6 +10,7 @@ import numpy as np
 
 from betadpca import (InvalidInput, PerturbationScenario, TruncatedEig, beta_aggregate, matrix_function,
                       matrix_power, sample_covariance, signal_eigenvalues, symmetrize, tolerance, truncated_eig)
+from betadpca.linalg import EIGEN_FLOOR
 
 
 def rand_orthogonal(rng, p):
@@ -131,17 +132,17 @@ def dense_beta_sigma(summaries, cfg):
     if b > 0:
         for wl, s in zip(w, summaries):
             acc += wl * (s.vectors * s.values ** b) @ s.vectors.T
-        return matrix_power(acc, 1.0 / b, floor=cfg.eigen_floor)
+        return matrix_power(acc, 1.0 / b)
     if b == 0:
         for wl, s in zip(w, summaries):
-            vals = np.where(s.values < cfg.eigen_floor, cfg.eigen_floor, s.values)
+            vals = np.where(s.values < EIGEN_FLOOR, EIGEN_FLOOR, s.values)
             acc += wl * (s.vectors * np.log(vals)) @ s.vectors.T
         return matrix_function(acc, np.exp)
     db = cfg.delta ** b
     for wl, s in zip(w, summaries):
         acc += wl * (s.vectors * ((s.values + cfg.delta) ** b - db)) @ s.vectors.T
     acc += db * np.eye(p)
-    return matrix_power(acc, 1.0 / b, floor=cfg.eigen_floor)
+    return matrix_power(acc, 1.0 / b)
 
 
 def dense_fan_sigma(summaries):

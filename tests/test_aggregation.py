@@ -125,10 +125,6 @@ class TestBetaConfig:
         with pytest.raises(InvalidInput):
             BetaConfig(beta=1.0, delta=0.0)
 
-    def test_rejects_bad_floor(self):
-        with pytest.raises(InvalidInput):
-            BetaConfig(beta=0.0, eigen_floor=-1e-3)
-
 
 class TestBetaAggregate:
     def test_single_machine_full_rank_recovers_input(self):

@@ -2,6 +2,7 @@ import logging
 import socket
 import struct
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from betadpca import (
     run_local,
     run_sockets,
     sample_data,
+    send_summary,
     serve,
     split_shards,
     truncate_summary,
@@ -50,6 +52,22 @@ def rand_msg(rng, p=None, q=None):
 def gaussian_shards(p=20, n=60, m=3, r=2, seed=0):
     model = make_population(p, n, r, GAUSSIAN, seed=seed)
     return split_shards(sample_data(model), m), model
+
+
+def serve_in_thread(m, job, timeout):
+    """Start serve on a free loopback port; returns (box, thread, host, port),
+    with the round's result in box["res"] once the thread ends."""
+    box = {}
+    listening = threading.Event()
+
+    def _serve():
+        box["res"] = serve("127.0.0.1", 0, m, job, timeout=timeout,
+                           on_listen=lambda addr: (box.__setitem__("addr", addr), listening.set()))
+
+    thread = threading.Thread(target=_serve, daemon=True)
+    thread.start()
+    assert listening.wait(5.0)
+    return box, thread, *box["addr"]
 
 
 class TestCodec:
@@ -125,6 +143,16 @@ class TestCodec:
         payload += np.array([[2.0], [0.0]]).astype("<f8").tobytes(order="F")
         with pytest.raises(ParseError, match="invalid summary"):
             decode_summary(wrap_frame(payload))
+
+    def test_huge_vector_entries_rejected_without_a_warning(self):
+        # 1e308 in the vectors would overflow the gram; it is rejected before
+        payload = struct.pack("<IIII", 1, 2, 1, 10)
+        payload += np.array([1.0]).astype("<f8").tobytes()
+        payload += np.array([[1e308], [1e308]]).astype("<f8").tobytes(order="F")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match="not orthonormal"):
+                decode_summary(wrap_frame(payload))
 
 
 class TestWorkerRound:
@@ -240,20 +268,8 @@ class TestTransports:
     def test_serve_aggregates_partial_round_on_timeout(self, caplog):
         shards, _ = gaussian_shards(m=2)
         job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
-        box = {}
-        listening = threading.Event()
-
-        def _serve():
-            box["res"] = serve("127.0.0.1", 0, 2, job, timeout=1.0,
-                               on_listen=lambda addr: (box.__setitem__("addr", addr),
-                                                       listening.set()))
-
-        thread = threading.Thread(target=_serve, daemon=True)
         with caplog.at_level(logging.WARNING):
-            thread.start()
-            assert listening.wait(5.0)
-            host, port = box["addr"]
-            from betadpca import send_summary
+            box, thread, host, port = serve_in_thread(2, job, timeout=1.0)
             send_summary(host, port, worker_round(shards[0], job))
             thread.join(10.0)
         assert not thread.is_alive()
@@ -267,26 +283,32 @@ class TestTransports:
     def test_garbage_connection_dropped(self):
         shards, _ = gaussian_shards(m=2)
         job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
-        box = {}
-        listening = threading.Event()
-
-        def _serve():
-            box["res"] = serve("127.0.0.1", 0, 2, job, timeout=5.0,
-                               on_listen=lambda addr: (box.__setitem__("addr", addr),
-                                                       listening.set()))
-
-        thread = threading.Thread(target=_serve, daemon=True)
-        thread.start()
-        assert listening.wait(5.0)
-        host, port = box["addr"]
+        box, thread, host, port = serve_in_thread(2, job, timeout=5.0)
         with socket.create_connection((host, port)) as conn:
             conn.sendall(struct.pack("<I", 8) + b"junkjunk")
-        from betadpca import send_summary
         for shard in shards:
             send_summary(host, port, worker_round(shard, job))
         thread.join(10.0)
         assert box["res"].missing == ()
         assert len(box["res"].leading.values) == 1
+
+    def test_reset_connection_dropped(self):
+        # machine 1 sends 8 bytes of its frame, then resets the connection
+        # (SO_LINGER 0); the round goes on with the other two
+        shards, _ = gaussian_shards(m=3)
+        job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
+        box, thread, host, port = serve_in_thread(3, job, timeout=5.0)
+        conn = socket.create_connection((host, port))
+        conn.sendall(encode_summary(worker_round(shards[0], job))[:8])
+        conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        conn.close()
+        for shard in shards[1:]:
+            send_summary(host, port, worker_round(shard, job))
+        thread.join(10.0)
+        assert not thread.is_alive()
+        assert box["res"].missing == (1,)
+        expected = run_local(shards[1:], job)
+        assert np.array_equal(box["res"].leading.vectors, expected.leading.vectors)
 
 
 class TestTimeoutResolution:

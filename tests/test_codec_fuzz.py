@@ -1,6 +1,7 @@
-"""Property tests of the frame decoder: for any input bytes, decode_summary
-either returns a message or raises ParseError/CorruptMessage, and whatever it
-accepts re-encodes to the very same frame."""
+"""Property tests of the two parsers of untrusted bytes.  For any input,
+decode_summary either returns a message or raises ParseError/CorruptMessage,
+and whatever it accepts re-encodes to the very same frame; read_shard either
+returns a shard or raises ParseError."""
 
 import math
 import struct
@@ -8,7 +9,9 @@ import struct
 import numpy as np
 import pytest
 
-from betadpca import CorruptMessage, LocalSummaryMsg, ParseError, decode_summary, encode_summary
+from betadpca import (CorruptMessage, DataShard, LocalSummaryMsg, ParseError, decode_summary, encode_summary,
+                      read_shard, write_shard)
+from betadpca.local_pca import SHARD_MAGIC
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -61,5 +64,52 @@ def test_arbitrary_bytes_parse_or_reject(data):
 
 @FUZZ
 @given(well_formed_frames())
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_well_formed_frames_parse_or_reject(frame):
     decode_or_reject(frame)
+
+
+@pytest.fixture(scope="module")
+def shard_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "shard"
+
+
+def read_or_reject(path, data: bytes) -> None:
+    path.write_bytes(data)
+    try:
+        shard = read_shard(path)
+    except ParseError:
+        return
+    assert isinstance(shard, DataShard)
+    if data[:4] == SHARD_MAGIC:
+        # what a binary shard accepts writes back to the very same file
+        write_shard(path, shard)
+        assert path.read_bytes() == data
+
+
+@st.composite
+def well_formed_shards(draw):
+    version = draw(st.one_of(st.just(1), U32))
+    p = draw(st.one_of(st.integers(0, 6), U32))
+    n = draw(st.one_of(st.integers(0, 6), U32))
+    header = SHARD_MAGIC + struct.pack("<IIII", version, p, n, draw(U32))
+    fits = p * n if p <= 6 and n <= 6 else 0
+    floats = draw(st.lists(F64, min_size=max(fits - 2, 0), max_size=fits + 2))
+    return header + struct.pack(f"<{len(floats)}d", *floats)
+
+
+CSV_TOKEN = st.one_of(F64.map(repr), st.sampled_from(["1e999", "", "x", " 2 ", "0x1p3"]))
+CSV_TEXT = st.lists(st.lists(CSV_TOKEN, min_size=1, max_size=4), max_size=5).map(
+    lambda rows: "\n".join(",".join(row) for row in rows).encode())
+
+
+@FUZZ
+@given(st.one_of(st.binary(max_size=256), st.binary(max_size=64).map(SHARD_MAGIC.__add__), CSV_TEXT))
+def test_arbitrary_shard_bytes_parse_or_reject(shard_path, data):
+    read_or_reject(shard_path, data)
+
+
+@FUZZ
+@given(well_formed_shards())
+def test_well_formed_shard_headers_parse_or_reject(shard_path, data):
+    read_or_reject(shard_path, data)

@@ -3,14 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from betadpca import (
-    BETA,
-    LOG_DET,
-    VON_NEUMANN,
     BetaConfig,
-    DivergenceKind,
     DomainError,
     InvalidInput,
-    as_kind,
     beta_mean,
     divergence,
     generating_value,
@@ -20,61 +15,38 @@ from betadpca import (
 )
 from helpers import rand_spd
 
-KINDS = [
-    DivergenceKind(BETA, beta=-2.0),
-    DivergenceKind(BETA, beta=-0.5),
-    DivergenceKind(BETA, beta=0.5),
-    DivergenceKind(BETA, beta=1.0),
-    DivergenceKind(BETA, beta=2.0),
-    DivergenceKind(VON_NEUMANN),
-    DivergenceKind(LOG_DET),
-]
+# beta = 0 is the von Neumann limit, beta = -1 the log-det limit
+BETAS = [-2.0, -0.5, 0.5, 1.0, 2.0, 0.0, -1.0]
 
 
-def bregman_gradient(kind, m2):
+def bregman_gradient(beta, m2):
     """Independent gradient of the generating function, for the expansion check."""
     p = m2.shape[0]
-    if kind.name == VON_NEUMANN:
+    if beta == 0.0:
         return matrix_function(m2, np.log)
-    if kind.name == LOG_DET:
+    if beta == -1.0:
         return np.eye(p) - matrix_power(m2, -1.0)
-    return (matrix_power(m2, kind.beta) - np.eye(p)) / kind.beta
-
-
-class TestKinds:
-    def test_float_coercion(self):
-        assert as_kind(0.0).name == VON_NEUMANN
-        assert as_kind(-1.0).name == LOG_DET
-        assert as_kind(0.5) == DivergenceKind(BETA, beta=0.5)
-        assert as_kind(as_kind(1.0)) == DivergenceKind(BETA, beta=1.0)
-
-    def test_degenerate_beta_rejected(self):
-        with pytest.raises(InvalidInput):
-            DivergenceKind(BETA, beta=0.0)
-        with pytest.raises(InvalidInput):
-            DivergenceKind(BETA, beta=-1.0)
-        with pytest.raises(InvalidInput):
-            DivergenceKind(VON_NEUMANN, beta=0.5)
+    return (matrix_power(m2, beta) - np.eye(p)) / beta
 
 
 class TestGeneratingValue:
-    @pytest.mark.parametrize("kind", KINDS, ids=str)
-    def test_zero_at_identity(self, kind):
-        assert abs(generating_value(np.eye(4), kind)) <= 1e-12
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_zero_at_identity(self, beta):
+        assert abs(generating_value(np.eye(4), beta)) <= 1e-12
 
     def test_frozen_examples(self):
         # scalar checks: e under von Neumann, 2 under beta=1
-        assert_allclose(generating_value(np.diag([np.e]), VON_NEUMANN), 1.0, rtol=1e-12)
-        assert_allclose(generating_value(np.diag([2.0]), as_kind(1.0)), 0.5, rtol=1e-12)
+        assert_allclose(generating_value(np.diag([np.e]), 0.0), 1.0, rtol=1e-12)
+        assert_allclose(generating_value(np.diag([2.0]), 1.0), 0.5, rtol=1e-12)
 
-    @pytest.mark.parametrize("kind", KINDS, ids=str)
-    def test_convex_along_midpoints(self, kind):
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_convex_along_midpoints(self, beta):
         rng = np.random.default_rng(51)
         for _ in range(10):
             m1 = rand_spd(rng, 4, lo=0.4, hi=3.0)
             m2 = rand_spd(rng, 4, lo=0.4, hi=3.0)
-            mid = generating_value((m1 + m2) / 2.0, kind)
-            avg = (generating_value(m1, kind) + generating_value(m2, kind)) / 2.0
+            mid = generating_value((m1 + m2) / 2.0, beta)
+            avg = (generating_value(m1, beta) + generating_value(m2, beta)) / 2.0
             assert mid <= avg + 1e-10
 
 
@@ -83,66 +55,66 @@ class TestDivergence:
         # beta=1 is half the squared Frobenius distance
         m1 = np.diag([3.0, 1.0])
         m2 = np.diag([1.0, 3.0])
-        assert_allclose(divergence(m1, m2, as_kind(1.0)), 0.5 * 8.0, rtol=1e-12)
+        assert_allclose(divergence(m1, m2, 1.0), 0.5 * 8.0, rtol=1e-12)
         # log-det between scalars 2 and 1: 2 - ln 2 - 1
-        d = divergence(np.diag([2.0]), np.diag([1.0]), LOG_DET)
+        d = divergence(np.diag([2.0]), np.diag([1.0]), -1.0)
         assert_allclose(d, 1.0 - np.log(2.0), rtol=1e-12)
 
-    @pytest.mark.parametrize("kind", KINDS, ids=str)
-    def test_zero_at_equal_arguments(self, kind):
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_zero_at_equal_arguments(self, beta):
         rng = np.random.default_rng(52)
         for _ in range(5):
             m = rand_spd(rng, 5, lo=0.4, hi=3.0)
-            assert abs(divergence(m, m, kind)) <= 1e-10 * (1.0 + np.trace(m))
+            assert abs(divergence(m, m, beta)) <= 1e-10 * (1.0 + np.trace(m))
 
-    @pytest.mark.parametrize("kind", KINDS, ids=str)
-    def test_nonnegative_and_positive_when_distinct(self, kind):
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_nonnegative_and_positive_when_distinct(self, beta):
         rng = np.random.default_rng(53)
         for _ in range(20):
             m1 = rand_spd(rng, 4, lo=0.4, hi=3.0)
             m2 = rand_spd(rng, 4, lo=0.4, hi=3.0)
-            d = divergence(m1, m2, kind)
+            d = divergence(m1, m2, beta)
             assert d >= -1e-10
             assert d > 1e-8  # distinct random draws separate
 
-    @pytest.mark.parametrize("kind", KINDS, ids=str)
-    def test_bregman_expansion(self, kind):
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_bregman_expansion(self, beta):
         rng = np.random.default_rng(54)
         for _ in range(10):
             m1 = rand_spd(rng, 4, lo=0.4, hi=3.0)
             m2 = rand_spd(rng, 4, lo=0.4, hi=3.0)
-            grad = bregman_gradient(kind, m2)
-            expected = (generating_value(m1, kind) - generating_value(m2, kind)
+            grad = bregman_gradient(beta, m2)
+            expected = (generating_value(m1, beta) - generating_value(m2, beta)
                         - np.sum(grad * (m1 - m2)))
-            got = divergence(m1, m2, kind)
+            got = divergence(m1, m2, beta)
             assert_allclose(got, expected, rtol=1e-8, atol=1e-10)
 
     def test_limits_continuous(self):
         rng = np.random.default_rng(55)
         m1 = rand_spd(rng, 5, lo=0.5, hi=2.5)
         m2 = rand_spd(rng, 5, lo=0.5, hi=2.5)
-        near0 = divergence(m1, m2, as_kind(1e-4))
-        at0 = divergence(m1, m2, VON_NEUMANN)
+        near0 = divergence(m1, m2, 1e-4)
+        at0 = divergence(m1, m2, 0.0)
         assert abs(near0 - at0) <= 1e-3 * (1.0 + abs(at0))
-        near1 = divergence(m1, m2, as_kind(-1.0 + 1e-4))
-        at1 = divergence(m1, m2, LOG_DET)
+        near1 = divergence(m1, m2, -1.0 + 1e-4)
+        at1 = divergence(m1, m2, -1.0)
         assert abs(near1 - at1) <= 1e-3 * (1.0 + abs(at1))
 
     def test_strict_domain_guards(self):
         singular = np.diag([1.0, 0.0])
         pd = np.eye(2)
         with pytest.raises(DomainError):
-            divergence(singular, pd, VON_NEUMANN)  # first argument must be PD
+            divergence(singular, pd, 0.0)  # first argument must be PD
         with pytest.raises(DomainError):
-            divergence(pd, singular, LOG_DET)
+            divergence(pd, singular, -1.0)
         with pytest.raises(DomainError):
-            divergence(pd, singular, as_kind(-2.0))
+            divergence(pd, singular, -2.0)
         # beta > 0 needs only PSD
-        assert divergence(singular, pd, as_kind(0.5)) >= 0.0
+        assert divergence(singular, pd, 0.5) >= 0.0
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidInput):
-            divergence(np.eye(2), np.eye(3), as_kind(1.0))
+            divergence(np.eye(2), np.eye(3), 1.0)
 
 
 class TestVerifyMinimizer:
@@ -156,7 +128,7 @@ class TestVerifyMinimizer:
         assert rep.all_nonnegative
         assert rep.min_margin >= 0.0
         # hand-checked competitor: J(2.1) - J(2) = 0.01/2
-        comp = np.mean([divergence(t, np.diag([2.1]), as_kind(1.0)) for t in inputs])
+        comp = np.mean([divergence(t, np.diag([2.1]), 1.0) for t in inputs])
         assert_allclose(comp - rep.objective_at_center, 0.005, rtol=1e-10)
 
     def test_geometric_center_under_von_neumann(self):

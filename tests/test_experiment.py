@@ -3,6 +3,7 @@ import pytest
 
 from betadpca import (
     CSV_HEADER,
+    DEFAULT_CANDIDATES,
     ExperimentSpec,
     InvalidInput,
     ParseError,
@@ -31,14 +32,10 @@ class TestSpecValidation:
         with pytest.raises(InvalidInput):
             tiny_spec(k_max=1)
 
-    def test_unknown_method_rejected(self):
-        with pytest.raises(InvalidInput):
-            tiny_spec(methods=("beta=fast",))
-
-    def test_custom_fixed_beta_method_accepted(self):
-        spec = tiny_spec(methods=("beta=0.5", "fan"))
-        res = run_experiment(spec)
-        assert {r[1] for r in res.rows} == {"beta=0.5", "fan"}
+    def test_single_machine_rejected(self):
+        # every experiment runs beta=cv, which needs two machines
+        with pytest.raises(InvalidInput, match="2 <= m"):
+            tiny_spec(m=1)
 
     def test_paper_scale_knobs(self):
         spec = tiny_spec().paper_scale()
@@ -59,18 +56,14 @@ class TestRunExperiment:
             if method == "fan":
                 assert beta_used is None
             elif method == "beta=cv":
-                assert beta_used in spec.candidate_set
+                assert beta_used in DEFAULT_CANDIDATES
             else:
                 assert beta_used == float(method.split("=")[1])
 
     def test_selection_counts_cover_replicates(self):
         res = run_experiment(tiny_spec())
         assert sum(res.selection_counts.values()) == TINY["replicates"]
-        assert set(res.selection_counts) == set(res.spec.candidate_set)
-
-    def test_no_counts_without_cv_method(self):
-        res = run_experiment(tiny_spec(methods=("beta=1", "fan")))
-        assert sum(res.selection_counts.values()) == 0
+        assert set(res.selection_counts) == set(DEFAULT_CANDIDATES)
 
     def test_mean_rho_matches_rows(self):
         res = run_experiment(tiny_spec())
@@ -79,8 +72,7 @@ class TestRunExperiment:
 
     def test_full_rank_estimate_is_perfect(self):
         # k = q = p: the estimate spans everything, so similarity is 1
-        spec = tiny_spec(p=8, n=24, m=1, q=8, k_max=8, replicates=1,
-                         methods=("beta=1",), cv_folds=2)
+        spec = tiny_spec(p=8, n=24, m=2, q=8, k_max=8, replicates=1, cv_folds=2)
         res = run_experiment(spec)
         last = [row for row in res.rows if row[3] == 8]
         assert all(abs(row[4] - 1.0) < 1e-8 for row in last)
@@ -124,8 +116,8 @@ class TestCsvOutputs:
         res = run_and_write(spec, tmp_path / "results.csv")
         freq = (tmp_path / "summary_frequencies.csv").read_text().splitlines()
         assert freq[0] == "dist,p,m,beta,count"
-        assert len(freq) == 1 + len(spec.candidate_set)
-        for line, b in zip(freq[1:], spec.candidate_set):
+        assert len(freq) == 1 + len(DEFAULT_CANDIDATES)
+        for line, b in zip(freq[1:], DEFAULT_CANDIDATES):
             dist, p, m, beta, count = line.split(",")
             assert (dist, int(p), int(m)) == (spec.distribution, spec.p, spec.m)
             assert float(beta) == b

@@ -101,11 +101,6 @@ class TestMatrixFunction:
         with pytest.raises(DomainError, match="-0.5"):
             matrix_function(np.diag([1.0, -0.5]), np.log)
 
-    def test_floor_rescues_round_off(self):
-        out = matrix_function(np.diag([1.0, 0.0]), np.log, floor=1e-12)
-        assert_allclose(out[0, 0], 0.0, atol=1e-12)
-        assert_allclose(out[1, 1], np.log(1e-12))
-
 
 class TestMatrixPower:
     def test_power_one_is_identity_map(self):

@@ -10,7 +10,6 @@ from betadpca import (
     IoError,
     ParseError,
     TruncatedEig,
-    eig_sym,
     local_summary,
     read_shard,
     sample_covariance,
@@ -66,11 +65,6 @@ class TestTruncatedEig:
         top = truncated_eig(np.array([[7.0, 2.0], [2.0, 3.0]]), 1)
         assert_allclose(top.values, values[:1], rtol=1e-12)
         assert_allclose(top.vectors[:, 0], vectors[0], rtol=1e-10, atol=1e-12)
-
-    def test_accepts_precomputed_eigensystem(self):
-        m = rand_spd(np.random.default_rng(22), 6)
-        es = eig_sym(m)
-        assert np.array_equal(truncated_eig(es, 3).values, truncated_eig(m, 3).values)
 
     def test_round_off_negatives_clamped(self):
         top = truncated_eig(np.diag([1.0, -1e-13]), 2)

@@ -50,11 +50,11 @@ class TestMakeFolds:
 
     def test_plan_validation(self):
         with pytest.raises(InvalidInput):
-            CvPlan(m=4, k=2, folds=((0, 1), (2, 2)), candidate_set=(1.0,), seed=0)
+            CvPlan(m=4, k=2, folds=((0, 1), (2, 2)), candidate_set=(1.0,))
         with pytest.raises(InvalidInput):
-            CvPlan(m=4, k=2, folds=((0,), (1, 2, 3)), candidate_set=(1.0,), seed=0)
+            CvPlan(m=4, k=2, folds=((0,), (1, 2, 3)), candidate_set=(1.0,))
         with pytest.raises(InvalidInput):
-            CvPlan(m=2, k=2, folds=((0,), (1,)), candidate_set=(), seed=0)
+            CvPlan(m=2, k=2, folds=((0,), (1,)), candidate_set=())
 
 
 class TestProjectionDiscrepancy:
