@@ -141,7 +141,7 @@ class BranchTransform:
     forward maps a summary's eigenvalues into the averaging space; complement
     is the value that space gives every direction outside the summary; inverse
     maps eigenvalues of the average back, with the floor and PSD-window clamps
-    of linalg's matrix_power / matrix_function.
+    of linalg's spectral_power (the beta = 0 inverse, exp, needs none).
     """
 
     name: str
