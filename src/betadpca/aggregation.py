@@ -39,6 +39,8 @@ class BetaConfig:
     delta: float = 1e-5
 
     def __post_init__(self):
+        if not np.isfinite(self.beta):
+            raise InvalidInput(f"beta must be finite, got {self.beta}")
         if not self.delta > 0:
             raise InvalidInput("delta must be positive")
 

@@ -36,6 +36,13 @@ def _spectrum(m, need_pd: bool, side: str):
     return vals, es.vectors
 
 
+def _finite(beta) -> float:
+    b = float(beta)
+    if not np.isfinite(b):
+        raise InvalidInput(f"beta must be finite, got {b}")
+    return b
+
+
 def generating_value(m, beta: float) -> float:
     """The strictly convex generating functional behind the divergence.
 
@@ -43,7 +50,7 @@ def generating_value(m, beta: float) -> float:
     beta = 0 (limit):  tr(M log M - M) + p          (von Neumann)
     beta = -1 (limit): -log det M + tr M - p        (log-det)
     """
-    b = float(beta)
+    b = _finite(beta)
     if b not in (0.0, -1.0):
         vals, _ = _spectrum(m, need_pd=b < -1, side="M")
         return float(np.sum(vals ** (b + 1) - (b + 1) * vals + b) / (b * (b + 1)))
@@ -68,7 +75,7 @@ def divergence(m1, m2, beta: float) -> float:
     b2 = symmetrize(m2)
     if a.shape != b2.shape:
         raise InvalidInput("matrices differ in dimension")
-    b = float(beta)
+    b = _finite(beta)
     p = a.shape[0]
     if b not in (0.0, -1.0):
         vals1, _ = _spectrum(a, need_pd=b < -1, side="M1")

@@ -29,6 +29,33 @@ def bregman_gradient(beta, m2):
     return (matrix_power(m2, beta) - np.eye(p)) / beta
 
 
+class TestKinds:
+    def test_float_coercion(self):
+        # a member is named by beta alone; ints and numpy scalars name the same one
+        rng = np.random.default_rng(50)
+        m1 = rand_spd(rng, 3, lo=0.5, hi=2.0)
+        m2 = rand_spd(rng, 3, lo=0.5, hi=2.0)
+        von_neumann = np.trace(m1 @ (matrix_function(m1, np.log) - matrix_function(m2, np.log)) - m1 + m2)
+        log_det = np.trace(m1 @ matrix_power(m2, -1.0)) - np.log(np.linalg.det(m1 @ matrix_power(m2, -1.0))) - 3
+        for beta in (0, 0.0, -0.0, np.float32(0.0), np.int64(0)):
+            assert_allclose(divergence(m1, m2, beta), von_neumann, rtol=1e-10)
+        for beta in (-1, -1.0, np.float64(-1.0)):
+            assert_allclose(divergence(m1, m2, beta), log_det, rtol=1e-10)
+        assert divergence(m1, m2, 1) == divergence(m1, m2, 1.0) == divergence(m1, m2, np.int64(1))
+        assert generating_value(m1, 0) == generating_value(m1, 0.0)
+        assert generating_value(m1, -1) == generating_value(m1, -1.0)
+
+    def test_degenerate_beta_rejected(self):
+        # 0 and -1 are the limits, so only a non-finite beta names no member
+        for beta in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidInput, match="finite"):
+                divergence(np.eye(2), np.eye(2), beta)
+            with pytest.raises(InvalidInput, match="finite"):
+                generating_value(np.eye(2), beta)
+            with pytest.raises(InvalidInput, match="finite"):
+                BetaConfig(beta=beta)
+
+
 class TestGeneratingValue:
     @pytest.mark.parametrize("beta", BETAS)
     def test_zero_at_identity(self, beta):

@@ -37,6 +37,11 @@ class TestSpecValidation:
         with pytest.raises(InvalidInput, match="2 <= m"):
             tiny_spec(m=1)
 
+    def test_single_fold_rejected(self):
+        # at construction, not inside make_folds at the first beta=cv
+        with pytest.raises(InvalidInput, match="cv_folds >= 2"):
+            tiny_spec(cv_folds=1)
+
     def test_paper_scale_knobs(self):
         spec = tiny_spec().paper_scale()
         assert (spec.p, spec.n, spec.m, spec.replicates) == (500, 250, 5, 100)
