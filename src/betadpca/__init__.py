@@ -7,7 +7,7 @@ family, a perturbation-stability analyzer, cross-validated beta selection,
 a simulated cluster, and an experiment driver.
 """
 
-from .aggregation import AggregateResult, BetaConfig, beta_aggregate, beta_mean, fan_aggregate
+from .aggregation import AggregateResult, BetaConfig, SummarySpan, beta_aggregate, beta_mean, fan_aggregate
 from .cluster import (CvSelect, FixedBeta, JobSpec, LocalSummaryMsg, coordinator_round,
                       decode_summary, encode_summary, resolve_beta, resolve_timeout, run_local,
                       run_sockets, send_summary, serve, worker_round)
@@ -23,12 +23,12 @@ from .perturbation import (PerturbationScenario, ToleranceReport, invariance_che
                            perturbed_beta_spectrum, tolerance, unperturbed_beta_spectrum)
 from .selection import DEFAULT_CANDIDATES, CvPlan, CvResult, make_folds, select_beta
 from .simgen import (DISTRIBUTIONS, GAUSSIAN, STUDENT_T3, PopulationModel, make_population,
-                     rho_similarity, sample_data, signal_eigenvalues, split_shards)
+                     rho_curve, rho_similarity, sample_data, signal_eigenvalues, split_shards)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregateResult", "BetaConfig", "beta_aggregate", "beta_mean", "fan_aggregate",
+    "AggregateResult", "BetaConfig", "SummarySpan", "beta_aggregate", "beta_mean", "fan_aggregate",
     "CvSelect", "FixedBeta", "JobSpec", "LocalSummaryMsg", "coordinator_round",
     "decode_summary", "encode_summary", "resolve_beta", "resolve_timeout", "run_local", "run_sockets",
     "send_summary", "serve", "worker_round",
@@ -44,5 +44,5 @@ __all__ = [
     "perturbed_beta_spectrum", "tolerance", "unperturbed_beta_spectrum",
     "DEFAULT_CANDIDATES", "CvPlan", "CvResult", "make_folds", "select_beta",
     "DISTRIBUTIONS", "GAUSSIAN", "STUDENT_T3", "PopulationModel", "make_population",
-    "rho_similarity", "sample_data", "signal_eigenvalues", "split_shards",
+    "rho_curve", "rho_similarity", "sample_data", "signal_eigenvalues", "split_shards",
 ]

@@ -7,8 +7,8 @@ Summary aggregation never forms a p x p matrix: every branch is a fixed value
 outside the span of the summaries, so one eigensolve of a k x k core
 (k <= total summary rank) gives the result in factored form (AggregateResult),
 at O(p (m q)^2) for m machines of rank q.  _span_aggregate takes the basis
-as an argument, so the CV fold loop solves every fold inside one basis of all
-machines' summaries.
+as part of a SummarySpan, so one basis of all machines' summaries serves
+every beta and every CV fold.
 """
 
 from __future__ import annotations
@@ -219,27 +219,46 @@ def span_basis(stacked: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return u[:, :k], sv[:k, None] * vt[:k]
 
 
-def _span_aggregate(basis: np.ndarray, coords: np.ndarray, values: Sequence[np.ndarray],
-                    transform: BranchTransform, r: int, weights,
-                    beta_used: float | None = None) -> AggregateResult:
-    """Sigma = inverse( sum_l w_l transform(M_l) ) for summaries given in an
-    orthonormal p x k basis Q: V_l = Q B_l, coords = [B_1 ... B_m] (from
-    span_basis) and values = [lam_1 ... lam_m].
+@dataclass(frozen=True, eq=False)
+class SummarySpan:
+    """Summaries V_l diag(lam_l) V_l^T given in an orthonormal p x k basis Q:
+    V_l = Q B_l with coords = [B_1 ... B_m].
 
-    beta_aggregate and fan_aggregate pass Q = span_basis([V_1 ... V_m]), so
-    machines sharing directions give k < sum q_l.  The only eigensolve is of
-    the k x k core
+    SummarySpan.of takes Q = span_basis([V_1 ... V_m]), the one p-row SVD an
+    aggregation needs; every beta, and every CV fold, then reuses it.
+    """
+
+    summaries: tuple[TruncatedEig, ...]
+    basis: np.ndarray   # (p, k), orthonormal columns
+    coords: np.ndarray  # (k, sum of the summaries' ranks)
+
+    @classmethod
+    def of(cls, summaries: Sequence[TruncatedEig]) -> "SummarySpan":
+        p, _ = _validated_summaries(summaries)
+        basis, coords = span_basis(np.hstack([s.vectors for s in summaries]), p)
+        return cls(tuple(summaries), basis, coords)
+
+    @property
+    def q(self) -> int:
+        return self.summaries[0].q
+
+
+def _span_aggregate(span: SummarySpan, transform: BranchTransform, r: int, weights,
+                    beta_used: float | None = None) -> AggregateResult:
+    """Sigma = inverse( sum_l w_l transform(M_l) ) for the summaries of `span`.
+
+    The only eigensolve is of the k x k core
 
         C = sum_l w_l B_l diag(forward(lam_l) - c) B_l^T + c I,
 
     since the average equals Q C Q^T + c (I - Q Q^T).  Cost O(p k^2).
     """
-    p, k = basis.shape
-    w = _normalized_weights(len(values), weights)
+    p, k = span.basis.shape
+    w = _normalized_weights(len(span.summaries), weights)
     c = transform.complement
-    scale = np.concatenate([wl * (transform.forward(v) - c) for wl, v in zip(w, values)])
-    core = eig_sym((coords * scale) @ coords.T + c * np.eye(k))
-    span_values, vectors = canonical_order(transform.inverse(core.values), basis @ core.vectors)
+    scale = np.concatenate([wl * (transform.forward(s.values) - c) for wl, s in zip(w, span.summaries)])
+    core = eig_sym((span.coords * scale) @ span.coords.T + c * np.eye(k))
+    span_values, vectors = canonical_order(transform.inverse(core.values), span.basis @ core.vectors)
     complement = float(transform.inverse(np.array([c]))[0])
     _warn_on_tie(span_values, complement, p, r)
     return AggregateResult(span_values=span_values, span_vectors=vectors, complement_value=complement,
@@ -263,12 +282,14 @@ def beta_aggregate(summaries: Sequence[TruncatedEig], cfg: BetaConfig, r: int, w
     that span (see AggregateResult) in O(p (m q)^2); summation runs in list
     order, so callers with machine ids sort first.
     """
-    p, q = _validated_summaries(summaries)
-    if not 1 <= r <= q:
-        raise InvalidInput(f"need 1 <= r <= q={q}, got r={r}")
-    basis, coords = span_basis(np.hstack([s.vectors for s in summaries]), p)
-    return _span_aggregate(basis, coords, [s.values for s in summaries], branch_transform(cfg), r, weights,
-                           beta_used=cfg.beta)
+    return beta_aggregate_span(SummarySpan.of(summaries), cfg, r, weights)
+
+
+def beta_aggregate_span(span: SummarySpan, cfg: BetaConfig, r: int, weights=None) -> AggregateResult:
+    """beta_aggregate on summaries whose span basis is already taken."""
+    if not 1 <= r <= span.q:
+        raise InvalidInput(f"need 1 <= r <= q={span.q}, got r={r}")
+    return _span_aggregate(span, branch_transform(cfg), r, weights, beta_used=cfg.beta)
 
 
 def fan_aggregate(summaries: Sequence[TruncatedEig], weights=None) -> AggregateResult:
@@ -278,6 +299,5 @@ def fan_aggregate(summaries: Sequence[TruncatedEig], weights=None) -> AggregateR
     truncated at the target rank r (their common q).  Computed in the span of
     the summaries like beta_aggregate, with forward map 1 and complement 0.
     """
-    p, r = _validated_summaries(summaries)
-    basis, coords = span_basis(np.hstack([s.vectors for s in summaries]), p)
-    return _span_aggregate(basis, coords, [s.values for s in summaries], PROJECTION_AVERAGE, r, weights)
+    span = SummarySpan.of(summaries)
+    return _span_aggregate(span, PROJECTION_AVERAGE, span.q, weights)

@@ -36,10 +36,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .aggregation import AggregateResult, BetaConfig, beta_aggregate
+from .aggregation import AggregateResult, BetaConfig, SummarySpan, beta_aggregate_span
 from .errors import CorruptMessage, InvalidInput, IoError, ParseError
 from .local_pca import DataShard, TruncatedEig, local_summary, truncate_summary
-from .selection import DEFAULT_CANDIDATES, make_folds, select_beta
+from .selection import DEFAULT_CANDIDATES, make_folds, select_beta_span
 
 logger = logging.getLogger(__name__)
 
@@ -172,16 +172,21 @@ def coordinator_round(msgs: Sequence[LocalSummaryMsg], job: JobSpec,
                       expected_m: int | None = None) -> AggregateResult:
     """Aggregate the received messages (sorted by machine_id for determinism).
 
-    With expected_m set, machines numbered 1..expected_m that did not report
-    are listed in the result's `missing` field and the averaging weight
-    becomes 1/(machines received).
+    A machine id that arrives more than once (a retried send) counts once: the
+    first message in arrival order is kept and each later one is dropped with
+    a warning.  With expected_m set, machines numbered 1..expected_m that did
+    not report are listed in the result's `missing` field and the averaging
+    weight becomes 1/(machines received).
     """
     if not msgs:
         raise InvalidInput("no worker messages to aggregate")
-    msgs = sorted(msgs, key=lambda m: m.machine_id)
-    ids = [m.machine_id for m in msgs]
-    if len(set(ids)) != len(ids):
-        raise InvalidInput(f"duplicate machine ids in round: {ids}")
+    first: dict[int, LocalSummaryMsg] = {}
+    for m in msgs:
+        if m.machine_id in first:
+            logger.warning("dropping a repeated message from machine %d", m.machine_id)
+        else:
+            first[m.machine_id] = m
+    msgs = sorted(first.values(), key=lambda m: m.machine_id)
     for m in msgs:
         if m.p != msgs[0].p or m.q != msgs[0].q:
             raise InvalidInput("worker messages differ in p or q")
@@ -189,30 +194,33 @@ def coordinator_round(msgs: Sequence[LocalSummaryMsg], job: JobSpec,
             raise InvalidInput(f"worker sent rank {m.q}, job announced q={job.q}")
     missing: tuple[int, ...] = ()
     if expected_m is not None:
-        missing = tuple(i for i in range(1, expected_m + 1) if i not in set(ids))
+        missing = tuple(i for i in range(1, expected_m + 1) if i not in first)
         if missing:
             logger.warning("aggregating without machines %s (%d of %d reported)",
                            missing, len(msgs), expected_m)
-    agg = resolve_beta([m.summary for m in msgs], job)
+    agg = resolve_beta(SummarySpan.of([m.summary for m in msgs]), job)
     return replace(agg, missing=missing)
 
 
-def resolve_beta(summaries: Sequence[TruncatedEig], job: JobSpec) -> AggregateResult:
-    """Aggregate the summaries at the job's beta: the announced one (FixedBeta),
-    or the winner of machine-level cross-validation (CvSelect), whose CvResult
-    is attached as `cv`.
+def resolve_beta(span: SummarySpan, job: JobSpec) -> AggregateResult:
+    """Aggregate the span's summaries at the job's beta: the announced one
+    (FixedBeta), or the winner of machine-level cross-validation (CvSelect),
+    whose CvResult is attached as `cv`.
 
-    A validation machine is represented by the leading r columns of its own
-    summary, so CV needs nothing beyond the rank-q summaries.
+    The fold loop and the final aggregate share the span's basis, so a CV
+    round takes one p-row SVD.  A validation machine is represented by the
+    leading r columns of its own summary, so CV needs nothing beyond the
+    rank-q summaries.
     """
     mode = job.beta_mode
     if isinstance(mode, FixedBeta):
-        return beta_aggregate(summaries, BetaConfig(beta=mode.beta, delta=job.delta), job.r)
+        return beta_aggregate_span(span, BetaConfig(beta=mode.beta, delta=job.delta), job.r)
+    summaries = span.summaries
     plan = make_folds(len(summaries), mode.folds, mode.seed,
                       candidate_set=mode.candidates, r=job.r, q=job.q)
-    cv = select_beta(summaries, [truncate_summary(s, job.r) for s in summaries], plan,
-                     BetaConfig(beta=mode.candidates[0], delta=job.delta))
-    agg = beta_aggregate(summaries, BetaConfig(beta=cv.best_beta, delta=job.delta), job.r)
+    cv = select_beta_span(span, [truncate_summary(s, job.r) for s in summaries], plan,
+                          BetaConfig(beta=mode.candidates[0], delta=job.delta))
+    agg = beta_aggregate_span(span, BetaConfig(beta=cv.best_beta, delta=job.delta), job.r)
     return replace(agg, cv=cv)
 
 
@@ -258,7 +266,8 @@ def _read_frame(conn: socket.socket) -> bytes:
 def _collect(server: socket.socket, m: int, timeout: float) -> list[LocalSummaryMsg]:
     deadline = time.monotonic() + timeout
     msgs: list[LocalSummaryMsg] = []
-    while len(msgs) < m:
+    ids: set[int] = set()
+    while len(ids) < m:  # distinct machines, so a repeated frame cannot crowd out a good worker
         remaining = deadline - time.monotonic()
         if remaining <= 0:
             break
@@ -269,9 +278,12 @@ def _collect(server: socket.socket, m: int, timeout: float) -> list[LocalSummary
             break
         with conn:
             try:
-                msgs.append(decode_summary(_read_frame(conn)))
+                msg = decode_summary(_read_frame(conn))
             except (CorruptMessage, ParseError, OSError) as exc:  # OSError: reset or closed mid-frame
                 logger.warning("dropping bad worker connection: %s", exc)
+                continue
+        msgs.append(msg)
+        ids.add(msg.machine_id)
     return msgs
 
 

@@ -12,13 +12,13 @@ from typing import ClassVar
 
 import numpy as np
 
-from .aggregation import fan_aggregate
+from .aggregation import SummarySpan, fan_aggregate
 from .cluster import CvSelect, FixedBeta, JobSpec, resolve_beta
 from .errors import InvalidInput, IoError, ParseError
 from .local_pca import local_summary, truncate_summary
 from .rngs import REPLICATE, child_seed
 from .selection import DEFAULT_CANDIDATES
-from .simgen import GAUSSIAN, make_population, rho_similarity, sample_data, split_shards
+from .simgen import GAUSSIAN, make_population, rho_curve, sample_data, split_shards
 
 logger = logging.getLogger(__name__)
 
@@ -84,6 +84,7 @@ def _replicate_rows(spec: ExperimentSpec, rep: int) -> tuple[list[tuple], float]
     model = make_population(spec.p, spec.n, spec.r, spec.distribution, seed_rep)
     shards = split_shards(sample_data(model), spec.m)
     summaries_q = [local_summary(s, spec.q, center=spec.center) for s in shards]
+    span = SummarySpan.of(summaries_q)  # one basis for every beta method
     truth = model.truth_basis()
     k_eff = min(spec.k_max, spec.p)
     ks = range(spec.r, k_eff + 1)
@@ -96,13 +97,11 @@ def _replicate_rows(spec: ExperimentSpec, rep: int) -> tuple[list[tuple], float]
             mode = (CvSelect(folds=spec.cv_folds, seed=seed_rep)
                     if method == "beta=cv" else FixedBeta(float(method.removeprefix("beta="))))
             job = JobSpec(r=spec.r, q=spec.q, beta_mode=mode, delta=spec.delta)
-            agg = resolve_beta(summaries_q, job)
+            agg = resolve_beta(span, job)
             if agg.cv is not None:
                 selected = agg.cv.best_beta
         # curves need up to k_max directions, which may exceed q
-        block = agg.top(k_eff)
-        for k in ks:
-            rho = rho_similarity(truncate_summary(block, k), truth)
+        for k, rho in zip(ks, rho_curve(agg.top(k_eff), truth, ks)):
             rows.append((rep, method, agg.beta_used, k, rho))
     return rows, selected
 

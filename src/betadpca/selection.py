@@ -5,7 +5,8 @@ machines are aggregated at rank r for every candidate beta, and the mismatch
 against each validation machine's own rank-r projection is averaged.  The
 candidate with the smallest mean mismatch wins; ties go to the earlier
 candidate in the declared order.  Every aggregation runs in one basis of all
-machines' summaries, taken once per call.
+machines' summaries (a SummarySpan), which the caller may share with the
+final aggregate at the winning beta.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .aggregation import BetaConfig, _span_aggregate, branch_transform, span_basis
+from .aggregation import BetaConfig, SummarySpan, _span_aggregate, branch_transform, span_basis
 from .errors import InvalidInput
 from .local_pca import TruncatedEig
 from .rngs import FOLDS, stream
@@ -78,6 +79,18 @@ def select_beta(summaries_q: Sequence[TruncatedEig], summaries_r: Sequence[Trunc
     validation machines' own rank-r projections and are the only thing the
     validation side looks at.
     """
+    return select_beta_span(SummarySpan.of(summaries_q), summaries_r, plan, cfg_template)
+
+
+def select_beta_span(span: SummarySpan, summaries_r: Sequence[TruncatedEig],
+                     plan: CvPlan, cfg_template: BetaConfig) -> CvResult:
+    """select_beta on training summaries whose span basis is already taken.
+
+    Every training span lies in the span of all m summaries, so that one
+    basis serves every fold (the range-finder view of Halko, Martinsson &
+    Tropp 2011): a fold only takes the small SVD of its machines' coordinates.
+    """
+    summaries_q = span.summaries
     if len(summaries_q) != plan.m or len(summaries_r) != plan.m:
         raise InvalidInput(f"plan covers {plan.m} machines, got {len(summaries_q)}/{len(summaries_r)}")
     r = summaries_r[0].q
@@ -86,8 +99,6 @@ def select_beta(summaries_q: Sequence[TruncatedEig], summaries_r: Sequence[Trunc
     if plan.r is not None and plan.r != r:
         raise InvalidInput(f"plan expects rank r={plan.r}, validation summaries have {r}")
     p, q = summaries_q[0].p, summaries_q[0].q
-    if any(s.p != p or s.q != q for s in summaries_q):
-        raise InvalidInput("training summaries differ in p or q")
     if any(s.p != p for s in summaries_r):
         raise InvalidInput("validation summaries differ from the training summaries in p")
     if plan.q is not None and plan.q != q:
@@ -97,19 +108,14 @@ def select_beta(summaries_q: Sequence[TruncatedEig], summaries_r: Sequence[Trunc
 
     candidates = plan.candidate_set
     transforms = [branch_transform(replace(cfg_template, beta=b)) for b in candidates]
-    # Every training span lies in the span of all m summaries, so one basis of
-    # it serves every fold (the range-finder view of Halko, Martinsson & Tropp
-    # 2011): a fold only takes the small SVD of its machines' coordinates.
-    basis, coords = span_basis(np.hstack([s.vectors for s in summaries_q]), p)
     per_fold = np.zeros((plan.k, len(candidates)))
     for j, fold in enumerate(plan.folds):
         train = [i for i in range(plan.m) if i not in fold]
-        sub, sub_coords = span_basis(np.hstack([coords[:, i * q:(i + 1) * q] for i in train]), p)
-        fold_basis = basis @ sub
-        values = [summaries_q[i].values for i in train]
+        sub, sub_coords = span_basis(np.hstack([span.coords[:, i * q:(i + 1) * q] for i in train]), p)
+        fold_span = SummarySpan(tuple(summaries_q[i] for i in train), span.basis @ sub, sub_coords)
         held = np.hstack([summaries_r[i].vectors for i in fold])
         for bi, transform in enumerate(transforms):
-            lead = _span_aggregate(fold_basis, sub_coords, values, transform, r, None).leading.vectors
+            lead = _span_aggregate(fold_span, transform, r, None).leading.vectors
             # ||P_lead - P_i||_F^2 = 2 ||V_i - P_lead V_i||_F^2 for orthonormal rank-r
             # blocks; this residual form keeps round-off squared, where
             # |A^T A|^2 - 2 |A^T B|^2 + |B^T B|^2 cancels to ~1e-16.

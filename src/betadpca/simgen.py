@@ -88,14 +88,17 @@ def sample_data(model: PopulationModel) -> np.ndarray:
     t3:        X = scatter^(1/2) Z / sqrt(W/3) per column, W ~ chi2(3), with
                scatter = Sigma/3 so the covariance is Sigma; the scaling
                collapses to X = Sigma^(1/2) Z / sqrt(W).
+
+    Sigma^(1/2) = gamma diag(sqrt(lam)) gamma^T is applied in factored form,
+    two p x p by p x n products (2 p^2 n), and never formed (p^3).
     """
     rng = stream(model.seed, DATA)
     z = rng.standard_normal((model.p, model.n))
-    half = (model.gamma * np.sqrt(model.lam)) @ model.gamma.T
+    x = model.gamma @ (np.sqrt(model.lam)[:, None] * (model.gamma.T @ z))
     if model.distribution == GAUSSIAN:
-        return half @ z
+        return x
     w = rng.chisquare(3.0, model.n)
-    return (half @ z) / np.sqrt(w)
+    return x / np.sqrt(w)
 
 
 def split_shards(x: np.ndarray, m: int) -> list[DataShard]:
@@ -121,20 +124,29 @@ def split_shards(x: np.ndarray, m: int) -> list[DataShard]:
     return shards
 
 
+def rho_curve(est: TruncatedEig, truth: np.ndarray, ks) -> list[float]:
+    """rho_similarity of every prefix top(k) of a rank-q estimate, k in ks.
+
+    One product est^T Gamma_r serves every k: the prefix's score is the mean
+    of the r singular values of its first k rows, clipped into [0, 1].
+    """
+    truth = np.asarray(truth, dtype=float)
+    if truth.ndim != 2 or truth.shape[0] != est.p:
+        raise InvalidInput(f"truth basis must be p x r with p={est.p}, got {truth.shape}")
+    r = truth.shape[1]
+    ks = list(ks)
+    if r < 1 or any(not r <= k <= est.q for k in ks):
+        raise InvalidInput(f"estimate ranks {ks} must lie in [r={r}, q={est.q}]")
+    if np.abs(truth.T @ truth - np.eye(r)).max() > 1e-8:
+        raise InvalidInput("truth basis is not orthonormal")
+    cross = est.vectors.T @ truth
+    return [float(np.clip(np.linalg.svd(cross[:k], compute_uv=False), 0.0, 1.0).mean()) for k in ks]
+
+
 def rho_similarity(est: TruncatedEig, truth: np.ndarray) -> float:
     """Mean canonical cosine between a rank-k estimate and the true r-basis.
 
     The score is the average of the r singular values of V_est^T Gamma_r,
     clipped into [0, 1]; 1 means the truth is contained in the estimate span.
     """
-    truth = np.asarray(truth, dtype=float)
-    if truth.ndim != 2 or truth.shape[0] != est.p:
-        raise InvalidInput(f"truth basis must be p x r with p={est.p}, got {truth.shape}")
-    r = truth.shape[1]
-    if not 1 <= r <= est.q:
-        raise InvalidInput(f"estimate rank k={est.q} must be >= true rank r={r}")
-    gram = truth.T @ truth
-    if np.abs(gram - np.eye(r)).max() > 1e-8:
-        raise InvalidInput("truth basis is not orthonormal")
-    sv = np.linalg.svd(est.vectors.T @ truth, compute_uv=False)
-    return float(np.clip(sv, 0.0, 1.0).mean())
+    return rho_curve(est, truth, [est.q])[0]

@@ -1,6 +1,7 @@
 """Shared test fixtures: random SPD generators, independent closed-form
-oracles (2x2 characteristic polynomial, scenario builders) and the dense p x p
-aggregation formulas and the per-fold CV loop the span paths are checked against."""
+oracles (2x2 characteristic polynomial, scenario builders), the explicit
+square-root sampler, and the dense p x p aggregation formulas and the per-fold
+CV loop the factored and span paths are checked against."""
 
 import dataclasses
 import struct
@@ -8,9 +9,11 @@ import zlib
 
 import numpy as np
 
-from betadpca import (InvalidInput, PerturbationScenario, TruncatedEig, beta_aggregate, matrix_function,
-                      matrix_power, sample_covariance, signal_eigenvalues, symmetrize, tolerance, truncated_eig)
-from betadpca.linalg import EIGEN_FLOOR
+from betadpca import (GAUSSIAN, InvalidInput, PerturbationScenario, TruncatedEig, aggregation, beta_aggregate,
+                      matrix_function, matrix_power, sample_covariance, signal_eigenvalues, symmetrize, tolerance,
+                      truncated_eig)
+from betadpca.linalg import EIGEN_FLOOR, thin_svd
+from betadpca.rngs import DATA, stream
 
 
 def rand_orthogonal(rng, p):
@@ -115,6 +118,31 @@ def planted_scenario(rng: np.random.Generator, beta: float) -> PerturbationScena
 def projector_distance(a, b):
     """Frobenius distance between the projectors onto span(a) and span(b)."""
     return float(np.linalg.norm(a @ a.T - b @ b.T))
+
+
+def dense_sample_data(model):
+    """Sampler oracle: the same draws as sample_data, through the explicit p x p
+    square root Sigma^(1/2) = gamma diag(sqrt(lam)) gamma^T."""
+    rng = stream(model.seed, DATA)
+    z = rng.standard_normal((model.p, model.n))
+    half = (model.gamma * np.sqrt(model.lam)) @ model.gamma.T
+    if model.distribution == GAUSSIAN:
+        return half @ z
+    w = rng.chisquare(3.0, model.n)
+    return (half @ z) / np.sqrt(w)
+
+
+def count_span_svds(monkeypatch, rows):
+    """Record the shape of every thin_svd that aggregation takes with `rows` rows."""
+    shapes = []
+
+    def counted(x):
+        if x.shape[0] == rows:
+            shapes.append(x.shape)
+        return thin_svd(x)
+
+    monkeypatch.setattr(aggregation, "thin_svd", counted)
+    return shapes
 
 
 def dense_local_summary(shard, q, center=False):

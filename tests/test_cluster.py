@@ -38,7 +38,7 @@ from betadpca import (
     worker_round,
 )
 from betadpca.cluster import FRAME_OVERHEAD
-from helpers import rand_summary, wrap_frame
+from helpers import count_span_svds, rand_summary, wrap_frame
 
 
 def rand_msg(rng, p=None, q=None):
@@ -207,11 +207,26 @@ class TestCoordinatorRound:
         assert np.array_equal(a.sigma_beta, b.sigma_beta)
         assert np.array_equal(a.leading.vectors, b.leading.vectors)
 
-    def test_duplicate_ids_rejected(self):
+    def test_repeated_frame_dropped(self, caplog):
+        # a retried send delivers machine 1's frame twice; the copy is dropped
         msgs = self.msgs()
-        dup = [msgs[0], msgs[0], msgs[2]]
-        with pytest.raises(InvalidInput):
-            coordinator_round(dup, self.job())
+        want = coordinator_round(msgs, self.job(), expected_m=3)
+        with caplog.at_level(logging.WARNING):
+            res = coordinator_round(msgs + [msgs[0]], self.job(), expected_m=3)
+        assert "repeated message from machine 1" in caplog.text
+        assert res.missing == ()
+        assert np.array_equal(res.span_values, want.span_values)
+        assert np.array_equal(res.span_vectors, want.span_vectors)
+        assert np.array_equal(res.leading.vectors, want.leading.vectors)
+
+    def test_first_of_repeated_ids_kept(self):
+        # two different messages claim machine 1: the one that arrived first counts
+        msgs = self.msgs()
+        impostor = LocalSummaryMsg(machine_id=1, n_ell=20, summary=self.msgs(seed=7)[0].summary)
+        a = coordinator_round(msgs + [impostor], self.job())
+        b = coordinator_round([impostor] + msgs[1:] + [msgs[0]], self.job())
+        assert np.array_equal(a.sigma_beta, coordinator_round(msgs, self.job()).sigma_beta)
+        assert np.array_equal(b.sigma_beta, coordinator_round([impostor] + msgs[1:], self.job()).sigma_beta)
 
     def test_rank_mismatch_with_job_rejected(self):
         msgs = self.msgs(q=3)
@@ -226,6 +241,13 @@ class TestCoordinatorRound:
         want = beta_aggregate([m.summary for m in msgs],
                               BetaConfig(beta=res.cv.best_beta, delta=job.delta), job.r)
         assert np.array_equal(res.sigma_beta, want.sigma_beta)
+
+    def test_cv_round_takes_one_span_svd(self, monkeypatch):
+        # the fold loop and the final aggregate share one basis of the stack
+        msgs = self.msgs(m=4, p=30, q=3)
+        shapes = count_span_svds(monkeypatch, rows=30)
+        coordinator_round(msgs, JobSpec(r=2, q=3, beta_mode=CvSelect(folds=2, seed=0)))
+        assert shapes == [(30, 12)]
 
     def test_missing_machines_reported(self, caplog):
         msgs = self.msgs(m=3)
@@ -291,6 +313,19 @@ class TestTransports:
         thread.join(10.0)
         assert box["res"].missing == ()
         assert len(box["res"].leading.values) == 1
+
+    def test_repeated_frame_does_not_crowd_out_a_worker(self):
+        # machine 1's frame arrives twice before machines 2 and 3 send theirs
+        shards, _ = gaussian_shards(m=3)
+        job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
+        box, thread, host, port = serve_in_thread(3, job, timeout=5.0)
+        for shard in [shards[0], *shards]:
+            send_summary(host, port, worker_round(shard, job))
+        thread.join(10.0)
+        assert not thread.is_alive()
+        assert box["res"].missing == ()
+        expected = run_local(shards, job)
+        assert np.array_equal(box["res"].leading.vectors, expected.leading.vectors)
 
     def test_reset_connection_dropped(self):
         # machine 1 sends 8 bytes of its frame, then resets the connection

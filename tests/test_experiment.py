@@ -12,6 +12,7 @@ from betadpca import (
     run_experiment,
     write_rows_csv,
 )
+from helpers import count_span_svds
 
 TINY = dict(p=16, n=36, m=3, r=2, q=4, replicates=3, k_max=6, seed=4)
 
@@ -94,6 +95,12 @@ class TestRunExperiment:
         a = run_experiment(tiny_spec())
         b = run_experiment(tiny_spec(seed=5))
         assert a.rows != b.rows
+
+    def test_replicate_takes_one_span_svd_for_all_beta_methods(self, monkeypatch):
+        # p=16 rows: the beta methods share one 16 x mq stack, fan has its own 16 x mr
+        shapes = count_span_svds(monkeypatch, rows=16)
+        run_experiment(tiny_spec(replicates=1))
+        assert sorted(shapes) == [(16, 6), (16, 12)]
 
     def test_k_max_may_exceed_q(self):
         spec = tiny_spec(k_max=6, q=4)

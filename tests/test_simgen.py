@@ -8,12 +8,15 @@ from betadpca import (
     InvalidInput,
     TruncatedEig,
     make_population,
+    rho_curve,
     rho_similarity,
     sample_data,
     signal_eigenvalues,
     split_shards,
+    truncate_summary,
     truncated_eig,
 )
+from helpers import dense_sample_data
 
 
 class TestSignalEigenvalues:
@@ -73,6 +76,13 @@ class TestSampleData:
         x1, x2 = sample_data(model), sample_data(model)
         assert x1.shape == (8, 60)
         assert np.array_equal(x1, x2)
+
+    @pytest.mark.parametrize("dist", [GAUSSIAN, STUDENT_T3])
+    @pytest.mark.parametrize("p,n", [(60, 25), (30, 30), (25, 80)])
+    def test_factored_draw_matches_explicit_square_root(self, dist, p, n):
+        model = make_population(p, n, 3, dist, seed=17)
+        x, want = sample_data(model), dense_sample_data(model)
+        assert np.linalg.norm(x - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_gaussian_monte_carlo_covariance(self):
         model = make_population(5, 100_000, 2, GAUSSIAN, seed=12)
@@ -166,3 +176,20 @@ class TestRhoSimilarity:
         est = truncated_eig(np.eye(4), 1)
         with pytest.raises(InvalidInput):
             rho_similarity(est, np.eye(4)[:, :2])
+
+
+class TestRhoCurve:
+    def test_matches_rho_similarity_of_each_prefix(self):
+        model = make_population(30, 90, 3, STUDENT_T3, seed=16)
+        x = sample_data(model)
+        block = truncated_eig(x @ x.T / 90.0, 9)
+        truth = model.truth_basis()
+        ks = range(3, 10)
+        want = [rho_similarity(truncate_summary(block, k), truth) for k in ks]
+        assert rho_curve(block, truth, ks) == want
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_k_outside_r_to_q_rejected(self, k):
+        est = truncated_eig(np.eye(6), 4)
+        with pytest.raises(InvalidInput):
+            rho_curve(est, np.eye(6)[:, :2], [2, k])
