@@ -16,11 +16,10 @@ from .errors import (ConvergenceError, CorruptMessage, DomainError, InvalidInput
                      NotPSD, ParseError, PreconditionError, TieWarning)
 from .experiment import (CSV_HEADER, METHODS, ExperimentResult, ExperimentSpec, emit_plot_script,
                          run_and_write, run_experiment, write_rows_csv, write_summary_files)
-from .linalg import EigenSystem, eig_sym, matrix_function, matrix_power, symmetrize
+from .linalg import EigenSystem, eig_sym, matrix_function, symmetrize
 from .local_pca import (DataShard, TruncatedEig, local_summary, read_shard, sample_covariance,
                         truncate_summary, truncated_eig, write_shard)
-from .perturbation import (PerturbationScenario, ToleranceReport, invariance_check,
-                           perturbed_beta_spectrum, tolerance, unperturbed_beta_spectrum)
+from .perturbation import PerturbationScenario, ToleranceReport, tolerance
 from .selection import DEFAULT_CANDIDATES, CvPlan, CvResult, make_folds, select_beta
 from .simgen import (DISTRIBUTIONS, GAUSSIAN, STUDENT_T3, PopulationModel, make_population,
                      rho_curve, rho_similarity, sample_data, signal_eigenvalues, split_shards)
@@ -37,11 +36,10 @@ __all__ = [
     "NotPSD", "ParseError", "PreconditionError", "TieWarning",
     "CSV_HEADER", "METHODS", "ExperimentResult", "ExperimentSpec", "emit_plot_script",
     "run_and_write", "run_experiment", "write_rows_csv", "write_summary_files",
-    "EigenSystem", "eig_sym", "matrix_function", "matrix_power", "symmetrize",
+    "EigenSystem", "eig_sym", "matrix_function", "symmetrize",
     "DataShard", "TruncatedEig", "local_summary", "read_shard", "sample_covariance",
     "truncate_summary", "truncated_eig", "write_shard",
-    "PerturbationScenario", "ToleranceReport", "invariance_check",
-    "perturbed_beta_spectrum", "tolerance", "unperturbed_beta_spectrum",
+    "PerturbationScenario", "ToleranceReport", "tolerance",
     "DEFAULT_CANDIDATES", "CvPlan", "CvResult", "make_folds", "select_beta",
     "DISTRIBUTIONS", "GAUSSIAN", "STUDENT_T3", "PopulationModel", "make_population",
     "rho_curve", "rho_similarity", "sample_data", "signal_eigenvalues", "split_shards",

@@ -26,6 +26,14 @@ from .linalg import (EIGEN_FLOOR, PSD_TOL, canonical_order, complete_basis, eig_
 from .local_pca import TruncatedEig
 
 
+def finite_beta(beta) -> float:
+    """beta as a float; a non-finite beta names no member of the family."""
+    b = float(beta)
+    if not np.isfinite(b):
+        raise InvalidInput(f"beta must be finite, got {b}")
+    return b
+
+
 @dataclass(frozen=True)
 class BetaConfig:
     """Aggregator knobs.
@@ -39,8 +47,7 @@ class BetaConfig:
     delta: float = 1e-5
 
     def __post_init__(self):
-        if not np.isfinite(self.beta):
-            raise InvalidInput(f"beta must be finite, got {self.beta}")
+        finite_beta(self.beta)
         if not self.delta > 0:
             raise InvalidInput("delta must be positive")
 
@@ -100,7 +107,7 @@ def _normalized_weights(count: int, weights) -> np.ndarray:
 
 def beta_mean(inputs: Sequence, cfg: BetaConfig, weights=None) -> np.ndarray:
     """Matrix beta-mean of PSD matrices: inverse( sum_l w_l forward(M_l) ), with
-    the maps of branch_transform(cfg) applied spectrally.
+    the maps of branch_transform(cfg.beta, cfg.delta) applied spectrally.
 
     beta > 0:  { mean(M_l^beta) }^(1/beta)
     beta = 0:  exp( mean(log M_l) )          (geometric / log-Euclidean limit)
@@ -117,7 +124,7 @@ def beta_mean(inputs: Sequence, cfg: BetaConfig, weights=None) -> np.ndarray:
     if any(es.values.size != p for es in systems):
         raise InvalidInput("input matrices differ in dimension")
     w = _normalized_weights(len(systems), weights)
-    transform = branch_transform(cfg)
+    transform = branch_transform(cfg.beta, cfg.delta)
     acc = np.zeros((p, p))
     for wl, es in zip(w, systems):
         if es.values[-1] < -PSD_TOL:
@@ -152,15 +159,19 @@ class BranchTransform:
     inverse: Callable[[np.ndarray], np.ndarray]
 
 
-def branch_transform(cfg: BetaConfig) -> BranchTransform:
-    """The table entry for cfg.beta (see beta_aggregate for the formulas)."""
-    b = cfg.beta
+def branch_transform(b: float, shift: float) -> BranchTransform:
+    """The table entry for beta = b (see beta_aggregate for the formulas).
+
+    shift is the delta that the beta < 0 entry adds to every eigenvalue; the
+    other entries ignore it.  Shift 0 suits inputs already positive definite
+    and leaves that entry's complement 0^b = inf, without evaluating it.
+    """
     if b > 0:
         return BranchTransform("positive", lambda v: v ** b, 0.0, lambda g: spectral_power(g, 1.0 / b))
     if b == 0:
         return BranchTransform("limit_zero", lambda v: np.log(np.where(v < EIGEN_FLOOR, EIGEN_FLOOR, v)),
                                0.0, lambda g: spectral_map(g, np.exp))
-    return BranchTransform("negative", lambda v: (v + cfg.delta) ** b, cfg.delta ** b,
+    return BranchTransform("negative", lambda v: (v + shift) ** b, shift ** b if shift > 0 else np.inf,
                            lambda g: spectral_power(g, 1.0 / b))
 
 
@@ -289,7 +300,7 @@ def beta_aggregate_span(span: SummarySpan, cfg: BetaConfig, r: int, weights=None
     """beta_aggregate on summaries whose span basis is already taken."""
     if not 1 <= r <= span.q:
         raise InvalidInput(f"need 1 <= r <= q={span.q}, got r={r}")
-    return _span_aggregate(span, branch_transform(cfg), r, weights, beta_used=cfg.beta)
+    return _span_aggregate(span, branch_transform(cfg.beta, cfg.delta), r, weights, beta_used=cfg.beta)
 
 
 def fan_aggregate(summaries: Sequence[TruncatedEig], weights=None) -> AggregateResult:

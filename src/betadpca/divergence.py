@@ -1,7 +1,7 @@
 """The matrix beta-divergence family on PSD matrices, indexed by beta alone:
-beta = 0 is the von Neumann limit and beta = -1 the log-determinant limit.
-Also a numerical check that the matrix beta-mean minimizes the averaged
-divergence.
+the Bregman divergence of one scalar generator phi_beta, with beta = 0 the
+von Neumann limit and beta = -1 the log-determinant limit.  Also a numerical
+check that the matrix beta-mean minimizes the averaged divergence.
 
 Unlike the aggregation module, nothing here floors eigenvalues silently: a
 slot that needs a log or an inverse raises DomainError when the spectrum dips
@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .aggregation import BetaConfig, beta_mean
+from .aggregation import BetaConfig, beta_mean, finite_beta
 from .errors import DomainError, InvalidInput
 from .linalg import EIGEN_FLOOR, PSD_TOL, eig_sym, symmetrize
 from .rngs import MINIMIZER, stream
@@ -36,62 +36,59 @@ def _spectrum(m, need_pd: bool, side: str):
     return vals, es.vectors
 
 
-def _finite(beta) -> float:
-    b = float(beta)
-    if not np.isfinite(b):
-        raise InvalidInput(f"beta must be finite, got {b}")
-    return b
+def _phi(lam: np.ndarray, b: float) -> np.ndarray:
+    # The scalar generator: (lam^(b+1) - (b+1) lam + b) / (b (b+1)), with its
+    # limits lam log lam - lam + 1 (b = 0) and -log lam + lam - 1 (b = -1).
+    if b == 0.0:
+        return lam * np.log(lam) - lam + 1.0
+    if b == -1.0:
+        return -np.log(lam) + lam - 1.0
+    return (lam ** (b + 1) - (b + 1) * lam + b) / (b * (b + 1))
+
+
+def _phi_prime(lam: np.ndarray, b: float) -> np.ndarray:
+    # (lam^b - 1) / b, with the limit log lam at b = 0.
+    return np.log(lam) if b == 0.0 else (lam ** b - 1.0) / b
 
 
 def generating_value(m, beta: float) -> float:
-    """The strictly convex generating functional behind the divergence.
+    """The strictly convex generating functional tr phi_beta(M) behind the divergence.
 
-    beta:              tr(M^(beta+1) - (beta+1) M + beta I) / (beta (beta+1))
-    beta = 0 (limit):  tr(M log M - M) + p          (von Neumann)
-    beta = -1 (limit): -log det M + tr M - p        (log-det)
+    phi_beta(lam) = (lam^(beta+1) - (beta+1) lam + beta) / (beta (beta+1)),
+    with the limits lam log lam - lam + 1 at beta = 0 (von Neumann) and
+    -log lam + lam - 1 at beta = -1 (log-det).  M must be positive definite
+    for beta < -1 and at both limits, PSD otherwise.
     """
-    b = _finite(beta)
-    if b not in (0.0, -1.0):
-        vals, _ = _spectrum(m, need_pd=b < -1, side="M")
-        return float(np.sum(vals ** (b + 1) - (b + 1) * vals + b) / (b * (b + 1)))
-    vals, _ = _spectrum(m, need_pd=True, side="M")
-    if b == 0.0:
-        return float(np.sum(vals * np.log(vals) - vals) + vals.size)
-    return float(-np.log(vals).sum() + vals.sum() - vals.size)
+    b = finite_beta(beta)
+    vals, _ = _spectrum(m, need_pd=b < -1 or b in (0.0, -1.0), side="M")
+    return float(np.sum(_phi(vals, b)))
 
 
 def divergence(m1, m2, beta: float) -> float:
     """Matrix beta-divergence D(M1, M2); M1 plays the data slot, M2 the model.
 
-    beta:              tr(M1^(b+1) + b M2^(b+1) - (b+1) M2^b M1) / (b (b+1))
-    beta = 0 (limit):  tr(M1 (log M1 - log M2) - M1 + M2)    (von Neumann)
-    beta = -1 (limit): tr(M1 M2^-1) - log det(M1 M2^-1) - p  (log-det)
+    The Bregman divergence of the generator phi_beta of generating_value
+    (Dhillon & Tropp 2007):
+
+        D(M1, M2) = tr phi(M1) - tr phi(M2) - tr(phi'(M2) (M1 - M2)),
+
+    with phi'(lam) = (lam^beta - 1) / beta, or log lam at beta = 0.  beta = 1
+    gives half the squared Frobenius distance, beta = 0 the von Neumann and
+    beta = -1 the log-det divergence.
 
     Positive definiteness is required wherever a log, inverse, or negative
-    power lands: M2 for any beta < 0 and both limits, M1 for beta < -1 and
-    both limits.
+    power lands: M2 for beta <= 0, M1 for beta < -1 and both limits.
     """
     a = symmetrize(m1)
     b2 = symmetrize(m2)
     if a.shape != b2.shape:
         raise InvalidInput("matrices differ in dimension")
-    b = _finite(beta)
-    p = a.shape[0]
-    if b not in (0.0, -1.0):
-        vals1, _ = _spectrum(a, need_pd=b < -1, side="M1")
-        vals2, vecs2 = _spectrum(b2, need_pd=b < 0, side="M2")
-        t1 = np.sum(vals1 ** (b + 1))
-        t2 = np.sum(vals2 ** (b + 1))
-        m2_pow = (vecs2 * vals2 ** b) @ vecs2.T
-        cross = np.sum(m2_pow * a)  # tr(M2^b M1) for symmetric factors
-        return float((t1 + b * t2 - (b + 1) * cross) / (b * (b + 1)))
-    vals1, vecs1 = _spectrum(a, need_pd=True, side="M1")
-    vals2, vecs2 = _spectrum(b2, need_pd=True, side="M2")
-    if b == 0.0:
-        log2 = (vecs2 * np.log(vals2)) @ vecs2.T
-        return float(np.sum(vals1 * np.log(vals1)) - np.sum(log2 * a) - vals1.sum() + vals2.sum())
-    inv2 = (vecs2 / vals2) @ vecs2.T
-    return float(np.sum(inv2 * a) - (np.log(vals1).sum() - np.log(vals2).sum()) - p)
+    b = finite_beta(beta)
+    vals1, _ = _spectrum(a, need_pd=b < -1 or b in (0.0, -1.0), side="M1")
+    vals2, vecs2 = _spectrum(b2, need_pd=b <= 0, side="M2")
+    m1_in_2 = np.sum(vecs2 * (a @ vecs2), axis=0)  # diag(V2^T M1 V2)
+    return float(np.sum(_phi(vals1, b)) - np.sum(_phi(vals2, b))
+                 - np.sum(_phi_prime(vals2, b) * (m1_in_2 - vals2)))
 
 
 @dataclass(frozen=True, eq=False)

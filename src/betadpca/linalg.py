@@ -1,6 +1,6 @@
 """Symmetric eigendecomposition with a deterministic output convention, plus
-spectral functional calculus (f(M), M^beta), the thin SVD, and deterministic
-completion of an orthonormal basis.
+spectral functional calculus (f(M), powers of a spectrum), the thin SVD, and
+deterministic completion of an orthonormal basis.
 
 All functions are pure: inputs are never mutated, outputs are fresh arrays.
 Outputs are deterministic down to the bit for bit-identical inputs, which the
@@ -155,22 +155,13 @@ def spectral_map(values, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     return fvals
 
 
-def matrix_power(m, beta: float) -> np.ndarray:
-    """Spectral power M^beta.
-
-    beta < 0 requires every eigenvalue (after the round-off clamp to
-    EIGEN_FLOOR) to be at least EIGEN_FLOOR; fractional positive powers clamp
-    round-off negatives to 0.  beta = 0 is a caller error: use matrix_function
-    with log/exp for the limiting branch.
-    """
-    if beta == 0:
-        raise InvalidInput("beta=0 has no direct power form; use the log/exp limit")
-    es = eig_sym(m)
-    return symmetrize((es.vectors * spectral_power(es.values, beta)) @ es.vectors.T)
-
-
 def spectral_power(values, beta: float) -> np.ndarray:
-    """The eigenvalue part of matrix_power: values**beta with its clamps and domain checks."""
+    """values**beta for an eigenvalue vector, with the round-off window's clamps.
+
+    For beta < 0, values in (-PSD_TOL, EIGEN_FLOOR) become EIGEN_FLOOR and
+    anything still below EIGEN_FLOOR raises DomainError; for fractional beta > 0,
+    values in (-PSD_TOL, 0) become 0.  A non-finite power raises DomainError.
+    """
     vals = np.asarray(values, dtype=float)
     if beta < 0:
         vals = np.where((vals > -PSD_TOL) & (vals < EIGEN_FLOOR), EIGEN_FLOOR, vals)

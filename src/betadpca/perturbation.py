@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, PreconditionError
+from .aggregation import BranchTransform, branch_transform, finite_beta
+from .errors import DomainError, InvalidInput, PreconditionError
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,6 +50,7 @@ class PerturbationScenario:
             )
         if not self.d_l >= 0:
             raise InvalidInput("d_l must be non-negative")
+        finite_beta(self.beta)
         object.__setattr__(self, "base_spectra", spectra)
 
     @property
@@ -60,33 +62,18 @@ class PerturbationScenario:
         return self.base_spectra.shape[1]
 
 
-def _mean_spectrum(spectra: np.ndarray, beta: float) -> np.ndarray:
-    if beta == 0:
-        return np.exp(np.log(spectra).mean(axis=0))
-    return (np.mean(spectra ** beta, axis=0)) ** (1.0 / beta)
+def _mean_spectrum(t: BranchTransform, spectra: np.ndarray) -> np.ndarray:
+    """Coordinate-wise beta-mean of the rows of `spectra` on the branch table."""
+    return t.inverse(t.forward(spectra).mean(axis=0))
 
 
-def _spectra_with_perturbation(sc: PerturbationScenario) -> np.ndarray:
-    spectra = sc.base_spectra.copy()
-    spectra[-1, sc.noise_index] += sc.d_l
-    return spectra
-
-
-def perturbed_beta_spectrum(sc: PerturbationScenario) -> np.ndarray:
-    """Coordinate-wise beta-mean spectrum after the perturbation."""
-    return _mean_spectrum(_spectra_with_perturbation(sc), sc.beta)
-
-
-def unperturbed_beta_spectrum(sc: PerturbationScenario) -> np.ndarray:
-    """Coordinate-wise beta-mean spectrum with d_l = 0."""
-    return _mean_spectrum(sc.base_spectra, sc.beta)
-
-
-def invariance_check(sc: PerturbationScenario) -> bool:
-    """Strict order invariance: min of the top-r aggregated eigenvalues beats
-    the max of the rest."""
-    lam = perturbed_beta_spectrum(sc)
-    return bool(lam[: sc.r].min() > lam[sc.r:].max())
+def _inverse(t: BranchTransform, g) -> float:
+    # The inverse map at one point; a value past the float range (the inverse
+    # overflowing) is reported as inf.
+    try:
+        return float(t.inverse(np.array([g], dtype=float))[0])
+    except DomainError:
+        return np.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,39 +99,39 @@ class ToleranceReport:
 def tolerance(sc: PerturbationScenario) -> ToleranceReport:
     """Effective perturbation size and threshold for one scenario.
 
-    lambda_tilde_l measures the perturbation after the branch transform:
-      beta > 0:  ((lam + d)^beta - lam^beta)^(1/beta)
-      beta = 0:  (lam + d) / lam
+    With f and f^-1 the forward and inverse maps of the branch table's entry
+    for beta (aggregation.branch_transform, shift 0: the spectra are positive
+    definite), lambda_tilde_l measures the perturbation after the transform,
+      f^-1( f(lam + d) - f(lam) ),
     and the threshold it must stay below is
-      beta > 0:  ( m (lbar_r^beta - lbar_l^beta) )^(1/beta)
-      beta = 0:  (lbar_r / lbar_l)^m
-      beta < 0:  infinity.
+      beta >= 0:  f^-1( m (f(lbar_r) - f(lbar_l)) ),  e.g. (lbar_r / lbar_l)^m at beta = 0
+      beta < 0:   infinity.
 
     Requires lbar_r > lbar_l in the unperturbed aggregate, else the scenario
     is degenerate and PreconditionError is raised.
     """
-    lam_bar = unperturbed_beta_spectrum(sc)
+    t = branch_transform(sc.beta, 0.0)
+    lam_bar = _mean_spectrum(t, sc.base_spectra)
     lbar_r = lam_bar[sc.r - 1]
     lbar_l = lam_bar[sc.noise_index]
     if not lbar_r > lbar_l:
         raise PreconditionError(
             f"unperturbed aggregate is degenerate: lbar_r={lbar_r:.17g} <= lbar_l={lbar_l:.17g}"
         )
-    lam_base = sc.base_spectra[-1, sc.noise_index]
-    b = sc.beta
-    if b > 0:
-        tau = (sc.m * (lbar_r ** b - lbar_l ** b)) ** (1.0 / b)
-        tilde = ((lam_base + sc.d_l) ** b - lam_base ** b) ** (1.0 / b)
-    elif b == 0:
-        tau = (lbar_r / lbar_l) ** sc.m
-        tilde = (lam_base + sc.d_l) / lam_base
+    spectra = sc.base_spectra.copy()
+    spectra[-1, sc.noise_index] += sc.d_l
+    lam_beta = _mean_spectrum(t, spectra)
+    lam = sc.base_spectra[-1, sc.noise_index]
+    if sc.beta < 0:
+        tau, tilde = np.inf, np.nan
     else:
-        tau = np.inf
-        tilde = np.nan
+        f = t.forward
+        tau = _inverse(t, sc.m * (f(lbar_r) - f(lbar_l)))
+        tilde = _inverse(t, f(lam + sc.d_l) - f(lam))
     return ToleranceReport(
-        tau=float(tau),
-        lambda_tilde_l=float(tilde),
-        order_invariant=invariance_check(sc),
-        lambda_beta=perturbed_beta_spectrum(sc),
+        tau=tau,
+        lambda_tilde_l=tilde,
+        order_invariant=bool(lam_beta[: sc.r].min() > lam_beta[sc.r:].max()),
+        lambda_beta=lam_beta,
         lambda_bar=lam_bar,
     )

@@ -11,12 +11,12 @@ final aggregate at the winning beta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .aggregation import BetaConfig, SummarySpan, _span_aggregate, branch_transform, span_basis
+from .aggregation import BetaConfig, SummarySpan, _span_aggregate, branch_transform, finite_beta, span_basis
 from .errors import InvalidInput
 from .local_pca import TruncatedEig
 from .rngs import FOLDS, stream
@@ -44,6 +44,8 @@ class CvPlan:
             raise InvalidInput("fold sizes must be balanced (differ by at most 1)")
         if not self.candidate_set:
             raise InvalidInput("candidate_set must be non-empty")
+        for b in self.candidate_set:
+            finite_beta(b)
 
 
 def make_folds(m: int, k: int, seed: int, *, candidate_set: Sequence[float] = DEFAULT_CANDIDATES,
@@ -107,7 +109,7 @@ def select_beta_span(span: SummarySpan, summaries_r: Sequence[TruncatedEig],
         raise InvalidInput(f"validation rank r={r} exceeds training rank q={q}")
 
     candidates = plan.candidate_set
-    transforms = [branch_transform(replace(cfg_template, beta=b)) for b in candidates]
+    transforms = [branch_transform(b, cfg_template.delta) for b in candidates]
     per_fold = np.zeros((plan.k, len(candidates)))
     for j, fold in enumerate(plan.folds):
         train = [i for i in range(plan.m) if i not in fold]

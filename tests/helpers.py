@@ -1,7 +1,8 @@
 """Shared test fixtures: random SPD generators, independent closed-form
-oracles (2x2 characteristic polynomial, scenario builders), the explicit
-square-root sampler, and the dense p x p aggregation formulas and the per-fold
-CV loop the factored and span paths are checked against."""
+oracles (2x2 characteristic polynomial, the divergence family's closed forms,
+the coordinate-wise power mean, scenario builders), the explicit square-root
+sampler, the spectral power M^beta, and the dense p x p aggregation formulas
+and the per-fold CV loop the factored and span paths are checked against."""
 
 import dataclasses
 import struct
@@ -10,9 +11,9 @@ import zlib
 import numpy as np
 
 from betadpca import (GAUSSIAN, InvalidInput, PerturbationScenario, TruncatedEig, aggregation, beta_aggregate,
-                      matrix_function, matrix_power, sample_covariance, signal_eigenvalues, symmetrize, tolerance,
+                      eig_sym, matrix_function, sample_covariance, signal_eigenvalues, symmetrize, tolerance,
                       truncated_eig)
-from betadpca.linalg import EIGEN_FLOOR, thin_svd
+from betadpca.linalg import EIGEN_FLOOR, spectral_power, thin_svd
 from betadpca.rngs import DATA, stream
 
 
@@ -63,6 +64,65 @@ def eig2x2(a, b, c):
         v = np.array([b, lam - a])  # from (a - lam) x + b y = 0
         vectors.append(sign_fix(v / np.linalg.norm(v)))
     return values, vectors
+
+
+def matrix_power(m, beta: float) -> np.ndarray:
+    """Spectral power M^beta with spectral_power's clamps; beta = 0 is a caller
+    error (the limiting branch is log/exp)."""
+    if beta == 0:
+        raise InvalidInput("beta=0 has no direct power form; use the log/exp limit")
+    es = eig_sym(m)
+    return symmetrize((es.vectors * spectral_power(es.values, beta)) @ es.vectors.T)
+
+
+def closed_form_divergence(m1, m2, beta):
+    """Divergence oracle: the family's three closed forms on positive definite
+    matrices, written out term by term rather than from a generator.
+
+    beta:       tr(M1^(b+1) + b M2^(b+1) - (b+1) M2^b M1) / (b (b+1))
+    beta = 0:   tr(M1 (log M1 - log M2) - M1 + M2)     (von Neumann)
+    beta = -1:  tr(M1 M2^-1) - log det(M1 M2^-1) - p   (log-det)
+    """
+    b = float(beta)
+    vals1 = np.linalg.eigvalsh(m1)
+    vals2, vecs2 = np.linalg.eigh(m2)
+
+    def cross(f):  # tr(f(M2) M1) for symmetric factors
+        return np.sum((vecs2 * f(vals2)) @ vecs2.T * m1)
+
+    if b == 0.0:
+        return float(np.sum(vals1 * np.log(vals1)) - cross(np.log) - vals1.sum() + vals2.sum())
+    if b == -1.0:
+        return float(cross(lambda v: 1.0 / v) - (np.log(vals1).sum() - np.log(vals2).sum()) - vals1.size)
+    t1, t2 = np.sum(vals1 ** (b + 1)), np.sum(vals2 ** (b + 1))
+    return float((t1 + b * t2 - (b + 1) * cross(lambda v: v ** b)) / (b * (b + 1)))
+
+
+def power_mean(spectra, beta):
+    """Spectrum oracle: the coordinate-wise power mean of the rows of `spectra`,
+    mean(x^beta)^(1/beta), or exp(mean(log x)) at beta = 0."""
+    if beta == 0:
+        return np.exp(np.mean(np.log(spectra), axis=0))
+    return np.mean(spectra ** beta, axis=0) ** (1.0 / beta)
+
+
+def perturbed_beta_spectrum(sc):
+    """The scenario's power-mean spectrum after the perturbation."""
+    spectra = sc.base_spectra.copy()
+    spectra[-1, sc.noise_index] += sc.d_l
+    return power_mean(spectra, sc.beta)
+
+
+def unperturbed_beta_spectrum(sc):
+    """The scenario's power-mean spectrum with d_l = 0."""
+    return power_mean(sc.base_spectra, sc.beta)
+
+
+def invariance_check(sc):
+    """Strict order invariance on the oracle spectrum: min of the top-r
+    aggregated eigenvalues beats the max of the rest."""
+    lam = perturbed_beta_spectrum(sc)
+    return bool(lam[: sc.r].min() > lam[sc.r:].max())
 
 
 def rand_scenario(rng, beta, straddle=True):

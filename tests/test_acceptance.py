@@ -32,7 +32,6 @@ from betadpca import (
     generating_value,
     make_population,
     matrix_function,
-    matrix_power,
     run_experiment,
     run_local,
     run_sockets,
@@ -45,7 +44,7 @@ from betadpca import (
     worker_round,
 )
 from betadpca.cluster import FRAME_OVERHEAD
-from helpers import eig2x2, planted_scenario, rand_scenario, rand_spd, rand_summary
+from helpers import eig2x2, matrix_power, planted_scenario, rand_scenario, rand_spd, rand_summary
 
 
 @contextmanager

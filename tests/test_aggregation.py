@@ -15,11 +15,10 @@ from betadpca import (
     beta_mean,
     eig_sym,
     fan_aggregate,
-    matrix_power,
     rho_similarity,
     truncated_eig,
 )
-from helpers import (dense_beta_sigma, dense_fan_sigma, eig2x2, projector_distance, rand_spd,
+from helpers import (dense_beta_sigma, dense_fan_sigma, eig2x2, matrix_power, projector_distance, rand_spd,
                      rand_summary)
 
 BETAS = [-1.0, -0.5, 0.0, 0.5, 1.0, 2.0]

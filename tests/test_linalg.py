@@ -7,10 +7,9 @@ from betadpca import (
     InvalidInput,
     eig_sym,
     matrix_function,
-    matrix_power,
     symmetrize,
 )
-from helpers import eig2x2, rand_spd
+from helpers import eig2x2, matrix_power, rand_spd
 
 
 class TestSymmetrize:

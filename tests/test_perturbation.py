@@ -1,19 +1,13 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from betadpca import (
-    InvalidInput,
-    PerturbationScenario,
-    PreconditionError,
-    invariance_check,
-    perturbed_beta_spectrum,
-    tolerance,
-    unperturbed_beta_spectrum,
-)
-from helpers import rand_scenario
+from betadpca import InvalidInput, PerturbationScenario, PreconditionError, tolerance
+from betadpca.aggregation import branch_transform
+from helpers import invariance_check, perturbed_beta_spectrum, rand_scenario, unperturbed_beta_spectrum
 
 TWO_MACHINES = np.array([[4.0, 1.0], [4.0, 1.0]])
 
@@ -26,17 +20,17 @@ def scenario(beta, d_l, spectra=TWO_MACHINES, r=1, noise_index=1):
 class TestSpectra:
     def test_arithmetic_case(self):
         # (4,1) twice, last machine's noise slot +3: mean spectrum (4, 2.5)
-        sc = scenario(beta=1.0, d_l=3.0)
-        assert_allclose(perturbed_beta_spectrum(sc), [4.0, 2.5], rtol=1e-12)
-        assert_allclose(unperturbed_beta_spectrum(sc), [4.0, 1.0], rtol=1e-12)
+        rep = tolerance(scenario(beta=1.0, d_l=3.0))
+        assert_allclose(rep.lambda_beta, [4.0, 2.5], rtol=1e-12)
+        assert_allclose(rep.lambda_bar, [4.0, 1.0], rtol=1e-12)
 
     def test_zero_perturbation_changes_nothing(self):
-        sc = scenario(beta=1.0, d_l=0.0)
-        assert np.array_equal(perturbed_beta_spectrum(sc), unperturbed_beta_spectrum(sc))
+        rep = tolerance(scenario(beta=1.0, d_l=0.0))
+        assert np.array_equal(rep.lambda_beta, rep.lambda_bar)
 
     def test_geometric_mean_spectrum(self):
-        sc = scenario(beta=0.0, d_l=3.0)
-        assert_allclose(perturbed_beta_spectrum(sc), [4.0, 2.0], rtol=1e-12)
+        rep = tolerance(scenario(beta=0.0, d_l=3.0))
+        assert_allclose(rep.lambda_beta, [4.0, 2.0], rtol=1e-12)
 
     def test_independent_log_oracle(self):
         rng = np.random.default_rng(61)
@@ -44,16 +38,40 @@ class TestSpectra:
         spectra = sc.base_spectra.copy()
         spectra[-1, sc.noise_index] += sc.d_l
         expected = np.exp(np.mean(np.log(spectra), axis=0))
-        assert_allclose(perturbed_beta_spectrum(sc), expected, rtol=1e-12)
+        assert_allclose(tolerance(sc).lambda_beta, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("beta", [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    def test_report_matches_power_mean_oracle(self, beta):
+        # the report's spectra come from the branch table; the oracle is the plain power mean
+        rng = np.random.default_rng(63)
+        for _ in range(100):
+            sc = rand_scenario(rng, beta)
+            rep = tolerance(sc)
+            assert_allclose(rep.lambda_beta, perturbed_beta_spectrum(sc), rtol=1e-13)
+            assert_allclose(rep.lambda_bar, unperturbed_beta_spectrum(sc), rtol=1e-13)
+            assert rep.order_invariant == invariance_check(sc)
 
     def test_perturbation_moves_one_coordinate_monotonically(self):
         prev = None
         for d in (0.0, 1.0, 5.0, 50.0):
-            lam = perturbed_beta_spectrum(scenario(beta=0.5, d_l=d))
+            lam = tolerance(scenario(beta=0.5, d_l=d)).lambda_beta
             assert_allclose(lam[0], 4.0, rtol=1e-12)
             if prev is not None:
                 assert lam[1] > prev
             prev = lam[1]
+
+    def test_negative_entry_without_shift(self):
+        # shift 0 leaves the complement 0^beta unevaluated: no ZeroDivisionError, no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = branch_transform(-1.0, 0.0)
+            assert t.complement == np.inf
+            assert_allclose(t.inverse(t.forward(np.array([4.0, 1.0]))), [4.0, 1.0], rtol=1e-15)
+            rep = tolerance(scenario(beta=-1.0, d_l=1e8))
+        # the harmonic mean of 1 and 1 + 1e8, with no delta added
+        assert_allclose(rep.lambda_beta, [4.0, 2.0 / (1.0 + 1.0 / (1.0 + 1e8))], rtol=1e-15)
+        assert_allclose(rep.lambda_beta, [4.0, 1.99999998], rtol=1e-9)
+        assert np.array_equal(rep.lambda_bar, [4.0, 1.0])
 
 
 class TestTolerance:
@@ -88,6 +106,14 @@ class TestTolerance:
             assert np.isnan(rep.lambda_tilde_l)
             assert rep.order_invariant
 
+    def test_threshold_past_float_range_is_infinite(self):
+        # (1000/1)^110 overflows: the geometric threshold is reported as inf, not an error
+        spectra = np.tile([1000.0, 1.0], (110, 1))
+        rep = tolerance(scenario(beta=0.0, d_l=5.0, spectra=spectra))
+        assert rep.tau == np.inf
+        assert_allclose(rep.lambda_tilde_l, 6.0, rtol=1e-12)
+        assert rep.order_invariant
+
     def test_degenerate_scenario_rejected(self):
         flat = np.array([[2.0, 2.0], [2.0, 2.0]])
         with pytest.raises(PreconditionError):
@@ -119,6 +145,11 @@ class TestScenarioValidation:
     def test_nonpositive_spectrum_rejected(self):
         with pytest.raises(InvalidInput):
             scenario(beta=1.0, d_l=1.0, spectra=np.array([[4.0, 0.0]]))
+
+    def test_non_finite_beta_rejected(self):
+        for beta in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidInput, match="finite"):
+                scenario(beta=beta, d_l=1.0)
 
     def test_replace_revalidates(self):
         sc = scenario(beta=1.0, d_l=1.0)

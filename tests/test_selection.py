@@ -56,6 +56,12 @@ class TestMakeFolds:
         with pytest.raises(InvalidInput):
             CvPlan(m=2, k=2, folds=((0,), (1,)), candidate_set=())
 
+    def test_non_finite_candidate_rejected(self):
+        # the plan names the family members it scores, so it checks them as BetaConfig does
+        for beta in (np.nan, np.inf):
+            with pytest.raises(InvalidInput, match="finite"):
+                make_folds(4, 2, seed=0, candidate_set=(1.0, beta))
+
 
 class TestProjectionDiscrepancy:
     def test_identical_bases(self):
