@@ -162,17 +162,24 @@ class BranchTransform:
 def branch_transform(b: float, shift: float) -> BranchTransform:
     """The table entry for beta = b (see beta_aggregate for the formulas).
 
-    shift is the delta that the beta < 0 entry adds to every eigenvalue; the
-    other entries ignore it.  Shift 0 suits inputs already positive definite
-    and leaves that entry's complement 0^b = inf, without evaluating it.
+    shift is the delta that the beta < 0 entry adds to every eigenvalue.  A
+    positive shift goes with PSD inputs, whose round-off the maps absorb in
+    linalg's window (EIGEN_FLOOR before the log, spectral_power's clamps).
+    Shift 0 declares the inputs positive definite: every entry then uses the
+    plain power, log and exp, exact at any scale, and the beta < 0 entry's
+    complement 0^b = inf is never evaluated.
     """
+    if shift > 0:
+        power, log, exp = (spectral_power, lambda v: np.log(np.where(v < EIGEN_FLOOR, EIGEN_FLOOR, v)),
+                           lambda g: spectral_map(g, np.exp))
+    else:
+        power, log, exp = np.power, np.log, np.exp
     if b > 0:
-        return BranchTransform("positive", lambda v: v ** b, 0.0, lambda g: spectral_power(g, 1.0 / b))
+        return BranchTransform("positive", lambda v: v ** b, 0.0, lambda g: power(g, 1.0 / b))
     if b == 0:
-        return BranchTransform("limit_zero", lambda v: np.log(np.where(v < EIGEN_FLOOR, EIGEN_FLOOR, v)),
-                               0.0, lambda g: spectral_map(g, np.exp))
+        return BranchTransform("limit_zero", log, 0.0, exp)
     return BranchTransform("negative", lambda v: (v + shift) ** b, shift ** b if shift > 0 else np.inf,
-                           lambda g: spectral_power(g, 1.0 / b))
+                           lambda g: power(g, 1.0 / b))
 
 
 PROJECTION_AVERAGE = BranchTransform("projection_average", np.ones_like, 0.0, lambda g: g)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregation import BranchTransform, branch_transform, finite_beta
-from .errors import DomainError, InvalidInput, PreconditionError
+from .errors import InvalidInput, PreconditionError
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,15 +67,6 @@ def _mean_spectrum(t: BranchTransform, spectra: np.ndarray) -> np.ndarray:
     return t.inverse(t.forward(spectra).mean(axis=0))
 
 
-def _inverse(t: BranchTransform, g) -> float:
-    # The inverse map at one point; a value past the float range (the inverse
-    # overflowing) is reported as inf.
-    try:
-        return float(t.inverse(np.array([g], dtype=float))[0])
-    except DomainError:
-        return np.inf
-
-
 @dataclass(frozen=True, eq=False)
 class ToleranceReport:
     """Perturbation summary for one scenario.
@@ -100,8 +91,9 @@ def tolerance(sc: PerturbationScenario) -> ToleranceReport:
     """Effective perturbation size and threshold for one scenario.
 
     With f and f^-1 the forward and inverse maps of the branch table's entry
-    for beta (aggregation.branch_transform, shift 0: the spectra are positive
-    definite), lambda_tilde_l measures the perturbation after the transform,
+    for beta (aggregation.branch_transform at shift 0: the spectra are positive
+    definite, so the maps are the plain power, log and exp, exact at any
+    scale), lambda_tilde_l measures the perturbation after the transform,
       f^-1( f(lam + d) - f(lam) ),
     and the threshold it must stay below is
       beta >= 0:  f^-1( m (f(lbar_r) - f(lbar_l)) ),  e.g. (lbar_r / lbar_l)^m at beta = 0
@@ -125,9 +117,10 @@ def tolerance(sc: PerturbationScenario) -> ToleranceReport:
     if sc.beta < 0:
         tau, tilde = np.inf, np.nan
     else:
-        f = t.forward
-        tau = _inverse(t, sc.m * (f(lbar_r) - f(lbar_l)))
-        tilde = _inverse(t, f(lam + sc.d_l) - f(lam))
+        f, f_inv = t.forward, t.inverse
+        with np.errstate(over="ignore"):  # a threshold past the float range reads inf
+            tau = float(f_inv(sc.m * (f(lbar_r) - f(lbar_l))))
+            tilde = float(f_inv(f(lam + sc.d_l) - f(lam)))
     return ToleranceReport(
         tau=tau,
         lambda_tilde_l=tilde,

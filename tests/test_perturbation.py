@@ -73,6 +73,34 @@ class TestSpectra:
         assert_allclose(rep.lambda_beta, [4.0, 1.99999998], rtol=1e-9)
         assert np.array_equal(rep.lambda_bar, [4.0, 1.0])
 
+    @pytest.mark.parametrize("beta", [-2.0, -1.0, 0.0])
+    @pytest.mark.parametrize("c", [1e-13, 1e7])
+    def test_scale_equivariant(self, beta, c):
+        # positive-definite spectra need no round-off window: scaling the
+        # scenario by c scales both spectra by c, at any magnitude
+        spectra = np.array([[4.0, 2.0, 1.0], [3.0, 2.5, 0.5]])
+        rep = tolerance(scenario(beta, 0.7, spectra=spectra, noise_index=2))
+        scaled = tolerance(scenario(beta, 0.7 * c, spectra=c * spectra, noise_index=2))
+        assert_allclose(scaled.lambda_bar, c * rep.lambda_bar, rtol=1e-13)
+        assert_allclose(scaled.lambda_beta, c * rep.lambda_beta, rtol=1e-13)
+        assert scaled.order_invariant == rep.order_invariant
+        assert_allclose(scaled.tau, rep.tau, rtol=1e-13)
+        assert_allclose(scaled.lambda_tilde_l, rep.lambda_tilde_l, rtol=1e-13)
+
+    def test_wide_spectrum_keeps_its_order(self):
+        # at beta = -2, 1e9^-2 = 1e-18 is no round-off: the spectrum comes back as given
+        spectra = np.array([[1e9, 1e8, 1e3], [1e9, 1e8, 1e3]])
+        rep = tolerance(scenario(beta=-2.0, d_l=0.0, spectra=spectra, noise_index=2))
+        assert_allclose(rep.lambda_bar, [1e9, 1e8, 1e3], rtol=1e-13)
+        assert rep.order_invariant
+
+    @pytest.mark.parametrize("beta", [-2.0, 0.0, 0.5])
+    def test_shift_zero_maps_are_plain(self, beta):
+        t = branch_transform(beta, 0.0)
+        x = np.array([1e-20, 1.0, 1e20])
+        assert_allclose(t.inverse(t.forward(x)), x, rtol=1e-13)
+        assert np.isnan(t.inverse(np.array([np.nan]))).all()
+
 
 class TestTolerance:
     def test_arithmetic_threshold(self):
