@@ -17,8 +17,8 @@ from .errors import (ConvergenceError, CorruptMessage, DomainError, InvalidInput
 from .experiment import (CSV_HEADER, METHODS, ExperimentResult, ExperimentSpec, emit_plot_script,
                          run_and_write, run_experiment, write_rows_csv, write_summary_files)
 from .linalg import EigenSystem, eig_sym, matrix_function, symmetrize
-from .local_pca import (DataShard, TruncatedEig, local_summary, read_shard, sample_covariance,
-                        truncate_summary, truncated_eig, write_shard)
+from .local_pca import (DataShard, TruncatedEig, local_summary, read_shard, truncate_summary,
+                        truncated_eig, write_shard)
 from .perturbation import PerturbationScenario, ToleranceReport, tolerance
 from .selection import DEFAULT_CANDIDATES, CvPlan, CvResult, make_folds, select_beta
 from .simgen import (DISTRIBUTIONS, GAUSSIAN, STUDENT_T3, PopulationModel, make_population,
@@ -37,8 +37,8 @@ __all__ = [
     "CSV_HEADER", "METHODS", "ExperimentResult", "ExperimentSpec", "emit_plot_script",
     "run_and_write", "run_experiment", "write_rows_csv", "write_summary_files",
     "EigenSystem", "eig_sym", "matrix_function", "symmetrize",
-    "DataShard", "TruncatedEig", "local_summary", "read_shard", "sample_covariance",
-    "truncate_summary", "truncated_eig", "write_shard",
+    "DataShard", "TruncatedEig", "local_summary", "read_shard", "truncate_summary",
+    "truncated_eig", "write_shard",
     "PerturbationScenario", "ToleranceReport", "tolerance",
     "DEFAULT_CANDIDATES", "CvPlan", "CvResult", "make_folds", "select_beta",
     "DISTRIBUTIONS", "GAUSSIAN", "STUDENT_T3", "PopulationModel", "make_population",

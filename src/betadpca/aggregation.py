@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidInput, NotPSD, TieWarning
 from .linalg import (EIGEN_FLOOR, PSD_TOL, canonical_order, complete_basis, eig_sym, matrix_function,
-                     spectral_map, spectral_power, symmetrize, thin_svd)
+                     spectral_map, symmetrize, thin_svd)
 from .local_pca import TruncatedEig
 
 
@@ -39,8 +39,8 @@ class BetaConfig:
     """Aggregator knobs.
 
     beta selects the branch (0 means the geometric-mean limit), delta
-    regularizes the beta < 0 branch.  Round-off ahead of logs and negative
-    powers is absorbed at linalg.EIGEN_FLOOR.
+    regularizes the beta < 0 branch.  Round-off is handled by the hull rule of
+    BranchTransform.inverse_within, at any scale.
     """
 
     beta: float
@@ -115,7 +115,8 @@ def beta_mean(inputs: Sequence, cfg: BetaConfig, weights=None) -> np.ndarray:
 
     An input with an eigenvalue below -PSD_TOL raises NotPSD for every beta;
     round-off negatives above it are clipped to 0.  The beta = 0 branch floors
-    eigenvalues at EIGEN_FLOOR before the log.
+    eigenvalues at EIGEN_FLOOR before the log.  The average's eigenvalues are
+    clipped into the hull of the terms' before the inverse (inverse_within).
     """
     systems = [eig_sym(m) for m in inputs]
     if not systems:
@@ -126,11 +127,13 @@ def beta_mean(inputs: Sequence, cfg: BetaConfig, weights=None) -> np.ndarray:
     w = _normalized_weights(len(systems), weights)
     transform = branch_transform(cfg.beta, cfg.delta)
     acc = np.zeros((p, p))
+    terms = []
     for wl, es in zip(w, systems):
         if es.values[-1] < -PSD_TOL:
             raise NotPSD(f"input eigenvalue {es.values[-1]:.17g} is below -{PSD_TOL:g}")
-        acc += wl * (es.vectors * transform.forward(np.clip(es.values, 0.0, None))) @ es.vectors.T
-    return matrix_function(acc, transform.inverse)
+        terms.append(transform.forward(np.clip(es.values, 0.0, None)))
+        acc += wl * (es.vectors * terms[-1]) @ es.vectors.T
+    return matrix_function(acc, lambda g: transform.inverse_within(g, np.concatenate(terms)))
 
 
 def _validated_summaries(summaries: Sequence[TruncatedEig]):
@@ -149,8 +152,8 @@ class BranchTransform:
 
     forward maps a summary's eigenvalues into the averaging space; complement
     is the value that space gives every direction outside the summary; inverse
-    maps eigenvalues of the average back, with the floor and PSD-window clamps
-    of linalg's spectral_power (the beta = 0 inverse, exp, needs none).
+    maps eigenvalues of the average back.  The maps are the plain power, log
+    and exp: they hold no round-off window.
     """
 
     name: str
@@ -158,28 +161,36 @@ class BranchTransform:
     complement: float
     inverse: Callable[[np.ndarray], np.ndarray]
 
+    def inverse_within(self, values, hull) -> np.ndarray:
+        """inverse(values) after clipping values into [min(hull), max(hull)].
+
+        The hull rule: the eigenvalues of a weighted mean of symmetric matrices
+        lie between the smallest and the largest eigenvalue of its terms
+        (Weyl), so with `hull` the forward values that were averaged, anything
+        outside is the eigensolve's round-off.  The bound is exact and
+        scale-free.  A non-finite result raises DomainError.
+        """
+        hull = np.asarray(hull, dtype=float)
+        return spectral_map(np.clip(values, hull.min(), hull.max()), self.inverse)
+
 
 def branch_transform(b: float, shift: float) -> BranchTransform:
     """The table entry for beta = b (see beta_aggregate for the formulas).
 
     shift is the delta that the beta < 0 entry adds to every eigenvalue.  A
-    positive shift goes with PSD inputs, whose round-off the maps absorb in
-    linalg's window (EIGEN_FLOOR before the log, spectral_power's clamps).
-    Shift 0 declares the inputs positive definite: every entry then uses the
-    plain power, log and exp, exact at any scale, and the beta < 0 entry's
-    complement 0^b = inf is never evaluated.
+    positive shift goes with PSD inputs: the beta = 0 log then floors zero
+    eigenvalues at EIGEN_FLOOR, as the formula defines it.  Shift 0 declares
+    the inputs positive definite: the log is plain, and the beta < 0 entry's
+    complement 0^b = inf is never evaluated.  Callers that eigensolve an
+    average apply the inverse through BranchTransform.inverse_within.
     """
-    if shift > 0:
-        power, log, exp = (spectral_power, lambda v: np.log(np.where(v < EIGEN_FLOOR, EIGEN_FLOOR, v)),
-                           lambda g: spectral_map(g, np.exp))
-    else:
-        power, log, exp = np.power, np.log, np.exp
     if b > 0:
-        return BranchTransform("positive", lambda v: v ** b, 0.0, lambda g: power(g, 1.0 / b))
+        return BranchTransform("positive", lambda v: v ** b, 0.0, lambda g: np.power(g, 1.0 / b))
     if b == 0:
-        return BranchTransform("limit_zero", log, 0.0, exp)
+        log = (lambda v: np.log(np.where(v < EIGEN_FLOOR, EIGEN_FLOOR, v))) if shift > 0 else np.log
+        return BranchTransform("limit_zero", log, 0.0, np.exp)
     return BranchTransform("negative", lambda v: (v + shift) ** b, shift ** b if shift > 0 else np.inf,
-                           lambda g: power(g, 1.0 / b))
+                           lambda g: np.power(g, 1.0 / b))
 
 
 PROJECTION_AVERAGE = BranchTransform("projection_average", np.ones_like, 0.0, lambda g: g)
@@ -205,8 +216,7 @@ def _top_block(values: np.ndarray, vectors: np.ndarray, complement: float, k: in
     layout = _top_layout(values, complement, vectors.shape[0], k)
     first, n_comp, rest = layout
     top_vectors = np.hstack([vectors[:, first], complete_basis(vectors, n_comp), vectors[:, rest]])
-    return TruncatedEig(values=np.clip(_top_values(values, complement, layout), 0.0, None),
-                        vectors=top_vectors)
+    return TruncatedEig(values=_top_values(values, complement, layout), vectors=top_vectors)
 
 
 def _warn_on_tie(values: np.ndarray, complement: float, p: int, r: int) -> None:
@@ -251,7 +261,10 @@ class SummarySpan:
     coords: np.ndarray  # (k, sum of the summaries' ranks)
 
     @classmethod
-    def of(cls, summaries: Sequence[TruncatedEig]) -> "SummarySpan":
+    def of(cls, summaries: Sequence[TruncatedEig] | SummarySpan) -> "SummarySpan":
+        """The span of the summaries; a SummarySpan is returned unchanged."""
+        if isinstance(summaries, SummarySpan):
+            return summaries
         p, _ = _validated_summaries(summaries)
         basis, coords = span_basis(np.hstack([s.vectors for s in summaries]), p)
         return cls(tuple(summaries), basis, coords)
@@ -274,9 +287,11 @@ def _span_aggregate(span: SummarySpan, transform: BranchTransform, r: int, weigh
     p, k = span.basis.shape
     w = _normalized_weights(len(span.summaries), weights)
     c = transform.complement
-    scale = np.concatenate([wl * (transform.forward(s.values) - c) for wl, s in zip(w, span.summaries)])
+    terms = [transform.forward(s.values) for s in span.summaries]
+    scale = np.concatenate([wl * (f - c) for wl, f in zip(w, terms)])
     core = eig_sym((span.coords * scale) @ span.coords.T + c * np.eye(k))
-    span_values, vectors = canonical_order(transform.inverse(core.values), span.basis @ core.vectors)
+    hull = np.concatenate(terms + [[c]])  # the complement is a term's eigenvalue too
+    span_values, vectors = canonical_order(transform.inverse_within(core.values, hull), span.basis @ core.vectors)
     complement = float(transform.inverse(np.array([c]))[0])
     _warn_on_tie(span_values, complement, p, r)
     return AggregateResult(span_values=span_values, span_vectors=vectors, complement_value=complement,
@@ -284,7 +299,8 @@ def _span_aggregate(span: SummarySpan, transform: BranchTransform, r: int, weigh
                            branch=transform.name, beta_used=beta_used)
 
 
-def beta_aggregate(summaries: Sequence[TruncatedEig], cfg: BetaConfig, r: int, weights=None) -> AggregateResult:
+def beta_aggregate(summaries: Sequence[TruncatedEig] | SummarySpan, cfg: BetaConfig, r: int,
+                   weights=None) -> AggregateResult:
     """Aggregate local rank-q summaries into Sigma_beta and take its top-r block.
 
     With M_l = V_l diag(lam_l) V_l^T machine l's rank-q reconstruction:
@@ -298,13 +314,10 @@ def beta_aggregate(summaries: Sequence[TruncatedEig], cfg: BetaConfig, r: int, w
     Outside the span of the summaries Sigma therefore has eigenvalue 0
     (beta > 0), 1 (beta = 0) or delta (beta < 0).  The result is computed in
     that span (see AggregateResult) in O(p (m q)^2); summation runs in list
-    order, so callers with machine ids sort first.
+    order, so callers with machine ids sort first.  A SummarySpan may be passed
+    in place of the summaries, so several aggregations share one basis.
     """
-    return beta_aggregate_span(SummarySpan.of(summaries), cfg, r, weights)
-
-
-def beta_aggregate_span(span: SummarySpan, cfg: BetaConfig, r: int, weights=None) -> AggregateResult:
-    """beta_aggregate on summaries whose span basis is already taken."""
+    span = SummarySpan.of(summaries)
     if not 1 <= r <= span.q:
         raise InvalidInput(f"need 1 <= r <= q={span.q}, got r={r}")
     return _span_aggregate(span, branch_transform(cfg.beta, cfg.delta), r, weights, beta_used=cfg.beta)

@@ -95,7 +95,8 @@ def _save_result(agg, out) -> None:
     if out is None:
         return
     try:
-        np.savez(out, sigma=agg.sigma_beta, values=agg.leading.values,
+        np.savez(out, span_values=agg.span_values, span_vectors=agg.span_vectors,
+                 complement=agg.complement_value, values=agg.leading.values,
                  vectors=agg.leading.vectors, branch=agg.branch,
                  beta_used=np.nan if agg.beta_used is None else agg.beta_used)
     except OSError as exc:
@@ -248,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     agg = subs.add_parser("aggregate", help="aggregate shard files in one round")
     agg.add_argument("shards", nargs="+", help="shard files (binary or CSV)")
     _add_job_flags(agg)
-    agg.add_argument("--out", help="write sigma/leading block to this .npz")
+    agg.add_argument("--out", help="write the factored estimate and leading block to this .npz")
     agg.set_defaults(func=cmd_aggregate)
 
     pert = subs.add_parser("perturb", help="perturbation tolerance sweep (CSV)")
@@ -273,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_endpoint_flags(srv)
     srv.add_argument("--m", type=int, required=True, help="number of expected workers")
     _add_job_flags(srv)
-    srv.add_argument("--out", help="write sigma/leading block to this .npz")
+    srv.add_argument("--out", help="write the factored estimate and leading block to this .npz")
     srv.set_defaults(func=cmd_serve)
 
     wrk = subs.add_parser("worker", help="compute one shard's summary and send it")

@@ -36,10 +36,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .aggregation import AggregateResult, BetaConfig, SummarySpan, beta_aggregate_span
+from .aggregation import AggregateResult, BetaConfig, SummarySpan, beta_aggregate
 from .errors import CorruptMessage, InvalidInput, IoError, ParseError
 from .local_pca import DataShard, TruncatedEig, local_summary, truncate_summary
-from .selection import DEFAULT_CANDIDATES, make_folds, select_beta_span
+from .selection import DEFAULT_CANDIDATES, make_folds, select_beta
 
 logger = logging.getLogger(__name__)
 
@@ -214,13 +214,13 @@ def resolve_beta(span: SummarySpan, job: JobSpec) -> AggregateResult:
     """
     mode = job.beta_mode
     if isinstance(mode, FixedBeta):
-        return beta_aggregate_span(span, BetaConfig(beta=mode.beta, delta=job.delta), job.r)
+        return beta_aggregate(span, BetaConfig(beta=mode.beta, delta=job.delta), job.r)
     summaries = span.summaries
     plan = make_folds(len(summaries), mode.folds, mode.seed,
                       candidate_set=mode.candidates, r=job.r, q=job.q)
-    cv = select_beta_span(span, [truncate_summary(s, job.r) for s in summaries], plan,
-                          BetaConfig(beta=mode.candidates[0], delta=job.delta))
-    agg = beta_aggregate_span(span, BetaConfig(beta=cv.best_beta, delta=job.delta), job.r)
+    cv = select_beta(span, [truncate_summary(s, job.r) for s in summaries], plan,
+                     BetaConfig(beta=mode.candidates[0], delta=job.delta))
+    agg = beta_aggregate(span, BetaConfig(beta=cv.best_beta, delta=job.delta), job.r)
     return replace(agg, cv=cv)
 
 

@@ -1,6 +1,6 @@
 """Symmetric eigendecomposition with a deterministic output convention, plus
-spectral functional calculus (f(M), powers of a spectrum), the thin SVD, and
-deterministic completion of an orthonormal basis.
+spectral functional calculus (f(M)), the thin SVD, and deterministic
+completion of an orthonormal basis.
 
 All functions are pure: inputs are never mutated, outputs are fresh arrays.
 Outputs are deterministic down to the bit for bit-identical inputs, which the
@@ -16,9 +16,10 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, InvalidInput
 
-# Round-off window: eigenvalues in (-PSD_TOL, EIGEN_FLOOR) are treated as
-# EIGEN_FLOOR (or 0) by maps whose domain excludes them.  Anything below
-# -PSD_TOL counts as genuinely negative and is never silently repaired.
+# PSD_TOL: an input eigenvalue below -PSD_TOL makes a matrix not PSD (the
+# inputs of beta_mean and the divergence); round-off above it is clipped to 0.
+# EIGEN_FLOOR: the beta = 0 branch floors zero eigenvalues at it before the
+# log, and the divergence's positive-definite slots require it.
 PSD_TOL = 1e-10
 EIGEN_FLOOR = 1e-12
 
@@ -153,27 +154,3 @@ def spectral_map(values, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     if bad.any():
         raise DomainError(f"scalar map undefined at eigenvalue {vals[bad][0]:.17g}")
     return fvals
-
-
-def spectral_power(values, beta: float) -> np.ndarray:
-    """values**beta for an eigenvalue vector, with the round-off window's clamps.
-
-    For beta < 0, values in (-PSD_TOL, EIGEN_FLOOR) become EIGEN_FLOOR and
-    anything still below EIGEN_FLOOR raises DomainError; for fractional beta > 0,
-    values in (-PSD_TOL, 0) become 0.  A non-finite power raises DomainError.
-    """
-    vals = np.asarray(values, dtype=float)
-    if beta < 0:
-        vals = np.where((vals > -PSD_TOL) & (vals < EIGEN_FLOOR), EIGEN_FLOOR, vals)
-        if vals.min() < EIGEN_FLOOR:
-            raise DomainError(
-                f"negative power {beta} needs eigenvalues >= {EIGEN_FLOOR:g}; found {vals.min():.17g}"
-            )
-    elif not float(beta).is_integer():
-        vals = np.where((vals > -PSD_TOL) & (vals < 0.0), 0.0, vals)
-    with np.errstate(all="ignore"):
-        pvals = vals ** beta
-    bad = ~np.isfinite(pvals)
-    if bad.any():
-        raise DomainError(f"power {beta} undefined at eigenvalue {vals[bad][0]:.17g}")
-    return pvals

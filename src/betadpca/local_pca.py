@@ -1,6 +1,6 @@
-"""Worker-side PCA: shard covariance, rank-q truncated eigendecomposition
-(local_summary takes it from a thin SVD of the shard, O(p n_ell^2) for
-n_ell <= p), and the shard file formats (binary and CSV) consumed by the CLI
+"""Worker-side PCA: the rank-q truncated eigendecomposition of the shard
+covariance (local_summary takes it from a thin SVD of the shard, O(p n_ell^2)
+for n_ell <= p), and the shard file formats (binary and CSV) consumed by the CLI
 and cluster.
 """
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, IoError, ParseError
-from .linalg import canonical_order, complete_basis, eig_sym, symmetrize, thin_svd
+from .linalg import canonical_order, complete_basis, eig_sym, thin_svd
 
 logger = logging.getLogger(__name__)
 
@@ -47,18 +47,6 @@ class DataShard:
     @property
     def n_ell(self) -> int:
         return self.samples.shape[1]
-
-
-def sample_covariance(shard: DataShard, center: bool = False) -> np.ndarray:
-    """(1/n_ell) X X^T.
-
-    The sampling model is zero-mean, so no centering happens by default;
-    center=True subtracts the shard mean and keeps the 1/n_ell divisor.
-    """
-    x = shard.samples
-    if center:
-        x = x - x.mean(axis=1, keepdims=True)
-    return symmetrize(x @ x.T / shard.n_ell)
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,10 +83,6 @@ class TruncatedEig:
     def q(self) -> int:
         return self.values.size
 
-    def reconstruct(self) -> np.ndarray:
-        """V diag(values) V^T, the rank-q reconstruction."""
-        return symmetrize((self.vectors * self.values) @ self.vectors.T)
-
 
 def truncated_eig(m, q: int) -> TruncatedEig:
     """Top-q eigenpairs of a symmetric matrix.
@@ -125,11 +109,12 @@ def local_summary(shard: DataShard, q: int, center: bool = False) -> TruncatedEi
 
     Computed from the thin SVD X = U S W^T as values S^2/n_ell and vectors U,
     in O(p n_ell min(p, n_ell)) without forming the p x p covariance; vectors
-    follow eig_sym's sign and tie convention.  center=True centres X first, as
-    sample_covariance does.  q may exceed n_ell: the trailing values are then
-    exactly 0 and their vectors complete the basis deterministically
-    (linalg.complete_basis), and a warning is logged, since those directions
-    carry no sample information.
+    follow eig_sym's sign and tie convention.  The sampling model is
+    zero-mean, so X is not centred by default; center=True subtracts the shard
+    mean first and keeps the 1/n_ell divisor.  q may exceed n_ell: the
+    trailing values are then exactly 0 and their vectors complete the basis
+    deterministically (linalg.complete_basis), and a warning is logged, since
+    those directions carry no sample information.
     """
     if not 1 <= q <= shard.p:
         raise InvalidInput(f"need 1 <= q <= p={shard.p}, got q={q}")

@@ -73,25 +73,19 @@ class CvResult:
     per_fold: np.ndarray  # (k, n_candidates)
 
 
-def select_beta(summaries_q: Sequence[TruncatedEig], summaries_r: Sequence[TruncatedEig],
+def select_beta(summaries_q: Sequence[TruncatedEig] | SummarySpan, summaries_r: Sequence[TruncatedEig],
                 plan: CvPlan, cfg_template: BetaConfig) -> CvResult:
     """Run the fold loop and pick the best beta.
 
-    summaries_q feed the training-side aggregation; summaries_r are the
-    validation machines' own rank-r projections and are the only thing the
-    validation side looks at.
-    """
-    return select_beta_span(SummarySpan.of(summaries_q), summaries_r, plan, cfg_template)
-
-
-def select_beta_span(span: SummarySpan, summaries_r: Sequence[TruncatedEig],
-                     plan: CvPlan, cfg_template: BetaConfig) -> CvResult:
-    """select_beta on training summaries whose span basis is already taken.
+    summaries_q feed the training-side aggregation, given as the summaries or
+    as their SummarySpan; summaries_r are the validation machines' own rank-r
+    projections and are the only thing the validation side looks at.
 
     Every training span lies in the span of all m summaries, so that one
     basis serves every fold (the range-finder view of Halko, Martinsson &
     Tropp 2011): a fold only takes the small SVD of its machines' coordinates.
     """
+    span = SummarySpan.of(summaries_q)
     summaries_q = span.summaries
     if len(summaries_q) != plan.m or len(summaries_r) != plan.m:
         raise InvalidInput(f"plan covers {plan.m} machines, got {len(summaries_q)}/{len(summaries_r)}")

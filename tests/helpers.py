@@ -1,8 +1,9 @@
 """Shared test fixtures: random SPD generators, independent closed-form
 oracles (2x2 characteristic polynomial, the divergence family's closed forms,
 the coordinate-wise power mean, scenario builders), the explicit square-root
-sampler, the spectral power M^beta, and the dense p x p aggregation formulas
-and the per-fold CV loop the factored and span paths are checked against."""
+sampler, the shard covariance and rank-q reconstruction, the spectral power
+M^beta, and the dense p x p aggregation formulas and the per-fold CV loop the
+factored and span paths are checked against."""
 
 import dataclasses
 import struct
@@ -10,10 +11,10 @@ import zlib
 
 import numpy as np
 
-from betadpca import (GAUSSIAN, InvalidInput, PerturbationScenario, TruncatedEig, aggregation, beta_aggregate,
-                      eig_sym, matrix_function, sample_covariance, signal_eigenvalues, symmetrize, tolerance,
+from betadpca import (GAUSSIAN, DomainError, InvalidInput, PerturbationScenario, TruncatedEig, aggregation,
+                      beta_aggregate, eig_sym, matrix_function, signal_eigenvalues, symmetrize, tolerance,
                       truncated_eig)
-from betadpca.linalg import EIGEN_FLOOR, spectral_power, thin_svd
+from betadpca.linalg import EIGEN_FLOOR, PSD_TOL, thin_svd
 from betadpca.rngs import DATA, stream
 
 
@@ -64,6 +65,30 @@ def eig2x2(a, b, c):
         v = np.array([b, lam - a])  # from (a - lam) x + b y = 0
         vectors.append(sign_fix(v / np.linalg.norm(v)))
     return values, vectors
+
+
+def spectral_power(values, beta: float) -> np.ndarray:
+    """values**beta for an eigenvalue vector, with a fixed round-off window.
+
+    For beta < 0, values in (-PSD_TOL, EIGEN_FLOOR) become EIGEN_FLOOR and
+    anything still below EIGEN_FLOOR raises DomainError; for fractional beta > 0,
+    values in (-PSD_TOL, 0) become 0.  A non-finite power raises DomainError.
+    """
+    vals = np.asarray(values, dtype=float)
+    if beta < 0:
+        vals = np.where((vals > -PSD_TOL) & (vals < EIGEN_FLOOR), EIGEN_FLOOR, vals)
+        if vals.min() < EIGEN_FLOOR:
+            raise DomainError(
+                f"negative power {beta} needs eigenvalues >= {EIGEN_FLOOR:g}; found {vals.min():.17g}"
+            )
+    elif not float(beta).is_integer():
+        vals = np.where((vals > -PSD_TOL) & (vals < 0.0), 0.0, vals)
+    with np.errstate(all="ignore"):
+        pvals = vals ** beta
+    bad = ~np.isfinite(pvals)
+    if bad.any():
+        raise DomainError(f"power {beta} undefined at eigenvalue {vals[bad][0]:.17g}")
+    return pvals
 
 
 def matrix_power(m, beta: float) -> np.ndarray:
@@ -203,6 +228,23 @@ def count_span_svds(monkeypatch, rows):
 
     monkeypatch.setattr(aggregation, "thin_svd", counted)
     return shapes
+
+
+def sample_covariance(shard, center=False):
+    """Shard covariance oracle: (1/n_ell) X X^T as a p x p matrix.
+
+    The sampling model is zero-mean, so no centering happens by default;
+    center=True subtracts the shard mean and keeps the 1/n_ell divisor.
+    """
+    x = shard.samples
+    if center:
+        x = x - x.mean(axis=1, keepdims=True)
+    return symmetrize(x @ x.T / shard.n_ell)
+
+
+def reconstruct(summary):
+    """V diag(values) V^T, a summary's rank-q reconstruction as a p x p matrix."""
+    return symmetrize((summary.vectors * summary.values) @ summary.vectors.T)
 
 
 def dense_local_summary(shard, q, center=False):

@@ -7,19 +7,23 @@ from numpy.testing import assert_allclose
 from betadpca import (
     AggregateResult,
     BetaConfig,
+    DataShard,
     InvalidInput,
     NotPSD,
+    SummarySpan,
     TieWarning,
     TruncatedEig,
     beta_aggregate,
     beta_mean,
     eig_sym,
     fan_aggregate,
+    local_summary,
     rho_similarity,
     truncated_eig,
 )
+from betadpca.aggregation import branch_transform
 from helpers import (dense_beta_sigma, dense_fan_sigma, eig2x2, matrix_power, projector_distance, rand_spd,
-                     rand_summary)
+                     rand_summary, reconstruct)
 
 BETAS = [-1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
 
@@ -119,6 +123,40 @@ class TestBetaMean:
         assert rel <= (1e-13 if beta >= 0 else 1e-8)
 
 
+    def test_wide_spectrum_at_negative_beta(self):
+        # 1e7^-2 = 1e-14 is no round-off: a matrix averaged with itself comes
+        # back as given, plus the delta that the beta < 0 branch keeps
+        cfg = BetaConfig(beta=-2.0)
+        out = beta_mean([np.diag([1e7, 1e6])] * 2, cfg)
+        assert_allclose(out, np.diag([1e7, 1e6]) + cfg.delta * np.eye(2), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("beta", [-2.0] + BETAS)
+    def test_scale_equivariant(self, beta):
+        # scaling the inputs and delta by c scales the mean by c
+        rng = np.random.default_rng(38)
+        ms = [rand_spd(rng, 5) for _ in range(3)]
+        ref = beta_mean(ms, BetaConfig(beta=beta))
+        for c in (1e-6, 1e6, 1e9):
+            got = beta_mean([c * m for m in ms], BetaConfig(beta=beta, delta=c * 1e-5))
+            assert_allclose(got / c, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+
+class TestBranchTransform:
+    @pytest.mark.parametrize("beta", [-2.0, 0.0, 0.5])
+    def test_positive_shift_maps_have_no_window(self, beta):
+        # the inverse undoes the forward map at any scale; only the beta = 0
+        # log floors a value below EIGEN_FLOOR, and beta < 0 adds the shift
+        t = branch_transform(beta, 1e-5)
+        x = np.array([1e-20, 1.0, 1e20])
+        want = {-2.0: x + 1e-5, 0.0: np.array([1e-12, 1.0, 1e20]), 0.5: x}[beta]
+        assert_allclose(t.inverse(t.forward(x)), want, rtol=1e-13)
+
+    def test_inverse_within_clips_into_the_hull(self):
+        t = branch_transform(2.0, 1e-5)
+        got = t.inverse_within(np.array([-1e-3, 4.0, 25.0 + 1e-9]), np.array([0.0, 4.0, 25.0]))
+        assert np.array_equal(got, [0.0, 2.0, 5.0])
+
+
 class TestBetaConfig:
     def test_rejects_bad_delta(self):
         with pytest.raises(InvalidInput):
@@ -162,7 +200,7 @@ class TestBetaAggregate:
         p, q, m = 12, 4, 3
         summaries = [rand_summary(rng, p, q) for _ in range(m)]
         res = beta_aggregate(summaries, cfg, 2)
-        dense = [matrix_power(s.reconstruct() + cfg.delta * np.eye(p), beta)
+        dense = [matrix_power(reconstruct(s) + cfg.delta * np.eye(p), beta)
                  for s in summaries]
         brute = matrix_power(sum(dense) / m, 1.0 / beta)
         assert_allclose(res.sigma_beta, brute, rtol=1e-8, atol=1e-10)
@@ -184,7 +222,7 @@ class TestBetaAggregate:
             # the dense route re-eigendecomposes rank-deficient matrices, so
             # its round-off noise is larger than the summary route's
             brute = matrix_power(
-                sum(matrix_power(s.reconstruct(), beta) for s in summaries) / 3.0,
+                sum(matrix_power(reconstruct(s), beta) for s in summaries) / 3.0,
                 1.0 / beta)
             assert_allclose(res.sigma_beta, brute, rtol=1e-6, atol=1e-9)
 
@@ -193,6 +231,29 @@ class TestBetaAggregate:
         s2 = e_summary([1.0], p=2, offset=1)
         with pytest.warns(TieWarning):
             beta_aggregate([s1, s2], BetaConfig(beta=1.0), 1)
+
+    @pytest.mark.parametrize("beta", [0.5, 2.0, 3.0])
+    def test_rank_padded_summaries_scale(self, beta):
+        # q = 5 exceeds each shard's 3 samples, so every summary ends in exact
+        # zeros, and the core's round-off around them grows with the scale
+        x = np.random.default_rng(41).standard_normal((40, 6))
+        base = [local_summary(DataShard(x[:, 3 * i:3 * i + 3], i + 1), 5) for i in range(2)]
+        ref = beta_aggregate(base, BetaConfig(beta=beta), 3).leading.values
+        for c in (1e-6, 1.0, 1e6, 1e9):
+            scaled = [TruncatedEig(values=c * s.values, vectors=s.vectors) for s in base]
+            got = beta_aggregate(scaled, BetaConfig(beta=beta), 3).leading.values
+            assert_allclose(got, c * ref, rtol=1e-13, atol=0)
+
+    def test_span_in_place_of_summaries(self):
+        rng = np.random.default_rng(42)
+        summaries = [rand_summary(rng, 10, 3) for _ in range(3)]
+        span = SummarySpan.of(summaries)
+        assert SummarySpan.of(span) is span
+        for beta in (-1.0, 0.0, 0.5):
+            a = beta_aggregate(span, BetaConfig(beta=beta), 2)
+            b = beta_aggregate(summaries, BetaConfig(beta=beta), 2)
+            assert np.array_equal(a.span_values, b.span_values)
+            assert np.array_equal(a.span_vectors, b.span_vectors)
 
     def test_rank_larger_than_summary_rejected(self):
         rng = np.random.default_rng(41)

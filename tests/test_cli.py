@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from betadpca import CvSelect, JobSpec, cli, read_shard, run_local
+from betadpca import CvSelect, FixedBeta, JobSpec, cli, read_shard, run_local
 
 
 def free_port():
@@ -44,8 +44,15 @@ class TestGenAggregateSelect:
         assert "branch=positive beta_used=1.0" in text
         assert "leading eigenvalues:" in text
         data = np.load(out)
-        assert data["sigma"].shape == (24, 24)
+        assert "sigma" not in data
         assert data["values"].shape == (2,)
+        assert data["vectors"].shape == (24, 2)
+        assert str(data["branch"]) == "positive" and float(data["beta_used"]) == 1.0
+        # the factored form rebuilds the dense estimate
+        v, c = data["span_vectors"], float(data["complement"])
+        sigma = (v * (data["span_values"] - c)) @ v.T + c * np.eye(24)
+        agg = run_local([read_shard(p) for p in shards], JobSpec(r=2, q=4, beta_mode=FixedBeta(1.0)))
+        assert np.abs(sigma - agg.sigma_beta).max() <= 1e-12
 
     def test_aggregate_cv_mode(self, shard_dir, capsys):
         shards = sorted(str(p) for p in shard_dir.glob("shard_*.bdpx"))

@@ -332,7 +332,7 @@ class TestTransports:
         # (SO_LINGER 0); the round goes on with the other two
         shards, _ = gaussian_shards(m=3)
         job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
-        box, thread, host, port = serve_in_thread(3, job, timeout=5.0)
+        box, thread, host, port = serve_in_thread(3, job, timeout=1.5)
         conn = socket.create_connection((host, port))
         conn.sendall(encode_summary(worker_round(shards[0], job))[:8])
         conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))

@@ -12,12 +12,11 @@ from betadpca import (
     TruncatedEig,
     local_summary,
     read_shard,
-    sample_covariance,
     truncate_summary,
     truncated_eig,
     write_shard,
 )
-from helpers import dense_local_summary, eig2x2, projector_distance, rand_spd
+from helpers import dense_local_summary, eig2x2, projector_distance, rand_spd, reconstruct, sample_covariance
 
 
 def make_shard(samples, machine_id=1):
@@ -72,7 +71,7 @@ class TestTruncatedEig:
 
     def test_reconstruct_full_rank(self):
         m = rand_spd(np.random.default_rng(23), 5)
-        assert_allclose(truncated_eig(m, 5).reconstruct(), m, rtol=1e-9, atol=1e-11)
+        assert_allclose(reconstruct(truncated_eig(m, 5)), m, rtol=1e-9, atol=1e-11)
 
     def test_rank_bounds_checked(self):
         with pytest.raises(InvalidInput):

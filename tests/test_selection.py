@@ -8,6 +8,7 @@ from betadpca import (
     BetaConfig,
     CvPlan,
     InvalidInput,
+    SummarySpan,
     TieWarning,
     TruncatedEig,
     beta_aggregate,
@@ -156,6 +157,15 @@ class TestSelectBeta:
         b = select_beta(summaries_q, summaries_r, plan, self.cfg())
         assert np.array_equal(a.per_fold, b.per_fold)
         assert a.best_beta == b.best_beta
+
+    def test_span_in_place_of_summaries(self):
+        rng = np.random.default_rng(78)
+        summaries_q = [rand_summary(rng, 9, 3) for _ in range(4)]
+        summaries_r = [truncate_summary(s, 2) for s in summaries_q]
+        plan = make_folds(4, 2, seed=5)
+        a = select_beta(SummarySpan.of(summaries_q), summaries_r, plan, self.cfg())
+        b = select_beta(summaries_q, summaries_r, plan, self.cfg())
+        assert np.array_equal(a.per_fold, b.per_fold)
 
     def test_rank_consistency_enforced(self):
         rng = np.random.default_rng(78)
