@@ -280,16 +280,19 @@ def _span_aggregate(span: SummarySpan, transform: BranchTransform, r: int, weigh
 
     The only eigensolve is of the k x k core
 
-        C = sum_l w_l B_l diag(forward(lam_l) - c) B_l^T + c I,
+        C = sum_l w_l B_l diag(forward(lam_l) - s) B_l^T + s I,
 
-    since the average equals Q C Q^T + c (I - Q Q^T).  Cost O(p k^2).
+    since the average equals Q C Q^T + c (I - Q Q^T).  s = c, except when every
+    summary spans the basis (k == q): no term then has a complement direction
+    in it, and s = 0 keeps forward values far below c.  Cost O(p k^2).
     """
     p, k = span.basis.shape
     w = _normalized_weights(len(span.summaries), weights)
     c = transform.complement
+    shift = c if k > span.q else 0.0
     terms = [transform.forward(s.values) for s in span.summaries]
-    scale = np.concatenate([wl * (f - c) for wl, f in zip(w, terms)])
-    core = eig_sym((span.coords * scale) @ span.coords.T + c * np.eye(k))
+    scale = np.concatenate([wl * (f - shift) for wl, f in zip(w, terms)])
+    core = eig_sym((span.coords * scale) @ span.coords.T + shift * np.eye(k))
     hull = np.concatenate(terms + [[c]])  # the complement is a term's eigenvalue too
     span_values, vectors = canonical_order(transform.inverse_within(core.values, hull), span.basis @ core.vectors)
     complement = float(transform.inverse(np.array([c]))[0])

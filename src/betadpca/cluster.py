@@ -4,6 +4,8 @@ Each worker computes its local truncated eigendecomposition and sends exactly
 one message; the coordinator aggregates whatever arrives before the deadline.
 Two transports share the same codec: in-process (frames still pass through
 encode/decode, so results are bit-identical with the socket path) and TCP.
+Over TCP each connection carries one frame, read up to its length prefix, and
+one selector loop reads them all under one round deadline.
 
 Wire frame, all little-endian:
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import logging
 import os
+import selectors
 import socket
 import struct
 import threading
@@ -172,26 +175,22 @@ def coordinator_round(msgs: Sequence[LocalSummaryMsg], job: JobSpec,
                       expected_m: int | None = None) -> AggregateResult:
     """Aggregate the received messages (sorted by machine_id for determinism).
 
-    A machine id that arrives more than once (a retried send) counts once: the
-    first message in arrival order is kept and each later one is dropped with
-    a warning.  With expected_m set, machines numbered 1..expected_m that did
-    not report are listed in the result's `missing` field and the averaging
-    weight becomes 1/(machines received).
+    Of the messages whose rank is the job's q, the first per machine id in
+    arrival order is kept (a retried send counts once); every other message is
+    dropped with a warning, and InvalidInput is raised if none is kept.  With
+    expected_m set, machines numbered 1..expected_m with no message kept are
+    listed in the result's `missing` field and the averaging weight becomes
+    1/(machines received).
     """
-    if not msgs:
-        raise InvalidInput("no worker messages to aggregate")
     first: dict[int, LocalSummaryMsg] = {}
     for m in msgs:
-        if m.machine_id in first:
+        if m.q != job.q:
+            logger.warning("dropping machine %d's message of rank %d (job q=%d)", m.machine_id, m.q, job.q)
+        elif m.machine_id in first:
             logger.warning("dropping a repeated message from machine %d", m.machine_id)
         else:
             first[m.machine_id] = m
     msgs = sorted(first.values(), key=lambda m: m.machine_id)
-    for m in msgs:
-        if m.p != msgs[0].p or m.q != msgs[0].q:
-            raise InvalidInput("worker messages differ in p or q")
-        if m.q != job.q:
-            raise InvalidInput(f"worker sent rank {m.q}, job announced q={job.q}")
     missing: tuple[int, ...] = ()
     if expected_m is not None:
         missing = tuple(i for i in range(1, expected_m + 1) if i not in first)
@@ -245,45 +244,41 @@ def resolve_timeout(timeout: float | None = None) -> float:
     return DEFAULT_TIMEOUT_SECS
 
 
-def _recv_exactly(conn: socket.socket, nbytes: int) -> bytes:
-    chunks = []
-    got = 0
-    while got < nbytes:
-        chunk = conn.recv(min(65536, nbytes - got))
-        if not chunk:
-            raise IoError(f"connection closed after {got} of {nbytes} bytes")
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
-
-
-def _read_frame(conn: socket.socket) -> bytes:
-    head = _recv_exactly(conn, 4)
-    (length,) = struct.unpack("<I", head)
-    return head + _recv_exactly(conn, length)
+def _frame_size(buf: bytearray) -> int:
+    # the whole frame once its u32 length prefix is in, else the prefix
+    return 4 + int.from_bytes(buf[:4], "little") if len(buf) >= 4 else 4
 
 
 def _collect(server: socket.socket, m: int, timeout: float) -> list[LocalSummaryMsg]:
     deadline = time.monotonic() + timeout
     msgs: list[LocalSummaryMsg] = []
-    ids: set[int] = set()
-    while len(ids) < m:  # distinct machines, so a repeated frame cannot crowd out a good worker
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            break
-        server.settimeout(remaining)
-        try:
-            conn, _addr = server.accept()
-        except socket.timeout:
-            break
-        with conn:
-            try:
-                msg = decode_summary(_read_frame(conn))
-            except (CorruptMessage, ParseError, OSError) as exc:  # OSError: reset or closed mid-frame
-                logger.warning("dropping bad worker connection: %s", exc)
-                continue
-        msgs.append(msg)
-        ids.add(msg.machine_id)
+    with selectors.DefaultSelector() as sel:
+        sel.register(server, selectors.EVENT_READ)
+        # distinct machines, so a repeated frame cannot crowd out a good worker
+        while len({msg.machine_id for msg in msgs}) < m and (remaining := deadline - time.monotonic()) > 0:
+            for key, _ in sel.select(remaining):
+                if key.fileobj is server:
+                    conn, _addr = server.accept()
+                    conn.setblocking(False)
+                    sel.register(conn, selectors.EVENT_READ, bytearray())
+                    continue
+                conn, buf = key.fileobj, key.data
+                try:
+                    chunk = conn.recv(min(65536, _frame_size(buf) - len(buf)))
+                    if not chunk:
+                        raise ConnectionError(f"connection closed after {len(buf)} bytes")
+                    buf += chunk
+                    if len(buf) < _frame_size(buf):
+                        continue
+                    msgs.append(decode_summary(buf))
+                except BlockingIOError:  # a spurious wakeup: nothing to read yet
+                    continue
+                except (CorruptMessage, ParseError, OSError) as exc:  # OSError: reset or closed mid-frame
+                    logger.warning("dropping bad worker connection: %s", exc)
+                sel.unregister(conn)
+                conn.close()
+        for key in sel.get_map().values():  # silent or stalled connections, and the listener: the round is over
+            key.fileobj.close()
     return msgs
 
 
@@ -299,13 +294,11 @@ def serve(host: str, port: int, m: int, job: JobSpec,
     if m < 1:
         raise InvalidInput("need at least one expected worker")
     secs = resolve_timeout(timeout)
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
-        server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        try:
-            server.bind((host, port))
-        except OSError as exc:
-            raise IoError(f"cannot bind {host}:{port}: {exc}") from exc
-        server.listen(m)
+    try:
+        server = socket.create_server((host, port), backlog=m)
+    except OSError as exc:
+        raise IoError(f"cannot bind {host}:{port}: {exc}") from exc
+    with server:
         if on_listen is not None:
             on_listen(server.getsockname()[:2])
         msgs = _collect(server, m, secs)
@@ -340,12 +333,13 @@ def run_sockets(shards: Sequence[DataShard], job: JobSpec, host: str = "127.0.0.
                 port: int = 0, timeout: float | None = None) -> AggregateResult:
     """Drive a full round over loopback TCP: coordinator thread plus one
     send per shard.  Functionally identical to run_local."""
+    secs = resolve_timeout(timeout)
     box: dict = {}
     listening = threading.Event()
 
     def _serve():
         try:
-            box["result"] = serve(host, port, len(shards), job, timeout=timeout,
+            box["result"] = serve(host, port, len(shards), job, timeout=secs,
                                   on_listen=lambda addr: (box.__setitem__("addr", addr),
                                                           listening.set()))
         except BaseException as exc:  # propagate to the caller
@@ -354,14 +348,14 @@ def run_sockets(shards: Sequence[DataShard], job: JobSpec, host: str = "127.0.0.
 
     thread = threading.Thread(target=_serve, name="bdpca-coordinator", daemon=True)
     thread.start()
-    if not listening.wait(resolve_timeout(timeout)):
+    if not listening.wait(secs):
         raise IoError("coordinator did not start listening in time")
     if "error" in box:
         raise box["error"]
     bound_host, bound_port = box["addr"]
     for shard in shards:
-        send_summary(bound_host, bound_port, worker_round(shard, job), timeout=timeout)
-    thread.join(resolve_timeout(timeout) + 5.0)
+        send_summary(bound_host, bound_port, worker_round(shard, job), timeout=secs)
+    thread.join(secs + 5.0)
     if thread.is_alive():
         raise IoError("coordinator thread did not finish")
     if "error" in box:

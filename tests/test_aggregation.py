@@ -244,6 +244,15 @@ class TestBetaAggregate:
             got = beta_aggregate(scaled, BetaConfig(beta=beta), 3).leading.values
             assert_allclose(got, c * ref, rtol=1e-13, atol=0)
 
+    def test_wide_spectrum_at_negative_beta(self):
+        # both summaries span the whole basis (k == q), so no delta^beta = 1e10
+        # shift swamps the forward values 1e-14 and 1e-12: the dense mean comes back
+        cfg = BetaConfig(beta=-2.0)
+        s = e_summary([1e7, 1e6], p=3)
+        res = beta_aggregate([s, s], cfg, 2)
+        assert_allclose(res.span_values, np.array([1e7, 1e6]) + cfg.delta, rtol=1e-12, atol=0)
+        assert_allclose(res.sigma_beta, beta_mean([np.diag([1e7, 1e6, 0.0])] * 2, cfg), rtol=1e-12, atol=0)
+
     def test_span_in_place_of_summaries(self):
         rng = np.random.default_rng(42)
         summaries = [rand_summary(rng, 10, 3) for _ in range(3)]

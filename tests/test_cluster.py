@@ -2,6 +2,7 @@ import logging
 import socket
 import struct
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -233,6 +234,17 @@ class TestCoordinatorRound:
         with pytest.raises(InvalidInput):
             coordinator_round(msgs, self.job(q=4))
 
+    def test_wrong_rank_dropped(self, caplog):
+        # machine 2 answers with rank 3 before its rank-4 retry; machine 3 only with rank 3
+        msgs = self.msgs()
+        rng = np.random.default_rng(5)
+        wrong = [LocalSummaryMsg(machine_id=i, n_ell=20, summary=rand_summary(rng, 10, 3)) for i in (2, 3)]
+        with caplog.at_level(logging.WARNING):
+            res = coordinator_round([msgs[0], wrong[0], msgs[1], wrong[1]], self.job(), expected_m=3)
+        assert "dropping machine 3's message of rank 3 (job q=4)" in caplog.text
+        assert res.missing == (3,)
+        assert np.array_equal(res.sigma_beta, coordinator_round(msgs[:2], self.job()).sigma_beta)
+
     def test_cv_aggregates_plain_summaries(self):
         msgs = self.msgs(m=4)
         job = JobSpec(r=2, q=4, beta_mode=CvSelect(folds=2, seed=0))
@@ -345,6 +357,55 @@ class TestTransports:
         expected = run_local(shards[1:], job)
         assert np.array_equal(box["res"].leading.vectors, expected.leading.vectors)
 
+    def test_silent_connection_does_not_hold_the_round(self):
+        # a client connects first and never sends; the round ends once the m good frames are in
+        shards, _ = gaussian_shards(m=3)
+        job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
+        box, thread, host, port = serve_in_thread(3, job, timeout=30.0)
+        with socket.create_connection((host, port)):
+            for shard in shards:
+                send_summary(host, port, worker_round(shard, job))
+            thread.join(5.0)
+            assert not thread.is_alive()
+        assert box["res"].missing == ()
+        assert np.array_equal(box["res"].sigma_beta, run_local(shards, job).sigma_beta)
+
+    def test_stalled_frame_costs_only_its_worker(self):
+        # machine 1 sends half its frame and stalls; the round ends at its deadline with the rest
+        shards, _ = gaussian_shards(m=3)
+        job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
+        start = time.monotonic()
+        box, thread, host, port = serve_in_thread(3, job, timeout=1.0)
+        frame = encode_summary(worker_round(shards[0], job))
+        with socket.create_connection((host, port)) as stalled:
+            stalled.sendall(frame[:len(frame) // 2])
+            for shard in shards[1:]:
+                send_summary(host, port, worker_round(shard, job))
+            thread.join(5.0)
+            assert not thread.is_alive()
+        assert time.monotonic() - start <= 1.5
+        assert box["res"].missing == (1,)
+        assert np.array_equal(box["res"].sigma_beta, run_local(shards[1:], job).sigma_beta)
+
+    def test_frame_in_small_pieces_reassembled(self):
+        # machine 1's frame arrives 7 bytes at a time and is followed by junk
+        # that is never read, since a connection is read up to its length prefix
+        shards, _ = gaussian_shards(m=3)
+        job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
+        box, thread, host, port = serve_in_thread(3, job, timeout=10.0)
+        frame = encode_summary(worker_round(shards[0], job))
+        with socket.create_connection((host, port)) as conn:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for i in range(0, len(frame), 7):
+                conn.sendall(frame[i:i + 7])
+                time.sleep(0.001)
+            conn.sendall(b"junk" * 4)
+            for shard in shards[1:]:
+                send_summary(host, port, worker_round(shard, job))
+            thread.join(5.0)
+            assert not thread.is_alive()
+        assert box["res"].missing == ()
+        assert np.array_equal(box["res"].sigma_beta, run_local(shards, job).sigma_beta)
 
 class TestTimeoutResolution:
     def test_argument_wins(self, monkeypatch):
