@@ -9,8 +9,8 @@ a simulated cluster, and an experiment driver.
 
 from .aggregation import AggregateResult, BetaConfig, SummarySpan, beta_aggregate, beta_mean, fan_aggregate
 from .cluster import (CvSelect, FixedBeta, JobSpec, LocalSummaryMsg, coordinator_round,
-                      decode_summary, encode_summary, resolve_beta, resolve_timeout, run_local,
-                      run_sockets, send_summary, serve, worker_round)
+                      decode_summary, encode_summary, listen, resolve_beta, run_local, run_sockets,
+                      send_summary, serve, worker_round)
 from .divergence import MinimizerReport, divergence, generating_value, verify_minimizer
 from .errors import (ConvergenceError, CorruptMessage, DomainError, InvalidInput, IoError,
                      NotPSD, ParseError, PreconditionError, TieWarning)
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AggregateResult", "BetaConfig", "SummarySpan", "beta_aggregate", "beta_mean", "fan_aggregate",
     "CvSelect", "FixedBeta", "JobSpec", "LocalSummaryMsg", "coordinator_round",
-    "decode_summary", "encode_summary", "resolve_beta", "resolve_timeout", "run_local", "run_sockets",
+    "decode_summary", "encode_summary", "listen", "resolve_beta", "run_local", "run_sockets",
     "send_summary", "serve", "worker_round",
     "MinimizerReport", "divergence", "generating_value", "verify_minimizer",
     "ConvergenceError", "CorruptMessage", "DomainError", "InvalidInput", "IoError",

@@ -21,8 +21,6 @@ from .perturbation import PerturbationScenario, tolerance
 from .rngs import NOISE_EIGENVALUES, stream
 from .simgen import DISTRIBUTIONS, make_population, sample_data, signal_eigenvalues, split_shards
 
-logger = logging.getLogger(__name__)
-
 
 def _beta_value(text: str):
     if text == "cv":
@@ -65,9 +63,9 @@ def _add_endpoint_flags(sub):
     """The coordinator's address and the socket timeout, shared by serve and worker."""
     sub.add_argument("--host", default="127.0.0.1")
     sub.add_argument("--port", type=int, default=7071)
-    sub.add_argument("--timeout", type=float, default=None,
-                     help="seconds for each socket wait, connect and send "
-                          f"(default ${cluster.TIMEOUT_ENV_VAR} or 30)")
+    sub.add_argument("--timeout", type=float, default=cluster.DEFAULT_TIMEOUT_SECS,
+                     help="seconds for the round (serve), or for each connect and send (worker); "
+                          "default %(default)g")
 
 
 def _build_job(args) -> cluster.JobSpec:
@@ -155,6 +153,7 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_perturb(args) -> int:
+    noise_index = args.r if args.noise_index is None else args.noise_index
     # Shared signal block from the planted-eigenvalue law; per-machine noise
     # draws, each row sorted descending.
     rows = []
@@ -167,7 +166,7 @@ def cmd_perturb(args) -> int:
     for beta in args.beta:
         for d in args.d_l:
             sc = PerturbationScenario(base_spectra=spectra, r=args.r,
-                                      noise_index=args.noise_index, d_l=d, beta=beta)
+                                      noise_index=noise_index, d_l=d, beta=beta)
             rep = tolerance(sc)
             rows.append((beta, d, rep.lambda_tilde_l, rep.tau, rep.order_invariant))
     lines = ["beta,d_l,lambda_tilde_l,tau,order_invariant"]
@@ -196,10 +195,10 @@ def cmd_select_beta(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    agg = cluster.serve(
-        args.host, args.port, args.m, _build_job(args), timeout=args.timeout,
-        on_listen=lambda addr: print(f"listening on {addr[0]}:{addr[1]}", flush=True),
-    )
+    server = cluster.listen(args.host, args.port, args.m)
+    host, port = server.getsockname()[:2]
+    print(f"listening on {host}:{port}", flush=True)
+    agg = cluster.serve(server, args.m, _build_job(args), timeout=args.timeout)
     _print_result(agg)
     _save_result(agg, args.out)
     return 0
@@ -296,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
-    if getattr(args, "command", None) == "perturb" and args.noise_index is None:
-        args.noise_index = args.r
     try:
         return args.func(args)
     except (InvalidInput, DomainError, ConvergenceError, PreconditionError,

@@ -5,7 +5,8 @@ one message; the coordinator aggregates whatever arrives before the deadline.
 Two transports share the same codec: in-process (frames still pass through
 encode/decode, so results are bit-identical with the socket path) and TCP.
 Over TCP each connection carries one frame, read up to its length prefix, and
-one selector loop reads them all under one round deadline.
+one selector loop reads them all under one round deadline.  The coordinator
+binds (listen) before it serves, so its address is known before anyone sends.
 
 Wire frame, all little-endian:
 
@@ -27,15 +28,14 @@ CV rounds alike (see resolve_beta).
 from __future__ import annotations
 
 import logging
-import os
 import selectors
 import socket
 import struct
-import threading
 import time
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -52,7 +52,6 @@ VERSION = 1
 FRAME_OVERHEAD = 4 + 4 + 2 + 16 + 4
 
 DEFAULT_TIMEOUT_SECS = 30.0
-TIMEOUT_ENV_VAR = "BDPCA_TIMEOUT_SECS"
 # send_summary retries a refused connection this often, this many seconds apart
 CONNECT_RETRIES = 5
 CONNECT_BACKOFF_SECS = 0.2
@@ -172,14 +171,14 @@ def worker_round(shard: DataShard, job: JobSpec) -> LocalSummaryMsg:
 
 
 def coordinator_round(msgs: Sequence[LocalSummaryMsg], job: JobSpec,
-                      expected_m: int | None = None) -> AggregateResult:
+                      expected_ids: Iterable[int] | None = None) -> AggregateResult:
     """Aggregate the received messages (sorted by machine_id for determinism).
 
     Of the messages whose rank is the job's q, the first per machine id in
     arrival order is kept (a retried send counts once); every other message is
     dropped with a warning, and InvalidInput is raised if none is kept.  With
-    expected_m set, machines numbered 1..expected_m with no message kept are
-    listed in the result's `missing` field and the averaging weight becomes
+    expected_ids set, those machines with no message kept are listed in the
+    result's `missing` field and the averaging weight becomes
     1/(machines received).
     """
     first: dict[int, LocalSummaryMsg] = {}
@@ -192,11 +191,12 @@ def coordinator_round(msgs: Sequence[LocalSummaryMsg], job: JobSpec,
             first[m.machine_id] = m
     msgs = sorted(first.values(), key=lambda m: m.machine_id)
     missing: tuple[int, ...] = ()
-    if expected_m is not None:
-        missing = tuple(i for i in range(1, expected_m + 1) if i not in first)
+    if expected_ids is not None:
+        expected = sorted(set(expected_ids))
+        missing = tuple(i for i in expected if i not in first)
         if missing:
             logger.warning("aggregating without machines %s (%d of %d reported)",
-                           missing, len(msgs), expected_m)
+                           missing, len(msgs), len(expected))
     agg = resolve_beta(SummarySpan.of([m.summary for m in msgs]), job)
     return replace(agg, missing=missing)
 
@@ -228,20 +228,7 @@ def run_local(shards: Sequence[DataShard], job: JobSpec) -> AggregateResult:
     result is bit-identical with the socket transport."""
     frames = [encode_summary(worker_round(s, job)) for s in shards]
     msgs = [decode_summary(f) for f in frames]
-    return coordinator_round(msgs, job, expected_m=len(shards))
-
-
-def resolve_timeout(timeout: float | None = None) -> float:
-    """Explicit argument, else the BDPCA_TIMEOUT_SECS env var, else 30s."""
-    if timeout is not None:
-        return float(timeout)
-    env = os.environ.get(TIMEOUT_ENV_VAR)
-    if env:
-        try:
-            return float(env)
-        except ValueError as exc:
-            raise InvalidInput(f"{TIMEOUT_ENV_VAR}={env!r} is not a number") from exc
-    return DEFAULT_TIMEOUT_SECS
+    return coordinator_round(msgs, job, expected_ids=[s.machine_id for s in shards])
 
 
 def _frame_size(buf: bytearray) -> int:
@@ -250,9 +237,11 @@ def _frame_size(buf: bytearray) -> int:
 
 
 def _collect(server: socket.socket, m: int, timeout: float) -> list[LocalSummaryMsg]:
+    """Read frames from m distinct machines, or whatever arrives within
+    timeout; closes the listener and every connection.  IoError if none came."""
     deadline = time.monotonic() + timeout
     msgs: list[LocalSummaryMsg] = []
-    with selectors.DefaultSelector() as sel:
+    with server, selectors.DefaultSelector() as sel:
         sel.register(server, selectors.EVENT_READ)
         # distinct machines, so a repeated frame cannot crowd out a good worker
         while len({msg.machine_id for msg in msgs}) < m and (remaining := deadline - time.monotonic()) > 0:
@@ -279,47 +268,46 @@ def _collect(server: socket.socket, m: int, timeout: float) -> list[LocalSummary
                 conn.close()
         for key in sel.get_map().values():  # silent or stalled connections, and the listener: the round is over
             key.fileobj.close()
+    if not msgs:
+        raise IoError(f"no worker messages arrived within {timeout:g}s")
     return msgs
 
 
-def serve(host: str, port: int, m: int, job: JobSpec,
-          timeout: float | None = None, on_listen=None) -> AggregateResult:
-    """Coordinator side of the TCP transport.
-
-    Listens on host:port, waits up to the resolved timeout for m worker
-    messages (one frame per connection), then aggregates whatever arrived.
-    on_listen, when given, is called with the bound (host, port) before
-    accepting; port=0 picks a free port.
-    """
+def listen(host: str, port: int, m: int) -> socket.socket:
+    """Bind the coordinator's listening socket for a round of m workers;
+    port=0 picks a free port (read it from getsockname())."""
     if m < 1:
         raise InvalidInput("need at least one expected worker")
-    secs = resolve_timeout(timeout)
     try:
-        server = socket.create_server((host, port), backlog=m)
+        return socket.create_server((host, port), backlog=m)
     except OSError as exc:
         raise IoError(f"cannot bind {host}:{port}: {exc}") from exc
-    with server:
-        if on_listen is not None:
-            on_listen(server.getsockname()[:2])
-        msgs = _collect(server, m, secs)
-    if not msgs:
-        raise IoError(f"no worker messages arrived within {secs:g}s")
-    return coordinator_round(msgs, job, expected_m=m)
 
 
-def send_summary(host: str, port: int, msg: LocalSummaryMsg, timeout: float | None = None) -> int:
+def serve(server: socket.socket, m: int, job: JobSpec,
+          timeout: float = DEFAULT_TIMEOUT_SECS) -> AggregateResult:
+    """Coordinator side of the TCP transport, on a socket from listen().
+
+    Waits up to timeout seconds for m worker messages (one frame per
+    connection), then aggregates whatever arrived; machines 1..m that sent
+    nothing are listed as missing.  The listener is closed on every exit.
+    """
+    return coordinator_round(_collect(server, m, timeout), job, expected_ids=range(1, m + 1))
+
+
+def send_summary(host: str, port: int, msg: LocalSummaryMsg,
+                 timeout: float = DEFAULT_TIMEOUT_SECS) -> int:
     """Worker side of the TCP transport: one connection, one frame.
 
     Retries connection refusals briefly so workers may start slightly before
-    the coordinator.  timeout bounds each connect and send (resolved by
-    resolve_timeout).  Returns the number of bytes sent.
+    the coordinator.  timeout bounds each connect and send.  Returns the
+    number of bytes sent.
     """
     frame = encode_summary(msg)
-    secs = resolve_timeout(timeout)
     attempt = 0
     while True:
         try:
-            with socket.create_connection((host, port), timeout=secs) as conn:
+            with socket.create_connection((host, port), timeout=timeout) as conn:
                 conn.sendall(frame)
             return len(frame)
         except OSError as exc:
@@ -330,34 +318,19 @@ def send_summary(host: str, port: int, msg: LocalSummaryMsg, timeout: float | No
 
 
 def run_sockets(shards: Sequence[DataShard], job: JobSpec, host: str = "127.0.0.1",
-                port: int = 0, timeout: float | None = None) -> AggregateResult:
-    """Drive a full round over loopback TCP: coordinator thread plus one
-    send per shard.  Functionally identical to run_local."""
-    secs = resolve_timeout(timeout)
-    box: dict = {}
-    listening = threading.Event()
+                port: int = 0, timeout: float = DEFAULT_TIMEOUT_SECS) -> AggregateResult:
+    """Drive a full round over loopback TCP: bind, collect on one pool
+    thread, send one frame per shard from the caller.  Functionally
+    identical to run_local.
 
-    def _serve():
-        try:
-            box["result"] = serve(host, port, len(shards), job, timeout=secs,
-                                  on_listen=lambda addr: (box.__setitem__("addr", addr),
-                                                          listening.set()))
-        except BaseException as exc:  # propagate to the caller
-            box["error"] = exc
-            listening.set()
-
-    thread = threading.Thread(target=_serve, name="bdpca-coordinator", daemon=True)
-    thread.start()
-    if not listening.wait(secs):
-        raise IoError("coordinator did not start listening in time")
-    if "error" in box:
-        raise box["error"]
-    bound_host, bound_port = box["addr"]
-    for shard in shards:
-        send_summary(bound_host, bound_port, worker_round(shard, job), timeout=secs)
-    thread.join(secs + 5.0)
-    if thread.is_alive():
-        raise IoError("coordinator thread did not finish")
-    if "error" in box:
-        raise box["error"]
-    return box["result"]
+    A failed send raises once the collection has ended (at the latest at the
+    deadline), so no thread or listener outlives the call.
+    """
+    server = listen(host, port, len(shards))
+    bound = server.getsockname()[:2]
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="bdpca-coordinator") as pool:
+        collected = pool.submit(_collect, server, len(shards), timeout)
+        for shard in shards:
+            send_summary(*bound, worker_round(shard, job), timeout=timeout)
+        msgs = collected.result()
+    return coordinator_round(msgs, job, expected_ids=[s.machine_id for s in shards])

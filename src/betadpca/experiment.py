@@ -4,7 +4,6 @@ emission, and a gnuplot script generator for the similarity curves.
 
 from __future__ import annotations
 
-import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -19,8 +18,6 @@ from .local_pca import local_summary, truncate_summary
 from .rngs import REPLICATE, child_seed
 from .selection import DEFAULT_CANDIDATES
 from .simgen import GAUSSIAN, make_population, rho_curve, sample_data, split_shards
-
-logger = logging.getLogger(__name__)
 
 METHODS = ("beta=-1", "beta=0", "beta=1", "beta=cv", "fan")
 CSV_HEADER = "replicate,method,beta_used,k,rho_k"

@@ -12,7 +12,6 @@ NOISE_EIGENVALUES = 2
 DATA = 3
 FOLDS = 4
 REPLICATE = 5
-PERTURBATION = 6
 MINIMIZER = 7
 
 

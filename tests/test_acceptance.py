@@ -7,8 +7,8 @@ desk-scale experiment runs.
 """
 
 import dataclasses
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -30,6 +30,7 @@ from betadpca import (
     divergence,
     encode_summary,
     generating_value,
+    listen,
     make_population,
     matrix_function,
     run_experiment,
@@ -268,25 +269,16 @@ def test_criterion_8_protocol_correctness():
         # count the traffic by hand: one worker_round -> one send per shard
         msgs = [worker_round(s, job) for s in shards]
         assert len(msgs) == len(shards)
-        box: dict = {}
-        ready = threading.Event()
-
-        def _coordinator():
-            box["result"] = serve("127.0.0.1", 0, len(shards), job, timeout=30.0,
-                                  on_listen=lambda addr: (box.__setitem__("addr", addr),
-                                                          ready.set()))
-
-        th = threading.Thread(target=_coordinator, daemon=True)
-        th.start()
-        assert ready.wait(10.0)
-        host, port = box["addr"]
-        sent = [send_summary(host, port, m) for m in msgs]
-        th.join(30.0)
-        assert not th.is_alive()
+        server = listen("127.0.0.1", 0, len(shards))
+        host, port = server.getsockname()[:2]
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            coordinator = pool.submit(serve, server, len(shards), job, 30.0)
+            sent = [send_summary(host, port, m) for m in msgs]
+            result = coordinator.result(30.0)
         assert len(sent) == len(shards)
         assert sent == [len(encode_summary(m)) for m in msgs]
-        assert box["result"].missing == ()
-        assert box["result"].sigma_beta.tobytes() == local.sigma_beta.tobytes()
+        assert result.missing == ()
+        assert result.sigma_beta.tobytes() == local.sigma_beta.tobytes()
 
 
 def test_criterion_9_simulate_determinism(tmp_path):

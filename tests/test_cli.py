@@ -169,7 +169,7 @@ class TestServeWorker:
                        "--seed", "7", "--out", str(gen_dir)) == 0
         seen = []
 
-        def fake_send(host, port, msg, timeout=None):
+        def fake_send(host, port, msg, timeout):
             seen.append(timeout)
             return 0
 
@@ -177,7 +177,7 @@ class TestServeWorker:
         shard = str(gen_dir / "shard_001.bdpx")
         assert run_cli("worker", "--shard", shard, "--r", "2", "--q", "4", "--timeout", "2.5") == 0
         assert run_cli("worker", "--shard", shard, "--r", "2", "--q", "4") == 0
-        assert seen == [2.5, None]  # None: send_summary resolves the env var or 30 s
+        assert seen == [2.5, 30.0]  # --timeout defaults to the cluster's 30 s
 
 
 class TestArgumentParsing:

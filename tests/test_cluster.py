@@ -4,6 +4,7 @@ import struct
 import threading
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -25,9 +26,9 @@ from betadpca import (
     coordinator_round,
     decode_summary,
     encode_summary,
+    listen,
     local_summary,
     make_population,
-    resolve_timeout,
     rho_similarity,
     run_local,
     run_sockets,
@@ -38,6 +39,7 @@ from betadpca import (
     truncate_summary,
     worker_round,
 )
+from betadpca import cluster
 from betadpca.cluster import FRAME_OVERHEAD
 from helpers import count_span_svds, rand_summary, wrap_frame
 
@@ -55,20 +57,15 @@ def gaussian_shards(p=20, n=60, m=3, r=2, seed=0):
     return split_shards(sample_data(model), m), model
 
 
-def serve_in_thread(m, job, timeout):
-    """Start serve on a free loopback port; returns (box, thread, host, port),
-    with the round's result in box["res"] once the thread ends."""
-    box = {}
-    listening = threading.Event()
-
-    def _serve():
-        box["res"] = serve("127.0.0.1", 0, m, job, timeout=timeout,
-                           on_listen=lambda addr: (box.__setitem__("addr", addr), listening.set()))
-
-    thread = threading.Thread(target=_serve, daemon=True)
-    thread.start()
-    assert listening.wait(5.0)
-    return box, thread, *box["addr"]
+@pytest.fixture
+def serve_in_thread():
+    """start(m, job, timeout) serves a round on a free loopback port and
+    returns (future, host, port), the future holding the round's result."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        def start(m, job, timeout):
+            server = listen("127.0.0.1", 0, m)
+            return pool.submit(serve, server, m, job, timeout), *server.getsockname()[:2]
+        yield start
 
 
 class TestCodec:
@@ -211,9 +208,9 @@ class TestCoordinatorRound:
     def test_repeated_frame_dropped(self, caplog):
         # a retried send delivers machine 1's frame twice; the copy is dropped
         msgs = self.msgs()
-        want = coordinator_round(msgs, self.job(), expected_m=3)
+        want = coordinator_round(msgs, self.job(), expected_ids=(1, 2, 3))
         with caplog.at_level(logging.WARNING):
-            res = coordinator_round(msgs + [msgs[0]], self.job(), expected_m=3)
+            res = coordinator_round(msgs + [msgs[0]], self.job(), expected_ids=(1, 2, 3))
         assert "repeated message from machine 1" in caplog.text
         assert res.missing == ()
         assert np.array_equal(res.span_values, want.span_values)
@@ -240,7 +237,7 @@ class TestCoordinatorRound:
         rng = np.random.default_rng(5)
         wrong = [LocalSummaryMsg(machine_id=i, n_ell=20, summary=rand_summary(rng, 10, 3)) for i in (2, 3)]
         with caplog.at_level(logging.WARNING):
-            res = coordinator_round([msgs[0], wrong[0], msgs[1], wrong[1]], self.job(), expected_m=3)
+            res = coordinator_round([msgs[0], wrong[0], msgs[1], wrong[1]], self.job(), expected_ids=(1, 2, 3))
         assert "dropping machine 3's message of rank 3 (job q=4)" in caplog.text
         assert res.missing == (3,)
         assert np.array_equal(res.sigma_beta, coordinator_round(msgs[:2], self.job()).sigma_beta)
@@ -264,7 +261,7 @@ class TestCoordinatorRound:
     def test_missing_machines_reported(self, caplog):
         msgs = self.msgs(m=3)
         with caplog.at_level(logging.WARNING):
-            res = coordinator_round(msgs, self.job(), expected_m=5)
+            res = coordinator_round(msgs, self.job(), expected_ids=range(1, 6))
         assert res.missing == (4, 5)
         assert "3 of 5 reported" in caplog.text
 
@@ -273,7 +270,7 @@ class TestCoordinatorRound:
         shards, _ = gaussian_shards(m=4, n=80, seed=int(rng.integers(1000)))
         job = JobSpec(r=2, q=4, beta_mode=CvSelect(folds=2, seed=1))
         msgs = [worker_round(s, job) for s in shards]
-        res = coordinator_round(msgs, job, expected_m=4)
+        res = coordinator_round(msgs, job, expected_ids=(1, 2, 3, 4))
         assert res.cv is not None
         assert res.beta_used == res.cv.best_beta
         assert res.missing == ()
@@ -299,100 +296,138 @@ class TestTransports:
         assert a.cv.best_beta == b.cv.best_beta
         assert a.cv.scores == b.cv.scores
 
-    def test_serve_aggregates_partial_round_on_timeout(self, caplog):
+    def test_subset_of_machines_is_not_missing_any(self, caplog):
+        # shards 2 and 4 of four: a round of exactly those machines is complete
+        shards, _ = gaussian_shards(m=4, n=80)
+        subset = [shards[1], shards[3]]
+        assert [s.machine_id for s in subset] == [2, 4]
+        job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
+        with caplog.at_level(logging.WARNING):
+            a = run_local(subset, job)
+            b = run_sockets(subset, job)
+        assert a.missing == () and b.missing == ()
+        assert "aggregating without" not in caplog.text
+        assert np.array_equal(a.sigma_beta, b.sigma_beta)
+
+    def test_failing_send_leaves_nothing_behind(self, monkeypatch):
+        # the second shard's send fails: the error surfaces once the round's
+        # deadline has passed, with no coordinator thread or listener left
+        shards, _ = gaussian_shards(m=3)
+        job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
+        real, addrs = cluster.send_summary, []
+
+        def flaky(host, port, msg, timeout):
+            addrs.append((host, port))
+            if len(addrs) == 2:
+                raise IoError("link down")
+            return real(host, port, msg, timeout=timeout)
+
+        monkeypatch.setattr(cluster, "send_summary", flaky)
+        before = threading.active_count()
+        with pytest.raises(IoError, match="link down"):
+            run_sockets(shards, job, timeout=0.5)
+        assert threading.active_count() == before
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(addrs[0], timeout=1.0).close()
+
+    def test_listen_rejects_an_empty_round_and_a_taken_port(self):
+        with pytest.raises(InvalidInput):
+            listen("127.0.0.1", 0, 0)
+        with listen("127.0.0.1", 0, 1) as taken:
+            with pytest.raises(IoError, match="cannot bind"):
+                listen("127.0.0.1", taken.getsockname()[1], 1)
+
+    def test_serve_aggregates_partial_round_on_timeout(self, caplog, serve_in_thread):
         shards, _ = gaussian_shards(m=2)
         job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
         with caplog.at_level(logging.WARNING):
-            box, thread, host, port = serve_in_thread(2, job, timeout=1.0)
+            round_, host, port = serve_in_thread(2, job, timeout=1.0)
             send_summary(host, port, worker_round(shards[0], job))
-            thread.join(10.0)
-        assert not thread.is_alive()
-        assert box["res"].missing == (2,)
+            res = round_.result(10.0)
+        assert res.missing == (2,)
 
     def test_serve_with_no_workers_raises(self):
         job = JobSpec(r=1, q=2, beta_mode=FixedBeta(1.0))
+        server = listen("127.0.0.1", 0, 1)
         with pytest.raises(IoError):
-            serve("127.0.0.1", 0, 1, job, timeout=0.2)
+            serve(server, 1, job, timeout=0.2)
+        assert server.fileno() == -1  # closed
 
-    def test_garbage_connection_dropped(self):
+    def test_garbage_connection_dropped(self, serve_in_thread):
         shards, _ = gaussian_shards(m=2)
         job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
-        box, thread, host, port = serve_in_thread(2, job, timeout=5.0)
+        round_, host, port = serve_in_thread(2, job, timeout=5.0)
         with socket.create_connection((host, port)) as conn:
             conn.sendall(struct.pack("<I", 8) + b"junkjunk")
         for shard in shards:
             send_summary(host, port, worker_round(shard, job))
-        thread.join(10.0)
-        assert box["res"].missing == ()
-        assert len(box["res"].leading.values) == 1
+        res = round_.result(10.0)
+        assert res.missing == ()
+        assert len(res.leading.values) == 1
 
-    def test_repeated_frame_does_not_crowd_out_a_worker(self):
+    def test_repeated_frame_does_not_crowd_out_a_worker(self, serve_in_thread):
         # machine 1's frame arrives twice before machines 2 and 3 send theirs
         shards, _ = gaussian_shards(m=3)
         job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
-        box, thread, host, port = serve_in_thread(3, job, timeout=5.0)
+        round_, host, port = serve_in_thread(3, job, timeout=5.0)
         for shard in [shards[0], *shards]:
             send_summary(host, port, worker_round(shard, job))
-        thread.join(10.0)
-        assert not thread.is_alive()
-        assert box["res"].missing == ()
+        res = round_.result(10.0)
+        assert res.missing == ()
         expected = run_local(shards, job)
-        assert np.array_equal(box["res"].leading.vectors, expected.leading.vectors)
+        assert np.array_equal(res.leading.vectors, expected.leading.vectors)
 
-    def test_reset_connection_dropped(self):
+    def test_reset_connection_dropped(self, serve_in_thread):
         # machine 1 sends 8 bytes of its frame, then resets the connection
         # (SO_LINGER 0); the round goes on with the other two
         shards, _ = gaussian_shards(m=3)
         job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
-        box, thread, host, port = serve_in_thread(3, job, timeout=1.5)
+        round_, host, port = serve_in_thread(3, job, timeout=1.5)
         conn = socket.create_connection((host, port))
         conn.sendall(encode_summary(worker_round(shards[0], job))[:8])
         conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
         conn.close()
         for shard in shards[1:]:
             send_summary(host, port, worker_round(shard, job))
-        thread.join(10.0)
-        assert not thread.is_alive()
-        assert box["res"].missing == (1,)
+        res = round_.result(10.0)
+        assert res.missing == (1,)
         expected = run_local(shards[1:], job)
-        assert np.array_equal(box["res"].leading.vectors, expected.leading.vectors)
+        assert np.array_equal(res.leading.vectors, expected.leading.vectors)
 
-    def test_silent_connection_does_not_hold_the_round(self):
+    def test_silent_connection_does_not_hold_the_round(self, serve_in_thread):
         # a client connects first and never sends; the round ends once the m good frames are in
         shards, _ = gaussian_shards(m=3)
         job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
-        box, thread, host, port = serve_in_thread(3, job, timeout=30.0)
+        round_, host, port = serve_in_thread(3, job, timeout=30.0)
         with socket.create_connection((host, port)):
             for shard in shards:
                 send_summary(host, port, worker_round(shard, job))
-            thread.join(5.0)
-            assert not thread.is_alive()
-        assert box["res"].missing == ()
-        assert np.array_equal(box["res"].sigma_beta, run_local(shards, job).sigma_beta)
+            res = round_.result(5.0)
+        assert res.missing == ()
+        assert np.array_equal(res.sigma_beta, run_local(shards, job).sigma_beta)
 
-    def test_stalled_frame_costs_only_its_worker(self):
+    def test_stalled_frame_costs_only_its_worker(self, serve_in_thread):
         # machine 1 sends half its frame and stalls; the round ends at its deadline with the rest
         shards, _ = gaussian_shards(m=3)
         job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
         start = time.monotonic()
-        box, thread, host, port = serve_in_thread(3, job, timeout=1.0)
+        round_, host, port = serve_in_thread(3, job, timeout=1.0)
         frame = encode_summary(worker_round(shards[0], job))
         with socket.create_connection((host, port)) as stalled:
             stalled.sendall(frame[:len(frame) // 2])
             for shard in shards[1:]:
                 send_summary(host, port, worker_round(shard, job))
-            thread.join(5.0)
-            assert not thread.is_alive()
+            res = round_.result(5.0)
         assert time.monotonic() - start <= 1.5
-        assert box["res"].missing == (1,)
-        assert np.array_equal(box["res"].sigma_beta, run_local(shards[1:], job).sigma_beta)
+        assert res.missing == (1,)
+        assert np.array_equal(res.sigma_beta, run_local(shards[1:], job).sigma_beta)
 
-    def test_frame_in_small_pieces_reassembled(self):
+    def test_frame_in_small_pieces_reassembled(self, serve_in_thread):
         # machine 1's frame arrives 7 bytes at a time and is followed by junk
         # that is never read, since a connection is read up to its length prefix
         shards, _ = gaussian_shards(m=3)
         job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
-        box, thread, host, port = serve_in_thread(3, job, timeout=10.0)
+        round_, host, port = serve_in_thread(3, job, timeout=10.0)
         frame = encode_summary(worker_round(shards[0], job))
         with socket.create_connection((host, port)) as conn:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -402,31 +437,16 @@ class TestTransports:
             conn.sendall(b"junk" * 4)
             for shard in shards[1:]:
                 send_summary(host, port, worker_round(shard, job))
-            thread.join(5.0)
-            assert not thread.is_alive()
-        assert box["res"].missing == ()
-        assert np.array_equal(box["res"].sigma_beta, run_local(shards, job).sigma_beta)
+            res = round_.result(5.0)
+        assert res.missing == ()
+        assert np.array_equal(res.sigma_beta, run_local(shards, job).sigma_beta)
+
 
 class TestTimeoutResolution:
-    def test_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("BDPCA_TIMEOUT_SECS", "7")
-        assert resolve_timeout(2.5) == 2.5
+    """The deadline is the timeout argument, which defaults to 30 s."""
 
-    def test_env_var(self, monkeypatch):
-        monkeypatch.setenv("BDPCA_TIMEOUT_SECS", "7.5")
-        assert resolve_timeout(None) == 7.5
-
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("BDPCA_TIMEOUT_SECS", raising=False)
-        assert resolve_timeout(None) == 30.0
-
-    def test_bad_env_value(self, monkeypatch):
-        monkeypatch.setenv("BDPCA_TIMEOUT_SECS", "soon")
-        with pytest.raises(InvalidInput):
-            resolve_timeout(None)
-
-    def test_run_sockets_passes_its_timeout_to_every_send(self, monkeypatch):
-        monkeypatch.delenv("BDPCA_TIMEOUT_SECS", raising=False)
+    @staticmethod
+    def spy_connect(monkeypatch):
         seen = []
         real = socket.create_connection
 
@@ -435,6 +455,28 @@ class TestTimeoutResolution:
             return real(address, timeout, *args, **kwargs)
 
         monkeypatch.setattr(socket, "create_connection", spy)
+        return seen
+
+    def test_argument_wins(self, monkeypatch, serve_in_thread):
+        seen = self.spy_connect(monkeypatch)
+        job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
+        shards, _ = gaussian_shards(m=1)
+        round_, host, port = serve_in_thread(1, job, timeout=5.0)
+        send_summary(host, port, worker_round(shards[0], job), timeout=2.5)
+        round_.result(10.0)
+        assert seen == [2.5]
+
+    def test_default(self, monkeypatch, serve_in_thread):
+        seen = self.spy_connect(monkeypatch)
+        job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
+        shards, _ = gaussian_shards(m=1)
+        round_, host, port = serve_in_thread(1, job, timeout=5.0)
+        send_summary(host, port, worker_round(shards[0], job))
+        round_.result(10.0)
+        assert seen == [30.0]
+
+    def test_run_sockets_passes_its_timeout_to_every_send(self, monkeypatch):
+        seen = self.spy_connect(monkeypatch)
         shards, _ = gaussian_shards(m=2)
         run_sockets(shards, JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0)), timeout=4.5)
         assert seen == [4.5, 4.5]
