@@ -1,7 +1,9 @@
 """Command-line interface.
 
-Subcommands: gen, simulate, aggregate, perturb, select-beta, serve, worker,
-plot-script.  Run `betadpca <subcommand> --help` for the flags.
+Subcommands, one per job: gen, simulate, aggregate, perturb, serve, worker.
+Run `betadpca <subcommand> --help` for the flags.  Each output is written by
+the run that computes it: `simulate` writes its gnuplot script beside the CSV,
+and `aggregate`/`serve --beta cv --out` keep the CV scores in the .npz.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from .local_pca import read_shard, write_shard
 from .perturbation import PerturbationScenario, tolerance
 from .rngs import NOISE_EIGENVALUES, stream
 from .simgen import DISTRIBUTIONS, make_population, sample_data, signal_eigenvalues, split_shards
+
+_NPZ_HELP = "write the factored estimate and leading block (with --beta cv, also the fold scores) to this .npz"
 
 
 def _beta_value(text: str):
@@ -45,14 +49,13 @@ def _add_size_flags(sub):
     sub.add_argument("--r", type=int, default=5, help="target rank")
 
 
-def _add_job_flags(sub, beta_flag=True):
-    """The JobSpec flags of aggregate, select-beta, serve and worker (see _build_job)."""
+def _add_job_flags(sub):
+    """The JobSpec flags of aggregate, serve and worker (see _build_job)."""
     sub.add_argument("--r", type=int, default=5, help="target rank")
     sub.add_argument("--q", type=int, default=10, help="local summary rank (q >= r)")
-    if beta_flag:
-        sub.add_argument("--beta", type=_beta_value, default=1.0,
-                         help="a number or 'cv'; only the coordinator reads it "
-                              "(a worker sends the same frame for every beta)")
+    sub.add_argument("--beta", type=_beta_value, default=1.0,
+                     help="a number or 'cv'; only the coordinator reads it "
+                          "(a worker sends the same frame for every beta)")
     sub.add_argument("--delta", type=float, default=1e-5)
     sub.add_argument("--center", action="store_true")
     sub.add_argument("--cv-folds", type=int, default=5, help="folds for beta selection")
@@ -90,13 +93,20 @@ def _print_result(agg) -> None:
 
 
 def _save_result(agg, out) -> None:
+    """Write the factored estimate, and in a CV round the fold scores, to the
+    .npz at out (the path as given: np.savez adds no suffix to an open file)."""
     if out is None:
         return
+    arrays = dict(span_values=agg.span_values, span_vectors=agg.span_vectors,
+                  complement=agg.complement_value, values=agg.leading.values,
+                  vectors=agg.leading.vectors, branch=agg.branch,
+                  beta_used=np.nan if agg.beta_used is None else agg.beta_used)
+    if agg.cv is not None:
+        arrays.update(cv_betas=list(agg.cv.scores), cv_scores=list(agg.cv.scores.values()),
+                      cv_per_fold=agg.cv.per_fold)
     try:
-        np.savez(out, span_values=agg.span_values, span_vectors=agg.span_vectors,
-                 complement=agg.complement_value, values=agg.leading.values,
-                 vectors=agg.leading.vectors, branch=agg.branch,
-                 beta_used=np.nan if agg.beta_used is None else agg.beta_used)
+        with open(out, "wb") as fh:
+            np.savez(fh, **arrays)
     except OSError as exc:
         raise IoError(f"cannot write {out}: {exc}") from exc
     print(f"wrote {out}")
@@ -140,12 +150,8 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _load_shards(paths):
-    return [read_shard(path, machine_id=i + 1) for i, path in enumerate(paths)]
-
-
 def cmd_aggregate(args) -> int:
-    shards = _load_shards(args.shards)
+    shards = [read_shard(path, machine_id=i + 1) for i, path in enumerate(args.shards)]
     agg = cluster.run_local(shards, _build_job(args))
     _print_result(agg)
     _save_result(agg, args.out)
@@ -180,20 +186,6 @@ def cmd_perturb(args) -> int:
     return 0
 
 
-def cmd_select_beta(args) -> int:
-    cv = cluster.run_local(_load_shards(args.shards), _build_job(args)).cv
-    for b, s in cv.scores.items():
-        print(f"beta={b:g}: mean discrepancy {s:.6g}")
-    print(f"selected beta = {cv.best_beta:g}")
-    if args.out:
-        lines = ["fold," + ",".join(f"beta={b:g}" for b in cv.scores)]
-        for j, row in enumerate(cv.per_fold):
-            lines.append(f"{j + 1}," + ",".join(repr(float(v)) for v in row))
-        experiment.write_text(args.out, "\n".join(lines) + "\n")
-        print(f"wrote {args.out}")
-    return 0
-
-
 def cmd_serve(args) -> int:
     server = cluster.listen(args.host, args.port, args.m)
     host, port = server.getsockname()[:2]
@@ -209,12 +201,6 @@ def cmd_worker(args) -> int:
     msg = cluster.worker_round(shard, _build_job(args))
     sent = cluster.send_summary(args.host, args.port, msg, timeout=args.timeout)
     print(f"machine {shard.machine_id}: sent {sent} bytes to {args.host}:{args.port}")
-    return 0
-
-
-def cmd_plot_script(args) -> int:
-    experiment.emit_plot_script(args.csv, args.out)
-    print(f"wrote {args.out}")
     return 0
 
 
@@ -242,13 +228,14 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--paper-scale", action="store_true",
                      help="p=500, n=250, m=5, 100 replicates")
     sim.add_argument("--cv-folds", type=int, default=5, help="folds for beta selection")
-    sim.add_argument("--out", default="results.csv")
+    sim.add_argument("--out", default="results.csv",
+                     help="main CSV; the summaries and the gnuplot script <stem>.gp go beside it")
     sim.set_defaults(func=cmd_simulate)
 
     agg = subs.add_parser("aggregate", help="aggregate shard files in one round")
     agg.add_argument("shards", nargs="+", help="shard files (binary or CSV)")
     _add_job_flags(agg)
-    agg.add_argument("--out", help="write the factored estimate and leading block to this .npz")
+    agg.add_argument("--out", help=_NPZ_HELP)
     agg.set_defaults(func=cmd_aggregate)
 
     pert = subs.add_parser("perturb", help="perturbation tolerance sweep (CSV)")
@@ -263,17 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
     pert.add_argument("--out", help="CSV path (stdout when omitted)")
     pert.set_defaults(func=cmd_perturb)
 
-    sel = subs.add_parser("select-beta", help="the CV round of aggregate --beta cv, with per-fold scores")
-    sel.add_argument("shards", nargs="+")
-    _add_job_flags(sel, beta_flag=False)
-    sel.add_argument("--out", help="per-fold score CSV")
-    sel.set_defaults(func=cmd_select_beta, beta="cv")
-
     srv = subs.add_parser("serve", help="coordinator: listen for worker summaries")
     _add_endpoint_flags(srv)
     srv.add_argument("--m", type=int, required=True, help="number of expected workers")
     _add_job_flags(srv)
-    srv.add_argument("--out", help="write the factored estimate and leading block to this .npz")
+    srv.add_argument("--out", help=_NPZ_HELP)
     srv.set_defaults(func=cmd_serve)
 
     wrk = subs.add_parser("worker", help="compute one shard's summary and send it")
@@ -283,11 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_endpoint_flags(wrk)
     _add_job_flags(wrk)
     wrk.set_defaults(func=cmd_worker)
-
-    plot = subs.add_parser("plot-script", help="emit a gnuplot script for a results CSV")
-    plot.add_argument("--csv", required=True)
-    plot.add_argument("--out", required=True)
-    plot.set_defaults(func=cmd_plot_script)
 
     return parser
 

@@ -170,30 +170,40 @@ def worker_round(shard: DataShard, job: JobSpec) -> LocalSummaryMsg:
     return LocalSummaryMsg(machine_id=shard.machine_id, n_ell=shard.n_ell, summary=summary)
 
 
+def _keep(first: dict[int, LocalSummaryMsg], msg: LocalSummaryMsg, job: JobSpec,
+          expected: frozenset[int] | None) -> None:
+    """Add msg to first (keyed by machine id) if the round keeps it: it is
+    from an expected machine, has the job's rank q, and is that machine's
+    first such message in arrival order (a retried send counts once).  Any
+    other message is dropped with a warning naming its machine."""
+    if expected is not None and msg.machine_id not in expected:
+        logger.warning("dropping a message from unexpected machine %d", msg.machine_id)
+    elif msg.q != job.q:
+        logger.warning("dropping machine %d's message of rank %d (job q=%d)", msg.machine_id, msg.q, job.q)
+    elif msg.machine_id in first:
+        logger.warning("dropping a repeated message from machine %d", msg.machine_id)
+    else:
+        first[msg.machine_id] = msg
+
+
 def coordinator_round(msgs: Sequence[LocalSummaryMsg], job: JobSpec,
                       expected_ids: Iterable[int] | None = None) -> AggregateResult:
     """Aggregate the received messages (sorted by machine_id for determinism).
 
-    Of the messages whose rank is the job's q, the first per machine id in
-    arrival order is kept (a retried send counts once); every other message is
+    The messages that _keep accepts are aggregated; every other one is
     dropped with a warning, and InvalidInput is raised if none is kept.  With
-    expected_ids set, those machines with no message kept are listed in the
-    result's `missing` field and the averaging weight becomes
-    1/(machines received).
+    expected_ids set, a message from any other machine is dropped, those
+    expected machines with no message kept are listed in the result's
+    `missing` field, and the averaging weight becomes 1/(machines received).
     """
+    expected = None if expected_ids is None else frozenset(expected_ids)
     first: dict[int, LocalSummaryMsg] = {}
     for m in msgs:
-        if m.q != job.q:
-            logger.warning("dropping machine %d's message of rank %d (job q=%d)", m.machine_id, m.q, job.q)
-        elif m.machine_id in first:
-            logger.warning("dropping a repeated message from machine %d", m.machine_id)
-        else:
-            first[m.machine_id] = m
+        _keep(first, m, job, expected)
     msgs = sorted(first.values(), key=lambda m: m.machine_id)
     missing: tuple[int, ...] = ()
-    if expected_ids is not None:
-        expected = sorted(set(expected_ids))
-        missing = tuple(i for i in expected if i not in first)
+    if expected is not None:
+        missing = tuple(i for i in sorted(expected) if i not in first)
         if missing:
             logger.warning("aggregating without machines %s (%d of %d reported)",
                            missing, len(msgs), len(expected))
@@ -236,15 +246,18 @@ def _frame_size(buf: bytearray) -> int:
     return 4 + int.from_bytes(buf[:4], "little") if len(buf) >= 4 else 4
 
 
-def _collect(server: socket.socket, m: int, timeout: float) -> list[LocalSummaryMsg]:
-    """Read frames from m distinct machines, or whatever arrives within
-    timeout; closes the listener and every connection.  IoError if none came."""
+def _collect(server: socket.socket, expected_ids: Iterable[int], job: JobSpec,
+             timeout: float) -> list[LocalSummaryMsg]:
+    """Read frames until every expected machine has one that the round keeps
+    (see _keep), or until timeout; returns the kept messages in arrival order
+    and closes the listener and every connection.  IoError if none was kept."""
     deadline = time.monotonic() + timeout
-    msgs: list[LocalSummaryMsg] = []
+    expected = frozenset(expected_ids)
+    first: dict[int, LocalSummaryMsg] = {}
     with server, selectors.DefaultSelector() as sel:
         sel.register(server, selectors.EVENT_READ)
-        # distinct machines, so a repeated frame cannot crowd out a good worker
-        while len({msg.machine_id for msg in msgs}) < m and (remaining := deadline - time.monotonic()) > 0:
+        # a stray, wrong-rank or repeated frame is not kept, so it cannot end the round
+        while len(first) < len(expected) and (remaining := deadline - time.monotonic()) > 0:
             for key, _ in sel.select(remaining):
                 if key.fileobj is server:
                     conn, _addr = server.accept()
@@ -259,7 +272,7 @@ def _collect(server: socket.socket, m: int, timeout: float) -> list[LocalSummary
                     buf += chunk
                     if len(buf) < _frame_size(buf):
                         continue
-                    msgs.append(decode_summary(buf))
+                    _keep(first, decode_summary(buf), job, expected)
                 except BlockingIOError:  # a spurious wakeup: nothing to read yet
                     continue
                 except (CorruptMessage, ParseError, OSError) as exc:  # OSError: reset or closed mid-frame
@@ -268,9 +281,9 @@ def _collect(server: socket.socket, m: int, timeout: float) -> list[LocalSummary
                 conn.close()
         for key in sel.get_map().values():  # silent or stalled connections, and the listener: the round is over
             key.fileobj.close()
-    if not msgs:
-        raise IoError(f"no worker messages arrived within {timeout:g}s")
-    return msgs
+    if not first:
+        raise IoError(f"no usable worker message arrived within {timeout:g}s")
+    return list(first.values())
 
 
 def listen(host: str, port: int, m: int) -> socket.socket:
@@ -288,11 +301,14 @@ def serve(server: socket.socket, m: int, job: JobSpec,
           timeout: float = DEFAULT_TIMEOUT_SECS) -> AggregateResult:
     """Coordinator side of the TCP transport, on a socket from listen().
 
-    Waits up to timeout seconds for m worker messages (one frame per
-    connection), then aggregates whatever arrived; machines 1..m that sent
-    nothing are listed as missing.  The listener is closed on every exit.
+    Waits up to timeout seconds for a message from each of machines 1..m
+    (one frame per connection), then aggregates those; a frame from any other
+    machine, of the wrong rank, or repeated, is dropped and does not end the
+    round, and machines 1..m with no message kept are listed as missing.  The
+    listener is closed on every exit.
     """
-    return coordinator_round(_collect(server, m, timeout), job, expected_ids=range(1, m + 1))
+    expected = range(1, m + 1)
+    return coordinator_round(_collect(server, expected, job, timeout), job, expected_ids=expected)
 
 
 def send_summary(host: str, port: int, msg: LocalSummaryMsg,
@@ -328,9 +344,10 @@ def run_sockets(shards: Sequence[DataShard], job: JobSpec, host: str = "127.0.0.
     """
     server = listen(host, port, len(shards))
     bound = server.getsockname()[:2]
+    expected = [s.machine_id for s in shards]
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="bdpca-coordinator") as pool:
-        collected = pool.submit(_collect, server, len(shards), timeout)
+        collected = pool.submit(_collect, server, expected, job, timeout)
         for shard in shards:
             send_summary(*bound, worker_round(shard, job), timeout=timeout)
         msgs = collected.result()
-    return coordinator_round(msgs, job, expected_ids=[s.machine_id for s in shards])
+    return coordinator_round(msgs, job, expected_ids=expected)

@@ -1,5 +1,5 @@
-"""Replicated simulation experiments comparing the aggregation methods, CSV
-emission, and a gnuplot script generator for the similarity curves.
+"""Replicated simulation experiments comparing the aggregation methods, and
+their outputs: the CSVs and a gnuplot script for the similarity curves.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 
 from .aggregation import SummarySpan, fan_aggregate
 from .cluster import CvSelect, FixedBeta, JobSpec, resolve_beta
-from .errors import InvalidInput, IoError, ParseError
+from .errors import InvalidInput, IoError
 from .local_pca import local_summary, truncate_summary
 from .rngs import REPLICATE, child_seed
 from .selection import DEFAULT_CANDIDATES
@@ -179,41 +179,19 @@ def write_text(path, text: str) -> None:
 
 
 def run_and_write(spec: ExperimentSpec, out_path) -> ExperimentResult:
-    """Run the experiment and emit the main CSV plus both summary files."""
+    """Run the experiment and emit the main CSV, both summary files, and a
+    gnuplot script for the rho_k curves (<csv stem>.gp beside the CSV)."""
     result = run_experiment(spec)
     out_path = Path(out_path)
     write_rows_csv(result.rows, out_path)
     write_summary_files(result, out_path.parent)
+    _write_plot_script(out_path, spec.methods, out_path.with_suffix(".gp"))
     return result
 
 
-def emit_plot_script(csv_path, out_path=None) -> str:
-    """Generate a gnuplot script drawing one mean-similarity curve per method.
-
-    The script references the CSV (no rendering happens here).  Raises
-    ParseError when the CSV is empty, lacks the expected header, or has no
-    data rows.
-    """
-    csv_path = Path(csv_path)
-    try:
-        text = csv_path.read_text()
-    except OSError as exc:
-        raise IoError(f"cannot read {csv_path}: {exc}") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError(f"{csv_path}: empty CSV")
-    if lines[0] != CSV_HEADER:
-        raise ParseError(f"{csv_path}: expected header {CSV_HEADER!r}, got {lines[0]!r}")
-    methods: list[str] = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 5:
-            raise ParseError(f"{csv_path}: malformed row {ln!r}")
-        if parts[1] not in methods:
-            methods.append(parts[1])
-    if not methods:
-        raise ParseError(f"{csv_path}: no data rows")
-
+def _write_plot_script(csv_path: Path, methods, out_path) -> None:
+    """A gnuplot script drawing one mean-similarity curve per method from the
+    CSV at csv_path (no rendering happens here)."""
     curves = ", \\\n  ".join(
         f"csv using 4:(strcol(2) eq '{meth}' ? column(5) : 1/0) "
         f"smooth unique with linespoints title '{meth}'"
@@ -231,6 +209,4 @@ def emit_plot_script(csv_path, out_path=None) -> str:
         f"plot {curves}",
         "",
     ])
-    if out_path is not None:
-        write_text(out_path, script)
-    return script
+    write_text(out_path, script)

@@ -4,7 +4,9 @@ import threading
 import numpy as np
 import pytest
 
-from betadpca import CvSelect, FixedBeta, JobSpec, cli, read_shard, run_local
+from betadpca import DEFAULT_CANDIDATES, CvSelect, FixedBeta, JobSpec, cli, read_shard, run_local
+
+CV_KEYS = {"cv_betas", "cv_scores", "cv_per_fold"}
 
 
 def free_port():
@@ -48,6 +50,7 @@ class TestGenAggregateSelect:
         assert data["values"].shape == (2,)
         assert data["vectors"].shape == (24, 2)
         assert str(data["branch"]) == "positive" and float(data["beta_used"]) == 1.0
+        assert not CV_KEYS & set(data.files)
         # the factored form rebuilds the dense estimate
         v, c = data["span_vectors"], float(data["complement"])
         sigma = (v * (data["span_values"] - c)) @ v.T + c * np.eye(24)
@@ -61,19 +64,29 @@ class TestGenAggregateSelect:
         text = capsys.readouterr().out
         assert "selected beta" in text
 
-    def test_select_beta_writes_fold_scores(self, shard_dir, tmp_path, capsys):
+    def test_aggregate_cv_out_keeps_fold_scores(self, shard_dir, tmp_path, capsys):
         shards = sorted(str(p) for p in shard_dir.glob("shard_*.bdpx"))
-        out = tmp_path / "folds.csv"
-        rc = run_cli("select-beta", *shards, "--r", "2", "--q", "4", "--out", str(out))
+        out = tmp_path / "agg.npz"
+        rc = run_cli("aggregate", *shards, "--r", "2", "--q", "4", "--beta", "cv", "--out", str(out))
         assert rc == 0
         assert "selected beta" in capsys.readouterr().out
-        lines = out.read_text().splitlines()
-        assert lines[0] == "fold,beta=-1,beta=0,beta=1"
-        assert len(lines) == 1 + 3  # leave-one-out over three machines
+        data = np.load(out)
         job = JobSpec(r=2, q=4, beta_mode=CvSelect())
         cv = run_local([read_shard(path) for path in shards], job).cv
-        cells = [[float(cell) for cell in line.split(",")[1:]] for line in lines[1:]]
-        assert np.array_equal(np.array(cells), cv.per_fold)
+        assert data["cv_per_fold"].shape == (3, 3)  # leave-one-out over three machines
+        assert np.array_equal(data["cv_per_fold"], cv.per_fold)
+        assert tuple(data["cv_betas"]) == DEFAULT_CANDIDATES
+        assert list(data["cv_scores"]) == list(cv.scores.values())
+        assert float(data["beta_used"]) == cv.best_beta
+
+    def test_out_is_written_to_the_path_given(self, shard_dir, tmp_path, capsys):
+        # np.savez would turn a bare "agg" into agg.npz; the printed name must be the file
+        shards = sorted(str(p) for p in shard_dir.glob("shard_*.bdpx"))
+        out = tmp_path / "agg"
+        assert run_cli("aggregate", *shards, "--r", "2", "--q", "4", "--out", str(out)) == 0
+        assert f"wrote {out}\n" in capsys.readouterr().out
+        assert sorted(tmp_path.iterdir()) == [out]
+        assert np.load(out)["values"].shape == (2,)
 
     def test_missing_shard_file_is_reported(self, tmp_path, capsys):
         rc = run_cli("aggregate", str(tmp_path / "ghost.bdpx"))
@@ -96,14 +109,12 @@ class TestSimulate:
         for name in ("results.csv", "summary_frequencies.csv", "summary_rho.csv"):
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
 
-    def test_plot_script_from_results(self, tmp_path, capsys):
+    def test_writes_its_plot_script(self, tmp_path, capsys):
         out_csv = tmp_path / "results.csv"
         assert run_cli(*self.ARGS, "--out", str(out_csv)) == 0
-        capsys.readouterr()
-        script = tmp_path / "plot.gp"
-        assert run_cli("plot-script", "--csv", str(out_csv), "--out", str(script)) == 0
-        text = script.read_text()
+        text = (tmp_path / "results.gp").read_text()
         assert text.count("smooth unique") == 5
+        assert f"csv = '{out_csv}'" in text
         assert "set datafile separator ','" in text
 
 
@@ -137,24 +148,26 @@ class TestPerturb:
 
 
 class TestServeWorker:
-    def test_round_over_loopback(self, tmp_path, capsys):
+    @pytest.mark.parametrize("beta", ["1.0", "cv"])
+    def test_round_over_loopback(self, beta, tmp_path, capsys):
         gen_dir = tmp_path / "shards"
         assert run_cli("gen", "--p", "12", "--n", "40", "--m", "2", "--r", "2",
                        "--seed", "7", "--out", str(gen_dir)) == 0
         port = free_port()
+        out = tmp_path / "agg"
         box = {}
 
         def _serve():
             box["rc"] = run_cli("serve", "--host", "127.0.0.1", "--port", str(port),
-                                "--m", "2", "--r", "2", "--q", "4", "--beta", "1.0",
-                                "--timeout", "20")
+                                "--m", "2", "--r", "2", "--q", "4", "--beta", beta,
+                                "--timeout", "20", "--out", str(out))
 
         thread = threading.Thread(target=_serve, daemon=True)
         thread.start()
         for i in (1, 2):
             rc = run_cli("worker", "--shard", str(gen_dir / f"shard_{i:03d}.bdpx"),
                          "--host", "127.0.0.1", "--port", str(port),
-                         "--r", "2", "--q", "4", "--beta", "1.0")
+                         "--r", "2", "--q", "4", "--beta", beta)
             assert rc == 0
         thread.join(30.0)
         assert not thread.is_alive()
@@ -162,6 +175,14 @@ class TestServeWorker:
         text = capsys.readouterr().out
         assert "listening on 127.0.0.1" in text
         assert "sent" in text and "bytes" in text
+        assert f"wrote {out}\n" in text
+        data = np.load(out)
+        assert data["vectors"].shape == (12, 2)
+        if beta == "cv":
+            assert tuple(data["cv_betas"]) == DEFAULT_CANDIDATES
+            assert data["cv_per_fold"].shape == (2, 3)  # leave-one-out over two machines
+        else:
+            assert not CV_KEYS & set(data.files)
 
     def test_worker_passes_its_timeout_to_send_summary(self, tmp_path, monkeypatch):
         gen_dir = tmp_path / "shards"

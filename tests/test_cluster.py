@@ -242,6 +242,16 @@ class TestCoordinatorRound:
         assert res.missing == (3,)
         assert np.array_equal(res.sigma_beta, coordinator_round(msgs[:2], self.job()).sigma_beta)
 
+    def test_unexpected_machine_dropped(self, caplog):
+        # machine 7 is not one of the round's machines 1..3: it is dropped, not aggregated
+        msgs = self.msgs()
+        stray = LocalSummaryMsg(machine_id=7, n_ell=20, summary=self.msgs(seed=7)[0].summary)
+        with caplog.at_level(logging.WARNING):
+            res = coordinator_round(msgs[:2] + [stray], self.job(), expected_ids=(1, 2, 3))
+        assert "dropping a message from unexpected machine 7" in caplog.text
+        assert res.missing == (3,)
+        assert np.array_equal(res.sigma_beta, coordinator_round(msgs[:2], self.job()).sigma_beta)
+
     def test_cv_aggregates_plain_summaries(self):
         msgs = self.msgs(m=4)
         job = JobSpec(r=2, q=4, beta_mode=CvSelect(folds=2, seed=0))
@@ -376,6 +386,30 @@ class TestTransports:
         assert res.missing == ()
         expected = run_local(shards, job)
         assert np.array_equal(res.leading.vectors, expected.leading.vectors)
+
+    @pytest.mark.parametrize("bad", ["stray id", "wrong rank then retry"])
+    def test_unkept_frame_does_not_end_the_round(self, bad, caplog, serve_in_thread):
+        # a round of machines 1 and 2; after machine 1's frame comes one the round
+        # does not keep: machine 7's, or machine 2's of rank 2 before its rank-3 retry
+        shards, _ = gaussian_shards(m=3)
+        job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
+        one, two = (worker_round(s, job) for s in shards[:2])
+        if bad == "stray id":
+            extra = LocalSummaryMsg(machine_id=7, n_ell=two.n_ell, summary=worker_round(shards[2], job).summary)
+            warning = "dropping a message from unexpected machine 7"
+        else:
+            extra = LocalSummaryMsg(machine_id=2, n_ell=two.n_ell, summary=truncate_summary(two.summary, 2))
+            warning = "dropping machine 2's message of rank 2 (job q=3)"
+        with caplog.at_level(logging.WARNING):
+            round_, host, port = serve_in_thread(2, job, timeout=5.0)
+            for msg in (one, extra, two):
+                send_summary(host, port, msg)
+            res = round_.result(10.0)
+        assert warning in caplog.text
+        assert res.missing == ()
+        want = run_local(shards[:2], job)
+        for field in ("span_values", "span_vectors", "complement_value"):
+            assert np.array_equal(getattr(res, field), getattr(want, field))
 
     def test_reset_connection_dropped(self, serve_in_thread):
         # machine 1 sends 8 bytes of its frame, then resets the connection

@@ -1,13 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from betadpca import (
     CSV_HEADER,
     DEFAULT_CANDIDATES,
+    METHODS,
     ExperimentSpec,
     InvalidInput,
-    ParseError,
-    emit_plot_script,
+    experiment,
     run_and_write,
     run_experiment,
     write_rows_csv,
@@ -154,46 +156,34 @@ class TestCsvOutputs:
 
 
 class TestPlotScript:
-    def write_csv(self, tmp_path, rows):
-        path = tmp_path / "results.csv"
-        write_rows_csv(rows, path)
-        return path
-
-    def test_one_curve_per_method(self, tmp_path):
-        rows = [(1, "beta=1", 1.0, 2, 0.5), (1, "fan", None, 2, 0.4),
-                (1, "beta=1", 1.0, 3, 0.6)]
-        path = self.write_csv(tmp_path, rows)
-        out = tmp_path / "plot.gp"
-        script = emit_plot_script(path, out)
-        assert out.read_text() == script
-        assert script.count("smooth unique") == 2
-        assert "'beta=1'" in script and "'fan'" in script
-        assert str(path) in script
+    def test_run_and_write_puts_the_script_beside_the_csv(self, tmp_path):
+        spec = tiny_spec(replicates=1)
+        out = tmp_path / "results.csv"
+        run_and_write(spec, out)
+        script = (tmp_path / "results.gp").read_text()
+        assert script.count("smooth unique") == len(spec.methods)
+        for method in spec.methods:
+            assert f"title '{method}'" in script
+        assert f"csv = '{out}'" in script
 
     def test_single_method(self, tmp_path):
-        path = self.write_csv(tmp_path, [(1, "fan", None, 2, 0.4)])
-        assert emit_plot_script(path).count("smooth unique") == 1
+        out = tmp_path / "plot.gp"
+        experiment._write_plot_script(tmp_path / "results.csv", ("fan",), out)
+        assert out.read_text().count("smooth unique") == 1
 
-    def test_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "results.csv"
-        path.write_text("")
-        with pytest.raises(ParseError):
-            emit_plot_script(path)
-
-    def test_wrong_header_rejected(self, tmp_path):
-        path = tmp_path / "results.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ParseError):
-            emit_plot_script(path)
-
-    def test_malformed_row_rejected(self, tmp_path):
-        path = tmp_path / "results.csv"
-        path.write_text(CSV_HEADER + "\n1,fan,,2\n")
-        with pytest.raises(ParseError):
-            emit_plot_script(path)
-
-    def test_header_without_rows_rejected(self, tmp_path):
-        path = tmp_path / "results.csv"
-        path.write_text(CSV_HEADER + "\n")
-        with pytest.raises(ParseError):
-            emit_plot_script(path)
+    def test_script_text_for_a_csv_path(self, tmp_path):
+        out = tmp_path / "results.gp"
+        experiment._write_plot_script(Path("results.csv"), METHODS, out)
+        curve = "csv using 4:(strcol(2) eq '{0}' ? column(5) : 1/0) smooth unique with linespoints title '{0}'"
+        assert out.read_text() == "\n".join([
+            "#!/usr/bin/env gnuplot",
+            "# mean similarity per method, averaged over replicates of results.csv",
+            "csv = 'results.csv'",
+            "set datafile separator ','",
+            "set xlabel 'k'",
+            "set ylabel 'mean rho_k'",
+            "set yrange [0:1.05]",
+            "set key bottom right",
+            "plot " + ", \\\n  ".join(curve.format(m) for m in ("beta=-1", "beta=0", "beta=1", "beta=cv", "fan")),
+            "",
+        ])
