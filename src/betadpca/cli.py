@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands, one per job: gen, simulate, aggregate, perturb, serve, worker.
-Run `betadpca <subcommand> --help` for the flags.  Each output is written by
-the run that computes it: `simulate` writes its gnuplot script beside the CSV,
-and `aggregate`/`serve --beta cv --out` keep the CV scores in the .npz.
+`aggregate` and `serve` share the job flags; `worker` takes `--q` and `--center`.
+Each output comes from the run that computes it: `simulate` writes its gnuplot
+script beside the CSV; `aggregate`/`serve --beta cv --out` keep the CV scores.
 """
 
 from __future__ import annotations
@@ -37,9 +37,12 @@ def _beta_value(text: str):
 
 def _float_list(text: str):
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
+        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    return values
 
 
 def _add_size_flags(sub):
@@ -49,15 +52,17 @@ def _add_size_flags(sub):
     sub.add_argument("--r", type=int, default=5, help="target rank")
 
 
-def _add_job_flags(sub):
-    """The JobSpec flags of aggregate, serve and worker (see _build_job)."""
-    sub.add_argument("--r", type=int, default=5, help="target rank")
+def _add_summary_flags(sub):
     sub.add_argument("--q", type=int, default=10, help="local summary rank (q >= r)")
-    sub.add_argument("--beta", type=_beta_value, default=1.0,
-                     help="a number or 'cv'; only the coordinator reads it "
-                          "(a worker sends the same frame for every beta)")
-    sub.add_argument("--delta", type=float, default=1e-5)
     sub.add_argument("--center", action="store_true")
+
+
+def _add_job_flags(sub):
+    """The JobSpec flags of aggregate and serve (see _build_job)."""
+    _add_summary_flags(sub)
+    sub.add_argument("--r", type=int, default=5, help="target rank")
+    sub.add_argument("--beta", type=_beta_value, default=1.0, help="a number or 'cv'")
+    sub.add_argument("--delta", type=float, default=1e-5)
     sub.add_argument("--cv-folds", type=int, default=5, help="folds for beta selection")
     sub.add_argument("--cv-seed", type=int, default=0, help="fold-shuffle seed")
 
@@ -80,7 +85,8 @@ def _build_job(args) -> cluster.JobSpec:
                            delta=args.delta, center=args.center)
 
 
-def _print_result(agg) -> None:
+def _report(agg, out) -> None:
+    """Print the round's result; with out, also write it (CV scores included) to that .npz."""
     vals = ", ".join(f"{v:.6g}" for v in agg.leading.values)
     print(f"branch={agg.branch} beta_used={agg.beta_used}")
     print(f"leading eigenvalues: [{vals}]")
@@ -90,11 +96,6 @@ def _print_result(agg) -> None:
         print(f"  selected beta = {agg.cv.best_beta:g}")
     if agg.missing:
         print(f"  missing machines: {list(agg.missing)}")
-
-
-def _save_result(agg, out) -> None:
-    """Write the factored estimate, and in a CV round the fold scores, to the
-    .npz at out (the path as given: np.savez adds no suffix to an open file)."""
     if out is None:
         return
     arrays = dict(span_values=agg.span_values, span_vectors=agg.span_vectors,
@@ -104,12 +105,17 @@ def _save_result(agg, out) -> None:
     if agg.cv is not None:
         arrays.update(cv_betas=list(agg.cv.scores), cv_scores=list(agg.cv.scores.values()),
                       cv_per_fold=agg.cv.per_fold)
+    _write_npz(out, **arrays)
+    print(f"wrote {out}")
+
+
+def _write_npz(path, **arrays) -> None:
+    """np.savez to exactly path (it adds no suffix to an open file); IoError on failure."""
     try:
-        with open(out, "wb") as fh:
+        with open(path, "wb") as fh:
             np.savez(fh, **arrays)
     except OSError as exc:
-        raise IoError(f"cannot write {out}: {exc}") from exc
-    print(f"wrote {out}")
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_gen(args) -> int:
@@ -125,7 +131,7 @@ def cmd_gen(args) -> int:
         write_shard(path, shard)
         print(f"wrote {path} ({shard.p} x {shard.n_ell})")
     pop_path = out_dir / "population.npz"
-    np.savez(pop_path, gamma=model.gamma, lam=model.lam, r=model.r)
+    _write_npz(pop_path, gamma=model.gamma, lam=model.lam, r=model.r)
     print(f"wrote {pop_path}")
     return 0
 
@@ -153,8 +159,7 @@ def cmd_simulate(args) -> int:
 def cmd_aggregate(args) -> int:
     shards = [read_shard(path, machine_id=i + 1) for i, path in enumerate(args.shards)]
     agg = cluster.run_local(shards, _build_job(args))
-    _print_result(agg)
-    _save_result(agg, args.out)
+    _report(agg, args.out)
     return 0
 
 
@@ -162,7 +167,7 @@ def cmd_perturb(args) -> int:
     noise_index = args.r if args.noise_index is None else args.noise_index
     # Shared signal block from the planted-eigenvalue law; per-machine noise
     # draws, each row sorted descending.
-    rows = []
+    lines = ["beta,d_l,lambda_tilde_l,tau,order_invariant"]
     noise_rng = stream(args.seed, NOISE_EIGENVALUES)
     signal = signal_eigenvalues(args.p, args.n, args.r)
     spectra = np.empty((args.m, args.p))
@@ -174,13 +179,11 @@ def cmd_perturb(args) -> int:
             sc = PerturbationScenario(base_spectra=spectra, r=args.r,
                                       noise_index=noise_index, d_l=d, beta=beta)
             rep = tolerance(sc)
-            rows.append((beta, d, rep.lambda_tilde_l, rep.tau, rep.order_invariant))
-    lines = ["beta,d_l,lambda_tilde_l,tau,order_invariant"]
-    lines += [f"{b!r},{d!r},{t!r},{tau!r},{int(inv)}" for b, d, t, tau, inv in rows]
+            lines.append(f"{beta!r},{d!r},{rep.lambda_tilde_l!r},{rep.tau!r},{int(rep.order_invariant)}")
     text = "\n".join(lines) + "\n"
     if args.out:
         experiment.write_text(args.out, text)
-        print(f"wrote {args.out} ({len(rows)} rows)")
+        print(f"wrote {args.out} ({len(lines) - 1} rows)")
     else:
         sys.stdout.write(text)
     return 0
@@ -191,14 +194,13 @@ def cmd_serve(args) -> int:
     host, port = server.getsockname()[:2]
     print(f"listening on {host}:{port}", flush=True)
     agg = cluster.serve(server, args.m, _build_job(args), timeout=args.timeout)
-    _print_result(agg)
-    _save_result(agg, args.out)
+    _report(agg, args.out)
     return 0
 
 
 def cmd_worker(args) -> int:
     shard = read_shard(args.shard, machine_id=args.machine_id)
-    msg = cluster.worker_round(shard, _build_job(args))
+    msg = cluster.worker_round(shard, args.q, center=args.center)
     sent = cluster.send_summary(args.host, args.port, msg, timeout=args.timeout)
     print(f"machine {shard.machine_id}: sent {sent} bytes to {args.host}:{args.port}")
     return 0
@@ -218,13 +220,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = subs.add_parser("simulate", help="run the replicated method comparison")
     _add_size_flags(sim)
-    sim.add_argument("--q", type=int, default=10, help="local summary rank (q >= r)")
+    _add_summary_flags(sim)
     sim.add_argument("--dist", choices=DISTRIBUTIONS, default="gaussian")
     sim.add_argument("--reps", type=int, default=20)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--delta", type=float, default=1e-5)
     sim.add_argument("--k-max", type=int, default=15)
-    sim.add_argument("--center", action="store_true")
     sim.add_argument("--paper-scale", action="store_true",
                      help="p=500, n=250, m=5, 100 replicates")
     sim.add_argument("--cv-folds", type=int, default=5, help="folds for beta selection")
@@ -262,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     wrk.add_argument("--machine-id", type=int, default=1,
                      help="id for CSV shards (binary shards carry their own)")
     _add_endpoint_flags(wrk)
-    _add_job_flags(wrk)
+    _add_summary_flags(wrk)
     wrk.set_defaults(func=cmd_worker)
 
     return parser

@@ -96,7 +96,7 @@ class CvSelect:
 
 @dataclass(frozen=True)
 class JobSpec:
-    """What the coordinator announces to every worker for one round."""
+    """One round's job; a worker acts on its q and center only (see worker_round)."""
 
     r: int
     q: int
@@ -161,22 +161,22 @@ def decode_summary(frame: bytes) -> LocalSummaryMsg:
         raise ParseError(f"frame from machine {machine_id} carries an invalid summary: {exc}") from exc
 
 
-def worker_round(shard: DataShard, job: JobSpec) -> LocalSummaryMsg:
+def worker_round(shard: DataShard, q: int, center: bool = False) -> LocalSummaryMsg:
     """The entire worker side: covariance, rank-q truncation, one message.
 
-    The message is the same in every beta mode; CV needs nothing extra.
+    r, beta, delta and the CV plan are the coordinator's; the message is the same in every beta mode.
     """
-    summary = local_summary(shard, job.q, center=job.center)
+    summary = local_summary(shard, q, center=center)
     return LocalSummaryMsg(machine_id=shard.machine_id, n_ell=shard.n_ell, summary=summary)
 
 
 def _keep(first: dict[int, LocalSummaryMsg], msg: LocalSummaryMsg, job: JobSpec,
-          expected: frozenset[int] | None) -> None:
+          expected: frozenset[int]) -> None:
     """Add msg to first (keyed by machine id) if the round keeps it: it is
     from an expected machine, has the job's rank q, and is that machine's
     first such message in arrival order (a retried send counts once).  Any
     other message is dropped with a warning naming its machine."""
-    if expected is not None and msg.machine_id not in expected:
+    if msg.machine_id not in expected:
         logger.warning("dropping a message from unexpected machine %d", msg.machine_id)
     elif msg.q != job.q:
         logger.warning("dropping machine %d's message of rank %d (job q=%d)", msg.machine_id, msg.q, job.q)
@@ -187,26 +187,24 @@ def _keep(first: dict[int, LocalSummaryMsg], msg: LocalSummaryMsg, job: JobSpec,
 
 
 def coordinator_round(msgs: Sequence[LocalSummaryMsg], job: JobSpec,
-                      expected_ids: Iterable[int] | None = None) -> AggregateResult:
+                      expected_ids: Iterable[int]) -> AggregateResult:
     """Aggregate the received messages (sorted by machine_id for determinism).
 
-    The messages that _keep accepts are aggregated; every other one is
-    dropped with a warning, and InvalidInput is raised if none is kept.  With
-    expected_ids set, a message from any other machine is dropped, those
-    expected machines with no message kept are listed in the result's
-    `missing` field, and the averaging weight becomes 1/(machines received).
+    The messages that _keep accepts are aggregated; every other one, such as
+    a message from a machine not in expected_ids, is dropped with a warning,
+    and InvalidInput is raised if none is kept.  Expected machines with no
+    message kept are listed in the result's `missing` field, and the
+    averaging weight becomes 1/(machines received).
     """
-    expected = None if expected_ids is None else frozenset(expected_ids)
+    expected = frozenset(expected_ids)
     first: dict[int, LocalSummaryMsg] = {}
     for m in msgs:
         _keep(first, m, job, expected)
     msgs = sorted(first.values(), key=lambda m: m.machine_id)
-    missing: tuple[int, ...] = ()
-    if expected is not None:
-        missing = tuple(i for i in sorted(expected) if i not in first)
-        if missing:
-            logger.warning("aggregating without machines %s (%d of %d reported)",
-                           missing, len(msgs), len(expected))
+    missing = tuple(i for i in sorted(expected) if i not in first)
+    if missing:
+        logger.warning("aggregating without machines %s (%d of %d reported)",
+                       missing, len(msgs), len(expected))
     agg = resolve_beta(SummarySpan.of([m.summary for m in msgs]), job)
     return replace(agg, missing=missing)
 
@@ -236,7 +234,7 @@ def resolve_beta(span: SummarySpan, job: JobSpec) -> AggregateResult:
 def run_local(shards: Sequence[DataShard], job: JobSpec) -> AggregateResult:
     """In-process transport: frames still round-trip through the codec so the
     result is bit-identical with the socket transport."""
-    frames = [encode_summary(worker_round(s, job)) for s in shards]
+    frames = [encode_summary(worker_round(s, job.q, job.center)) for s in shards]
     msgs = [decode_summary(f) for f in frames]
     return coordinator_round(msgs, job, expected_ids=[s.machine_id for s in shards])
 
@@ -348,6 +346,6 @@ def run_sockets(shards: Sequence[DataShard], job: JobSpec, host: str = "127.0.0.
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="bdpca-coordinator") as pool:
         collected = pool.submit(_collect, server, expected, job, timeout)
         for shard in shards:
-            send_summary(*bound, worker_round(shard, job), timeout=timeout)
+            send_summary(*bound, worker_round(shard, job.q, job.center), timeout=timeout)
         msgs = collected.result()
     return coordinator_round(msgs, job, expected_ids=expected)

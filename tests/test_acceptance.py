@@ -267,7 +267,7 @@ def test_criterion_8_protocol_correctness():
             assert sock.missing == () and local.missing == ()
 
         # count the traffic by hand: one worker_round -> one send per shard
-        msgs = [worker_round(s, job) for s in shards]
+        msgs = [worker_round(s, job.q) for s in shards]
         assert len(msgs) == len(shards)
         server = listen("127.0.0.1", 0, len(shards))
         host, port = server.getsockname()[:2]

@@ -1,3 +1,4 @@
+import re
 import socket
 import threading
 
@@ -35,6 +36,13 @@ class TestGenAggregateSelect:
         pop = np.load(shard_dir / "population.npz")
         assert pop["gamma"].shape == (24, 24)
         assert int(pop["r"]) == 2
+
+    def test_gen_reports_an_unwritable_population(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        (out / "population.npz").mkdir(parents=True)
+        rc = run_cli("gen", "--p", "12", "--n", "40", "--m", "2", "--r", "2", "--out", str(out))
+        assert rc == 2
+        assert f"error: cannot write {out / 'population.npz'}" in capsys.readouterr().err
 
     def test_aggregate_fixed_beta(self, shard_dir, tmp_path, capsys):
         shards = sorted(str(p) for p in shard_dir.glob("shard_*.bdpx"))
@@ -166,8 +174,7 @@ class TestServeWorker:
         thread.start()
         for i in (1, 2):
             rc = run_cli("worker", "--shard", str(gen_dir / f"shard_{i:03d}.bdpx"),
-                         "--host", "127.0.0.1", "--port", str(port),
-                         "--r", "2", "--q", "4", "--beta", beta)
+                         "--host", "127.0.0.1", "--port", str(port), "--q", "4")
             assert rc == 0
         thread.join(30.0)
         assert not thread.is_alive()
@@ -184,24 +191,59 @@ class TestServeWorker:
         else:
             assert not CV_KEYS & set(data.files)
 
-    def test_worker_passes_its_timeout_to_send_summary(self, tmp_path, monkeypatch):
+    @pytest.fixture
+    def sent(self, tmp_path, monkeypatch):
+        """A one-shard directory and a send_summary spy: returns (shard path, [(msg, timeout)])."""
         gen_dir = tmp_path / "shards"
         assert run_cli("gen", "--p", "12", "--n", "40", "--m", "2", "--r", "2",
                        "--seed", "7", "--out", str(gen_dir)) == 0
         seen = []
 
         def fake_send(host, port, msg, timeout):
-            seen.append(timeout)
+            seen.append((msg, timeout))
             return 0
 
         monkeypatch.setattr(cli.cluster, "send_summary", fake_send)
-        shard = str(gen_dir / "shard_001.bdpx")
-        assert run_cli("worker", "--shard", shard, "--r", "2", "--q", "4", "--timeout", "2.5") == 0
-        assert run_cli("worker", "--shard", shard, "--r", "2", "--q", "4") == 0
-        assert seen == [2.5, 30.0]  # --timeout defaults to the cluster's 30 s
+        return str(gen_dir / "shard_001.bdpx"), seen
+
+    def test_worker_passes_its_timeout_to_send_summary(self, sent):
+        shard, seen = sent
+        assert run_cli("worker", "--shard", shard, "--q", "4", "--timeout", "2.5") == 0
+        assert run_cli("worker", "--shard", shard, "--q", "4") == 0
+        assert [timeout for _, timeout in seen] == [2.5, 30.0]  # --timeout defaults to the cluster's 30 s
+
+    def test_worker_needs_no_target_rank(self, sent):
+        # q=4 is below the coordinator's default r=5, which a worker never reads
+        shard, seen = sent
+        assert run_cli("worker", "--shard", shard, "--q", "4") == 0
+        [(msg, _)] = seen
+        assert (msg.machine_id, msg.q) == (1, 4)
+
+    @pytest.mark.parametrize("flag", ["--r=2", "--beta=1", "--delta=1e-5", "--cv-folds=2", "--cv-seed=0"])
+    def test_worker_rejects_coordinator_flags(self, flag, sent, capsys):
+        shard, seen = sent
+        with pytest.raises(SystemExit) as exc:
+            run_cli("worker", "--shard", shard, "--q", "4", flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert seen == []
 
 
 class TestArgumentParsing:
+    def test_worker_takes_only_the_flags_it_acts_on(self, capsys):
+        with pytest.raises(SystemExit):
+            run_cli("worker", "--help")
+        usage = capsys.readouterr().out.split("options:")[0]
+        assert set(re.findall(r"--[\w-]+", usage)) == {"--shard", "--machine-id", "--host", "--port",
+                                                       "--timeout", "--q", "--center"}
+
+    @pytest.mark.parametrize("flag", ["--beta=,", "--d-l=,"])
+    def test_perturb_rejects_an_empty_number_list(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("perturb", "--p", "10", "--n", "25", "--m", "2", "--r", "2", flag)
+        assert exc.value.code == 2
+        assert "expected comma-separated numbers, got ','" in capsys.readouterr().err
+
     def test_beta_accepts_cv_and_numbers(self):
         assert cli._beta_value("cv") == "cv"
         assert cli._beta_value("-1.5") == -1.5

@@ -156,7 +156,7 @@ class TestCodec:
 class TestWorkerRound:
     def test_fixed_mode_message(self):
         shard = DataShard(samples=np.array([[2.0, -2.0], [0.0, 0.0]]), machine_id=3)
-        msg = worker_round(shard, JobSpec(r=1, q=1, beta_mode=FixedBeta(1.0)))
+        msg = worker_round(shard, 1)
         assert msg.machine_id == 3 and msg.n_ell == 2
         # covariance diag(4, 0): top eigenpair is (4, e1)
         assert_allclose(msg.summary.values, [4.0], rtol=1e-12)
@@ -165,16 +165,17 @@ class TestWorkerRound:
     def test_cv_mode_sends_the_fixed_beta_frame(self):
         rng = np.random.default_rng(97)
         shard = DataShard(samples=rng.standard_normal((6, 30)), machine_id=1)
-        cv_frame = encode_summary(worker_round(shard, JobSpec(r=2, q=4, beta_mode=CvSelect())))
-        fixed_frame = encode_summary(worker_round(shard, JobSpec(r=2, q=4,
-                                                                 beta_mode=FixedBeta(0.0))))
+        # the job fields a worker acts on are the same in both modes
+        cv, fixed = JobSpec(r=2, q=4, beta_mode=CvSelect()), JobSpec(r=2, q=4, beta_mode=FixedBeta(0.0))
+        cv_frame = encode_summary(worker_round(shard, cv.q, cv.center))
+        fixed_frame = encode_summary(worker_round(shard, fixed.q, fixed.center))
         assert len(cv_frame) == 4 * (6 + 1) * 8 + FRAME_OVERHEAD
         assert cv_frame == fixed_frame
 
     def test_matches_local_summary(self):
         rng = np.random.default_rng(98)
         shard = DataShard(samples=rng.standard_normal((5, 20)), machine_id=2)
-        msg = worker_round(shard, JobSpec(r=1, q=3, beta_mode=FixedBeta(0.0)))
+        msg = worker_round(shard, 3)
         want = local_summary(shard, 3)
         assert np.array_equal(msg.summary.values, want.values)
         assert np.array_equal(msg.summary.vectors, want.vectors)
@@ -193,15 +194,15 @@ class TestCoordinatorRound:
         shard = DataShard(samples=np.random.default_rng(100).standard_normal((8, 40)),
                           machine_id=1)
         job = JobSpec(r=3, q=5, beta_mode=FixedBeta(1.0))
-        res = coordinator_round([worker_round(shard, job)], job)
+        res = coordinator_round([worker_round(shard, job.q)], job, expected_ids=(1,))
         own = truncate_summary(local_summary(shard, 5), 3)
         assert_allclose(res.leading.values, own.values, rtol=1e-8)
         assert rho_similarity(res.leading, own.vectors) > 1.0 - 1e-8
 
     def test_order_insensitive_bitwise(self):
         msgs = self.msgs()
-        a = coordinator_round(msgs, self.job())
-        b = coordinator_round(msgs[::-1], self.job())
+        a = coordinator_round(msgs, self.job(), expected_ids=(1, 2, 3))
+        b = coordinator_round(msgs[::-1], self.job(), expected_ids=(1, 2, 3))
         assert np.array_equal(a.sigma_beta, b.sigma_beta)
         assert np.array_equal(a.leading.vectors, b.leading.vectors)
 
@@ -221,15 +222,16 @@ class TestCoordinatorRound:
         # two different messages claim machine 1: the one that arrived first counts
         msgs = self.msgs()
         impostor = LocalSummaryMsg(machine_id=1, n_ell=20, summary=self.msgs(seed=7)[0].summary)
-        a = coordinator_round(msgs + [impostor], self.job())
-        b = coordinator_round([impostor] + msgs[1:] + [msgs[0]], self.job())
-        assert np.array_equal(a.sigma_beta, coordinator_round(msgs, self.job()).sigma_beta)
-        assert np.array_equal(b.sigma_beta, coordinator_round([impostor] + msgs[1:], self.job()).sigma_beta)
+        ids = (1, 2, 3)
+        a = coordinator_round(msgs + [impostor], self.job(), ids)
+        b = coordinator_round([impostor] + msgs[1:] + [msgs[0]], self.job(), ids)
+        assert np.array_equal(a.sigma_beta, coordinator_round(msgs, self.job(), ids).sigma_beta)
+        assert np.array_equal(b.sigma_beta, coordinator_round([impostor] + msgs[1:], self.job(), ids).sigma_beta)
 
     def test_rank_mismatch_with_job_rejected(self):
         msgs = self.msgs(q=3)
         with pytest.raises(InvalidInput):
-            coordinator_round(msgs, self.job(q=4))
+            coordinator_round(msgs, self.job(q=4), expected_ids=(1, 2, 3))
 
     def test_wrong_rank_dropped(self, caplog):
         # machine 2 answers with rank 3 before its rank-4 retry; machine 3 only with rank 3
@@ -240,7 +242,7 @@ class TestCoordinatorRound:
             res = coordinator_round([msgs[0], wrong[0], msgs[1], wrong[1]], self.job(), expected_ids=(1, 2, 3))
         assert "dropping machine 3's message of rank 3 (job q=4)" in caplog.text
         assert res.missing == (3,)
-        assert np.array_equal(res.sigma_beta, coordinator_round(msgs[:2], self.job()).sigma_beta)
+        assert np.array_equal(res.sigma_beta, coordinator_round(msgs[:2], self.job(), (1, 2)).sigma_beta)
 
     def test_unexpected_machine_dropped(self, caplog):
         # machine 7 is not one of the round's machines 1..3: it is dropped, not aggregated
@@ -250,12 +252,12 @@ class TestCoordinatorRound:
             res = coordinator_round(msgs[:2] + [stray], self.job(), expected_ids=(1, 2, 3))
         assert "dropping a message from unexpected machine 7" in caplog.text
         assert res.missing == (3,)
-        assert np.array_equal(res.sigma_beta, coordinator_round(msgs[:2], self.job()).sigma_beta)
+        assert np.array_equal(res.sigma_beta, coordinator_round(msgs[:2], self.job(), (1, 2)).sigma_beta)
 
     def test_cv_aggregates_plain_summaries(self):
         msgs = self.msgs(m=4)
         job = JobSpec(r=2, q=4, beta_mode=CvSelect(folds=2, seed=0))
-        res = coordinator_round(msgs, job)
+        res = coordinator_round(msgs, job, expected_ids=(1, 2, 3, 4))
         assert res.cv is not None and res.beta_used == res.cv.best_beta
         want = beta_aggregate([m.summary for m in msgs],
                               BetaConfig(beta=res.cv.best_beta, delta=job.delta), job.r)
@@ -265,7 +267,7 @@ class TestCoordinatorRound:
         # the fold loop and the final aggregate share one basis of the stack
         msgs = self.msgs(m=4, p=30, q=3)
         shapes = count_span_svds(monkeypatch, rows=30)
-        coordinator_round(msgs, JobSpec(r=2, q=3, beta_mode=CvSelect(folds=2, seed=0)))
+        coordinator_round(msgs, JobSpec(r=2, q=3, beta_mode=CvSelect(folds=2, seed=0)), (1, 2, 3, 4))
         assert shapes == [(30, 12)]
 
     def test_missing_machines_reported(self, caplog):
@@ -279,7 +281,7 @@ class TestCoordinatorRound:
         rng = np.random.default_rng(101)
         shards, _ = gaussian_shards(m=4, n=80, seed=int(rng.integers(1000)))
         job = JobSpec(r=2, q=4, beta_mode=CvSelect(folds=2, seed=1))
-        msgs = [worker_round(s, job) for s in shards]
+        msgs = [worker_round(s, job.q) for s in shards]
         res = coordinator_round(msgs, job, expected_ids=(1, 2, 3, 4))
         assert res.cv is not None
         assert res.beta_used == res.cv.best_beta
@@ -352,7 +354,7 @@ class TestTransports:
         job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
         with caplog.at_level(logging.WARNING):
             round_, host, port = serve_in_thread(2, job, timeout=1.0)
-            send_summary(host, port, worker_round(shards[0], job))
+            send_summary(host, port, worker_round(shards[0], job.q))
             res = round_.result(10.0)
         assert res.missing == (2,)
 
@@ -370,7 +372,7 @@ class TestTransports:
         with socket.create_connection((host, port)) as conn:
             conn.sendall(struct.pack("<I", 8) + b"junkjunk")
         for shard in shards:
-            send_summary(host, port, worker_round(shard, job))
+            send_summary(host, port, worker_round(shard, job.q))
         res = round_.result(10.0)
         assert res.missing == ()
         assert len(res.leading.values) == 1
@@ -381,7 +383,7 @@ class TestTransports:
         job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
         round_, host, port = serve_in_thread(3, job, timeout=5.0)
         for shard in [shards[0], *shards]:
-            send_summary(host, port, worker_round(shard, job))
+            send_summary(host, port, worker_round(shard, job.q))
         res = round_.result(10.0)
         assert res.missing == ()
         expected = run_local(shards, job)
@@ -393,9 +395,9 @@ class TestTransports:
         # does not keep: machine 7's, or machine 2's of rank 2 before its rank-3 retry
         shards, _ = gaussian_shards(m=3)
         job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
-        one, two = (worker_round(s, job) for s in shards[:2])
+        one, two = (worker_round(s, job.q) for s in shards[:2])
         if bad == "stray id":
-            extra = LocalSummaryMsg(machine_id=7, n_ell=two.n_ell, summary=worker_round(shards[2], job).summary)
+            extra = LocalSummaryMsg(machine_id=7, n_ell=two.n_ell, summary=worker_round(shards[2], job.q).summary)
             warning = "dropping a message from unexpected machine 7"
         else:
             extra = LocalSummaryMsg(machine_id=2, n_ell=two.n_ell, summary=truncate_summary(two.summary, 2))
@@ -418,11 +420,11 @@ class TestTransports:
         job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
         round_, host, port = serve_in_thread(3, job, timeout=1.5)
         conn = socket.create_connection((host, port))
-        conn.sendall(encode_summary(worker_round(shards[0], job))[:8])
+        conn.sendall(encode_summary(worker_round(shards[0], job.q))[:8])
         conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
         conn.close()
         for shard in shards[1:]:
-            send_summary(host, port, worker_round(shard, job))
+            send_summary(host, port, worker_round(shard, job.q))
         res = round_.result(10.0)
         assert res.missing == (1,)
         expected = run_local(shards[1:], job)
@@ -435,7 +437,7 @@ class TestTransports:
         round_, host, port = serve_in_thread(3, job, timeout=30.0)
         with socket.create_connection((host, port)):
             for shard in shards:
-                send_summary(host, port, worker_round(shard, job))
+                send_summary(host, port, worker_round(shard, job.q))
             res = round_.result(5.0)
         assert res.missing == ()
         assert np.array_equal(res.sigma_beta, run_local(shards, job).sigma_beta)
@@ -446,11 +448,11 @@ class TestTransports:
         job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
         start = time.monotonic()
         round_, host, port = serve_in_thread(3, job, timeout=1.0)
-        frame = encode_summary(worker_round(shards[0], job))
+        frame = encode_summary(worker_round(shards[0], job.q))
         with socket.create_connection((host, port)) as stalled:
             stalled.sendall(frame[:len(frame) // 2])
             for shard in shards[1:]:
-                send_summary(host, port, worker_round(shard, job))
+                send_summary(host, port, worker_round(shard, job.q))
             res = round_.result(5.0)
         assert time.monotonic() - start <= 1.5
         assert res.missing == (1,)
@@ -462,7 +464,7 @@ class TestTransports:
         shards, _ = gaussian_shards(m=3)
         job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
         round_, host, port = serve_in_thread(3, job, timeout=10.0)
-        frame = encode_summary(worker_round(shards[0], job))
+        frame = encode_summary(worker_round(shards[0], job.q))
         with socket.create_connection((host, port)) as conn:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             for i in range(0, len(frame), 7):
@@ -470,7 +472,7 @@ class TestTransports:
                 time.sleep(0.001)
             conn.sendall(b"junk" * 4)
             for shard in shards[1:]:
-                send_summary(host, port, worker_round(shard, job))
+                send_summary(host, port, worker_round(shard, job.q))
             res = round_.result(5.0)
         assert res.missing == ()
         assert np.array_equal(res.sigma_beta, run_local(shards, job).sigma_beta)
@@ -496,7 +498,7 @@ class TestTimeoutResolution:
         job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
         shards, _ = gaussian_shards(m=1)
         round_, host, port = serve_in_thread(1, job, timeout=5.0)
-        send_summary(host, port, worker_round(shards[0], job), timeout=2.5)
+        send_summary(host, port, worker_round(shards[0], job.q), timeout=2.5)
         round_.result(10.0)
         assert seen == [2.5]
 
@@ -505,7 +507,7 @@ class TestTimeoutResolution:
         job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
         shards, _ = gaussian_shards(m=1)
         round_, host, port = serve_in_thread(1, job, timeout=5.0)
-        send_summary(host, port, worker_round(shards[0], job))
+        send_summary(host, port, worker_round(shards[0], job.q))
         round_.result(10.0)
         assert seen == [30.0]
 
@@ -527,7 +529,8 @@ class TestAggregateBeatsLocals:
             model = make_population(p, n, r, GAUSSIAN, seed=10_000 + rep)
             shards = split_shards(sample_data(model), m)
             truth = model.truth_basis()
-            res = coordinator_round([worker_round(s, job) for s in shards], job)
+            res = coordinator_round([worker_round(s, job.q) for s in shards], job,
+                                    expected_ids=[s.machine_id for s in shards])
             agg_rho = rho_similarity(res.leading, truth)
             local_best = max(
                 rho_similarity(truncate_summary(local_summary(s, q), r), truth)
