@@ -47,7 +47,7 @@ print(f"aggregate rho_r = {rho_similarity(a.leading, model.gamma[:, :R]):.4f} "
 # Workers send the very same frames: they act on q and center only, and the
 # coordinator validates on each machine's leading r columns, so beta selection
 # costs no extra bytes.
-job_cv = JobSpec(r=R, q=Q, beta_mode=CvSelect(candidates=(-1.0, 0.0, 1.0), folds=5))
+job_cv = JobSpec(r=R, q=Q, beta_mode=CvSelect(folds=5))
 res = run_sockets(shards, job_cv)
 print(f"\nCV over the wire picked beta={res.beta_used:+.0f} "
       f"(scores: {{{', '.join(f'{b:+.0f}: {s:.4f}' for b, s in res.cv.scores.items())}}})")

@@ -39,7 +39,8 @@ class BetaConfig:
     """Aggregator knobs.
 
     beta selects the branch (0 means the geometric-mean limit), delta
-    regularizes the beta < 0 branch.  Round-off is handled by the hull rule of
+    regularizes the beta < 0 branch; JobSpec, ExperimentSpec and the CLI read
+    delta's default from here.  Round-off is handled by the hull rule of
     BranchTransform.inverse_within, at any scale.
     """
 
@@ -96,18 +97,9 @@ class AggregateResult:
         return _top_block(self.span_values, self.span_vectors, self.complement_value, k)
 
 
-def _normalized_weights(count: int, weights) -> np.ndarray:
-    if weights is None:
-        return np.full(count, 1.0 / count)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (count,) or not np.isfinite(w).all() or (w <= 0).any():
-        raise InvalidInput(f"weights must be {count} positive finite numbers")
-    return w / w.sum()
-
-
-def beta_mean(inputs: Sequence, cfg: BetaConfig, weights=None) -> np.ndarray:
-    """Matrix beta-mean of PSD matrices: inverse( sum_l w_l forward(M_l) ), with
-    the maps of branch_transform(cfg.beta, cfg.delta) applied spectrally.
+def beta_mean(inputs: Sequence, cfg: BetaConfig) -> np.ndarray:
+    """Matrix beta-mean of m PSD matrices, the paper's uniform inverse( (1/m) sum_l forward(M_l) ),
+    with the maps of branch_transform(cfg.beta, cfg.delta) applied spectrally.
 
     beta > 0:  { mean(M_l^beta) }^(1/beta)
     beta = 0:  exp( mean(log M_l) )          (geometric / log-Euclidean limit)
@@ -124,15 +116,15 @@ def beta_mean(inputs: Sequence, cfg: BetaConfig, weights=None) -> np.ndarray:
     p = systems[0].values.size
     if any(es.values.size != p for es in systems):
         raise InvalidInput("input matrices differ in dimension")
-    w = _normalized_weights(len(systems), weights)
+    w = 1.0 / len(systems)
     transform = branch_transform(cfg.beta, cfg.delta)
     acc = np.zeros((p, p))
     terms = []
-    for wl, es in zip(w, systems):
+    for es in systems:
         if es.values[-1] < -PSD_TOL:
             raise NotPSD(f"input eigenvalue {es.values[-1]:.17g} is below -{PSD_TOL:g}")
         terms.append(transform.forward(np.clip(es.values, 0.0, None)))
-        acc += wl * (es.vectors * terms[-1]) @ es.vectors.T
+        acc += w * (es.vectors * terms[-1]) @ es.vectors.T
     return matrix_function(acc, lambda g: transform.inverse_within(g, np.concatenate(terms)))
 
 
@@ -274,24 +266,24 @@ class SummarySpan:
         return self.summaries[0].q
 
 
-def _span_aggregate(span: SummarySpan, transform: BranchTransform, r: int, weights,
+def _span_aggregate(span: SummarySpan, transform: BranchTransform, r: int,
                     beta_used: float | None = None) -> AggregateResult:
-    """Sigma = inverse( sum_l w_l transform(M_l) ) for the summaries of `span`.
+    """Sigma = inverse( (1/m) sum_l transform(M_l) ) for the m summaries of `span`.
 
     The only eigensolve is of the k x k core
 
-        C = sum_l w_l B_l diag(forward(lam_l) - s) B_l^T + s I,
+        C = (1/m) sum_l B_l diag(forward(lam_l) - s) B_l^T + s I,
 
     since the average equals Q C Q^T + c (I - Q Q^T).  s = c, except when every
     summary spans the basis (k == q): no term then has a complement direction
     in it, and s = 0 keeps forward values far below c.  Cost O(p k^2).
     """
     p, k = span.basis.shape
-    w = _normalized_weights(len(span.summaries), weights)
+    w = 1.0 / len(span.summaries)
     c = transform.complement
     shift = c if k > span.q else 0.0
     terms = [transform.forward(s.values) for s in span.summaries]
-    scale = np.concatenate([wl * (f - shift) for wl, f in zip(w, terms)])
+    scale = np.concatenate([w * (f - shift) for f in terms])
     core = eig_sym((span.coords * scale) @ span.coords.T + shift * np.eye(k))
     hull = np.concatenate(terms + [[c]])  # the complement is a term's eigenvalue too
     span_values, vectors = canonical_order(transform.inverse_within(core.values, hull), span.basis @ core.vectors)
@@ -302,8 +294,7 @@ def _span_aggregate(span: SummarySpan, transform: BranchTransform, r: int, weigh
                            branch=transform.name, beta_used=beta_used)
 
 
-def beta_aggregate(summaries: Sequence[TruncatedEig] | SummarySpan, cfg: BetaConfig, r: int,
-                   weights=None) -> AggregateResult:
+def beta_aggregate(summaries: Sequence[TruncatedEig] | SummarySpan, cfg: BetaConfig, r: int) -> AggregateResult:
     """Aggregate local rank-q summaries into Sigma_beta and take its top-r block.
 
     With M_l = V_l diag(lam_l) V_l^T machine l's rank-q reconstruction:
@@ -323,10 +314,10 @@ def beta_aggregate(summaries: Sequence[TruncatedEig] | SummarySpan, cfg: BetaCon
     span = SummarySpan.of(summaries)
     if not 1 <= r <= span.q:
         raise InvalidInput(f"need 1 <= r <= q={span.q}, got r={r}")
-    return _span_aggregate(span, branch_transform(cfg.beta, cfg.delta), r, weights, beta_used=cfg.beta)
+    return _span_aggregate(span, branch_transform(cfg.beta, cfg.delta), r, beta_used=cfg.beta)
 
 
-def fan_aggregate(summaries: Sequence[TruncatedEig], weights=None) -> AggregateResult:
+def fan_aggregate(summaries: Sequence[TruncatedEig]) -> AggregateResult:
     """Aggregate by averaging the rank-r projection matrices V_l V_l^T.
 
     Eigenvalue weights are discarded entirely; the summaries must already be
@@ -334,4 +325,4 @@ def fan_aggregate(summaries: Sequence[TruncatedEig], weights=None) -> AggregateR
     the summaries like beta_aggregate, with forward map 1 and complement 0.
     """
     span = SummarySpan.of(summaries)
-    return _span_aggregate(span, PROJECTION_AVERAGE, span.q, weights)
+    return _span_aggregate(span, PROJECTION_AVERAGE, span.q)

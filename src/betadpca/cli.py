@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Subcommands, one per job: gen, simulate, aggregate, perturb, serve, worker.
-`aggregate` and `serve` share the job flags; `worker` takes `--q` and `--center`.
+A flag that several of them take is declared once, in _FLAGS.  `aggregate` and
+`serve` take the job flags, `simulate` the ones it shares with them
+(`--r --q --center --delta --cv-folds`), and `worker` only `--q` and `--center`.
 Each output comes from the run that computes it: `simulate` writes its gnuplot
 script beside the CSV; `aggregate`/`serve --beta cv --out` keep the CV scores.
 """
@@ -45,35 +47,36 @@ def _float_list(text: str):
     return values
 
 
-def _add_size_flags(sub):
-    sub.add_argument("--p", type=int, default=200, help="ambient dimension")
-    sub.add_argument("--n", type=int, default=250, help="total sample count")
-    sub.add_argument("--m", type=int, default=5, help="number of machines")
-    sub.add_argument("--r", type=int, default=5, help="target rank")
+# Each default is read from the spec that owns it: ExperimentSpec (sizes, ranks,
+# seed), JobSpec (delta, from BetaConfig) and CvSelect (folds, fold seed).
+_SPEC = experiment.ExperimentSpec
+_FLAGS = {
+    "--p": dict(type=int, default=_SPEC.p, help="ambient dimension"),
+    "--n": dict(type=int, default=_SPEC.n, help="total sample count"),
+    "--m": dict(type=int, default=_SPEC.m, help="number of machines"),
+    "--r": dict(type=int, default=_SPEC.r, help="target rank"),
+    "--q": dict(type=int, default=_SPEC.q, help="local summary rank (q >= r)"),
+    "--center": dict(action="store_true"),
+    "--dist": dict(choices=DISTRIBUTIONS, default=_SPEC.distribution),
+    "--seed": dict(type=int, default=_SPEC.seed),
+    "--beta": dict(type=_beta_value, default=1.0, help="a number or 'cv'"),
+    "--delta": dict(type=float, default=cluster.JobSpec.delta),
+    "--cv-folds": dict(type=int, default=cluster.CvSelect.folds, help="folds for beta selection"),
+    "--cv-seed": dict(type=int, default=cluster.CvSelect.seed, help="fold-shuffle seed"),
+    "--host": dict(default="127.0.0.1"),
+    "--port": dict(type=int, default=7071),
+    "--timeout": dict(type=float, default=cluster.DEFAULT_TIMEOUT_SECS,
+                      help="seconds for the round (serve), or for each connect and send (worker); "
+                           "default %(default)g"),
+}
+_SIZE_FLAGS = ("--p", "--n", "--m", "--r")
+_JOB_FLAGS = ("--q", "--center", "--r", "--beta", "--delta", "--cv-folds", "--cv-seed")  # see _build_job
+_ENDPOINT_FLAGS = ("--host", "--port", "--timeout")
 
 
-def _add_summary_flags(sub):
-    sub.add_argument("--q", type=int, default=10, help="local summary rank (q >= r)")
-    sub.add_argument("--center", action="store_true")
-
-
-def _add_job_flags(sub):
-    """The JobSpec flags of aggregate and serve (see _build_job)."""
-    _add_summary_flags(sub)
-    sub.add_argument("--r", type=int, default=5, help="target rank")
-    sub.add_argument("--beta", type=_beta_value, default=1.0, help="a number or 'cv'")
-    sub.add_argument("--delta", type=float, default=1e-5)
-    sub.add_argument("--cv-folds", type=int, default=5, help="folds for beta selection")
-    sub.add_argument("--cv-seed", type=int, default=0, help="fold-shuffle seed")
-
-
-def _add_endpoint_flags(sub):
-    """The coordinator's address and the socket timeout, shared by serve and worker."""
-    sub.add_argument("--host", default="127.0.0.1")
-    sub.add_argument("--port", type=int, default=7071)
-    sub.add_argument("--timeout", type=float, default=cluster.DEFAULT_TIMEOUT_SECS,
-                     help="seconds for the round (serve), or for each connect and send (worker); "
-                          "default %(default)g")
+def _add_flags(sub, *names):
+    for name in names:
+        sub.add_argument(name, **_FLAGS[name])
 
 
 def _build_job(args) -> cluster.JobSpec:
@@ -157,8 +160,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_aggregate(args) -> int:
+    job = _build_job(args)  # a bad job exits before any shard is read
     shards = [read_shard(path, machine_id=i + 1) for i, path in enumerate(args.shards)]
-    agg = cluster.run_local(shards, _build_job(args))
+    agg = cluster.run_local(shards, job)
     _report(agg, args.out)
     return 0
 
@@ -190,10 +194,11 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    job = _build_job(args)  # a bad job exits before the port is bound
     server = cluster.listen(args.host, args.port, args.m)
     host, port = server.getsockname()[:2]
     print(f"listening on {host}:{port}", flush=True)
-    agg = cluster.serve(server, args.m, _build_job(args), timeout=args.timeout)
+    agg = cluster.serve(server, args.m, job, timeout=args.timeout)
     _report(agg, args.out)
     return 0
 
@@ -212,49 +217,44 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     gen = subs.add_parser("gen", help="generate a population and write shard files")
-    _add_size_flags(gen)
-    gen.add_argument("--dist", choices=DISTRIBUTIONS, default="gaussian")
-    gen.add_argument("--seed", type=int, default=0)
+    _add_flags(gen, *_SIZE_FLAGS, "--dist", "--seed")
     gen.add_argument("--out", required=True, help="output directory")
     gen.set_defaults(func=cmd_gen)
 
     sim = subs.add_parser("simulate", help="run the replicated method comparison")
-    _add_size_flags(sim)
-    _add_summary_flags(sim)
-    sim.add_argument("--dist", choices=DISTRIBUTIONS, default="gaussian")
-    sim.add_argument("--reps", type=int, default=20)
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--delta", type=float, default=1e-5)
-    sim.add_argument("--k-max", type=int, default=15)
+    _add_flags(sim, *_SIZE_FLAGS, "--q", "--center", "--dist")
+    sim.add_argument("--reps", type=int, default=_SPEC.replicates)
+    _add_flags(sim, "--seed", "--delta")
+    sim.add_argument("--k-max", type=int, default=_SPEC.k_max)
     sim.add_argument("--paper-scale", action="store_true",
                      help="p=500, n=250, m=5, 100 replicates")
-    sim.add_argument("--cv-folds", type=int, default=5, help="folds for beta selection")
+    _add_flags(sim, "--cv-folds")
     sim.add_argument("--out", default="results.csv",
                      help="main CSV; the summaries and the gnuplot script <stem>.gp go beside it")
     sim.set_defaults(func=cmd_simulate)
 
     agg = subs.add_parser("aggregate", help="aggregate shard files in one round")
     agg.add_argument("shards", nargs="+", help="shard files (binary or CSV)")
-    _add_job_flags(agg)
+    _add_flags(agg, *_JOB_FLAGS)
     agg.add_argument("--out", help=_NPZ_HELP)
     agg.set_defaults(func=cmd_aggregate)
 
     pert = subs.add_parser("perturb", help="perturbation tolerance sweep (CSV)")
-    _add_size_flags(pert)
+    _add_flags(pert, *_SIZE_FLAGS)
     pert.add_argument("--noise-index", type=int, default=None,
                       help="0-based perturbed coordinate (default r)")
-    pert.add_argument("--seed", type=int, default=0)
+    _add_flags(pert, "--seed")
     pert.add_argument("--beta", type=_float_list, default=[-1.0, 0.0, 1.0],
-                      help="comma-separated betas")
+                      help="comma-separated betas")  # a list, not the job flag --beta
     pert.add_argument("--d-l", type=_float_list, default=[0.5, 5.0, 50.0],
                       help="comma-separated perturbation sizes")
     pert.add_argument("--out", help="CSV path (stdout when omitted)")
     pert.set_defaults(func=cmd_perturb)
 
     srv = subs.add_parser("serve", help="coordinator: listen for worker summaries")
-    _add_endpoint_flags(srv)
+    _add_flags(srv, *_ENDPOINT_FLAGS)
     srv.add_argument("--m", type=int, required=True, help="number of expected workers")
-    _add_job_flags(srv)
+    _add_flags(srv, *_JOB_FLAGS)
     srv.add_argument("--out", help=_NPZ_HELP)
     srv.set_defaults(func=cmd_serve)
 
@@ -262,8 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     wrk.add_argument("--shard", required=True)
     wrk.add_argument("--machine-id", type=int, default=1,
                      help="id for CSV shards (binary shards carry their own)")
-    _add_endpoint_flags(wrk)
-    _add_summary_flags(wrk)
+    _add_flags(wrk, *_ENDPOINT_FLAGS, "--q", "--center")
     wrk.set_defaults(func=cmd_worker)
 
     return parser

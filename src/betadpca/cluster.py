@@ -35,7 +35,7 @@ import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -87,11 +87,16 @@ class FixedBeta:
 
 @dataclass(frozen=True)
 class CvSelect:
-    """Select beta by machine-level cross-validation before aggregating."""
+    """Select beta among DEFAULT_CANDIDATES by cross-validation over `folds` (at least 2)
+    folds of machines, shuffled with `seed`; ExperimentSpec and the CLI read the defaults here."""
 
-    candidates: tuple[float, ...] = DEFAULT_CANDIDATES
     folds: int = 5
     seed: int = 0
+    candidates: ClassVar[tuple[float, ...]] = DEFAULT_CANDIDATES
+
+    def __post_init__(self):
+        if self.folds < 2:
+            raise InvalidInput(f"need at least two folds, got {self.folds}")
 
 
 @dataclass(frozen=True)
@@ -101,7 +106,7 @@ class JobSpec:
     r: int
     q: int
     beta_mode: FixedBeta | CvSelect
-    delta: float = 1e-5
+    delta: float = BetaConfig.delta
     center: bool = False
 
     def __post_init__(self):

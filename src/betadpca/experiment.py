@@ -11,7 +11,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .aggregation import SummarySpan, fan_aggregate
+from .aggregation import BetaConfig, SummarySpan, fan_aggregate
 from .cluster import CvSelect, FixedBeta, JobSpec, resolve_beta
 from .errors import InvalidInput, IoError
 from .local_pca import local_summary, truncate_summary
@@ -33,7 +33,8 @@ class ExperimentSpec:
     method of METHODS races; beta=cv chooses among DEFAULT_CANDIDATES.
 
     Defaults are the quick desk scale; paper_scale() switches the size knobs
-    to the full setting.
+    to the full setting.  cv_folds and delta default to CvSelect's and
+    BetaConfig's, which a replicate's jobs use.
     """
 
     p: int = 200
@@ -42,8 +43,8 @@ class ExperimentSpec:
     r: int = 5
     q: int = 10
     distribution: str = GAUSSIAN
-    cv_folds: int = 5
-    delta: float = 1e-5
+    cv_folds: int = CvSelect.folds
+    delta: float = BetaConfig.delta
     replicates: int = 20
     k_max: int = 15
     seed: int = 0
@@ -56,6 +57,8 @@ class ExperimentSpec:
         if not (2 <= self.m <= self.n and self.cv_folds >= 2):
             raise InvalidInput(f"beta=cv needs 2 <= m <= n and cv_folds >= 2, "
                                f"got m={self.m}, n={self.n}, cv_folds={self.cv_folds}")
+        if not self.delta > 0:
+            raise InvalidInput("delta must be positive")
         if self.replicates < 1:
             raise InvalidInput("need at least one replicate")
         if self.k_max < self.r:

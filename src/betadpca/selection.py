@@ -111,7 +111,7 @@ def select_beta(summaries_q: Sequence[TruncatedEig] | SummarySpan, summaries_r: 
         fold_span = SummarySpan(tuple(summaries_q[i] for i in train), span.basis @ sub, sub_coords)
         held = np.hstack([summaries_r[i].vectors for i in fold])
         for bi, transform in enumerate(transforms):
-            lead = _span_aggregate(fold_span, transform, r, None).leading.vectors
+            lead = _span_aggregate(fold_span, transform, r).leading.vectors
             # ||P_lead - P_i||_F^2 = 2 ||V_i - P_lead V_i||_F^2 for orthonormal rank-r
             # blocks; this residual form keeps round-off squared, where
             # |A^T A|^2 - 2 |A^T B|^2 + |B^T B|^2 cancels to ~1e-16.

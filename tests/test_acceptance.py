@@ -256,8 +256,7 @@ def test_criterion_8_protocol_correctness():
         for seed in range(5):
             model = make_population(16, 48, 2, GAUSSIAN, seed=seed)
             shards = split_shards(sample_data(model), 4)
-            mode = (FixedBeta(-1.0) if seed % 2 else
-                    CvSelect(candidates=(-1.0, 0.0, 1.0), folds=2, seed=seed))
+            mode = FixedBeta(-1.0) if seed % 2 else CvSelect(folds=2, seed=seed)
             job = JobSpec(r=2, q=5, beta_mode=mode)
             local = run_local(shards, job)
             sock = run_sockets(shards, job)

@@ -85,18 +85,6 @@ class TestBetaMean:
         rel = np.linalg.norm(near - limit) / np.linalg.norm(limit)
         assert rel <= 1e-3
 
-    def test_weights_default_matches_uniform(self):
-        rng = np.random.default_rng(36)
-        ms = [rand_spd(rng, 4) for _ in range(3)]
-        cfg = BetaConfig(beta=1.0)
-        assert np.array_equal(beta_mean(ms, cfg),
-                              beta_mean(ms, cfg, weights=[1.0, 1.0, 1.0]))
-
-    def test_unequal_weights_shift_result(self):
-        ms = [np.eye(2), 3.0 * np.eye(2)]
-        out = beta_mean(ms, BetaConfig(beta=1.0), weights=[3.0, 1.0])
-        assert_allclose(out, 1.5 * np.eye(2), rtol=1e-12)
-
     def test_empty_input_rejected(self):
         with pytest.raises(InvalidInput):
             beta_mean([], BetaConfig(beta=1.0))

@@ -5,7 +5,8 @@ import threading
 import numpy as np
 import pytest
 
-from betadpca import DEFAULT_CANDIDATES, CvSelect, FixedBeta, JobSpec, cli, read_shard, run_local
+from betadpca import (DEFAULT_CANDIDATES, CvSelect, ExperimentSpec, FixedBeta, JobSpec, cli, read_shard,
+                      run_local)
 
 CV_KEYS = {"cv_betas", "cv_scores", "cv_per_fold"}
 
@@ -219,6 +220,15 @@ class TestServeWorker:
         [(msg, _)] = seen
         assert (msg.machine_id, msg.q) == (1, 4)
 
+    @pytest.mark.parametrize("command", [("serve", "--port", "0", "--m", "2", "--timeout", "0.5"),
+                                         ("aggregate", "no_such_shard.bdpx")])
+    def test_a_single_fold_exits_before_any_work(self, command, capsys):
+        # JobSpec rejects CvSelect(folds=1): serve binds no port, aggregate reads no shard
+        assert run_cli(*command, "--r", "2", "--q", "4", "--beta", "cv", "--cv-folds", "1") == 2
+        out, err = capsys.readouterr()
+        assert "listening on" not in out
+        assert "error: need at least two folds, got 1" in err
+
     @pytest.mark.parametrize("flag", ["--r=2", "--beta=1", "--delta=1e-5", "--cv-folds=2", "--cv-seed=0"])
     def test_worker_rejects_coordinator_flags(self, flag, sent, capsys):
         shard, seen = sent
@@ -236,6 +246,16 @@ class TestArgumentParsing:
         usage = capsys.readouterr().out.split("options:")[0]
         assert set(re.findall(r"--[\w-]+", usage)) == {"--shard", "--machine-id", "--host", "--port",
                                                        "--timeout", "--q", "--center"}
+
+    def test_shared_flags_parse_to_the_specs_defaults(self):
+        parser = cli.build_parser()
+        parsed = {(a.r, a.q, a.center, a.delta, a.cv_folds)
+                  for a in (parser.parse_args(["simulate"]), parser.parse_args(["aggregate", "s.bdpx"]),
+                            parser.parse_args(["serve", "--m", "2"]))}
+        spec = ExperimentSpec()
+        job = JobSpec(r=spec.r, q=spec.q, beta_mode=CvSelect())
+        assert parsed == {(spec.r, spec.q, spec.center, spec.delta, spec.cv_folds)}
+        assert (job.center, job.delta, job.beta_mode.folds) == (spec.center, spec.delta, spec.cv_folds)
 
     @pytest.mark.parametrize("flag", ["--beta=,", "--d-l=,"])
     def test_perturb_rejects_an_empty_number_list(self, flag, capsys):

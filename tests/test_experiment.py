@@ -45,6 +45,12 @@ class TestSpecValidation:
         with pytest.raises(InvalidInput, match="cv_folds >= 2"):
             tiny_spec(cv_folds=1)
 
+    @pytest.mark.parametrize("delta", [-1.0, 0.0])
+    def test_non_positive_delta_rejected(self, delta):
+        # at construction, not inside the first replicate's beta=-1 aggregation
+        with pytest.raises(InvalidInput, match="delta must be positive"):
+            tiny_spec(delta=delta)
+
     def test_paper_scale_knobs(self):
         spec = tiny_spec().paper_scale()
         assert (spec.p, spec.n, spec.m, spec.replicates) == (500, 250, 5, 100)
