@@ -6,9 +6,9 @@ dense beta_mean and summary aggregation apply.
 Summary aggregation never forms a p x p matrix: every branch is a fixed value
 outside the span of the summaries, so one eigensolve of a k x k core
 (k <= total summary rank) gives the result in factored form (AggregateResult),
-at O(p (m q)^2) for m machines of rank q.  _span_aggregate takes the basis
-as part of a SummarySpan, so one basis of all machines' summaries serves
-every beta and every CV fold.
+at O(p (m q)^2) for m machines of rank q.  SpanCore.solve works in the
+coordinates of a SummarySpan's basis, so one basis of all machines' summaries
+serves every beta and every CV fold; SpanCore.lift maps a solve into R^p.
 """
 
 from __future__ import annotations
@@ -211,17 +211,13 @@ def _top_block(values: np.ndarray, vectors: np.ndarray, complement: float, k: in
     return TruncatedEig(values=_top_values(values, complement, layout), vectors=top_vectors)
 
 
-def _warn_on_tie(values: np.ndarray, complement: float, p: int, r: int) -> None:
+def _tie_at(values: np.ndarray, complement: float, p: int, r: int) -> float | None:
+    # The eigenvalue that places r and r + 1 of the full spectrum share, or None
+    # when the rank-r boundary is strict; values are sorted non-increasing.
     if r >= p:
-        return
+        return None
     top = _top_values(values, complement, _top_layout(values, complement, p, r + 1))
-    if top[r - 1] == top[r]:
-        warnings.warn(
-            f"eigenvalues {r} and {r + 1} of the aggregate coincide "
-            f"({top[r - 1]:.17g}); ordering uses the deterministic tie-break",
-            TieWarning,
-            stacklevel=4,
-        )
+    return float(top[r - 1]) if top[r - 1] == top[r] else None
 
 
 def span_basis(stacked: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -266,32 +262,81 @@ class SummarySpan:
         return self.summaries[0].q
 
 
-def _span_aggregate(span: SummarySpan, transform: BranchTransform, r: int,
-                    beta_used: float | None = None) -> AggregateResult:
-    """Sigma = inverse( (1/m) sum_l transform(M_l) ) for the m summaries of `span`.
+@dataclass(frozen=True, eq=False)
+class SpanCore:
+    """One aggregation solved in the coordinates of its span's basis Q (p x k).
 
-    The only eigensolve is of the k x k core
-
-        C = (1/m) sum_l B_l diag(forward(lam_l) - s) B_l^T + s I,
-
-    since the average equals Q C Q^T + c (I - Q Q^T).  s = c, except when every
-    summary spans the basis (k == q): no term then has a complement direction
-    in it, and s = 0 keeps forward values far below c.  Cost O(p k^2).
+    sigma_beta = Q vectors diag(values) vectors^T Q^T + complement (I - Q Q^T):
+    `vectors` (k x k) are the core's eigenvectors in eig_sym's order, and
+    `values` their eigenvalues after the inverse map, in the same order (for
+    beta < 0 the inverse reverses it).  lift puts them in R^p; leading_coords
+    reads the top r without leaving the span's coordinates.
     """
-    p, k = span.basis.shape
-    w = 1.0 / len(span.summaries)
-    c = transform.complement
-    shift = c if k > span.q else 0.0
-    terms = [transform.forward(s.values) for s in span.summaries]
-    scale = np.concatenate([w * (f - shift) for f in terms])
-    core = eig_sym((span.coords * scale) @ span.coords.T + shift * np.eye(k))
-    hull = np.concatenate(terms + [[c]])  # the complement is a term's eigenvalue too
-    span_values, vectors = canonical_order(transform.inverse_within(core.values, hull), span.basis @ core.vectors)
-    complement = float(transform.inverse(np.array([c]))[0])
-    _warn_on_tie(span_values, complement, p, r)
-    return AggregateResult(span_values=span_values, span_vectors=vectors, complement_value=complement,
-                           leading=_top_block(span_values, vectors, complement, r),
-                           branch=transform.name, beta_used=beta_used)
+
+    values: np.ndarray
+    vectors: np.ndarray
+    complement: float
+    branch: str
+
+    @classmethod
+    def solve(cls, summaries: Sequence[TruncatedEig], coords: np.ndarray,
+              transform: BranchTransform) -> "SpanCore":
+        """Sigma = inverse( (1/m) sum_l transform(M_l) ) for the m summaries V_l = Q B_l,
+        coords = [B_1 ... B_m].
+
+        The only eigensolve is of the k x k core
+
+            C = (1/m) sum_l B_l diag(forward(lam_l) - s) B_l^T + s I,
+
+        since the average equals Q C Q^T + c (I - Q Q^T).  s = c, except when every
+        summary spans the basis (k == q): no term then has a complement direction
+        in it, and s = 0 keeps forward values far below c.  Cost O(k^2 m q + k^3).
+        """
+        k = coords.shape[0]
+        w = 1.0 / len(summaries)
+        c = transform.complement
+        shift = c if k > summaries[0].q else 0.0
+        terms = [transform.forward(s.values) for s in summaries]
+        scale = np.concatenate([w * (f - shift) for f in terms])
+        core = eig_sym((coords * scale) @ coords.T + shift * np.eye(k))
+        hull = np.concatenate(terms + [[c]])  # the complement is a term's eigenvalue too
+        return cls(values=transform.inverse_within(core.values, hull), vectors=core.vectors,
+                   complement=float(transform.inverse(np.array([c]))[0]), branch=transform.name)
+
+    def lift(self, basis: np.ndarray, r: int, beta_used: float | None = None) -> AggregateResult:
+        """The AggregateResult in R^p, for the span's p x k basis; O(p k^2).
+
+        Eigenpairs take linalg's sign/tie convention, and the leading block takes
+        complement directions where the spectrum needs them.  A tie between
+        eigenvalues r and r + 1 warns (TieWarning).
+        """
+        p = basis.shape[0]
+        span_values, vectors = canonical_order(self.values, basis @ self.vectors)
+        tied = _tie_at(span_values, self.complement, p, r)
+        if tied is not None:
+            warnings.warn(
+                f"eigenvalues {r} and {r + 1} of the aggregate coincide "
+                f"({tied:.17g}); ordering uses the deterministic tie-break",
+                TieWarning,
+                stacklevel=3,
+            )
+        return AggregateResult(span_values=span_values, span_vectors=vectors, complement_value=self.complement,
+                               leading=_top_block(span_values, vectors, self.complement, r),
+                               branch=self.branch, beta_used=beta_used)
+
+    def leading_coords(self, p: int, r: int) -> np.ndarray | None:
+        """An orthonormal basis (k x r) of the leading block's span, in the span's
+        coordinates, or None when only lift can name the block: a complement
+        direction enters the top r, or eigenvalue r ties eigenvalue r + 1.
+
+        The columns' order and signs are the core's, not linalg's convention;
+        the projector they give is the leading block's.  p is the ambient dimension.
+        """
+        order = np.argsort(-self.values, kind="stable")
+        values = self.values[order]
+        if _top_layout(values, self.complement, p, r)[1] or _tie_at(values, self.complement, p, r) is not None:
+            return None
+        return self.vectors[:, order[:r]]
 
 
 def beta_aggregate(summaries: Sequence[TruncatedEig] | SummarySpan, cfg: BetaConfig, r: int) -> AggregateResult:
@@ -314,7 +359,8 @@ def beta_aggregate(summaries: Sequence[TruncatedEig] | SummarySpan, cfg: BetaCon
     span = SummarySpan.of(summaries)
     if not 1 <= r <= span.q:
         raise InvalidInput(f"need 1 <= r <= q={span.q}, got r={r}")
-    return _span_aggregate(span, branch_transform(cfg.beta, cfg.delta), r, beta_used=cfg.beta)
+    return SpanCore.solve(span.summaries, span.coords, branch_transform(cfg.beta, cfg.delta)).lift(
+        span.basis, r, beta_used=cfg.beta)
 
 
 def fan_aggregate(summaries: Sequence[TruncatedEig]) -> AggregateResult:
@@ -325,4 +371,4 @@ def fan_aggregate(summaries: Sequence[TruncatedEig]) -> AggregateResult:
     the summaries like beta_aggregate, with forward map 1 and complement 0.
     """
     span = SummarySpan.of(summaries)
-    return _span_aggregate(span, PROJECTION_AVERAGE, span.q)
+    return SpanCore.solve(span.summaries, span.coords, PROJECTION_AVERAGE).lift(span.basis, span.q)

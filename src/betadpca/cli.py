@@ -226,8 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--reps", type=int, default=_SPEC.replicates)
     _add_flags(sim, "--seed", "--delta")
     sim.add_argument("--k-max", type=int, default=_SPEC.k_max)
+    paper = _SPEC().paper_scale()
     sim.add_argument("--paper-scale", action="store_true",
-                     help="p=500, n=250, m=5, 100 replicates")
+                     help=f"p={paper.p}, n={paper.n}, m={paper.m}, {paper.replicates} replicates")
     _add_flags(sim, "--cv-folds")
     sim.add_argument("--out", default="results.csv",
                      help="main CSV; the summaries and the gnuplot script <stem>.gp go beside it")

@@ -88,7 +88,8 @@ class FixedBeta:
 @dataclass(frozen=True)
 class CvSelect:
     """Select beta among DEFAULT_CANDIDATES by cross-validation over `folds` (at least 2)
-    folds of machines, shuffled with `seed`; ExperimentSpec and the CLI read the defaults here."""
+    folds of machines, shuffled with `seed` (non-negative); ExperimentSpec and the CLI
+    read the defaults here."""
 
     folds: int = 5
     seed: int = 0
@@ -97,6 +98,8 @@ class CvSelect:
     def __post_init__(self):
         if self.folds < 2:
             raise InvalidInput(f"need at least two folds, got {self.folds}")
+        if self.seed < 0:
+            raise InvalidInput(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -52,13 +52,12 @@ class ExperimentSpec:
     methods: ClassVar[tuple[str, ...]] = METHODS
 
     def __post_init__(self):
-        if not 1 <= self.r <= self.q <= self.p:
-            raise InvalidInput(f"need 1 <= r <= q <= p, got r={self.r}, q={self.q}, p={self.p}")
-        if not (2 <= self.m <= self.n and self.cv_folds >= 2):
-            raise InvalidInput(f"beta=cv needs 2 <= m <= n and cv_folds >= 2, "
-                               f"got m={self.m}, n={self.n}, cv_folds={self.cv_folds}")
-        if not self.delta > 0:
-            raise InvalidInput("delta must be positive")
+        # the beta=cv job validates r <= q, the folds, the seed and delta
+        JobSpec(self.r, self.q, CvSelect(self.cv_folds, self.seed), self.delta)
+        if self.q > self.p:
+            raise InvalidInput(f"need q <= p, got q={self.q}, p={self.p}")
+        if not 2 <= self.m <= self.n:
+            raise InvalidInput(f"beta=cv needs 2 <= m <= n, got m={self.m}, n={self.n}")
         if self.replicates < 1:
             raise InvalidInput("need at least one replicate")
         if self.k_max < self.r:

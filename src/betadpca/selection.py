@@ -6,7 +6,8 @@ against each validation machine's own rank-r projection is averaged.  The
 candidate with the smallest mean mismatch wins; ties go to the earlier
 candidate in the declared order.  Every aggregation runs in one basis of all
 machines' summaries (a SummarySpan), which the caller may share with the
-final aggregate at the winning beta.
+final aggregate at the winning beta, and every fold is scored in that basis's
+coordinates.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .aggregation import BetaConfig, SummarySpan, _span_aggregate, branch_transform, finite_beta, span_basis
+from .aggregation import BetaConfig, SpanCore, SummarySpan, branch_transform, finite_beta, span_basis
 from .errors import InvalidInput
 from .local_pca import TruncatedEig
 from .rngs import FOLDS, stream
@@ -81,9 +82,15 @@ def select_beta(summaries_q: Sequence[TruncatedEig] | SummarySpan, summaries_r: 
     as their SummarySpan; summaries_r are the validation machines' own rank-r
     projections and are the only thing the validation side looks at.
 
-    Every training span lies in the span of all m summaries, so that one
-    basis serves every fold (the range-finder view of Halko, Martinsson &
-    Tropp 2011): a fold only takes the small SVD of its machines' coordinates.
+    Every training span lies in the span Q (p x K) of all m summaries, so
+    that one basis serves every fold (the range-finder view of Halko,
+    Martinsson & Tropp 2011): a fold only takes the small SVD of its machines'
+    coordinates, and is scored in them.  The validation blocks H are projected
+    once, H = Q H_c + H_out with H_out orthogonal to Q, so for a leading block
+    Q L_c the score's residual splits into two sums of squares,
+    ||H - P H||^2 = ||H_c - L_c L_c^T H_c||^2 + ||H_out||^2, and the loop does
+    no p-row work.  Only a fold whose leading block needs complement
+    directions, or ties at rank r (TieWarning), is lifted to R^p.
     """
     span = SummarySpan.of(summaries_q)
     summaries_q = span.summaries
@@ -102,21 +109,27 @@ def select_beta(summaries_q: Sequence[TruncatedEig] | SummarySpan, summaries_r: 
     if r > q:
         raise InvalidInput(f"validation rank r={r} exceeds training rank q={q}")
 
+    held = [s.vectors for s in summaries_r]
+    held_c = [span.basis.T @ h for h in held]
+    held_out = [_sum_sq(h - span.basis @ hc) for h, hc in zip(held, held_c)]
     candidates = plan.candidate_set
     transforms = [branch_transform(b, cfg_template.delta) for b in candidates]
     per_fold = np.zeros((plan.k, len(candidates)))
     for j, fold in enumerate(plan.folds):
         train = [i for i in range(plan.m) if i not in fold]
         sub, sub_coords = span_basis(np.hstack([span.coords[:, i * q:(i + 1) * q] for i in train]), p)
-        fold_span = SummarySpan(tuple(summaries_q[i] for i in train), span.basis @ sub, sub_coords)
-        held = np.hstack([summaries_r[i].vectors for i in fold])
+        train_q = [summaries_q[i] for i in train]
+        fold_c = np.hstack([held_c[i] for i in fold])
+        fold_out = sum(held_out[i] for i in fold)
         for bi, transform in enumerate(transforms):
-            lead = _span_aggregate(fold_span, transform, r).leading.vectors
-            # ||P_lead - P_i||_F^2 = 2 ||V_i - P_lead V_i||_F^2 for orthonormal rank-r
-            # blocks; this residual form keeps round-off squared, where
-            # |A^T A|^2 - 2 |A^T B|^2 + |B^T B|^2 cancels to ~1e-16.
-            resid = held - lead @ (lead.T @ held)
-            per_fold[j, bi] = 2.0 * float(np.sum(resid * resid)) / len(fold)
+            core = SpanCore.solve(train_q, sub_coords, transform)
+            lead_c = core.leading_coords(p, r)
+            if lead_c is None:
+                lead = core.lift(span.basis @ sub, r).leading.vectors
+                mismatch = _residual_sq(np.hstack([held[i] for i in fold]), lead)
+            else:
+                mismatch = _residual_sq(fold_c, sub @ lead_c) + fold_out
+            per_fold[j, bi] = 2.0 * mismatch / len(fold)
     scores = per_fold.mean(axis=0)
     best = candidates[int(np.argmin(scores))]  # argmin takes the first minimum
     return CvResult(
@@ -124,3 +137,14 @@ def select_beta(summaries_q: Sequence[TruncatedEig] | SummarySpan, summaries_r: 
         best_beta=best,
         per_fold=per_fold,
     )
+
+
+def _sum_sq(a: np.ndarray) -> float:
+    return float(np.sum(a * a))
+
+
+def _residual_sq(held: np.ndarray, lead: np.ndarray) -> float:
+    # ||P_lead - P_i||_F^2 = 2 ||V_i - P_lead V_i||_F^2 for orthonormal rank-r
+    # blocks; this residual form keeps round-off squared, where
+    # |A^T A|^2 - 2 |A^T B|^2 + |B^T B|^2 cancels to ~1e-16.
+    return _sum_sq(held - lead @ (lead.T @ held))

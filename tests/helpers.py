@@ -230,6 +230,20 @@ def count_span_svds(monkeypatch, rows):
     return shapes
 
 
+def count_lifts(monkeypatch):
+    """Record the basis shape of every SpanCore.lift, the step that maps an
+    aggregation solved in span coordinates into R^p."""
+    shapes = []
+    lift = aggregation.SpanCore.lift
+
+    def counted(core, basis, *args, **kwargs):
+        shapes.append(basis.shape)
+        return lift(core, basis, *args, **kwargs)
+
+    monkeypatch.setattr(aggregation.SpanCore, "lift", counted)
+    return shapes
+
+
 def sample_covariance(shard, center=False):
     """Shard covariance oracle: (1/n_ell) X X^T as a p x p matrix.
 

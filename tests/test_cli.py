@@ -257,6 +257,22 @@ class TestArgumentParsing:
         assert parsed == {(spec.r, spec.q, spec.center, spec.delta, spec.cv_folds)}
         assert (job.center, job.delta, job.beta_mode.folds) == (spec.center, spec.delta, spec.cv_folds)
 
+    @pytest.mark.parametrize("command", [
+        ("gen", "--seed", "-1", "--out", "{tmp}/data"),
+        ("simulate", "--seed", "-1", "--out", "{tmp}/results.csv"),
+        ("perturb", "--seed", "-1", "--out", "{tmp}/perturb.csv"),
+        ("aggregate", "no_such_shard.bdpx", "--beta", "cv", "--cv-seed", "-1"),
+        ("serve", "--port", "0", "--m", "2", "--timeout", "0.5", "--beta", "cv", "--cv-seed", "-1"),
+    ], ids=lambda command: command[0])
+    def test_a_negative_seed_exits_before_any_work(self, command, tmp_path, capsys):
+        # a clean error, not numpy's traceback from SeedSequence: nothing is
+        # written, no shard read, no port bound
+        assert run_cli(*(arg.format(tmp=tmp_path) for arg in command)) == 2
+        out, err = capsys.readouterr()
+        assert "error: seed must be non-negative, got -1" in err
+        assert "listening on" not in out
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag", ["--beta=,", "--d-l=,"])
     def test_perturb_rejects_an_empty_number_list(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -41,7 +41,7 @@ from betadpca import (
 )
 from betadpca import cluster
 from betadpca.cluster import FRAME_OVERHEAD
-from helpers import count_span_svds, rand_summary, wrap_frame
+from helpers import count_lifts, count_span_svds, rand_summary, wrap_frame
 
 
 def rand_msg(rng, p=None, q=None):
@@ -267,8 +267,10 @@ class TestCoordinatorRound:
         # the fold loop and the final aggregate share one basis of the stack
         msgs = self.msgs(m=4, p=30, q=3)
         shapes = count_span_svds(monkeypatch, rows=30)
+        lifts = count_lifts(monkeypatch)
         coordinator_round(msgs, JobSpec(r=2, q=3, beta_mode=CvSelect(folds=2, seed=0)), (1, 2, 3, 4))
         assert shapes == [(30, 12)]
+        assert lifts == [(30, 12)]  # the winner's aggregate; the fold loop stays in coordinates
 
     def test_missing_machines_reported(self, caplog):
         msgs = self.msgs(m=3)

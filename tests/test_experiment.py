@@ -42,8 +42,13 @@ class TestSpecValidation:
 
     def test_single_fold_rejected(self):
         # at construction, not inside make_folds at the first beta=cv
-        with pytest.raises(InvalidInput, match="cv_folds >= 2"):
+        with pytest.raises(InvalidInput, match="need at least two folds"):
             tiny_spec(cv_folds=1)
+
+    def test_negative_seed_rejected(self):
+        # at construction, not inside the first replicate's SeedSequence
+        with pytest.raises(InvalidInput, match="seed must be non-negative"):
+            tiny_spec(seed=-1)
 
     @pytest.mark.parametrize("delta", [-1.0, 0.0])
     def test_non_positive_delta_rejected(self, delta):

@@ -12,11 +12,15 @@ from betadpca import (
     TieWarning,
     TruncatedEig,
     beta_aggregate,
+    local_summary,
     make_folds,
+    make_population,
+    sample_data,
     select_beta,
+    split_shards,
     truncate_summary,
 )
-from helpers import fold_loop_per_fold, projection_discrepancy, rand_orthogonal, rand_summary
+from helpers import count_lifts, fold_loop_per_fold, projection_discrepancy, rand_orthogonal, rand_summary
 
 
 class TestMakeFolds:
@@ -205,21 +209,25 @@ class TestFoldLoopMatchesOracle:
     and candidate (helpers.fold_loop_per_fold): 1e-12 absolute for beta >= 0;
     1e-8 for beta < 0, where both sides carry the delta^beta shift."""
 
-    def check(self, summaries_q, summaries_r, folds):
+    def check(self, monkeypatch, summaries_q, summaries_r, folds):
+        """Compare every score; return how many lifts to R^p select_beta made."""
         plan = make_folds(len(summaries_q), folds, seed=0, candidate_set=BETAS)
         cfg = BetaConfig(beta=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TieWarning)
+            lifts = count_lifts(monkeypatch)
             got = select_beta(summaries_q, summaries_r, plan, cfg).per_fold
+            monkeypatch.undo()
             want = fold_loop_per_fold(summaries_q, summaries_r, plan, cfg)
         for bi, beta in enumerate(BETAS):
             assert_allclose(got[:, bi], want[:, bi], rtol=0, atol=1e-12 if beta >= 0 else 1e-8)
+        return len(lifts)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_random_summaries(self, seed):
+    def test_random_summaries(self, seed, monkeypatch):
         rng = np.random.default_rng([80, seed])
         summaries = [rand_summary(rng, 14, 3) for _ in range(5)]
-        self.check(summaries, [truncate_summary(s, 2) for s in summaries], folds=3)
+        self.check(monkeypatch, summaries, [truncate_summary(s, 2) for s in summaries], folds=3)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("p, values", [
@@ -227,7 +235,7 @@ class TestFoldLoopMatchesOracle:
         (10, [[0.8, 0.5, 0.2]] * 4),  # one complement direction, then span values
         (16, [[3.0, 0.3, 0.2]] * 2 + [[0.8, 0.3, 0.2]] * 2),  # span values, then complement
     ])
-    def test_limit_zero_complement_enters_leading_block(self, seed, p, values):
+    def test_limit_zero_complement_enters_leading_block(self, seed, p, values, monkeypatch):
         # at beta = 0 the complement has eigenvalue 1, above sub-unit span values
         rng = np.random.default_rng([81, seed])
         summaries = [TruncatedEig(values=np.array(v), vectors=rand_orthogonal(rng, p)[:, :3]) for v in values]
@@ -235,7 +243,23 @@ class TestFoldLoopMatchesOracle:
             warnings.simplefilter("ignore", TieWarning)
             agg = beta_aggregate(summaries[1:], BetaConfig(beta=0.0), 3)
         assert 1.0 in agg.leading.values
-        self.check(summaries, [truncate_summary(s, 3) for s in summaries], folds=4)
+        # only the lift to R^p can name complement directions
+        assert self.check(monkeypatch, summaries, [truncate_summary(s, 3) for s in summaries], folds=4) > 0
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_a_planted_round_stays_in_span_coordinates(self, seed, monkeypatch):
+        # no fold or candidate needs the lift to R^p: the loop does no p-row work
+        model = make_population(60, 100, 3, "gaussian", 90 + seed)
+        summaries = [local_summary(s, 6) for s in split_shards(sample_data(model), 5)]
+        assert self.check(monkeypatch, summaries, [truncate_summary(s, 3) for s in summaries], folds=5) == 0
+
+    def test_span_tie_at_rank_r_warns(self):
+        # each training fold is one machine with a double eigenvalue, so
+        # eigenvalue r ties r + 1 inside the span: the fold is lifted and warns
+        summaries = [TruncatedEig(values=np.ones(2), vectors=np.eye(4)[:, 2 * i:2 * i + 2]) for i in range(2)]
+        plan = make_folds(2, 2, seed=0, candidate_set=(1.0,))
+        with pytest.warns(TieWarning):
+            select_beta(summaries, [truncate_summary(s, 1) for s in summaries], plan, BetaConfig(beta=1.0))
 
     def test_limit_zero_tie_warns(self):
         rng = np.random.default_rng(82)
@@ -245,7 +269,7 @@ class TestFoldLoopMatchesOracle:
             select_beta(summaries, [truncate_summary(s, 2) for s in summaries], plan, BetaConfig(beta=0.0))
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_machines_sharing_directions(self, seed):
+    def test_machines_sharing_directions(self, seed, monkeypatch):
         # machine 1 repeats machine 0's directions; machine 2 shares two of them
         rng = np.random.default_rng([83, seed])
         summaries = [rand_summary(rng, 12, 4) for _ in range(5)]
@@ -253,18 +277,18 @@ class TestFoldLoopMatchesOracle:
         mixed, _ = np.linalg.qr(np.hstack([summaries[0].vectors[:, :2], rng.standard_normal((12, 2))]))
         summaries[2] = TruncatedEig(values=summaries[2].values, vectors=mixed)
         assert np.linalg.matrix_rank(np.hstack([s.vectors for s in summaries])) < 20
-        self.check(summaries, [truncate_summary(s, 2) for s in summaries], folds=2)
+        self.check(monkeypatch, summaries, [truncate_summary(s, 2) for s in summaries], folds=2)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_one_machine_training_folds(self, seed):
+    def test_one_machine_training_folds(self, seed, monkeypatch):
         rng = np.random.default_rng([84, seed])
         summaries = [rand_summary(rng, 9, 4) for _ in range(2)]
-        self.check(summaries, [truncate_summary(s, 2) for s in summaries], folds=2)
+        self.check(monkeypatch, summaries, [truncate_summary(s, 2) for s in summaries], folds=2)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_validation_blocks_outside_the_span(self, seed):
+    def test_validation_blocks_outside_the_span(self, seed, monkeypatch):
         rng = np.random.default_rng([85, seed])
         summaries = [rand_summary(rng, 30, 3) for _ in range(4)]
         validations = [TruncatedEig(values=np.ones(2), vectors=rand_orthogonal(rng, 30)[:, :2])
                        for _ in range(4)]
-        self.check(summaries, validations, folds=2)
+        assert self.check(monkeypatch, summaries, validations, folds=2) == 0

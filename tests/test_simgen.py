@@ -16,6 +16,7 @@ from betadpca import (
     truncate_summary,
     truncated_eig,
 )
+from betadpca.rngs import REPLICATE, child_seed
 from helpers import dense_sample_data
 
 
@@ -40,6 +41,13 @@ class TestMakePopulation:
         noise = np.setdiff1d(model.lam, signal_eigenvalues(40, 100, 4))
         assert noise.size == 36
         assert np.all((noise > 0.5) & (noise < 1.5))
+
+    def test_negative_seed_is_invalid_input(self):
+        # rejected by the seed streams themselves, not by numpy's SeedSequence
+        with pytest.raises(InvalidInput, match="seed must be non-negative"):
+            make_population(12, 50, 2, GAUSSIAN, seed=-1)
+        with pytest.raises(InvalidInput, match="seed must be non-negative"):
+            child_seed(-1, REPLICATE, 1)
 
     def test_covariance_consistency(self):
         model = make_population(12, 50, 2, GAUSSIAN, seed=6)
