@@ -28,7 +28,7 @@ shards = split_shards(sample_data(model), M)
 job = JobSpec(r=R, q=Q, beta_mode=FixedBeta(0.0))
 
 # --- what actually goes over the wire -------------------------------------
-msg = worker_round(shards[0], job.q, job.center)  # all of the job a worker acts on
+msg = worker_round(shards[0], job.q)  # all of the job a worker acts on
 frame = encode_summary(msg)
 print(f"one worker message: p={msg.p} q={msg.q} n_ell={msg.n_ell}")
 print(f"frame size: {len(frame)} bytes = q(p+1)*8 + 30 = {Q * (P + 1) * 8 + 30}")
@@ -44,7 +44,7 @@ print(f"aggregate rho_r = {rho_similarity(a.leading, model.gamma[:, :R]):.4f} "
       f"(branch: {a.branch})")
 
 # --- CV mode rides the same round ------------------------------------------
-# Workers send the very same frames: they act on q and center only, and the
+# Workers send the very same frames: they act on q only, and the
 # coordinator validates on each machine's leading r columns, so beta selection
 # costs no extra bytes.
 job_cv = JobSpec(r=R, q=Q, beta_mode=CvSelect(folds=5))
@@ -52,4 +52,4 @@ res = run_sockets(shards, job_cv)
 print(f"\nCV over the wire picked beta={res.beta_used:+.0f} "
       f"(scores: {{{', '.join(f'{b:+.0f}: {s:.4f}' for b, s in res.cv.scores.items())}}})")
 print("CV-mode frame == fixed-beta frame:",
-      encode_summary(worker_round(shards[0], job_cv.q, job_cv.center)) == frame)
+      encode_summary(worker_round(shards[0], job_cv.q)) == frame)

@@ -1,17 +1,20 @@
 """Command-line interface.
 
 Subcommands, one per job: gen, simulate, aggregate, perturb, serve, worker.
-A flag that several of them take is declared once, in _FLAGS.  `aggregate` and
-`serve` take the job flags, `simulate` the ones it shares with them
-(`--r --q --center --delta --cv-folds`), and `worker` only `--q` and `--center`.
-Each output comes from the run that computes it: `simulate` writes its gnuplot
-script beside the CSV; `aggregate`/`serve --beta cv --out` keep the CV scores.
+A flag that several of them take is declared once, in _FLAGS, with the type
+that checks it.  `aggregate` and `serve` take the job flags, `simulate` the ones
+it shares with them (`--r --q --delta --cv-folds`), and `worker` only `--q`.
+A job that cannot run (a bad flag, or CV over fewer than two machines) exits 2
+before any shard is read or port bound.  Each output comes from the run that
+computes it: `simulate` writes its gnuplot script beside the CSV;
+`aggregate`/`serve --beta cv --out` keep the CV scores.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -23,28 +26,29 @@ from .errors import (ConvergenceError, CorruptMessage, DomainError, InvalidInput
 from .local_pca import read_shard, write_shard
 from .perturbation import PerturbationScenario, tolerance
 from .rngs import NOISE_EIGENVALUES, stream
+from .selection import make_folds
 from .simgen import DISTRIBUTIONS, make_population, sample_data, signal_eigenvalues, split_shards
 
 _NPZ_HELP = "write the factored estimate and leading block (with --beta cv, also the fold scores) to this .npz"
 
 
-def _beta_value(text: str):
-    if text == "cv":
-        return "cv"
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"--beta takes a number or 'cv', got {text!r}") from exc
+def _checked(kind, expected: str, ok=lambda value: True):
+    """An argparse type: the text parsed by kind, if ok(value); otherwise the
+    command exits 2 with "expected <expected>"."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
 
 
-def _float_list(text: str):
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        values = []
-    if not values:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-    return values
+_beta_value = _checked(lambda text: text if text == "cv" else float(text), "a number or 'cv'")
+_float_list = _checked(lambda text: [float(tok) for tok in text.split(",") if tok.strip()],
+                       "comma-separated numbers", bool)
 
 
 # Each default is read from the spec that owns it: ExperimentSpec (sizes, ranks,
@@ -56,7 +60,6 @@ _FLAGS = {
     "--m": dict(type=int, default=_SPEC.m, help="number of machines"),
     "--r": dict(type=int, default=_SPEC.r, help="target rank"),
     "--q": dict(type=int, default=_SPEC.q, help="local summary rank (q >= r)"),
-    "--center": dict(action="store_true"),
     "--dist": dict(choices=DISTRIBUTIONS, default=_SPEC.distribution),
     "--seed": dict(type=int, default=_SPEC.seed),
     "--beta": dict(type=_beta_value, default=1.0, help="a number or 'cv'"),
@@ -64,13 +67,14 @@ _FLAGS = {
     "--cv-folds": dict(type=int, default=cluster.CvSelect.folds, help="folds for beta selection"),
     "--cv-seed": dict(type=int, default=cluster.CvSelect.seed, help="fold-shuffle seed"),
     "--host": dict(default="127.0.0.1"),
-    "--port": dict(type=int, default=7071),
-    "--timeout": dict(type=float, default=cluster.DEFAULT_TIMEOUT_SECS,
+    "--port": dict(type=_checked(int, "a port in 0-65535", lambda v: 0 <= v <= 65535), default=7071),
+    "--timeout": dict(type=_checked(float, "a positive number of seconds", lambda v: 0 < v < math.inf),
+                      default=cluster.DEFAULT_TIMEOUT_SECS,
                       help="seconds for the round (serve), or for each connect and send (worker); "
                            "default %(default)g"),
 }
 _SIZE_FLAGS = ("--p", "--n", "--m", "--r")
-_JOB_FLAGS = ("--q", "--center", "--r", "--beta", "--delta", "--cv-folds", "--cv-seed")  # see _build_job
+_JOB_FLAGS = ("--q", "--r", "--beta", "--delta", "--cv-folds", "--cv-seed")  # see _build_job
 _ENDPOINT_FLAGS = ("--host", "--port", "--timeout")
 
 
@@ -79,13 +83,14 @@ def _add_flags(sub, *names):
         sub.add_argument(name, **_FLAGS[name])
 
 
-def _build_job(args) -> cluster.JobSpec:
+def _build_job(args, m: int) -> cluster.JobSpec:
+    """The job for a round of m machines; InvalidInput if it cannot run."""
     if args.beta == "cv":
         mode = cluster.CvSelect(folds=args.cv_folds, seed=args.cv_seed)
+        make_folds(m, mode.folds, mode.seed)  # CV needs two machines: say so now, not after the round
     else:
         mode = cluster.FixedBeta(beta=args.beta)
-    return cluster.JobSpec(r=args.r, q=args.q, beta_mode=mode,
-                           delta=args.delta, center=args.center)
+    return cluster.JobSpec(r=args.r, q=args.q, beta_mode=mode, delta=args.delta)
 
 
 def _report(agg, out) -> None:
@@ -143,10 +148,8 @@ def cmd_simulate(args) -> int:
     spec = experiment.ExperimentSpec(
         p=args.p, n=args.n, m=args.m, r=args.r, q=args.q,
         distribution=args.dist, cv_folds=args.cv_folds, delta=args.delta,
-        replicates=args.reps, k_max=args.k_max, seed=args.seed, center=args.center,
+        replicates=args.reps, k_max=args.k_max, seed=args.seed,
     )
-    if args.paper_scale:
-        spec = spec.paper_scale()
     result = experiment.run_and_write(spec, args.out)
     print(f"wrote {args.out} ({len(result.rows)} rows)")
     print(f"selection counts over {spec.replicates} replicates:")
@@ -160,7 +163,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_aggregate(args) -> int:
-    job = _build_job(args)  # a bad job exits before any shard is read
+    job = _build_job(args, len(args.shards))  # a bad job exits before any shard is read
     shards = [read_shard(path, machine_id=i + 1) for i, path in enumerate(args.shards)]
     agg = cluster.run_local(shards, job)
     _report(agg, args.out)
@@ -194,7 +197,7 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    job = _build_job(args)  # a bad job exits before the port is bound
+    job = _build_job(args, args.m)  # a bad job exits before the port is bound
     server = cluster.listen(args.host, args.port, args.m)
     host, port = server.getsockname()[:2]
     print(f"listening on {host}:{port}", flush=True)
@@ -205,7 +208,7 @@ def cmd_serve(args) -> int:
 
 def cmd_worker(args) -> int:
     shard = read_shard(args.shard, machine_id=args.machine_id)
-    msg = cluster.worker_round(shard, args.q, center=args.center)
+    msg = cluster.worker_round(shard, args.q)
     sent = cluster.send_summary(args.host, args.port, msg, timeout=args.timeout)
     print(f"machine {shard.machine_id}: sent {sent} bytes to {args.host}:{args.port}")
     return 0
@@ -222,13 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_gen)
 
     sim = subs.add_parser("simulate", help="run the replicated method comparison")
-    _add_flags(sim, *_SIZE_FLAGS, "--q", "--center", "--dist")
+    _add_flags(sim, *_SIZE_FLAGS, "--q", "--dist")
     sim.add_argument("--reps", type=int, default=_SPEC.replicates)
     _add_flags(sim, "--seed", "--delta")
     sim.add_argument("--k-max", type=int, default=_SPEC.k_max)
-    paper = _SPEC().paper_scale()
-    sim.add_argument("--paper-scale", action="store_true",
-                     help=f"p={paper.p}, n={paper.n}, m={paper.m}, {paper.replicates} replicates")
     _add_flags(sim, "--cv-folds")
     sim.add_argument("--out", default="results.csv",
                      help="main CSV; the summaries and the gnuplot script <stem>.gp go beside it")
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     wrk.add_argument("--shard", required=True)
     wrk.add_argument("--machine-id", type=int, default=1,
                      help="id for CSV shards (binary shards carry their own)")
-    _add_flags(wrk, *_ENDPOINT_FLAGS, "--q", "--center")
+    _add_flags(wrk, *_ENDPOINT_FLAGS, "--q")
     wrk.set_defaults(func=cmd_worker)
 
     return parser

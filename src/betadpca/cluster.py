@@ -104,13 +104,12 @@ class CvSelect:
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One round's job; a worker acts on its q and center only (see worker_round)."""
+    """One round's job; a worker acts on its q only (see worker_round)."""
 
     r: int
     q: int
     beta_mode: FixedBeta | CvSelect
     delta: float = BetaConfig.delta
-    center: bool = False
 
     def __post_init__(self):
         if not 1 <= self.r <= self.q:
@@ -169,12 +168,12 @@ def decode_summary(frame: bytes) -> LocalSummaryMsg:
         raise ParseError(f"frame from machine {machine_id} carries an invalid summary: {exc}") from exc
 
 
-def worker_round(shard: DataShard, q: int, center: bool = False) -> LocalSummaryMsg:
+def worker_round(shard: DataShard, q: int) -> LocalSummaryMsg:
     """The entire worker side: covariance, rank-q truncation, one message.
 
     r, beta, delta and the CV plan are the coordinator's; the message is the same in every beta mode.
     """
-    summary = local_summary(shard, q, center=center)
+    summary = local_summary(shard, q)
     return LocalSummaryMsg(machine_id=shard.machine_id, n_ell=shard.n_ell, summary=summary)
 
 
@@ -242,7 +241,7 @@ def resolve_beta(span: SummarySpan, job: JobSpec) -> AggregateResult:
 def run_local(shards: Sequence[DataShard], job: JobSpec) -> AggregateResult:
     """In-process transport: frames still round-trip through the codec so the
     result is bit-identical with the socket transport."""
-    frames = [encode_summary(worker_round(s, job.q, job.center)) for s in shards]
+    frames = [encode_summary(worker_round(s, job.q)) for s in shards]
     msgs = [decode_summary(f) for f in frames]
     return coordinator_round(msgs, job, expected_ids=[s.machine_id for s in shards])
 
@@ -294,9 +293,12 @@ def _collect(server: socket.socket, expected_ids: Iterable[int], job: JobSpec,
 
 def listen(host: str, port: int, m: int) -> socket.socket:
     """Bind the coordinator's listening socket for a round of m workers;
-    port=0 picks a free port (read it from getsockname())."""
+    port=0 picks a free port (read it from getsockname()).  IoError if it
+    cannot bind, a port outside 0-65535 included."""
     if m < 1:
         raise InvalidInput("need at least one expected worker")
+    if not 0 <= port <= 65535:  # create_server would raise OverflowError and leave its socket open
+        raise IoError(f"cannot bind {host}:{port}: a port lies in 0-65535")
     try:
         return socket.create_server((host, port), backlog=m)
     except OSError as exc:
@@ -354,6 +356,6 @@ def run_sockets(shards: Sequence[DataShard], job: JobSpec, host: str = "127.0.0.
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="bdpca-coordinator") as pool:
         collected = pool.submit(_collect, server, expected, job, timeout)
         for shard in shards:
-            send_summary(*bound, worker_round(shard, job.q, job.center), timeout=timeout)
+            send_summary(*bound, worker_round(shard, job.q), timeout=timeout)
         msgs = collected.result()
     return coordinator_round(msgs, job, expected_ids=expected)

@@ -19,7 +19,7 @@ from .rngs import REPLICATE, child_seed
 from .selection import DEFAULT_CANDIDATES
 from .simgen import GAUSSIAN, make_population, rho_curve, sample_data, split_shards
 
-METHODS = ("beta=-1", "beta=0", "beta=1", "beta=cv", "fan")
+METHODS = (*(f"beta={b:g}" for b in DEFAULT_CANDIDATES), "beta=cv", "fan")
 CSV_HEADER = "replicate,method,beta_used,k,rho_k"
 FREQ_HEADER = "dist,p,m,beta,count"
 RHO_HEADER = "method,k,mean_rho"
@@ -48,7 +48,6 @@ class ExperimentSpec:
     replicates: int = 20
     k_max: int = 15
     seed: int = 0
-    center: bool = False
     methods: ClassVar[tuple[str, ...]] = METHODS
 
     def __post_init__(self):
@@ -66,6 +65,11 @@ class ExperimentSpec:
     def paper_scale(self) -> "ExperimentSpec":
         return replace(self, p=500, n=250, m=5, replicates=100)
 
+    @property
+    def k_range(self) -> tuple[int, ...]:
+        """The ranks k at which every method's rho_k curve is read: r..min(k_max, p)."""
+        return tuple(range(self.r, min(self.k_max, self.p) + 1))
+
 
 @dataclass(frozen=True, eq=False)
 class ExperimentResult:
@@ -75,34 +79,32 @@ class ExperimentResult:
     rows: list[tuple]                    # (replicate, method, beta_used, k, rho_k)
     selection_counts: dict[float, int]   # per candidate beta, over replicates
     mean_rho: dict[str, dict[int, float]]
-    k_range: tuple[int, ...]
+
+    @property
+    def k_range(self) -> tuple[int, ...]:
+        return self.spec.k_range
 
 
 def _replicate_rows(spec: ExperimentSpec, rep: int) -> tuple[list[tuple], float]:
     seed_rep = child_seed(spec.seed, REPLICATE, rep)
     model = make_population(spec.p, spec.n, spec.r, spec.distribution, seed_rep)
     shards = split_shards(sample_data(model), spec.m)
-    summaries_q = [local_summary(s, spec.q, center=spec.center) for s in shards]
+    summaries_q = [local_summary(s, spec.q) for s in shards]
     span = SummarySpan.of(summaries_q)  # one basis for every beta method
-    truth = model.truth_basis()
-    k_eff = min(spec.k_max, spec.p)
-    ks = range(spec.r, k_eff + 1)
 
-    rows: list[tuple] = []
-    for method in spec.methods:
-        if method == "fan":
-            agg = fan_aggregate([truncate_summary(s, spec.r) for s in summaries_q])
-        else:
-            mode = (CvSelect(folds=spec.cv_folds, seed=seed_rep)
-                    if method == "beta=cv" else FixedBeta(float(method.removeprefix("beta="))))
-            job = JobSpec(r=spec.r, q=spec.q, beta_mode=mode, delta=spec.delta)
-            agg = resolve_beta(span, job)
-            if agg.cv is not None:
-                selected = agg.cv.best_beta
-        # curves need up to k_max directions, which may exceed q
-        for k, rho in zip(ks, rho_curve(agg.top(k_eff), truth, ks)):
-            rows.append((rep, method, agg.beta_used, k, rho))
-    return rows, selected
+    def job(mode):
+        return JobSpec(r=spec.r, q=spec.q, beta_mode=mode, delta=spec.delta)
+
+    # in METHODS order: each candidate beta, beta=cv, fan
+    aggs = [resolve_beta(span, job(FixedBeta(b))) for b in DEFAULT_CANDIDATES]
+    cv = resolve_beta(span, job(CvSelect(folds=spec.cv_folds, seed=seed_rep)))
+    aggs += [cv, fan_aggregate([truncate_summary(s, spec.r) for s in summaries_q])]
+    truth, ks = model.truth_basis(), spec.k_range
+    rows = [(rep, method, agg.beta_used, k, rho)
+            for method, agg in zip(spec.methods, aggs)
+            # curves need up to k_max directions, which may exceed q
+            for k, rho in zip(ks, rho_curve(agg.top(ks[-1]), truth, ks))]
+    return rows, cv.cv.best_beta
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
@@ -119,20 +121,13 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
         outcomes = [_replicate_rows(spec, rep) for rep in reps]
 
     rows = [row for out, _ in outcomes for row in out]
-    counts = {b: 0 for b in DEFAULT_CANDIDATES}
-    for _, selected in outcomes:
-        counts[selected] += 1
-
-    k_range = tuple(range(spec.r, min(spec.k_max, spec.p) + 1))
-    mean_rho: dict[str, dict[int, float]] = {}
-    for method in spec.methods:
-        by_k = {k: [] for k in k_range}
-        for _, meth, _, k, rho in rows:
-            if meth == method:
-                by_k[k].append(rho)
-        mean_rho[method] = {k: float(np.mean(v)) for k, v in by_k.items()}
-    return ExperimentResult(spec=spec, rows=rows, selection_counts=counts,
-                            mean_rho=mean_rho, k_range=k_range)
+    selected = [beta for _, beta in outcomes]
+    counts = {b: selected.count(b) for b in DEFAULT_CANDIDATES}
+    curves = {(method, k): [] for method in spec.methods for k in spec.k_range}
+    for _, method, _, k, rho in rows:
+        curves[method, k].append(rho)
+    mean_rho = {method: {k: float(np.mean(curves[method, k])) for k in spec.k_range} for method in spec.methods}
+    return ExperimentResult(spec=spec, rows=rows, selection_counts=counts, mean_rho=mean_rho)
 
 
 def _fmt(value) -> str:

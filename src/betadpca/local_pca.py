@@ -1,7 +1,7 @@
-"""Worker-side PCA: the rank-q truncated eigendecomposition of the shard
-covariance (local_summary takes it from a thin SVD of the shard, O(p n_ell^2)
-for n_ell <= p), and the shard file formats (binary and CSV) consumed by the CLI
-and cluster.
+"""Worker-side PCA: the rank-q truncated eigendecomposition of the zero-mean
+shard covariance (1/n_ell) X X^T (local_summary takes it from a thin SVD of the
+shard, O(p n_ell^2) for n_ell <= p), and the shard file formats (binary and CSV)
+consumed by the CLI and cluster.
 """
 
 from __future__ import annotations
@@ -104,14 +104,13 @@ def truncate_summary(summary: TruncatedEig, r: int) -> TruncatedEig:
     return TruncatedEig(values=summary.values[:r].copy(), vectors=summary.vectors[:, :r].copy())
 
 
-def local_summary(shard: DataShard, q: int, center: bool = False) -> TruncatedEig:
+def local_summary(shard: DataShard, q: int) -> TruncatedEig:
     """Top-q eigenpairs of the shard covariance (1/n_ell) X X^T: the whole worker step.
 
     Computed from the thin SVD X = U S W^T as values S^2/n_ell and vectors U,
     in O(p n_ell min(p, n_ell)) without forming the p x p covariance; vectors
     follow eig_sym's sign and tie convention.  The sampling model is
-    zero-mean, so X is not centred by default; center=True subtracts the shard
-    mean first and keeps the 1/n_ell divisor.  q may exceed n_ell: the
+    zero-mean, so X is used as it is, not centred.  q may exceed n_ell: the
     trailing values are then exactly 0 and their vectors complete the basis
     deterministically (linalg.complete_basis), and a warning is logged, since
     those directions carry no sample information.
@@ -124,10 +123,7 @@ def local_summary(shard: DataShard, q: int, center: bool = False) -> TruncatedEi
             "trailing eigenvalues are 0",
             q, shard.n_ell, shard.machine_id,
         )
-    x = shard.samples
-    if center:
-        x = x - x.mean(axis=1, keepdims=True)
-    u, s, _ = thin_svd(x)
+    u, s, _ = thin_svd(shard.samples)
     values, vectors = canonical_order(s ** 2 / shard.n_ell, u)
     extra = q - values.size
     if extra > 0:

@@ -27,26 +27,32 @@ DEFAULT_CANDIDATES = (-1.0, 0.0, 1.0)
 
 @dataclass(frozen=True)
 class CvPlan:
-    """Fold assignment over machine indices 0..m-1 plus the candidate betas."""
+    """Fold assignment over machine indices 0..m-1 plus the candidate betas;
+    the folds fix the machine count m and the fold count k."""
 
-    m: int
-    k: int
     folds: tuple[tuple[int, ...], ...]
     candidate_set: tuple[float, ...]
     r: int | None = None
     q: int | None = None
 
     def __post_init__(self):
-        seen = [i for fold in self.folds for i in fold]
-        if sorted(seen) != list(range(self.m)):
+        if sorted(i for fold in self.folds for i in fold) != list(range(self.m)):
             raise InvalidInput("folds must partition the machine indices 0..m-1")
         sizes = [len(f) for f in self.folds]
-        if len(self.folds) != self.k or min(sizes) < 1 or max(sizes) - min(sizes) > 1:
+        if min(sizes, default=0) < 1 or max(sizes) - min(sizes) > 1:
             raise InvalidInput("fold sizes must be balanced (differ by at most 1)")
         if not self.candidate_set:
             raise InvalidInput("candidate_set must be non-empty")
         for b in self.candidate_set:
             finite_beta(b)
+
+    @property
+    def m(self) -> int:
+        return sum(len(f) for f in self.folds)
+
+    @property
+    def k(self) -> int:
+        return len(self.folds)
 
 
 def make_folds(m: int, k: int, seed: int, *, candidate_set: Sequence[float] = DEFAULT_CANDIDATES,
@@ -59,10 +65,9 @@ def make_folds(m: int, k: int, seed: int, *, candidate_set: Sequence[float] = DE
         raise InvalidInput("cross-validation needs at least two machines")
     if k < 2:
         raise InvalidInput("need at least two folds")
-    k_eff = min(k, m)
     perm = stream(seed, FOLDS).permutation(m)
-    folds = tuple(tuple(int(i) for i in chunk) for chunk in np.array_split(perm, k_eff))
-    return CvPlan(m=m, k=k_eff, folds=folds, candidate_set=tuple(float(b) for b in candidate_set), r=r, q=q)
+    folds = tuple(tuple(int(i) for i in chunk) for chunk in np.array_split(perm, min(k, m)))
+    return CvPlan(folds=folds, candidate_set=tuple(float(b) for b in candidate_set), r=r, q=q)
 
 
 @dataclass(frozen=True, eq=False)

@@ -244,15 +244,10 @@ def count_lifts(monkeypatch):
     return shapes
 
 
-def sample_covariance(shard, center=False):
-    """Shard covariance oracle: (1/n_ell) X X^T as a p x p matrix.
-
-    The sampling model is zero-mean, so no centering happens by default;
-    center=True subtracts the shard mean and keeps the 1/n_ell divisor.
-    """
+def sample_covariance(shard):
+    """Shard covariance oracle: (1/n_ell) X X^T as a p x p matrix; the
+    sampling model is zero-mean, so X is not centred."""
     x = shard.samples
-    if center:
-        x = x - x.mean(axis=1, keepdims=True)
     return symmetrize(x @ x.T / shard.n_ell)
 
 
@@ -261,9 +256,9 @@ def reconstruct(summary):
     return symmetrize((summary.vectors * summary.values) @ summary.vectors.T)
 
 
-def dense_local_summary(shard, q, center=False):
+def dense_local_summary(shard, q):
     """Worker oracle: eigh of the p x p sample covariance, then truncation."""
-    return truncated_eig(sample_covariance(shard, center=center), q)
+    return truncated_eig(sample_covariance(shard), q)
 
 
 def dense_beta_sigma(summaries, cfg):

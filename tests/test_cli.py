@@ -229,6 +229,15 @@ class TestServeWorker:
         assert "listening on" not in out
         assert "error: need at least two folds, got 1" in err
 
+    @pytest.mark.parametrize("command", [("serve", "--port", "0", "--m", "1", "--timeout", "0.5"),
+                                         ("aggregate", "no_such_shard.bdpx")], ids=lambda command: command[0])
+    def test_cv_over_one_machine_exits_before_any_work(self, command, capsys):
+        # serve binds no port and waits for no frame; aggregate reads no shard
+        assert run_cli(*command, "--r", "2", "--q", "4", "--beta", "cv") == 2
+        out, err = capsys.readouterr()
+        assert "listening on" not in out
+        assert "error: cross-validation needs at least two machines" in err
+
     @pytest.mark.parametrize("flag", ["--r=2", "--beta=1", "--delta=1e-5", "--cv-folds=2", "--cv-seed=0"])
     def test_worker_rejects_coordinator_flags(self, flag, sent, capsys):
         shard, seen = sent
@@ -245,17 +254,41 @@ class TestArgumentParsing:
             run_cli("worker", "--help")
         usage = capsys.readouterr().out.split("options:")[0]
         assert set(re.findall(r"--[\w-]+", usage)) == {"--shard", "--machine-id", "--host", "--port",
-                                                       "--timeout", "--q", "--center"}
+                                                       "--timeout", "--q"}
 
     def test_shared_flags_parse_to_the_specs_defaults(self):
         parser = cli.build_parser()
-        parsed = {(a.r, a.q, a.center, a.delta, a.cv_folds)
+        parsed = {(a.r, a.q, a.delta, a.cv_folds)
                   for a in (parser.parse_args(["simulate"]), parser.parse_args(["aggregate", "s.bdpx"]),
                             parser.parse_args(["serve", "--m", "2"]))}
         spec = ExperimentSpec()
         job = JobSpec(r=spec.r, q=spec.q, beta_mode=CvSelect())
-        assert parsed == {(spec.r, spec.q, spec.center, spec.delta, spec.cv_folds)}
-        assert (job.center, job.delta, job.beta_mode.folds) == (spec.center, spec.delta, spec.cv_folds)
+        assert parsed == {(spec.r, spec.q, spec.delta, spec.cv_folds)}
+        assert (job.delta, job.beta_mode.folds) == (spec.delta, spec.cv_folds)
+
+    @pytest.mark.parametrize("command", [("aggregate", "s.bdpx", "--center"), ("serve", "--m", "2", "--center"),
+                                         ("simulate", "--center"), ("worker", "--shard", "s.bdpx", "--center"),
+                                         ("simulate", "--paper-scale")],
+                             ids=lambda command: f"{command[0]} {command[-1]}")
+    def test_removed_options_are_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*command)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {command[-1]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [("--port", "99999"), ("--port", "-5"),
+                                            ("--timeout", "-1"), ("--timeout", "0"), ("--timeout", "nan"),
+                                            ("--timeout", "inf")])
+    @pytest.mark.parametrize("command", [("serve", "--m", "2"), ("worker", "--shard", "no_such_shard.bdpx")],
+                             ids=lambda command: command[0])
+    def test_a_bad_port_or_timeout_exits_before_any_socket_work(self, command, flag, value, capsys):
+        # argparse rejects the value: serve binds nothing, worker reads no shard and connects nowhere
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*command, f"{flag}={value}")
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert f"argument {flag}: expected " in err and repr(value) in err
+        assert "listening on" not in out
 
     @pytest.mark.parametrize("command", [
         ("gen", "--seed", "-1", "--out", "{tmp}/data"),

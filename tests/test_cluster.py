@@ -167,8 +167,8 @@ class TestWorkerRound:
         shard = DataShard(samples=rng.standard_normal((6, 30)), machine_id=1)
         # the job fields a worker acts on are the same in both modes
         cv, fixed = JobSpec(r=2, q=4, beta_mode=CvSelect()), JobSpec(r=2, q=4, beta_mode=FixedBeta(0.0))
-        cv_frame = encode_summary(worker_round(shard, cv.q, cv.center))
-        fixed_frame = encode_summary(worker_round(shard, fixed.q, fixed.center))
+        cv_frame = encode_summary(worker_round(shard, cv.q))
+        fixed_frame = encode_summary(worker_round(shard, fixed.q))
         assert len(cv_frame) == 4 * (6 + 1) * 8 + FRAME_OVERHEAD
         assert cv_frame == fixed_frame
 
@@ -350,6 +350,12 @@ class TestTransports:
         with listen("127.0.0.1", 0, 1) as taken:
             with pytest.raises(IoError, match="cannot bind"):
                 listen("127.0.0.1", taken.getsockname()[1], 1)
+
+    @pytest.mark.parametrize("port", [65536, -5])
+    def test_listen_reports_a_port_out_of_range(self, port):
+        # socket.create_server raises OverflowError here, not OSError
+        with pytest.raises(IoError, match=f"cannot bind 127.0.0.1:{port}"):
+            listen("127.0.0.1", port, 1)
 
     def test_serve_aggregates_partial_round_on_timeout(self, caplog, serve_in_thread):
         shards, _ = gaussian_shards(m=2)

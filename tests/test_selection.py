@@ -26,7 +26,7 @@ from helpers import count_lifts, fold_loop_per_fold, projection_discrepancy, ran
 class TestMakeFolds:
     def test_partitions_indices(self):
         plan = make_folds(10, 5, seed=0)
-        assert plan.k == 5
+        assert (plan.m, plan.k) == (10, 5)
         assert sorted(i for fold in plan.folds for i in fold) == list(range(10))
         assert all(len(f) == 2 for f in plan.folds)
 
@@ -55,11 +55,13 @@ class TestMakeFolds:
 
     def test_plan_validation(self):
         with pytest.raises(InvalidInput):
-            CvPlan(m=4, k=2, folds=((0, 1), (2, 2)), candidate_set=(1.0,))
+            CvPlan(folds=((0, 1), (2, 2)), candidate_set=(1.0,))
         with pytest.raises(InvalidInput):
-            CvPlan(m=4, k=2, folds=((0,), (1, 2, 3)), candidate_set=(1.0,))
+            CvPlan(folds=((0,), (1, 2, 3)), candidate_set=(1.0,))
         with pytest.raises(InvalidInput):
-            CvPlan(m=2, k=2, folds=((0,), (1,)), candidate_set=())
+            CvPlan(folds=((0,), (1,)), candidate_set=())
+        with pytest.raises(InvalidInput):
+            CvPlan(folds=(), candidate_set=(1.0,))
 
     def test_non_finite_candidate_rejected(self):
         # the plan names the family members it scores, so it checks them as BetaConfig does
