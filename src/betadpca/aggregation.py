@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInput, NotPSD, TieWarning
-from .linalg import (EIGEN_FLOOR, PSD_TOL, canonical_order, complete_basis, eig_sym, matrix_function,
+from .errors import InvalidInput, TieWarning
+from .linalg import (EIGEN_FLOOR, canonical_order, complete_basis, eig_sym, matrix_function, psd_eig,
                      spectral_map, symmetrize, thin_svd)
 from .local_pca import TruncatedEig
 
@@ -105,12 +105,12 @@ def beta_mean(inputs: Sequence, cfg: BetaConfig) -> np.ndarray:
     beta = 0:  exp( mean(log M_l) )          (geometric / log-Euclidean limit)
     beta < 0:  { mean((M_l + delta I)^beta) }^(1/beta), no delta subtracted after
 
-    An input with an eigenvalue below -PSD_TOL raises NotPSD for every beta;
-    round-off negatives above it are clipped to 0.  The beta = 0 branch floors
-    eigenvalues at EIGEN_FLOOR before the log.  The average's eigenvalues are
-    clipped into the hull of the terms' before the inverse (inverse_within).
+    An input that is not PSD up to its own round-off raises NotPSD for every
+    beta (linalg.psd_eig); that round-off is clipped to 0.  The beta = 0 branch
+    floors eigenvalues at EIGEN_FLOOR before the log.  The average's eigenvalues
+    are clipped into the hull of the terms' before the inverse (inverse_within).
     """
-    systems = [eig_sym(m) for m in inputs]
+    systems = [psd_eig(m) for m in inputs]
     if not systems:
         raise InvalidInput("need at least one input matrix")
     p = systems[0].values.size
@@ -121,21 +121,9 @@ def beta_mean(inputs: Sequence, cfg: BetaConfig) -> np.ndarray:
     acc = np.zeros((p, p))
     terms = []
     for es in systems:
-        if es.values[-1] < -PSD_TOL:
-            raise NotPSD(f"input eigenvalue {es.values[-1]:.17g} is below -{PSD_TOL:g}")
-        terms.append(transform.forward(np.clip(es.values, 0.0, None)))
+        terms.append(transform.forward(es.values))
         acc += w * (es.vectors * terms[-1]) @ es.vectors.T
     return matrix_function(acc, lambda g: transform.inverse_within(g, np.concatenate(terms)))
-
-
-def _validated_summaries(summaries: Sequence[TruncatedEig]):
-    if not summaries:
-        raise InvalidInput("need at least one local summary")
-    p, q = summaries[0].p, summaries[0].q
-    for s in summaries:
-        if s.p != p or s.q != q:
-            raise InvalidInput("local summaries differ in p or q")
-    return p, q
 
 
 @dataclass(frozen=True)
@@ -253,7 +241,11 @@ class SummarySpan:
         """The span of the summaries; a SummarySpan is returned unchanged."""
         if isinstance(summaries, SummarySpan):
             return summaries
-        p, _ = _validated_summaries(summaries)
+        if not summaries:
+            raise InvalidInput("need at least one local summary")
+        p, q = summaries[0].p, summaries[0].q
+        if any(s.p != p or s.q != q for s in summaries):
+            raise InvalidInput("local summaries differ in p or q")
         basis, coords = span_basis(np.hstack([s.vectors for s in summaries]), p)
         return cls(tuple(summaries), basis, coords)
 

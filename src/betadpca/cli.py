@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import sys
 from pathlib import Path
 
@@ -67,8 +66,8 @@ _FLAGS = {
     "--cv-folds": dict(type=int, default=cluster.CvSelect.folds, help="folds for beta selection"),
     "--cv-seed": dict(type=int, default=cluster.CvSelect.seed, help="fold-shuffle seed"),
     "--host": dict(default="127.0.0.1"),
-    "--port": dict(type=_checked(int, "a port in 0-65535", lambda v: 0 <= v <= 65535), default=7071),
-    "--timeout": dict(type=_checked(float, "a positive number of seconds", lambda v: 0 < v < math.inf),
+    "--port": dict(type=_checked(int, "a port in 0-65535", cluster.valid_port), default=7071),
+    "--timeout": dict(type=_checked(float, "a positive number of seconds", cluster.valid_timeout),
                       default=cluster.DEFAULT_TIMEOUT_SECS,
                       help="seconds for the round (serve), or for each connect and send (worker); "
                            "default %(default)g"),
@@ -164,16 +163,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_aggregate(args) -> int:
     job = _build_job(args, len(args.shards))  # a bad job exits before any shard is read
-    shards = [read_shard(path, machine_id=i + 1) for i, path in enumerate(args.shards)]
+    shards = [read_shard(path) for path in args.shards]
     agg = cluster.run_local(shards, job)
     _report(agg, args.out)
     return 0
 
 
 def cmd_perturb(args) -> int:
-    noise_index = args.r if args.noise_index is None else args.noise_index
-    # Shared signal block from the planted-eigenvalue law; per-machine noise
-    # draws, each row sorted descending.
+    # Shared signal block from the planted-eigenvalue law and per-machine noise draws, each row
+    # sorted descending; the last machine's first noise eigenvalue (index r) is the one inflated.
     lines = ["beta,d_l,lambda_tilde_l,tau,order_invariant"]
     noise_rng = stream(args.seed, NOISE_EIGENVALUES)
     signal = signal_eigenvalues(args.p, args.n, args.r)
@@ -184,7 +182,7 @@ def cmd_perturb(args) -> int:
     for beta in args.beta:
         for d in args.d_l:
             sc = PerturbationScenario(base_spectra=spectra, r=args.r,
-                                      noise_index=noise_index, d_l=d, beta=beta)
+                                      noise_index=args.r, d_l=d, beta=beta)
             rep = tolerance(sc)
             lines.append(f"{beta!r},{d!r},{rep.lambda_tilde_l!r},{rep.tau!r},{int(rep.order_invariant)}")
     text = "\n".join(lines) + "\n"
@@ -207,7 +205,7 @@ def cmd_serve(args) -> int:
 
 
 def cmd_worker(args) -> int:
-    shard = read_shard(args.shard, machine_id=args.machine_id)
+    shard = read_shard(args.shard)
     msg = cluster.worker_round(shard, args.q)
     sent = cluster.send_summary(args.host, args.port, msg, timeout=args.timeout)
     print(f"machine {shard.machine_id}: sent {sent} bytes to {args.host}:{args.port}")
@@ -235,15 +233,13 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     agg = subs.add_parser("aggregate", help="aggregate shard files in one round")
-    agg.add_argument("shards", nargs="+", help="shard files (binary or CSV)")
+    agg.add_argument("shards", nargs="+", help=".bdpx shard files, as gen writes them")
     _add_flags(agg, *_JOB_FLAGS)
     agg.add_argument("--out", help=_NPZ_HELP)
     agg.set_defaults(func=cmd_aggregate)
 
-    pert = subs.add_parser("perturb", help="perturbation tolerance sweep (CSV)")
+    pert = subs.add_parser("perturb", help="perturbation tolerance sweep of the first noise eigenvalue (CSV)")
     _add_flags(pert, *_SIZE_FLAGS)
-    pert.add_argument("--noise-index", type=int, default=None,
-                      help="0-based perturbed coordinate (default r)")
     _add_flags(pert, "--seed")
     pert.add_argument("--beta", type=_float_list, default=[-1.0, 0.0, 1.0],
                       help="comma-separated betas")  # a list, not the job flag --beta
@@ -260,9 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     srv.set_defaults(func=cmd_serve)
 
     wrk = subs.add_parser("worker", help="compute one shard's summary and send it")
-    wrk.add_argument("--shard", required=True)
-    wrk.add_argument("--machine-id", type=int, default=1,
-                     help="id for CSV shards (binary shards carry their own)")
+    wrk.add_argument("--shard", required=True, help="a .bdpx shard file; it carries the machine id")
     _add_flags(wrk, *_ENDPOINT_FLAGS, "--q")
     wrk.set_defaults(func=cmd_worker)
 

@@ -28,6 +28,7 @@ CV rounds alike (see resolve_beta).
 from __future__ import annotations
 
 import logging
+import math
 import selectors
 import socket
 import struct
@@ -55,6 +56,19 @@ DEFAULT_TIMEOUT_SECS = 30.0
 # send_summary retries a refused connection this often, this many seconds apart
 CONNECT_RETRIES = 5
 CONNECT_BACKOFF_SECS = 0.2
+
+
+def valid_port(port: int) -> bool:
+    return 0 <= port <= 65535  # port 0 picks a free one
+
+
+def valid_timeout(seconds: float) -> bool:
+    return 0 < seconds < math.inf  # positive and finite seconds; nan is neither
+
+
+def _check_timeout(seconds: float) -> None:
+    if not valid_timeout(seconds):
+        raise InvalidInput(f"timeout must be a positive, finite number of seconds, got {seconds!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,9 +161,7 @@ def decode_summary(frame: bytes) -> LocalSummaryMsg:
     (version,) = struct.unpack("<H", body[4:6])
     if version != VERSION:
         raise ParseError(f"unsupported protocol version {version}")
-    payload, (crc,) = body[6:-4], struct.unpack("<I", body[-4:])
-    if len(payload) < 16:
-        raise ParseError("frame too short for the fixed header")
+    payload, (crc,) = body[6:-4], struct.unpack("<I", body[-4:])  # FRAME_OVERHEAD leaves >= 16 bytes
     machine_id, p, q, n_ell = struct.unpack("<IIII", payload[:16])
     if zlib.crc32(payload) & 0xFFFFFFFF != crc:
         raise CorruptMessage(machine_id, "checksum mismatch")
@@ -256,10 +268,11 @@ def _collect(server: socket.socket, expected_ids: Iterable[int], job: JobSpec,
     """Read frames until every expected machine has one that the round keeps
     (see _keep), or until timeout; returns the kept messages in arrival order
     and closes the listener and every connection.  IoError if none was kept."""
-    deadline = time.monotonic() + timeout
     expected = frozenset(expected_ids)
     first: dict[int, LocalSummaryMsg] = {}
     with server, selectors.DefaultSelector() as sel:
+        _check_timeout(timeout)  # inside the with: a bad timeout still closes the listener
+        deadline = time.monotonic() + timeout
         sel.register(server, selectors.EVENT_READ)
         # a stray, wrong-rank or repeated frame is not kept, so it cannot end the round
         while len(first) < len(expected) and (remaining := deadline - time.monotonic()) > 0:
@@ -297,7 +310,7 @@ def listen(host: str, port: int, m: int) -> socket.socket:
     cannot bind, a port outside 0-65535 included."""
     if m < 1:
         raise InvalidInput("need at least one expected worker")
-    if not 0 <= port <= 65535:  # create_server would raise OverflowError and leave its socket open
+    if not valid_port(port):  # create_server would raise OverflowError and leave its socket open
         raise IoError(f"cannot bind {host}:{port}: a port lies in 0-65535")
     try:
         return socket.create_server((host, port), backlog=m)
@@ -313,7 +326,7 @@ def serve(server: socket.socket, m: int, job: JobSpec,
     (one frame per connection), then aggregates those; a frame from any other
     machine, of the wrong rank, or repeated, is dropped and does not end the
     round, and machines 1..m with no message kept are listed as missing.  The
-    listener is closed on every exit.
+    listener is closed on every exit, a bad timeout's InvalidInput included.
     """
     expected = range(1, m + 1)
     return coordinator_round(_collect(server, expected, job, timeout), job, expected_ids=expected)
@@ -324,9 +337,10 @@ def send_summary(host: str, port: int, msg: LocalSummaryMsg,
     """Worker side of the TCP transport: one connection, one frame.
 
     Retries connection refusals briefly so workers may start slightly before
-    the coordinator.  timeout bounds each connect and send.  Returns the
-    number of bytes sent.
+    the coordinator.  timeout bounds each connect and send (InvalidInput, before
+    any connect, unless positive and finite).  Returns the bytes sent.
     """
+    _check_timeout(timeout)
     frame = encode_summary(msg)
     attempt = 0
     while True:
@@ -348,8 +362,10 @@ def run_sockets(shards: Sequence[DataShard], job: JobSpec, host: str = "127.0.0.
     identical to run_local.
 
     A failed send raises once the collection has ended (at the latest at the
-    deadline), so no thread or listener outlives the call.
+    deadline), so no thread or listener outlives the call.  A bad timeout
+    raises InvalidInput before anything is bound.
     """
+    _check_timeout(timeout)
     server = listen(host, port, len(shards))
     bound = server.getsockname()[:2]
     expected = [s.machine_id for s in shards]

@@ -17,23 +17,16 @@ import numpy as np
 
 from .aggregation import BetaConfig, beta_mean, finite_beta
 from .errors import DomainError, InvalidInput
-from .linalg import EIGEN_FLOOR, PSD_TOL, eig_sym, symmetrize
+from .linalg import EIGEN_FLOOR, eig_sym, psd_eig, symmetrize
 from .rngs import MINIMIZER, stream
 
 
 def _spectrum(m, need_pd: bool, side: str):
-    es = eig_sym(m)
-    vals = es.values
-    if need_pd:
-        if vals.min() < EIGEN_FLOOR:
-            raise DomainError(
-                f"{side} must be positive definite here; eigenvalue {vals.min():.17g} < {EIGEN_FLOOR:g}"
-            )
-    else:
-        if vals.min() < -PSD_TOL:
-            raise DomainError(f"{side} must be PSD; eigenvalue {vals.min():.17g}")
-        vals = np.clip(vals, 0.0, None)
-    return vals, es.vectors
+    es = eig_sym(m) if need_pd else psd_eig(m)  # psd_eig raises NotPSD, a DomainError
+    if need_pd and es.values.min() < EIGEN_FLOOR:
+        raise DomainError(f"{side} must be positive definite here; "
+                          f"eigenvalue {es.values.min():.17g} < {EIGEN_FLOOR:g}")
+    return es.values, es.vectors
 
 
 def _phi(lam: np.ndarray, b: float) -> np.ndarray:

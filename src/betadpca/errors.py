@@ -34,7 +34,7 @@ class IoError(OSError):
 
 
 class ParseError(ValueError):
-    """Structured input (frame, shard file, CSV) does not match the expected layout."""
+    """Structured input (a wire frame or a shard file) does not match the expected layout."""
 
 
 class TieWarning(UserWarning):

@@ -14,13 +14,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, InvalidInput
+from .errors import ConvergenceError, DomainError, InvalidInput, NotPSD
 
-# PSD_TOL: an input eigenvalue below -PSD_TOL makes a matrix not PSD (the
-# inputs of beta_mean and the divergence); round-off above it is clipped to 0.
+# PSD_SLACK: a symmetric eigensolve errs by about p * eps * ||M||_2 (Weyl), so
+# psd_eig calls a matrix not PSD only below -PSD_SLACK times that.
 # EIGEN_FLOOR: the beta = 0 branch floors zero eigenvalues at it before the
 # log, and the divergence's positive-definite slots require it.
-PSD_TOL = 1e-10
+PSD_SLACK = 8
 EIGEN_FLOOR = 1e-12
 
 
@@ -84,6 +84,15 @@ def eig_sym(m) -> EigenSystem:
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
     vals, vecs = canonical_order(vals[::-1], np.ascontiguousarray(vecs[:, ::-1]))
     return EigenSystem(values=vals, vectors=vecs)
+
+
+def psd_eig(m) -> EigenSystem:
+    """eig_sym of a PSD matrix: NotPSD below -PSD_SLACK * p * eps * ||M||_2, round-off above it clipped to 0."""
+    es = eig_sym(m)
+    bound = PSD_SLACK * es.values.size * np.finfo(float).eps * np.abs(es.values).max()
+    if es.values[-1] < -bound:
+        raise NotPSD(f"matrix is not PSD: eigenvalue {es.values[-1]:.17g} is below -{bound:.3g}")
+    return EigenSystem(values=np.clip(es.values, 0.0, None), vectors=es.vectors)
 
 
 def canonical_order(values, vectors) -> tuple[np.ndarray, np.ndarray]:

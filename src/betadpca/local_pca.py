@@ -1,7 +1,7 @@
 """Worker-side PCA: the rank-q truncated eigendecomposition of the zero-mean
 shard covariance (1/n_ell) X X^T (local_summary takes it from a thin SVD of the
-shard, O(p n_ell^2) for n_ell <= p), and the shard file formats (binary and CSV)
-consumed by the CLI and cluster.
+shard, O(p n_ell^2) for n_ell <= p), and the binary shard file (.bdpx) that
+gen writes and the CLI reads.
 """
 
 from __future__ import annotations
@@ -147,7 +147,17 @@ def write_shard(path, shard: DataShard) -> None:
         raise IoError(f"cannot write shard {path}: {exc}") from exc
 
 
-def _parse_binary_shard(raw: bytes, path) -> tuple[np.ndarray, int]:
+def read_shard(path) -> DataShard:
+    """Read a shard file as write_shard writes it, machine id included.  ParseError for
+    anything else: a file without the BDPX magic (a CSV, say), or one that is
+    truncated or holds no valid shard (no samples, or non-finite ones)."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise IoError(f"cannot read shard {path}: {exc}") from exc
+    if raw[:4] != SHARD_MAGIC:
+        raise ParseError(f"{path}: not a shard file (expected the magic {SHARD_MAGIC!r})")
     if len(raw) < 20:
         raise ParseError(f"{path}: truncated shard header")
     version, p, n_ell, machine_id = struct.unpack("<IIII", raw[4:20])
@@ -156,57 +166,7 @@ def _parse_binary_shard(raw: bytes, path) -> tuple[np.ndarray, int]:
     expected = 20 + 8 * p * n_ell
     if len(raw) != expected:
         raise ParseError(f"{path}: expected {expected} bytes for a {p}x{n_ell} shard, got {len(raw)}")
-    return np.frombuffer(raw[20:], dtype="<f8").reshape((p, n_ell), order="F").copy(), machine_id
-
-
-def _parse_csv_shard(text: str, path) -> np.ndarray:
-    rows = []
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines:
-        raise ParseError(f"{path}: empty CSV shard")
-    start = 0
-    try:
-        [float(tok) for tok in lines[0].split(",")]
-    except ValueError:
-        start = 1  # header line
-    if start == len(lines):
-        raise ParseError(f"{path}: CSV shard has a header but no data rows")
-    width = None
-    for ln in lines[start:]:
-        try:
-            row = [float(tok) for tok in ln.split(",")]
-        except ValueError as exc:
-            raise ParseError(f"{path}: unparseable CSV row: {ln!r}") from exc
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ParseError(f"{path}: ragged CSV rows ({len(row)} vs {width} columns)")
-        rows.append(row)
-    # CSV stores one sample per row; internally samples are columns.
-    return np.asarray(rows, dtype=float).T
-
-
-def read_shard(path, machine_id: int = 1) -> DataShard:
-    """Read a shard file: binary when the magic matches, CSV otherwise.
-
-    CSV files carry no metadata, so machine_id comes from the argument;
-    binary files carry their own and ignore it.  A file that parses but holds
-    no valid shard (no samples, or non-finite ones) raises ParseError too.
-    """
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read shard {path}: {exc}") from exc
-    if raw[:4] == SHARD_MAGIC:
-        samples, machine_id = _parse_binary_shard(raw, path)
-    else:
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: neither binary shard nor text CSV") from exc
-        samples = _parse_csv_shard(text, path)
+    samples = np.frombuffer(raw[20:], dtype="<f8").reshape((p, n_ell), order="F").copy()
     try:
         return DataShard(samples=samples, machine_id=machine_id)
     except InvalidInput as exc:

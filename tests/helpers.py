@@ -14,7 +14,7 @@ import numpy as np
 from betadpca import (GAUSSIAN, DomainError, InvalidInput, PerturbationScenario, TruncatedEig, aggregation,
                       beta_aggregate, eig_sym, matrix_function, signal_eigenvalues, symmetrize, tolerance,
                       truncated_eig)
-from betadpca.linalg import EIGEN_FLOOR, PSD_TOL, thin_svd
+from betadpca.linalg import EIGEN_FLOOR, thin_svd
 from betadpca.rngs import DATA, stream
 
 
@@ -29,6 +29,15 @@ def rand_spd(rng, p, lo=0.2, hi=5.0):
     q = rand_orthogonal(rng, p)
     lam = rng.uniform(lo, hi, p)
     return (q * lam) @ q.T
+
+
+def rotated_rank_two(scale):
+    """Q diag(scale, scale/10, 0, -eps*scale) Q^T for a random rotation Q in p=4:
+    rank 2 and PSD up to round-off.  Its negative eigenvalue is the size an
+    eigensolve of a rank-2 matrix at that scale leaves, below -1e-10 for
+    scale >= 1e6, so the matrix needs a PSD rule that scales with ||M||_2."""
+    q = rand_orthogonal(np.random.default_rng(1), 4)
+    return (q * np.array([scale, scale / 10, 0.0, -np.finfo(float).eps * scale])) @ q.T
 
 
 def rand_summary(rng, p, q, lo=0.5, hi=4.0):
@@ -67,22 +76,26 @@ def eig2x2(a, b, c):
     return values, vectors
 
 
+# spectral_power's round-off window: values in (-ROUND_OFF, 0) count as 0
+ROUND_OFF = 1e-10
+
+
 def spectral_power(values, beta: float) -> np.ndarray:
     """values**beta for an eigenvalue vector, with a fixed round-off window.
 
-    For beta < 0, values in (-PSD_TOL, EIGEN_FLOOR) become EIGEN_FLOOR and
+    For beta < 0, values in (-ROUND_OFF, EIGEN_FLOOR) become EIGEN_FLOOR and
     anything still below EIGEN_FLOOR raises DomainError; for fractional beta > 0,
-    values in (-PSD_TOL, 0) become 0.  A non-finite power raises DomainError.
+    values in (-ROUND_OFF, 0) become 0.  A non-finite power raises DomainError.
     """
     vals = np.asarray(values, dtype=float)
     if beta < 0:
-        vals = np.where((vals > -PSD_TOL) & (vals < EIGEN_FLOOR), EIGEN_FLOOR, vals)
+        vals = np.where((vals > -ROUND_OFF) & (vals < EIGEN_FLOOR), EIGEN_FLOOR, vals)
         if vals.min() < EIGEN_FLOOR:
             raise DomainError(
                 f"negative power {beta} needs eigenvalues >= {EIGEN_FLOOR:g}; found {vals.min():.17g}"
             )
     elif not float(beta).is_integer():
-        vals = np.where((vals > -PSD_TOL) & (vals < 0.0), 0.0, vals)
+        vals = np.where((vals > -ROUND_OFF) & (vals < 0.0), 0.0, vals)
     with np.errstate(all="ignore"):
         pvals = vals ** beta
     bad = ~np.isfinite(pvals)

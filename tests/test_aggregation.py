@@ -23,7 +23,7 @@ from betadpca import (
 )
 from betadpca.aggregation import branch_transform
 from helpers import (dense_beta_sigma, dense_fan_sigma, eig2x2, matrix_power, projector_distance, rand_spd,
-                     rand_summary, reconstruct)
+                     rand_summary, reconstruct, rotated_rank_two)
 
 BETAS = [-1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
 
@@ -97,6 +97,17 @@ class TestBetaMean:
     def test_indefinite_input_rejected(self, beta):
         with pytest.raises(NotPSD):
             beta_mean([np.diag([1.0, -0.5]), np.eye(2)], BetaConfig(beta=beta))
+
+    @pytest.mark.parametrize("scale", [1e7, 1e9, 1e12])
+    @pytest.mark.parametrize("beta", [2.0, 1.0, 0.5, 0.0, -1.0])
+    def test_rank_deficient_input_is_psd_at_any_scale(self, beta, scale):
+        # a round-off negative grows with the scale (-2.2e-9 at 1e7); the PSD rule grows with it
+        m = rotated_rank_two(scale)
+        assert eig_sym(m).values[-1] < -1e-10
+        out = beta_mean([m, m], BetaConfig(beta=beta))
+        assert np.isfinite(out).all()
+        if beta > 0:  # the mean of M with itself is M; its null space holds only round-off
+            assert_allclose(eig_sym(out).values[:2], [scale, scale / 10], rtol=1e-12)
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_matches_dense_oracle_on_full_decompositions(self, beta):

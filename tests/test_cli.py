@@ -5,8 +5,8 @@ import threading
 import numpy as np
 import pytest
 
-from betadpca import (DEFAULT_CANDIDATES, CvSelect, ExperimentSpec, FixedBeta, JobSpec, cli, read_shard,
-                      run_local)
+from betadpca import (DEFAULT_CANDIDATES, CvSelect, ExperimentSpec, FixedBeta, JobSpec, ParseError, cli,
+                      read_shard, run_local)
 
 CV_KEYS = {"cv_betas", "cv_scores", "cv_per_fold"}
 
@@ -44,6 +44,14 @@ class TestGenAggregateSelect:
         rc = run_cli("gen", "--p", "12", "--n", "40", "--m", "2", "--r", "2", "--out", str(out))
         assert rc == 2
         assert f"error: cannot write {out / 'population.npz'}" in capsys.readouterr().err
+
+    def test_a_csv_shard_is_rejected_naming_the_magic(self, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        path.write_text("x1,x2\n1.0,2.0\n3.0,4.0\n5.0,6.0\n")
+        with pytest.raises(ParseError, match=r"expected the magic b'BDPX'"):
+            read_shard(path)
+        assert run_cli("aggregate", str(path), str(path), "--r", "1", "--q", "1") == 2
+        assert "expected the magic b'BDPX'" in capsys.readouterr().err
 
     def test_aggregate_fixed_beta(self, shard_dir, tmp_path, capsys):
         shards = sorted(str(p) for p in shard_dir.glob("shard_*.bdpx"))
@@ -149,12 +157,6 @@ class TestPerturb:
         assert len(lines) == 2
         assert lines[1].endswith(",1")  # beta < 0 stays order invariant
 
-    def test_bad_noise_index_is_reported(self, capsys):
-        rc = run_cli("perturb", "--p", "10", "--n", "25", "--r", "2",
-                     "--noise-index", "0")
-        assert rc == 2
-        assert "noise_index" in capsys.readouterr().err
-
 
 class TestServeWorker:
     @pytest.mark.parametrize("beta", ["1.0", "cv"])
@@ -253,8 +255,7 @@ class TestArgumentParsing:
         with pytest.raises(SystemExit):
             run_cli("worker", "--help")
         usage = capsys.readouterr().out.split("options:")[0]
-        assert set(re.findall(r"--[\w-]+", usage)) == {"--shard", "--machine-id", "--host", "--port",
-                                                       "--timeout", "--q"}
+        assert set(re.findall(r"--[\w-]+", usage)) == {"--shard", "--host", "--port", "--timeout", "--q"}
 
     def test_shared_flags_parse_to_the_specs_defaults(self):
         parser = cli.build_parser()
@@ -268,7 +269,9 @@ class TestArgumentParsing:
 
     @pytest.mark.parametrize("command", [("aggregate", "s.bdpx", "--center"), ("serve", "--m", "2", "--center"),
                                          ("simulate", "--center"), ("worker", "--shard", "s.bdpx", "--center"),
-                                         ("simulate", "--paper-scale")],
+                                         ("simulate", "--paper-scale"),
+                                         ("worker", "--shard", "s.bdpx", "--machine-id=3"),
+                                         ("perturb", "--noise-index=2")],
                              ids=lambda command: f"{command[0]} {command[-1]}")
     def test_removed_options_are_rejected(self, command, capsys):
         with pytest.raises(SystemExit) as exc:

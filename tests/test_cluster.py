@@ -1,4 +1,5 @@
 import logging
+import math
 import socket
 import struct
 import threading
@@ -524,6 +525,28 @@ class TestTimeoutResolution:
         shards, _ = gaussian_shards(m=2)
         run_sockets(shards, JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0)), timeout=4.5)
         assert seen == [4.5, 4.5]
+
+    @pytest.mark.parametrize("timeout", [math.inf, math.nan, -1.0, 0.0], ids=repr)
+    @pytest.mark.parametrize("call", ["run_sockets", "serve", "send_summary"])
+    def test_a_bad_timeout_is_invalid_input_before_any_socket_work(self, call, timeout, monkeypatch):
+        job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
+        shards, _ = gaussian_shards(m=2)
+        server = listen("127.0.0.1", 0, 2)
+        address = server.getsockname()[:2]
+
+        def no_socket(*args, **kwargs):
+            raise AssertionError("socket work before the timeout was checked")
+
+        monkeypatch.setattr(socket, "create_server", no_socket)
+        monkeypatch.setattr(socket, "create_connection", no_socket)
+        calls = {"run_sockets": lambda: run_sockets(shards, job, timeout=timeout),
+                 "serve": lambda: serve(server, 2, job, timeout=timeout),
+                 "send_summary": lambda: send_summary(*address, worker_round(shards[0], job.q), timeout=timeout)}
+        with server:
+            with pytest.raises(InvalidInput, match="timeout must be a positive, finite number of seconds"):
+                calls[call]()
+            if call == "serve":
+                assert server.fileno() == -1  # serve closes the listener it was handed
 
 
 class TestAggregateBeatsLocals:

@@ -6,13 +6,14 @@ from betadpca import (
     BetaConfig,
     DomainError,
     InvalidInput,
+    NotPSD,
     beta_mean,
     divergence,
     generating_value,
     matrix_function,
     verify_minimizer,
 )
-from helpers import closed_form_divergence, matrix_power, rand_spd
+from helpers import closed_form_divergence, matrix_power, rand_spd, rotated_rank_two
 
 # beta = 0 is the von Neumann limit, beta = -1 the log-det limit
 BETAS = [-2.0, -0.5, 0.5, 1.0, 2.0, 0.0, -1.0]
@@ -155,6 +156,18 @@ class TestDivergence:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidInput):
             divergence(np.eye(2), np.eye(3), 1.0)
+
+    @pytest.mark.parametrize("scale", [1e7, 1e9, 1e12])
+    @pytest.mark.parametrize("beta", [2.0, 1.0, 0.5])
+    def test_rank_deficient_input_is_psd_at_any_scale(self, beta, scale):
+        # PSD slots take a rank-deficient matrix with a round-off negative
+        # eigenvalue below -1e-10; D(M, M) is then 0 up to that round-off
+        m = rotated_rank_two(scale)
+        assert divergence(m, m, beta) == pytest.approx(0.0, abs=1e-12 * scale ** (beta + 1))
+
+    def test_indefinite_slot_is_not_psd(self):
+        with pytest.raises(NotPSD, match="not PSD"):
+            divergence(np.diag([1.0, -1e-6]), np.eye(2), 1.0)
 
 
 class TestVerifyMinimizer:

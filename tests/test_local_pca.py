@@ -140,31 +140,6 @@ class TestShardIo:
         assert back.machine_id == 42
         assert np.array_equal(back.samples, shard.samples)
 
-    def test_csv_one_sample_per_row(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("1.0,2.0\n3.0,4.0\n5.0,6.0\n")
-        shard = read_shard(path, machine_id=7)
-        assert shard.p == 2 and shard.n_ell == 3
-        assert_allclose(shard.samples, [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])
-        assert shard.machine_id == 7
-
-    def test_csv_header_skipped(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("x1,x2\n1.0,2.0\n3.0,4.0\n")
-        assert read_shard(path, machine_id=1).n_ell == 2
-
-    def test_csv_ragged_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("1.0,2.0\n3.0\n")
-        with pytest.raises(ParseError):
-            read_shard(path, machine_id=1)
-
-    def test_csv_empty_rejected(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(ParseError):
-            read_shard(path, machine_id=1)
-
     def test_truncated_binary_rejected(self, tmp_path):
         rng = np.random.default_rng(28)
         path = tmp_path / "shard.bdpx"
