@@ -26,7 +26,7 @@ for dist in (GAUSSIAN, STUDENT_T3):
     counts = ", ".join(f"beta={b:+.0f}: {c}" for b, c in result.selection_counts.items())
     print(f"CV selection counts: {counts}")
 
-    ks = result.k_range
+    ks = result.spec.k_range
     print(f"mean rho_k for k in {ks[0]}..{ks[-1]}:")
     for method, curve in result.mean_rho.items():
         line = " ".join(f"{curve[k]:.3f}" for k in ks)

@@ -21,9 +21,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidInput, TieWarning
-from .linalg import (EIGEN_FLOOR, canonical_order, complete_basis, eig_sym, matrix_function, psd_eig,
-                     spectral_map, symmetrize, thin_svd)
-from .local_pca import TruncatedEig
+from .linalg import (EIGEN_FLOOR, canonical_order, eig_sym, matrix_function, psd_eig, spectral_map, symmetrize,
+                     thin_svd)
+from .local_pca import TruncatedEig, _top_block, _top_layout, _top_values
 
 
 def finite_beta(beta) -> float:
@@ -41,7 +41,8 @@ class BetaConfig:
     beta selects the branch (0 means the geometric-mean limit), delta
     regularizes the beta < 0 branch; JobSpec, ExperimentSpec and the CLI read
     delta's default from here.  Round-off is handled by the hull rule of
-    BranchTransform.inverse_within, at any scale.
+    BranchTransform.inverse_within, at any scale.  At beta < 0 an eigenvalue
+    above about delta * eps^(1/beta) is not resolved (see beta_aggregate).
     """
 
     beta: float
@@ -174,29 +175,6 @@ def branch_transform(b: float, shift: float) -> BranchTransform:
 
 
 PROJECTION_AVERAGE = BranchTransform("projection_average", np.ones_like, 0.0, lambda g: g)
-
-
-def _top_layout(values: np.ndarray, complement: float, p: int, k: int) -> tuple[slice, int, slice]:
-    # The top k of the full spectrum: span values `first` (those >= complement),
-    # then `n_comp` complement directions, then span values `rest`.
-    if not 1 <= k <= p:
-        raise InvalidInput(f"need 1 <= k <= p={p}, got k={k}")
-    above = int(np.count_nonzero(values >= complement))
-    head = min(k, above)
-    n_comp = min(k - head, p - values.size)
-    return slice(0, head), n_comp, slice(above, above + k - head - n_comp)
-
-
-def _top_values(values: np.ndarray, complement: float, layout) -> np.ndarray:
-    first, n_comp, rest = layout
-    return np.concatenate([values[first], np.full(n_comp, complement), values[rest]])
-
-
-def _top_block(values: np.ndarray, vectors: np.ndarray, complement: float, k: int) -> TruncatedEig:
-    layout = _top_layout(values, complement, vectors.shape[0], k)
-    first, n_comp, rest = layout
-    top_vectors = np.hstack([vectors[:, first], complete_basis(vectors, n_comp), vectors[:, rest]])
-    return TruncatedEig(values=_top_values(values, complement, layout), vectors=top_vectors)
 
 
 def _tie_at(values: np.ndarray, complement: float, p: int, r: int) -> float | None:
@@ -347,6 +325,9 @@ def beta_aggregate(summaries: Sequence[TruncatedEig] | SummarySpan, cfg: BetaCon
     that span (see AggregateResult) in O(p (m q)^2); summation runs in list
     order, so callers with machine ids sort first.  A SummarySpan may be passed
     in place of the summaries, so several aggregations share one basis.
+    At beta < 0 a span eigenvalue above about delta * eps^(1/beta) is lost in the
+    round-off of sums holding delta^beta (the dense beta_mean too): ~671 at beta = -2
+    and ~4.5e10 at beta = -1 for delta = 1e-5, far above the paper's signal (~25).
     """
     span = SummarySpan.of(summaries)
     if not 1 <= r <= span.q:

@@ -155,7 +155,7 @@ def cmd_simulate(args) -> int:
     for b, c in result.selection_counts.items():
         print(f"  beta={b:g}: {c}")
     print("mean rho_k at k=r and k=k_max:")
-    lo, hi = result.k_range[0], result.k_range[-1]
+    lo, hi = spec.k_range[0], spec.k_range[-1]
     for method in spec.methods:
         print(f"  {method}: {result.mean_rho[method][lo]:.4f} .. {result.mean_rho[method][hi]:.4f}")
     return 0

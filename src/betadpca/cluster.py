@@ -40,9 +40,9 @@ from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
-from .aggregation import AggregateResult, BetaConfig, SummarySpan, beta_aggregate
+from .aggregation import AggregateResult, BetaConfig, SummarySpan, beta_aggregate, branch_transform, finite_beta
 from .errors import CorruptMessage, InvalidInput, IoError, ParseError
-from .local_pca import DataShard, TruncatedEig, local_summary, truncate_summary
+from .local_pca import DataShard, TruncatedEig, check_machine_id, local_summary, truncate_summary
 from .selection import DEFAULT_CANDIDATES, make_folds, select_beta
 
 logger = logging.getLogger(__name__)
@@ -80,8 +80,9 @@ class LocalSummaryMsg:
     summary: TruncatedEig
 
     def __post_init__(self):
-        if self.machine_id < 0 or self.n_ell < 1:
-            raise InvalidInput("machine_id must be >= 0 and n_ell >= 1")
+        check_machine_id(self.machine_id)
+        if self.n_ell < 1:
+            raise InvalidInput(f"n_ell must be >= 1, got {self.n_ell}")
 
     @property
     def p(self) -> int:
@@ -94,9 +95,12 @@ class LocalSummaryMsg:
 
 @dataclass(frozen=True)
 class FixedBeta:
-    """Aggregate at one announced beta."""
+    """Aggregate at one announced, finite beta."""
 
     beta: float
+
+    def __post_init__(self):
+        finite_beta(self.beta)
 
 
 @dataclass(frozen=True)
@@ -189,16 +193,25 @@ def worker_round(shard: DataShard, q: int) -> LocalSummaryMsg:
     return LocalSummaryMsg(machine_id=shard.machine_id, n_ell=shard.n_ell, summary=summary)
 
 
+def _overflows(values: np.ndarray, job: JobSpec) -> bool:
+    # a beta the job may use (its FixedBeta, or any CV candidate) maps a value to inf, as beta=2 does 1e200
+    betas = job.beta_mode.candidates if isinstance(job.beta_mode, CvSelect) else (job.beta_mode.beta,)
+    with np.errstate(over="ignore"):
+        return not all(np.isfinite(branch_transform(b, job.delta).forward(values)).all() for b in betas)
+
+
 def _keep(first: dict[int, LocalSummaryMsg], msg: LocalSummaryMsg, job: JobSpec,
           expected: frozenset[int]) -> None:
-    """Add msg to first (keyed by machine id) if the round keeps it: it is
-    from an expected machine, has the job's rank q, and is that machine's
-    first such message in arrival order (a retried send counts once).  Any
-    other message is dropped with a warning naming its machine."""
+    """Add msg to first (keyed by machine id) if the round keeps it: it is from
+    an expected machine, has the job's rank q and values that no beta of the job
+    overflows, and is that machine's first such message in arrival order (a
+    retried send counts once).  Others are dropped with a warning naming the machine."""
     if msg.machine_id not in expected:
         logger.warning("dropping a message from unexpected machine %d", msg.machine_id)
     elif msg.q != job.q:
         logger.warning("dropping machine %d's message of rank %d (job q=%d)", msg.machine_id, msg.q, job.q)
+    elif _overflows(msg.summary.values, job):
+        logger.warning("dropping machine %d's message: its values overflow the job's beta map", msg.machine_id)
     elif msg.machine_id in first:
         logger.warning("dropping a repeated message from machine %d", msg.machine_id)
     else:
@@ -323,8 +336,8 @@ def serve(server: socket.socket, m: int, job: JobSpec,
     """Coordinator side of the TCP transport, on a socket from listen().
 
     Waits up to timeout seconds for a message from each of machines 1..m
-    (one frame per connection), then aggregates those; a frame from any other
-    machine, of the wrong rank, or repeated, is dropped and does not end the
+    (one frame per connection), then aggregates those; a frame that _keep drops
+    (another machine's, the wrong rank, overflowing or repeated) does not end the
     round, and machines 1..m with no message kept are listed as missing.  The
     listener is closed on every exit, a bad timeout's InvalidInput included.
     """

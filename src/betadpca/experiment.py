@@ -4,7 +4,6 @@ their outputs: the CSVs and a gnuplot script for the similarity curves.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import ClassVar
@@ -80,10 +79,6 @@ class ExperimentResult:
     selection_counts: dict[float, int]   # per candidate beta, over replicates
     mean_rho: dict[str, dict[int, float]]
 
-    @property
-    def k_range(self) -> tuple[int, ...]:
-        return self.spec.k_range
-
 
 def _replicate_rows(spec: ExperimentSpec, rep: int) -> tuple[list[tuple], float]:
     seed_rep = child_seed(spec.seed, REPLICATE, rep)
@@ -108,17 +103,14 @@ def _replicate_rows(spec: ExperimentSpec, rep: int) -> tuple[list[tuple], float]
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> ExperimentResult:
-    """Run the replicates (optionally in threads) and collate summaries.
+    """Run the replicates serially (workers must be 1) and collate summaries.
 
-    Each replicate draws from its own derived RNG streams, so results do not
-    depend on scheduling; rows come out grouped by replicate in order.
+    Each replicate draws from its own derived RNG streams; rows come out
+    grouped by replicate in order.
     """
-    reps = range(1, spec.replicates + 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda rep: _replicate_rows(spec, rep), reps))
-    else:
-        outcomes = [_replicate_rows(spec, rep) for rep in reps]
+    if workers != 1:
+        raise InvalidInput(f"replicates run serially: workers must be 1, got {workers}")
+    outcomes = [_replicate_rows(spec, rep) for rep in range(1, spec.replicates + 1)]
 
     rows = [row for out, _ in outcomes for row in out]
     selected = [beta for _, beta in outcomes]
@@ -160,7 +152,7 @@ def write_summary_files(result: ExperimentResult, out_dir) -> tuple[Path, Path]:
     rho_path = out_dir / RHO_FILENAME
     lines = [RHO_HEADER]
     for method in result.spec.methods:
-        for k in result.k_range:
+        for k in result.spec.k_range:
             lines.append(f"{method},{k},{repr(result.mean_rho[method][k])}")
     write_text(rho_path, "\n".join(lines) + "\n")
     return freq_path, rho_path

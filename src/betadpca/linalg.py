@@ -128,6 +128,8 @@ def complete_basis(basis, count: int) -> np.ndarray:
     p, k = basis.shape
     if not 0 <= count <= p - k:
         raise InvalidInput(f"cannot add {count} columns to a rank-{k} basis in dimension {p}")
+    if count == 0:  # the usual call from a top-k block: skip the O(p k) residuals
+        return np.empty((p, 0))
     cols = basis
     resid = 1.0 - np.einsum("ij,ij->i", basis, basis)  # squared distance of e_i from span(cols)
     out = np.empty((p, count))

@@ -20,6 +20,13 @@ logger = logging.getLogger(__name__)
 SHARD_MAGIC = b"BDPX"
 SHARD_VERSION = 1
 ORTHO_TOL = 1e-10
+MAX_MACHINE_ID = 2**32 - 1  # the shard header and the wire frame store the id as u32
+
+
+def check_machine_id(machine_id) -> int:
+    if not 0 <= int(machine_id) <= MAX_MACHINE_ID:
+        raise InvalidInput(f"machine_id must lie in 0..{MAX_MACHINE_ID}, got {machine_id}")
+    return int(machine_id)
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,10 +42,8 @@ class DataShard:
             raise InvalidInput(f"samples must be a p x n matrix with n >= 1, got shape {s.shape}")
         if not np.isfinite(s).all():
             raise InvalidInput("shard has non-finite entries")
-        if int(self.machine_id) < 0:
-            raise InvalidInput("machine_id must be non-negative")
         object.__setattr__(self, "samples", s)
-        object.__setattr__(self, "machine_id", int(self.machine_id))
+        object.__setattr__(self, "machine_id", check_machine_id(self.machine_id))
 
     @property
     def p(self) -> int:
@@ -84,17 +89,34 @@ class TruncatedEig:
         return self.values.size
 
 
-def truncated_eig(m, q: int) -> TruncatedEig:
-    """Top-q eigenpairs of a symmetric matrix.
+def _top_layout(values: np.ndarray, complement: float, p: int, k: int) -> tuple[slice, int, slice]:
+    # The top k of a factored spectrum (`complement` outside the span): span values
+    # `first` (those >= complement), then `n_comp` complement directions, then span values `rest`.
+    if not 1 <= k <= p:
+        raise InvalidInput(f"need 1 <= k <= p={p}, got k={k}")
+    above = int(np.count_nonzero(values >= complement))
+    head = min(k, above)
+    n_comp = min(k - head, p - values.size)
+    return slice(0, head), n_comp, slice(above, above + k - head - n_comp)
 
-    Negative values are clamped to 0 so rank-deficient covariances stay PSD.
-    """
+
+def _top_values(values: np.ndarray, complement: float, layout) -> np.ndarray:
+    first, n_comp, rest = layout
+    return np.concatenate([values[first], np.full(n_comp, complement), values[rest]])
+
+
+def _top_block(values: np.ndarray, vectors: np.ndarray, complement: float, k: int) -> TruncatedEig:
+    layout = _top_layout(values, complement, vectors.shape[0], k)
+    first, n_comp, rest = layout
+    top_vectors = np.hstack([vectors[:, first], complete_basis(vectors, n_comp), vectors[:, rest]])
+    return TruncatedEig(values=_top_values(values, complement, layout), vectors=top_vectors)
+
+
+def truncated_eig(m, q: int) -> TruncatedEig:
+    """Top-q eigenpairs of a symmetric matrix; negative values are clamped to 0
+    so rank-deficient covariances stay PSD."""
     es = eig_sym(m)
-    p = es.values.size
-    if not 1 <= q <= p:
-        raise InvalidInput(f"need 1 <= q <= p={p}, got q={q}")
-    vals = np.clip(es.values[:q], 0.0, None)
-    return TruncatedEig(values=vals, vectors=es.vectors[:, :q].copy())
+    return _top_block(np.clip(es.values, 0.0, None), es.vectors, 0.0, q)
 
 
 def truncate_summary(summary: TruncatedEig, r: int) -> TruncatedEig:
@@ -111,25 +133,18 @@ def local_summary(shard: DataShard, q: int) -> TruncatedEig:
     in O(p n_ell min(p, n_ell)) without forming the p x p covariance; vectors
     follow eig_sym's sign and tie convention.  The sampling model is
     zero-mean, so X is used as it is, not centred.  q may exceed n_ell: the
-    trailing values are then exactly 0 and their vectors complete the basis
-    deterministically (linalg.complete_basis), and a warning is logged, since
-    those directions carry no sample information.
+    covariance is 0 outside span U, so as in AggregateResult.top the trailing
+    values are exactly 0, their vectors complete the basis deterministically,
+    and a warning is logged, since those directions carry no sample information.
     """
     if not 1 <= q <= shard.p:
         raise InvalidInput(f"need 1 <= q <= p={shard.p}, got q={q}")
     if q > shard.n_ell:
-        logger.warning(
-            "q=%d exceeds the local sample count n=%d on machine %d; "
-            "trailing eigenvalues are 0",
-            q, shard.n_ell, shard.machine_id,
-        )
+        logger.warning("q=%d exceeds the local sample count n=%d on machine %d; trailing eigenvalues are 0",
+                       q, shard.n_ell, shard.machine_id)
     u, s, _ = thin_svd(shard.samples)
     values, vectors = canonical_order(s ** 2 / shard.n_ell, u)
-    extra = q - values.size
-    if extra > 0:
-        values = np.concatenate([values, np.zeros(extra)])
-        vectors = np.hstack([vectors, complete_basis(vectors, extra)])
-    return TruncatedEig(values=values[:q], vectors=vectors[:, :q])
+    return _top_block(values, vectors, 0.0, q)
 
 
 def write_shard(path, shard: DataShard) -> None:

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .linalg import symmetrize
 from .local_pca import DataShard, TruncatedEig
 from .rngs import DATA, NOISE_EIGENVALUES, POPULATION, stream
 
@@ -41,9 +40,6 @@ class PopulationModel:
     @property
     def p(self) -> int:
         return self.lam.size
-
-    def covariance(self) -> np.ndarray:
-        return symmetrize((self.gamma * self.lam) @ self.gamma.T)
 
     def truth_basis(self) -> np.ndarray:
         return self.gamma[:, : self.r].copy()

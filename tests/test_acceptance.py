@@ -216,12 +216,12 @@ def test_criterion_7_accuracy_curves(desk_runs):
         assert desk_runs["elapsed"] < 900.0
         t3 = desk_runs[STUDENT_T3]
         for method in ("beta=-1", "beta=0", "beta=cv"):
-            for k in t3.k_range:
+            for k in t3.spec.k_range:
                 assert t3.mean_rho[method][k] > t3.mean_rho["fan"][k], (
                     f"{method} at k={k}: {t3.mean_rho[method][k]:.4f} vs "
                     f"fan {t3.mean_rho['fan'][k]:.4f}")
         gauss = desk_runs[GAUSSIAN]
-        for k in gauss.k_range:
+        for k in gauss.spec.k_range:
             col = [gauss.mean_rho[m][k] for m in gauss.mean_rho]
             assert max(col) - min(col) <= 0.05, f"spread at k={k}: {col}"
 

@@ -231,6 +231,16 @@ class TestServeWorker:
         assert "listening on" not in out
         assert "error: need at least two folds, got 1" in err
 
+    @pytest.mark.parametrize("beta", ["nan", "inf"])
+    @pytest.mark.parametrize("command", [("serve", "--port", "0", "--m", "2", "--timeout", "0.5"),
+                                         ("aggregate", "no_such_shard.bdpx")], ids=lambda command: command[0])
+    def test_a_non_finite_beta_exits_before_any_work(self, command, beta, capsys):
+        # FixedBeta rejects it: serve binds no port, aggregate reads no shard
+        assert run_cli(*command, "--r", "2", "--q", "4", "--beta", beta) == 2
+        out, err = capsys.readouterr()
+        assert "listening on" not in out
+        assert f"error: beta must be finite, got {beta}" in err
+
     @pytest.mark.parametrize("command", [("serve", "--port", "0", "--m", "1", "--timeout", "0.5"),
                                          ("aggregate", "no_such_shard.bdpx")], ids=lambda command: command[0])
     def test_cv_over_one_machine_exits_before_any_work(self, command, capsys):

@@ -23,6 +23,7 @@ from betadpca import (
     JobSpec,
     LocalSummaryMsg,
     ParseError,
+    TruncatedEig,
     beta_aggregate,
     coordinator_round,
     decode_summary,
@@ -79,6 +80,14 @@ class TestCodec:
             assert back.n_ell == msg.n_ell
             assert np.array_equal(back.summary.values, msg.summary.values)
             assert np.array_equal(back.summary.vectors, msg.summary.vectors)
+
+    def test_machine_id_must_fit_the_u32_field(self):
+        # 2**32 is InvalidInput at construction, so encode_summary never meets it
+        summary = rand_summary(np.random.default_rng(94), 5, 2)
+        with pytest.raises(InvalidInput, match="machine_id must lie in 0..4294967295"):
+            LocalSummaryMsg(machine_id=2**32, n_ell=10, summary=summary)
+        msg = LocalSummaryMsg(machine_id=2**32 - 1, n_ell=10, summary=summary)
+        assert decode_summary(encode_summary(msg)).machine_id == 2**32 - 1
 
     def test_base_frame_size_is_exact(self):
         rng = np.random.default_rng(92)
@@ -245,6 +254,19 @@ class TestCoordinatorRound:
         assert res.missing == (3,)
         assert np.array_equal(res.sigma_beta, coordinator_round(msgs[:2], self.job(), (1, 2)).sigma_beta)
 
+    def test_overflowing_message_dropped(self, caplog):
+        # (1e200)^2 overflows beta=2's forward map, so machine 3 is dropped instead of aborting
+        # the round; at beta=1 every forward value is finite and the message is kept
+        msgs = self.msgs(q=3)
+        big = LocalSummaryMsg(machine_id=3, n_ell=20,
+                              summary=TruncatedEig(np.array([1e200, 1e199, 1e198]), msgs[2].summary.vectors))
+        with caplog.at_level(logging.WARNING):
+            res = coordinator_round(msgs[:2] + [big], self.job(beta=2.0, q=3), expected_ids=(1, 2, 3))
+        assert "dropping machine 3's message: its values overflow" in caplog.text
+        assert res.missing == (3,)
+        assert np.array_equal(res.sigma_beta, coordinator_round(msgs[:2], self.job(beta=2.0, q=3), (1, 2)).sigma_beta)
+        assert coordinator_round(msgs[:2] + [big], self.job(beta=1.0, q=3), (1, 2, 3)).missing == ()
+
     def test_unexpected_machine_dropped(self, caplog):
         # machine 7 is not one of the round's machines 1..3: it is dropped, not aggregated
         msgs = self.msgs()
@@ -323,6 +345,34 @@ class TestTransports:
         assert a.missing == () and b.missing == ()
         assert "aggregating without" not in caplog.text
         assert np.array_equal(a.sigma_beta, b.sigma_beta)
+
+    @staticmethod
+    def overflowing_round():
+        # machine 4's samples scaled by 1e100: its values (~1e200) overflow beta=2's forward map
+        shards, _ = gaussian_shards(m=4, n=120)
+        bad = DataShard(samples=shards[3].samples * 1e100, machine_id=4)
+        return shards[:3] + [bad], JobSpec(r=2, q=3, beta_mode=FixedBeta(2.0))
+
+    def test_overflowing_worker_dropped_in_process(self, caplog):
+        shards, job = self.overflowing_round()
+        with caplog.at_level(logging.WARNING):
+            res = run_local(shards, job)
+        assert "dropping machine 4's message: its values overflow" in caplog.text
+        assert res.missing == (4,)
+        want = run_local(shards[:3], job)
+        assert np.array_equal(res.span_values, want.span_values)
+        assert np.array_equal(res.leading.vectors, want.leading.vectors)
+
+    def test_overflowing_worker_dropped_over_sockets(self):
+        # the dropped frame does not end the round: the others are aggregated at the deadline
+        shards, job = self.overflowing_round()
+        t0 = time.monotonic()
+        res = run_sockets(shards, job, timeout=2.0)
+        assert time.monotonic() - t0 <= 2.0 + 0.5
+        assert res.missing == (4,)
+        want = run_local(shards[:3], job)
+        assert np.array_equal(res.span_values, want.span_values)
+        assert np.array_equal(res.leading.vectors, want.leading.vectors)
 
     def test_failing_send_leaves_nothing_behind(self, monkeypatch):
         # the second shard's send fails: the error surfaces once the round's

@@ -67,7 +67,7 @@ class TestRunExperiment:
         res = run_experiment(spec)
         ks = range(spec.r, spec.k_max + 1)
         assert len(res.rows) == spec.replicates * len(spec.methods) * len(list(ks))
-        assert res.k_range == tuple(ks)
+        assert res.spec.k_range == tuple(ks)
         for rep, method, beta_used, k, rho in res.rows:
             assert 1 <= rep <= spec.replicates
             assert method in spec.methods
@@ -96,13 +96,14 @@ class TestRunExperiment:
         last = [row for row in res.rows if row[3] == 8]
         assert all(abs(row[4] - 1.0) < 1e-8 for row in last)
 
-    def test_deterministic_and_thread_invariant(self):
+    def test_deterministic_and_serial_only(self):
         spec = tiny_spec()
         a = run_experiment(spec)
-        b = run_experiment(spec)
-        c = run_experiment(spec, workers=3)
-        assert a.rows == b.rows == c.rows
-        assert a.selection_counts == c.selection_counts
+        b = run_experiment(spec, workers=1)
+        assert a.rows == b.rows
+        assert a.selection_counts == b.selection_counts
+        with pytest.raises(InvalidInput, match="workers must be 1"):
+            run_experiment(spec, workers=2)
 
     def test_seed_changes_rows(self):
         a = run_experiment(tiny_spec())
@@ -149,9 +150,9 @@ class TestCsvOutputs:
             assert int(count) == res.selection_counts[b]
         rho = (tmp_path / "summary_rho.csv").read_text().splitlines()
         assert rho[0] == "method,k,mean_rho"
-        assert len(rho) == 1 + len(spec.methods) * len(res.k_range)
+        assert len(rho) == 1 + len(spec.methods) * len(spec.k_range)
         method, k, val = rho[1].split(",")
-        assert method == spec.methods[0] and int(k) == res.k_range[0]
+        assert method == spec.methods[0] and int(k) == spec.k_range[0]
         assert float(val) == res.mean_rho[method][int(k)]
 
     def test_byte_identical_reruns(self, tmp_path):

@@ -176,3 +176,11 @@ class TestDataShardValidation:
     def test_rejects_negative_machine_id(self):
         with pytest.raises(InvalidInput):
             DataShard(samples=np.zeros((2, 2)), machine_id=-1)
+
+    def test_machine_id_must_fit_the_u32_header(self, tmp_path):
+        # 2**32 is InvalidInput at construction, so write_shard never meets it
+        with pytest.raises(InvalidInput, match="machine_id must lie in 0..4294967295"):
+            DataShard(samples=np.ones((3, 2)), machine_id=2**32)
+        path = tmp_path / "shard.bdpx"
+        write_shard(path, DataShard(samples=np.ones((3, 2)), machine_id=2**32 - 1))
+        assert read_shard(path).machine_id == 2**32 - 1

@@ -20,6 +20,11 @@ from betadpca.rngs import REPLICATE, child_seed
 from helpers import dense_sample_data
 
 
+def population_sigma(model):
+    """The population covariance Sigma = gamma diag(lam) gamma^T, formed densely."""
+    return (model.gamma * model.lam) @ model.gamma.T
+
+
 class TestSignalEigenvalues:
     def test_planted_law(self):
         lam = signal_eigenvalues(500, 250, 5)
@@ -51,8 +56,9 @@ class TestMakePopulation:
 
     def test_covariance_consistency(self):
         model = make_population(12, 50, 2, GAUSSIAN, seed=6)
-        sigma = model.covariance()
-        assert_allclose(sigma, (model.gamma * model.lam) @ model.gamma.T, atol=1e-12)
+        assert_allclose(model.gamma.T @ model.gamma, np.eye(12), atol=1e-12)
+        sigma = population_sigma(model)
+        assert_allclose(sigma, sigma.T, atol=1e-12)
         assert_allclose(np.sort(np.linalg.eigvalsh(sigma)), np.sort(model.lam), rtol=1e-10)
 
     def test_truth_basis_carries_signal(self):
@@ -95,7 +101,7 @@ class TestSampleData:
     def test_gaussian_monte_carlo_covariance(self):
         model = make_population(5, 100_000, 2, GAUSSIAN, seed=12)
         x = sample_data(model)
-        sigma = model.covariance()
+        sigma = population_sigma(model)
         emp = x @ x.T / x.shape[1]
         rel = np.linalg.norm(emp - sigma) / np.linalg.norm(sigma)
         assert rel < 0.05
@@ -104,7 +110,7 @@ class TestSampleData:
     def test_t3_monte_carlo_covariance(self):
         model = make_population(4, 1_000_000, 1, STUDENT_T3, seed=13)
         x = sample_data(model)
-        sigma = model.covariance()
+        sigma = population_sigma(model)
         emp = x @ x.T / x.shape[1]
         rel = np.linalg.norm(emp - sigma) / np.linalg.norm(sigma)
         assert rel < 0.10
@@ -115,7 +121,7 @@ class TestSampleData:
         xg, xt = sample_data(g), sample_data(t)
         # identical population; the t3 draw shares Z, so excursions beyond
         # 6 sigma come from the chi-square denominator alone
-        sd = np.sqrt(np.diag(g.covariance()))[:, None]
+        sd = np.sqrt(np.diag(population_sigma(g)))[:, None]
         assert (np.abs(xt) > 6 * sd).mean() > 5 * (np.abs(xg) > 6 * sd).mean()
 
 
