@@ -13,7 +13,7 @@ from .cluster import (CvSelect, FixedBeta, JobSpec, LocalSummaryMsg, coordinator
                       send_summary, serve, worker_round)
 from .divergence import MinimizerReport, divergence, generating_value, verify_minimizer
 from .errors import (ConvergenceError, CorruptMessage, DomainError, InvalidInput, IoError,
-                     NotPSD, ParseError, PreconditionError, TieWarning)
+                     NotPSD, ParseError, PrecisionWarning, PreconditionError, TieWarning)
 from .experiment import (CSV_HEADER, METHODS, ExperimentResult, ExperimentSpec, run_and_write,
                          run_experiment, write_rows_csv, write_summary_files)
 from .linalg import EigenSystem, eig_sym, matrix_function, symmetrize
@@ -33,7 +33,7 @@ __all__ = [
     "send_summary", "serve", "worker_round",
     "MinimizerReport", "divergence", "generating_value", "verify_minimizer",
     "ConvergenceError", "CorruptMessage", "DomainError", "InvalidInput", "IoError",
-    "NotPSD", "ParseError", "PreconditionError", "TieWarning",
+    "NotPSD", "ParseError", "PrecisionWarning", "PreconditionError", "TieWarning",
     "CSV_HEADER", "METHODS", "ExperimentResult", "ExperimentSpec", "run_and_write",
     "run_experiment", "write_rows_csv", "write_summary_files",
     "EigenSystem", "eig_sym", "matrix_function", "symmetrize",

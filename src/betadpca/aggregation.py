@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInput, TieWarning
+from .errors import InvalidInput, PrecisionWarning, TieWarning
 from .linalg import (EIGEN_FLOOR, canonical_order, eig_sym, matrix_function, psd_eig, spectral_map, symmetrize,
                      thin_svd)
 from .local_pca import TruncatedEig, _top_block, _top_layout, _top_values
@@ -42,7 +42,7 @@ class BetaConfig:
     regularizes the beta < 0 branch; JobSpec, ExperimentSpec and the CLI read
     delta's default from here.  Round-off is handled by the hull rule of
     BranchTransform.inverse_within, at any scale.  At beta < 0 an eigenvalue
-    above about delta * eps^(1/beta) is not resolved (see beta_aggregate).
+    above about delta * eps^(1/beta) is not resolved (see beta_aggregate, which warns).
     """
 
     beta: float
@@ -260,16 +260,26 @@ class SpanCore:
 
         since the average equals Q C Q^T + c (I - Q Q^T).  s = c, except when every
         summary spans the basis (k == q): no term then has a complement direction
-        in it, and s = 0 keeps forward values far below c.  Cost O(k^2 m q + k^3).
+        in it, and s = 0 keeps forward values far below c.  With s != 0, a forward
+        value below eps * |s| is lost in the core's round-off (the beta < 0
+        precision floor, see beta_aggregate), and one PrecisionWarning says so.
+        Cost O(k^2 m q + k^3).
         """
         k = coords.shape[0]
         w = 1.0 / len(summaries)
         c = transform.complement
         shift = c if k > summaries[0].q else 0.0
         terms = [transform.forward(s.values) for s in summaries]
+        hull = np.concatenate(terms + [[c]])  # the complement is a term's eigenvalue too
+        if shift and hull.min() < np.finfo(float).eps * abs(shift):
+            warnings.warn(
+                f"forward values down to {hull.min():.3g} lie below the round-off of the shift "
+                f"{shift:.3g}; span eigenvalues beyond the beta < 0 precision floor are not resolved",
+                PrecisionWarning,
+                stacklevel=3,
+            )
         scale = np.concatenate([w * (f - shift) for f in terms])
         core = eig_sym((coords * scale) @ coords.T + shift * np.eye(k))
-        hull = np.concatenate(terms + [[c]])  # the complement is a term's eigenvalue too
         return cls(values=transform.inverse_within(core.values, hull), vectors=core.vectors,
                    complement=float(transform.inverse(np.array([c]))[0]), branch=transform.name)
 
@@ -328,6 +338,7 @@ def beta_aggregate(summaries: Sequence[TruncatedEig] | SummarySpan, cfg: BetaCon
     At beta < 0 a span eigenvalue above about delta * eps^(1/beta) is lost in the
     round-off of sums holding delta^beta (the dense beta_mean too): ~671 at beta = -2
     and ~4.5e10 at beta = -1 for delta = 1e-5, far above the paper's signal (~25).
+    Where that loss happens (a span wider than one summary), PrecisionWarning says so.
     """
     span = SummarySpan.of(summaries)
     if not 1 <= r <= span.q:

@@ -42,7 +42,7 @@ import numpy as np
 
 from .aggregation import AggregateResult, BetaConfig, SummarySpan, beta_aggregate, branch_transform, finite_beta
 from .errors import CorruptMessage, InvalidInput, IoError, ParseError
-from .local_pca import DataShard, TruncatedEig, check_machine_id, local_summary, truncate_summary
+from .local_pca import DataShard, TruncatedEig, check_u32, local_summary, truncate_summary
 from .selection import DEFAULT_CANDIDATES, make_folds, select_beta
 
 logger = logging.getLogger(__name__)
@@ -80,9 +80,8 @@ class LocalSummaryMsg:
     summary: TruncatedEig
 
     def __post_init__(self):
-        check_machine_id(self.machine_id)
-        if self.n_ell < 1:
-            raise InvalidInput(f"n_ell must be >= 1, got {self.n_ell}")
+        check_u32("machine_id", self.machine_id)
+        check_u32("n_ell", self.n_ell, 1)
 
     @property
     def p(self) -> int:

@@ -39,3 +39,7 @@ class ParseError(ValueError):
 
 class TieWarning(UserWarning):
     """Eigenvalues coincide at a truncation boundary; ordering falls back to the fixed tie-break."""
+
+
+class PrecisionWarning(UserWarning):
+    """Eigenvalues lie beyond the beta < 0 precision floor and are lost in round-off."""

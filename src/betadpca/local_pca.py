@@ -20,13 +20,13 @@ logger = logging.getLogger(__name__)
 SHARD_MAGIC = b"BDPX"
 SHARD_VERSION = 1
 ORTHO_TOL = 1e-10
-MAX_MACHINE_ID = 2**32 - 1  # the shard header and the wire frame store the id as u32
+U32_MAX = 2**32 - 1  # the shard header and the wire frame store the id and n_ell as u32
 
 
-def check_machine_id(machine_id) -> int:
-    if not 0 <= int(machine_id) <= MAX_MACHINE_ID:
-        raise InvalidInput(f"machine_id must lie in 0..{MAX_MACHINE_ID}, got {machine_id}")
-    return int(machine_id)
+def check_u32(name: str, value, low: int = 0) -> int:
+    if not low <= int(value) <= U32_MAX:
+        raise InvalidInput(f"{name} must lie in {low}..{U32_MAX}, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,7 +43,7 @@ class DataShard:
         if not np.isfinite(s).all():
             raise InvalidInput("shard has non-finite entries")
         object.__setattr__(self, "samples", s)
-        object.__setattr__(self, "machine_id", check_machine_id(self.machine_id))
+        object.__setattr__(self, "machine_id", check_u32("machine_id", self.machine_id))
 
     @property
     def p(self) -> int:

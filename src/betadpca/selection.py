@@ -2,7 +2,7 @@
 
 Machines (not samples) are partitioned into folds.  For each fold, training
 machines are aggregated at rank r for every candidate beta, and the mismatch
-against each validation machine's own rank-r projection is averaged.  The
+against each validation machine's own leading rank-r block is averaged.  The
 candidate with the smallest mean mismatch wins; ties go to the earlier
 candidate in the declared order.  Every aggregation runs in one basis of all
 machines' summaries (a SummarySpan), which the caller may share with the
@@ -84,39 +84,31 @@ def select_beta(summaries_q: Sequence[TruncatedEig] | SummarySpan, summaries_r: 
     """Run the fold loop and pick the best beta.
 
     summaries_q feed the training-side aggregation, given as the summaries or
-    as their SummarySpan; summaries_r are the validation machines' own rank-r
-    projections and are the only thing the validation side looks at.
+    as their SummarySpan.  summaries_r[i] must be the leading r columns of
+    summaries_q[i] (truncate_summary): a validation machine is represented by
+    its own rank-r block, and any other block raises InvalidInput.
 
     Every training span lies in the span Q (p x K) of all m summaries, so
     that one basis serves every fold (the range-finder view of Halko,
     Martinsson & Tropp 2011): a fold only takes the small SVD of its machines'
-    coordinates, and is scored in them.  The validation blocks H are projected
-    once, H = Q H_c + H_out with H_out orthogonal to Q, so for a leading block
-    Q L_c the score's residual splits into two sums of squares,
-    ||H - P H||^2 = ||H_c - L_c L_c^T H_c||^2 + ||H_out||^2, and the loop does
-    no p-row work.  Only a fold whose leading block needs complement
-    directions, or ties at rank r (TieWarning), is lifted to R^p.
+    coordinates, and is scored in them.  A validation block lies in Q too, so
+    its coordinates are columns of the span's coords and the loop does no
+    p-row work.  Only a fold whose leading block needs complement directions,
+    or ties at rank r (TieWarning), is lifted to R^p.
     """
     span = SummarySpan.of(summaries_q)
     summaries_q = span.summaries
     if len(summaries_q) != plan.m or len(summaries_r) != plan.m:
         raise InvalidInput(f"plan covers {plan.m} machines, got {len(summaries_q)}/{len(summaries_r)}")
     r = summaries_r[0].q
-    if any(s.q != r for s in summaries_r):
-        raise InvalidInput("validation summaries differ in rank")
     if plan.r is not None and plan.r != r:
         raise InvalidInput(f"plan expects rank r={plan.r}, validation summaries have {r}")
     p, q = summaries_q[0].p, summaries_q[0].q
-    if any(s.p != p for s in summaries_r):
-        raise InvalidInput("validation summaries differ from the training summaries in p")
     if plan.q is not None and plan.q != q:
         raise InvalidInput(f"plan expects rank q={plan.q}, training summaries have {q}")
-    if r > q:
-        raise InvalidInput(f"validation rank r={r} exceeds training rank q={q}")
+    if not all(np.array_equal(v.vectors, s.vectors[:, :r]) for v, s in zip(summaries_r, summaries_q)):
+        raise InvalidInput(f"each validation summary must be the leading r={r} columns of its machine's summary")
 
-    held = [s.vectors for s in summaries_r]
-    held_c = [span.basis.T @ h for h in held]
-    held_out = [_sum_sq(h - span.basis @ hc) for h, hc in zip(held, held_c)]
     candidates = plan.candidate_set
     transforms = [branch_transform(b, cfg_template.delta) for b in candidates]
     per_fold = np.zeros((plan.k, len(candidates)))
@@ -124,16 +116,15 @@ def select_beta(summaries_q: Sequence[TruncatedEig] | SummarySpan, summaries_r: 
         train = [i for i in range(plan.m) if i not in fold]
         sub, sub_coords = span_basis(np.hstack([span.coords[:, i * q:(i + 1) * q] for i in train]), p)
         train_q = [summaries_q[i] for i in train]
-        fold_c = np.hstack([held_c[i] for i in fold])
-        fold_out = sum(held_out[i] for i in fold)
+        fold_c = np.hstack([span.coords[:, i * q:i * q + r] for i in fold])
         for bi, transform in enumerate(transforms):
             core = SpanCore.solve(train_q, sub_coords, transform)
             lead_c = core.leading_coords(p, r)
             if lead_c is None:
                 lead = core.lift(span.basis @ sub, r).leading.vectors
-                mismatch = _residual_sq(np.hstack([held[i] for i in fold]), lead)
+                mismatch = _residual_sq(np.hstack([summaries_r[i].vectors for i in fold]), lead)
             else:
-                mismatch = _residual_sq(fold_c, sub @ lead_c) + fold_out
+                mismatch = _residual_sq(fold_c, sub @ lead_c)
             per_fold[j, bi] = 2.0 * mismatch / len(fold)
     scores = per_fold.mean(axis=0)
     best = candidates[int(np.argmin(scores))]  # argmin takes the first minimum
@@ -144,12 +135,9 @@ def select_beta(summaries_q: Sequence[TruncatedEig] | SummarySpan, summaries_r: 
     )
 
 
-def _sum_sq(a: np.ndarray) -> float:
-    return float(np.sum(a * a))
-
-
 def _residual_sq(held: np.ndarray, lead: np.ndarray) -> float:
     # ||P_lead - P_i||_F^2 = 2 ||V_i - P_lead V_i||_F^2 for orthonormal rank-r
     # blocks; this residual form keeps round-off squared, where
     # |A^T A|^2 - 2 |A^T B|^2 + |B^T B|^2 cancels to ~1e-16.
-    return _sum_sq(held - lead @ (lead.T @ held))
+    res = held - lead @ (lead.T @ held)
+    return float(np.sum(res * res))

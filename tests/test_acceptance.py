@@ -209,6 +209,13 @@ def test_criterion_6_selection_frequencies(desk_runs):
         assert gauss[1.0] >= 0.8 * reps, f"gaussian counts: {gauss}"
 
 
+def test_desk_scale_cv_choices_are_pinned(desk_runs):
+    # at seed 0 each replicate's winner leads its runner-up by >= 1e-3 relative,
+    # so only a change in CV behaviour moves these counts
+    assert desk_runs[STUDENT_T3].selection_counts == {-1.0: 20, 0.0: 0, 1.0: 0}
+    assert desk_runs[GAUSSIAN].selection_counts == {-1.0: 0, 0.0: 1, 1.0: 19}
+
+
 def test_criterion_7_accuracy_curves(desk_runs):
     with criterion(7, "on t3 data beta in {-1, 0} and cv beat the projection-"
                       "average baseline at every k; gaussian methods agree "

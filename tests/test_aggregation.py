@@ -10,6 +10,7 @@ from betadpca import (
     DataShard,
     InvalidInput,
     NotPSD,
+    PrecisionWarning,
     SummarySpan,
     TieWarning,
     TruncatedEig,
@@ -251,6 +252,16 @@ class TestBetaAggregate:
         res = beta_aggregate([s, s], cfg, 2)
         assert_allclose(res.span_values, np.array([1e7, 1e6]) + cfg.delta, rtol=1e-12, atol=0)
         assert_allclose(res.sigma_beta, beta_mean([np.diag([1e7, 1e6, 0.0])] * 2, cfg), rtol=1e-12, atol=0)
+
+    def test_wide_spectrum_beyond_the_floor_warns(self):
+        # the summaries share e2 but span three directions (k > q): the shift
+        # delta^-2 = 1e10 swamps the forward values 1e-14 and 1e-12, whose
+        # eigenvalues lie above the floor delta * eps^(-1/2) ~ 671
+        summaries = [e_summary([1e7, 1e6], p=4), TruncatedEig(values=np.array([1e7, 1e6]),
+                                                              vectors=np.eye(4)[:, [2, 1]])]
+        with pytest.warns(PrecisionWarning, match="precision floor"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", TieWarning)
+            beta_aggregate(summaries, BetaConfig(beta=-2.0), 2)
 
     def test_span_in_place_of_summaries(self):
         rng = np.random.default_rng(42)

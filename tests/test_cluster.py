@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 
 from betadpca import (
     GAUSSIAN,
+    STUDENT_T3,
     BetaConfig,
     CorruptMessage,
     CvSelect,
@@ -23,6 +24,7 @@ from betadpca import (
     JobSpec,
     LocalSummaryMsg,
     ParseError,
+    PrecisionWarning,
     TruncatedEig,
     beta_aggregate,
     coordinator_round,
@@ -88,6 +90,13 @@ class TestCodec:
             LocalSummaryMsg(machine_id=2**32, n_ell=10, summary=summary)
         msg = LocalSummaryMsg(machine_id=2**32 - 1, n_ell=10, summary=summary)
         assert decode_summary(encode_summary(msg)).machine_id == 2**32 - 1
+
+    def test_n_ell_must_fit_the_u32_field(self):
+        summary = rand_summary(np.random.default_rng(95), 5, 2)
+        with pytest.raises(InvalidInput, match="n_ell must lie in 1..4294967295"):
+            LocalSummaryMsg(machine_id=1, n_ell=2**32, summary=summary)
+        msg = LocalSummaryMsg(machine_id=1, n_ell=2**32 - 1, summary=summary)
+        assert decode_summary(encode_summary(msg)).n_ell == 2**32 - 1
 
     def test_base_frame_size_is_exact(self):
         rng = np.random.default_rng(92)
@@ -373,6 +382,14 @@ class TestTransports:
         want = run_local(shards[:3], job)
         assert np.array_equal(res.span_values, want.span_values)
         assert np.array_equal(res.leading.vectors, want.leading.vectors)
+
+    @pytest.mark.parametrize("mode", [CvSelect(), FixedBeta(-1.0)])
+    def test_t3_round_stays_below_the_precision_floor(self, mode):
+        # beta = -1's floor delta / eps ~ 4.5e10 lies far above t3 shard eigenvalues
+        shards = split_shards(sample_data(make_population(500, 250, 5, STUDENT_T3, 24)), 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", PrecisionWarning)
+            run_local(shards, JobSpec(r=5, q=10, beta_mode=mode))
 
     def test_failing_send_leaves_nothing_behind(self, monkeypatch):
         # the second shard's send fails: the error surfaces once the round's

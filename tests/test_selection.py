@@ -127,23 +127,23 @@ class TestSelectBeta:
         assert all(v < 1e-12 for v in res.scores.values())
         assert res.per_fold.shape == (2, 3)
 
-    def test_validation_side_reads_rank_r_summaries(self):
-        # craft validation blocks equal to the beta=-1 training aggregate for
-        # each fold: that candidate must then win with score ~0
+    @pytest.mark.parametrize("validation", ["training aggregate", "random blocks", "another machine"])
+    def test_validation_blocks_must_be_leading_columns(self, validation):
+        # a validation machine is the leading r columns of its own summary, read
+        # from the span's coordinates; any other rank-r block is refused
         rng = np.random.default_rng(75)
         m, r = 4, 2
         summaries_q = [rand_summary(rng, 8, 4) for _ in range(m)]
-        plan = make_folds(m, 2, seed=3, candidate_set=(1.0, 0.0, -1.0))
-        summaries_r: list = [None] * m
-        for fold in plan.folds:
-            train = [summaries_q[i] for i in range(m) if i not in fold]
-            agg = beta_aggregate(train, BetaConfig(beta=-1.0, delta=1e-5), r)
-            for i in fold:
-                summaries_r[i] = agg.leading
-        res = select_beta(summaries_q, summaries_r, plan, self.cfg())
-        assert res.best_beta == -1.0
-        assert res.scores[-1.0] < 1e-20
-        assert res.scores[1.0] > 1e-6
+        summaries_r = [truncate_summary(s, r) for s in summaries_q]
+        if validation == "training aggregate":
+            summaries_r[0] = beta_aggregate(summaries_q[1:], BetaConfig(beta=-1.0), r).leading
+        elif validation == "random blocks":
+            summaries_r = [TruncatedEig(values=np.ones(r), vectors=rand_orthogonal(rng, 8)[:, :r])
+                           for _ in range(m)]
+        else:
+            summaries_r[0] = summaries_r[1]
+        with pytest.raises(InvalidInput, match="leading r=2 columns of its machine's summary"):
+            select_beta(summaries_q, summaries_r, make_folds(m, 2, seed=3), self.cfg())
 
     def test_duplicate_candidates_tie_to_first(self):
         rng = np.random.default_rng(76)
@@ -286,11 +286,3 @@ class TestFoldLoopMatchesOracle:
         rng = np.random.default_rng([84, seed])
         summaries = [rand_summary(rng, 9, 4) for _ in range(2)]
         self.check(monkeypatch, summaries, [truncate_summary(s, 2) for s in summaries], folds=2)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_validation_blocks_outside_the_span(self, seed, monkeypatch):
-        rng = np.random.default_rng([85, seed])
-        summaries = [rand_summary(rng, 30, 3) for _ in range(4)]
-        validations = [TruncatedEig(values=np.ones(2), vectors=rand_orthogonal(rng, 30)[:, :2])
-                       for _ in range(4)]
-        assert self.check(monkeypatch, summaries, validations, folds=2) == 0
