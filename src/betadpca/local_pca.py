@@ -7,6 +7,7 @@ gen writes and the CLI reads.
 from __future__ import annotations
 
 import logging
+import os
 import struct
 from dataclasses import dataclass
 
@@ -165,23 +166,25 @@ def write_shard(path, shard: DataShard) -> None:
 def read_shard(path) -> DataShard:
     """Read a shard file as write_shard writes it, machine id included.  ParseError for
     anything else: a file without the BDPX magic (a CSV, say), or one that is
-    truncated or holds no valid shard (no samples, or non-finite ones)."""
+    truncated or holds no valid shard (no samples, or non-finite ones).  The
+    file size is checked against the header before the samples are read, straight
+    into the shard's one array."""
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            header = fh.read(20)
+            if header[:4] != SHARD_MAGIC:
+                raise ParseError(f"{path}: not a shard file (expected the magic {SHARD_MAGIC!r})")
+            if len(header) < 20:
+                raise ParseError(f"{path}: truncated shard header")
+            version, p, n_ell, machine_id = struct.unpack("<IIII", header[4:])
+            if version != SHARD_VERSION:
+                raise ParseError(f"{path}: unsupported shard version {version}")
+            expected, size = 20 + 8 * p * n_ell, os.fstat(fh.fileno()).st_size
+            if size != expected:
+                raise ParseError(f"{path}: expected {expected} bytes for a {p}x{n_ell} shard, got {size}")
+            samples = np.fromfile(fh, dtype="<f8", count=p * n_ell).reshape((p, n_ell), order="F")
     except OSError as exc:
         raise IoError(f"cannot read shard {path}: {exc}") from exc
-    if raw[:4] != SHARD_MAGIC:
-        raise ParseError(f"{path}: not a shard file (expected the magic {SHARD_MAGIC!r})")
-    if len(raw) < 20:
-        raise ParseError(f"{path}: truncated shard header")
-    version, p, n_ell, machine_id = struct.unpack("<IIII", raw[4:20])
-    if version != SHARD_VERSION:
-        raise ParseError(f"{path}: unsupported shard version {version}")
-    expected = 20 + 8 * p * n_ell
-    if len(raw) != expected:
-        raise ParseError(f"{path}: expected {expected} bytes for a {p}x{n_ell} shard, got {len(raw)}")
-    samples = np.frombuffer(raw[20:], dtype="<f8").reshape((p, n_ell), order="F").copy()
     try:
         return DataShard(samples=samples, machine_id=machine_id)
     except InvalidInput as exc:

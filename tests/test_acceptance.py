@@ -17,6 +17,7 @@ import pytest
 from betadpca import (
     BetaConfig,
     CvSelect,
+    DataShard,
     ExperimentSpec,
     FixedBeta,
     GAUSSIAN,
@@ -33,6 +34,7 @@ from betadpca import (
     listen,
     make_population,
     matrix_function,
+    rho_similarity,
     run_experiment,
     run_local,
     run_sockets,
@@ -300,3 +302,25 @@ def test_criterion_9_simulate_determinism(tmp_path):
             dirs.append(d)
         for fname in ("results.csv", "summary_frequencies.csv", "summary_rho.csv"):
             assert (dirs[0] / fname).read_bytes() == (dirs[1] / fname).read_bytes()
+
+
+def test_criterion_10_one_contaminated_machine():
+    with criterion(10, "one machine of five holds another population's samples x3: "
+                       "beta=-1 loses <=0.05 of mean rho_r, beta=1 >=0.2, and CV picks "
+                       "beta=-1 in >=9 of 10 rounds", budget=5.0):
+        p, n, m, r = 200, 250, 5, 5
+        rho = {(beta, dirty): [] for beta in (-1.0, 1.0) for dirty in (False, True)}
+        cv_choices = []
+        for seed in range(10):
+            model = make_population(p, n, r, GAUSSIAN, seed=seed)
+            clean = split_shards(sample_data(model), m)
+            other = sample_data(make_population(p, n, r, GAUSSIAN, seed=1000 + seed))
+            dirty = clean[:-1] + [DataShard(samples=3.0 * other[:, -clean[-1].n_ell:], machine_id=m)]
+            for (beta, is_dirty), scores in rho.items():
+                res = run_local(dirty if is_dirty else clean, JobSpec(r=r, q=10, beta_mode=FixedBeta(beta)))
+                scores.append(rho_similarity(res.leading, model.truth_basis()))
+            cv_choices.append(run_local(dirty, JobSpec(r=r, q=10, beta_mode=CvSelect())).cv.best_beta)
+        drop = {beta: np.mean(rho[beta, False]) - np.mean(rho[beta, True]) for beta in (-1.0, 1.0)}
+        assert drop[-1.0] <= 0.05, drop
+        assert drop[1.0] >= 0.2, drop
+        assert cv_choices.count(-1.0) >= 9, cv_choices

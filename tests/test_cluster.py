@@ -1,3 +1,4 @@
+import contextlib
 import logging
 import math
 import socket
@@ -6,6 +7,8 @@ import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -201,13 +204,11 @@ class TestWorkerRound:
 
 
 class TestCoordinatorRound:
-    def job(self, beta=1.0, r=2, q=4):
-        return JobSpec(r=r, q=q, beta_mode=FixedBeta(beta))
+    JOB = JobSpec(r=2, q=4, beta_mode=FixedBeta(1.0))
 
-    def msgs(self, seed=99, m=3, p=10, q=4):
-        rng = np.random.default_rng(seed)
-        return [LocalSummaryMsg(machine_id=i + 1, n_ell=20, summary=rand_summary(rng, p, q))
-                for i in range(m)]
+    def msgs(self, m=3, p=10, q=4):
+        rng = np.random.default_rng(99)
+        return [LocalSummaryMsg(machine_id=i + 1, n_ell=20, summary=rand_summary(rng, p, q)) for i in range(m)]
 
     def test_single_machine_recovers_local_block(self):
         shard = DataShard(samples=np.random.default_rng(100).standard_normal((8, 40)),
@@ -220,71 +221,15 @@ class TestCoordinatorRound:
 
     def test_order_insensitive_bitwise(self):
         msgs = self.msgs()
-        a = coordinator_round(msgs, self.job(), expected_ids=(1, 2, 3))
-        b = coordinator_round(msgs[::-1], self.job(), expected_ids=(1, 2, 3))
+        a = coordinator_round(msgs, self.JOB, expected_ids=(1, 2, 3))
+        b = coordinator_round(msgs[::-1], self.JOB, expected_ids=(1, 2, 3))
         assert np.array_equal(a.sigma_beta, b.sigma_beta)
         assert np.array_equal(a.leading.vectors, b.leading.vectors)
-
-    def test_repeated_frame_dropped(self, caplog):
-        # a retried send delivers machine 1's frame twice; the copy is dropped
-        msgs = self.msgs()
-        want = coordinator_round(msgs, self.job(), expected_ids=(1, 2, 3))
-        with caplog.at_level(logging.WARNING):
-            res = coordinator_round(msgs + [msgs[0]], self.job(), expected_ids=(1, 2, 3))
-        assert "repeated message from machine 1" in caplog.text
-        assert res.missing == ()
-        assert np.array_equal(res.span_values, want.span_values)
-        assert np.array_equal(res.span_vectors, want.span_vectors)
-        assert np.array_equal(res.leading.vectors, want.leading.vectors)
-
-    def test_first_of_repeated_ids_kept(self):
-        # two different messages claim machine 1: the one that arrived first counts
-        msgs = self.msgs()
-        impostor = LocalSummaryMsg(machine_id=1, n_ell=20, summary=self.msgs(seed=7)[0].summary)
-        ids = (1, 2, 3)
-        a = coordinator_round(msgs + [impostor], self.job(), ids)
-        b = coordinator_round([impostor] + msgs[1:] + [msgs[0]], self.job(), ids)
-        assert np.array_equal(a.sigma_beta, coordinator_round(msgs, self.job(), ids).sigma_beta)
-        assert np.array_equal(b.sigma_beta, coordinator_round([impostor] + msgs[1:], self.job(), ids).sigma_beta)
 
     def test_rank_mismatch_with_job_rejected(self):
         msgs = self.msgs(q=3)
         with pytest.raises(InvalidInput):
-            coordinator_round(msgs, self.job(q=4), expected_ids=(1, 2, 3))
-
-    def test_wrong_rank_dropped(self, caplog):
-        # machine 2 answers with rank 3 before its rank-4 retry; machine 3 only with rank 3
-        msgs = self.msgs()
-        rng = np.random.default_rng(5)
-        wrong = [LocalSummaryMsg(machine_id=i, n_ell=20, summary=rand_summary(rng, 10, 3)) for i in (2, 3)]
-        with caplog.at_level(logging.WARNING):
-            res = coordinator_round([msgs[0], wrong[0], msgs[1], wrong[1]], self.job(), expected_ids=(1, 2, 3))
-        assert "dropping machine 3's message of rank 3 (job q=4)" in caplog.text
-        assert res.missing == (3,)
-        assert np.array_equal(res.sigma_beta, coordinator_round(msgs[:2], self.job(), (1, 2)).sigma_beta)
-
-    def test_overflowing_message_dropped(self, caplog):
-        # (1e200)^2 overflows beta=2's forward map, so machine 3 is dropped instead of aborting
-        # the round; at beta=1 every forward value is finite and the message is kept
-        msgs = self.msgs(q=3)
-        big = LocalSummaryMsg(machine_id=3, n_ell=20,
-                              summary=TruncatedEig(np.array([1e200, 1e199, 1e198]), msgs[2].summary.vectors))
-        with caplog.at_level(logging.WARNING):
-            res = coordinator_round(msgs[:2] + [big], self.job(beta=2.0, q=3), expected_ids=(1, 2, 3))
-        assert "dropping machine 3's message: its values overflow" in caplog.text
-        assert res.missing == (3,)
-        assert np.array_equal(res.sigma_beta, coordinator_round(msgs[:2], self.job(beta=2.0, q=3), (1, 2)).sigma_beta)
-        assert coordinator_round(msgs[:2] + [big], self.job(beta=1.0, q=3), (1, 2, 3)).missing == ()
-
-    def test_unexpected_machine_dropped(self, caplog):
-        # machine 7 is not one of the round's machines 1..3: it is dropped, not aggregated
-        msgs = self.msgs()
-        stray = LocalSummaryMsg(machine_id=7, n_ell=20, summary=self.msgs(seed=7)[0].summary)
-        with caplog.at_level(logging.WARNING):
-            res = coordinator_round(msgs[:2] + [stray], self.job(), expected_ids=(1, 2, 3))
-        assert "dropping a message from unexpected machine 7" in caplog.text
-        assert res.missing == (3,)
-        assert np.array_equal(res.sigma_beta, coordinator_round(msgs[:2], self.job(), (1, 2)).sigma_beta)
+            coordinator_round(msgs, self.JOB, expected_ids=(1, 2, 3))
 
     def test_cv_aggregates_plain_summaries(self):
         msgs = self.msgs(m=4)
@@ -307,7 +252,7 @@ class TestCoordinatorRound:
     def test_missing_machines_reported(self, caplog):
         msgs = self.msgs(m=3)
         with caplog.at_level(logging.WARNING):
-            res = coordinator_round(msgs, self.job(), expected_ids=range(1, 6))
+            res = coordinator_round(msgs, self.JOB, expected_ids=range(1, 6))
         assert res.missing == (4, 5)
         assert "3 of 5 reported" in caplog.text
 
@@ -425,15 +370,6 @@ class TestTransports:
         with pytest.raises(IoError, match=f"cannot bind 127.0.0.1:{port}"):
             listen("127.0.0.1", port, 1)
 
-    def test_serve_aggregates_partial_round_on_timeout(self, caplog, serve_in_thread):
-        shards, _ = gaussian_shards(m=2)
-        job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
-        with caplog.at_level(logging.WARNING):
-            round_, host, port = serve_in_thread(2, job, timeout=1.0)
-            send_summary(host, port, worker_round(shards[0], job.q))
-            res = round_.result(10.0)
-        assert res.missing == (2,)
-
     def test_serve_with_no_workers_raises(self):
         job = JobSpec(r=1, q=2, beta_mode=FixedBeta(1.0))
         server = listen("127.0.0.1", 0, 1)
@@ -441,117 +377,121 @@ class TestTransports:
             serve(server, 1, job, timeout=0.2)
         assert server.fileno() == -1  # closed
 
-    def test_garbage_connection_dropped(self, serve_in_thread):
-        shards, _ = gaussian_shards(m=2)
-        job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
-        round_, host, port = serve_in_thread(2, job, timeout=5.0)
-        with socket.create_connection((host, port)) as conn:
-            conn.sendall(struct.pack("<I", 8) + b"junkjunk")
-        for shard in shards:
-            send_summary(host, port, worker_round(shard, job.q))
-        res = round_.result(10.0)
-        assert res.missing == ()
-        assert len(res.leading.values) == 1
 
-    def test_repeated_frame_does_not_crowd_out_a_worker(self, serve_in_thread):
-        # machine 1's frame arrives twice before machines 2 and 3 send theirs
-        shards, _ = gaussian_shards(m=3)
-        job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
-        round_, host, port = serve_in_thread(3, job, timeout=5.0)
-        for shard in [shards[0], *shards]:
-            send_summary(host, port, worker_round(shard, job.q))
-        res = round_.result(10.0)
-        assert res.missing == ()
-        expected = run_local(shards, job)
-        assert np.array_equal(res.leading.vectors, expected.leading.vectors)
+# A raw act plays a bad party on its own loopback connection: it sends data(machine 3's frame), then
+# closes the connection, resets it (SO_LINGER 0) or leaves it open (in `hold`) until the round is over.
+def raw(data, end="close"):
+    def act(addr, frame, hold):
+        conn = hold.enter_context(socket.create_connection(addr))
+        conn.sendall(data(frame))
+        if end == "reset":
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        if end != "open":
+            conn.close()
+    return act
 
-    @pytest.mark.parametrize("bad", ["stray id", "wrong rank then retry"])
-    def test_unkept_frame_does_not_end_the_round(self, bad, caplog, serve_in_thread):
-        # a round of machines 1 and 2; after machine 1's frame comes one the round
-        # does not keep: machine 7's, or machine 2's of rank 2 before its rank-3 retry
-        shards, _ = gaussian_shards(m=3)
-        job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
-        one, two = (worker_round(s, job.q) for s in shards[:2])
-        if bad == "stray id":
-            extra = LocalSummaryMsg(machine_id=7, n_ell=two.n_ell, summary=worker_round(shards[2], job.q).summary)
-            warning = "dropping a message from unexpected machine 7"
-        else:
-            extra = LocalSummaryMsg(machine_id=2, n_ell=two.n_ell, summary=truncate_summary(two.summary, 2))
-            warning = "dropping machine 2's message of rank 2 (job q=3)"
+
+def in_7_byte_pieces(addr, frame, hold):
+    # the junk after the frame is never read, since a connection is read up to its length prefix
+    with socket.create_connection(addr) as conn:
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for i in range(0, len(frame), 7):
+            conn.sendall(frame[i:i + 7])
+            time.sleep(0.001)
+        conn.sendall(b"junk" * 4)
+
+
+@dataclass(frozen=True)
+class Fault:
+    """One bad party against good machines 1-3, `sends` in arrival order: message names (sent
+    by send_summary) or raw acts.  The round keeps the `kept` messages, lists `missing` and logs
+    `drop` (a part of the warning naming the dropped party); with neither, it logs no warning."""
+
+    name: str
+    sends: tuple
+    kept: tuple[str, ...]
+    missing: tuple[int, ...]
+    drop: str | None = None
+    beta: float = 2.0
+
+
+silent, half = raw(lambda f: b"", end="open"), (lambda f: f[:len(f) // 2])
+GOOD, TWO = ("1", "2", "3"), ("1", "2")
+FAULTS = [
+    Fault("absent", TWO, TWO, (3,)),
+    Fault("silent machine", (silent, *TWO), TWO, (3,)),
+    Fault("silent extra connection", (silent, *GOOD), GOOD, ()),
+    Fault("stalled mid-frame", (raw(half, end="open"), *TWO), TWO, (3,)),
+    Fault("reset mid-frame", (raw(lambda f: f[:8], end="reset"), *TWO), TWO, (3,), "dropping bad worker connection"),
+    Fault("garbage bytes", (raw(lambda f: struct.pack("<I", 8) + b"junkjunk"), *GOOD), GOOD, (), "frame of 12 bytes"),
+    Fault("wrong q then a retry", ("3 at q=2", "1", "3", "2"), GOOD, (), "machine 3's message of rank 2 (job q=3)"),
+    Fault("stray id 7", ("1", "7", "2", "3"), GOOD, (), "dropping a message from unexpected machine 7"),
+    Fault("repeated frame", ("3", "3", *TWO), GOOD, (), "dropping a repeated message from machine 3"),
+    Fault("impostor before real frame", ("3'", "1", "3", "2"), (*TWO, "3'"), (), "repeated message from machine 3"),
+    Fault("impostor after real frame", ("3", "3'", *TWO), GOOD, (), "dropping a repeated message from machine 3"),
+    Fault("frame in 7-byte pieces then junk", (in_7_byte_pieces, *TWO), GOOD, ()),
+    Fault("clean close mid-frame", (raw(half), *TWO), TWO, (3,), "connection: connection closed after 267 bytes"),
+    Fault("flipped crc byte", (raw(lambda f: f[:-1] + bytes([f[-1] ^ 0xFF])), *TWO), TWO, (3,), "checksum mismatch"),
+    # the coordinator buffers the bytes that arrive, not the 4 GiB that the prefix claims
+    Fault("length prefix 2**32-1", (raw(lambda f: b"\xff" * 4 + f[4:12], end="open"), *TWO), TWO, (3,)),
+    Fault("wrong q, no retry", ("3 at q=2", *TWO), TWO, (3,), "dropping machine 3's message of rank 2 (job q=3)"),
+    Fault("values 1e200 at beta=2", ("3 at 1e200", *TWO), TWO, (3,), "machine 3's message: its values overflow"),
+    Fault("values 1e200 at beta=1 kept", ("3 at 1e200", *TWO), ("1", "2", "3 at 1e200"), (), beta=1.0),
+]
+
+
+def fault_cases():
+    # a message-only row also runs in-process; a row that waits out the deadline plays one arrival order
+    for f in FAULTS:
+        for entry in ["serve"] + ["coordinator_round"] * all(isinstance(s, str) for s in f.sends):
+            for order in ("1 before 2", "2 before 1")[:1 if f.missing else 2]:
+                yield pytest.param(f, entry, order, id=f"{entry}-{f.name}-{order}")
+
+
+class TestOneBadWorker:
+    """No single bad party hangs or aborts a round: it ends within its deadline,
+    aggregates exactly what a round of the kept messages alone does, and a
+    warning names the dropped party."""
+
+    DEADLINE = 0.4
+
+    @pytest.fixture(scope="class")
+    def msgs(self):
+        good = {str(s.machine_id): worker_round(s, 3) for s in gaussian_shards(m=3)[0]}
+        n_ell, three = good["3"].n_ell, good["3"].summary
+        return good | {name: LocalSummaryMsg(machine_id=i, n_ell=n_ell, summary=summary) for name, i, summary in [
+            ("3 at q=2", 3, truncate_summary(three, 2)),
+            ("3 at 1e200", 3, TruncatedEig(np.array([1e200, 1e199, 1e198]), three.vectors)),
+            ("3'", 3, rand_summary(np.random.default_rng(7), three.p, 3)),  # an impostor
+            ("7", 7, three)]}
+
+    @pytest.mark.parametrize("fault, entry, order", fault_cases())
+    def test_round(self, fault, entry, order, msgs, caplog, serve_in_thread):
+        job = JobSpec(r=2, q=3, beta_mode=FixedBeta(fault.beta))
+        sends = [({"1": "2", "2": "1"} if order == "2 before 1" else {}).get(s, s) for s in fault.sends]
         with caplog.at_level(logging.WARNING):
-            round_, host, port = serve_in_thread(2, job, timeout=5.0)
-            for msg in (one, extra, two):
-                send_summary(host, port, msg)
-            res = round_.result(10.0)
-        assert warning in caplog.text
-        assert res.missing == ()
-        want = run_local(shards[:2], job)
-        for field in ("span_values", "span_vectors", "complement_value"):
-            assert np.array_equal(getattr(res, field), getattr(want, field))
-
-    def test_reset_connection_dropped(self, serve_in_thread):
-        # machine 1 sends 8 bytes of its frame, then resets the connection
-        # (SO_LINGER 0); the round goes on with the other two
-        shards, _ = gaussian_shards(m=3)
-        job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
-        round_, host, port = serve_in_thread(3, job, timeout=1.5)
-        conn = socket.create_connection((host, port))
-        conn.sendall(encode_summary(worker_round(shards[0], job.q))[:8])
-        conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
-        conn.close()
-        for shard in shards[1:]:
-            send_summary(host, port, worker_round(shard, job.q))
-        res = round_.result(10.0)
-        assert res.missing == (1,)
-        expected = run_local(shards[1:], job)
-        assert np.array_equal(res.leading.vectors, expected.leading.vectors)
-
-    def test_silent_connection_does_not_hold_the_round(self, serve_in_thread):
-        # a client connects first and never sends; the round ends once the m good frames are in
-        shards, _ = gaussian_shards(m=3)
-        job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
-        round_, host, port = serve_in_thread(3, job, timeout=30.0)
-        with socket.create_connection((host, port)):
-            for shard in shards:
-                send_summary(host, port, worker_round(shard, job.q))
-            res = round_.result(5.0)
-        assert res.missing == ()
-        assert np.array_equal(res.sigma_beta, run_local(shards, job).sigma_beta)
-
-    def test_stalled_frame_costs_only_its_worker(self, serve_in_thread):
-        # machine 1 sends half its frame and stalls; the round ends at its deadline with the rest
-        shards, _ = gaussian_shards(m=3)
-        job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
-        start = time.monotonic()
-        round_, host, port = serve_in_thread(3, job, timeout=1.0)
-        frame = encode_summary(worker_round(shards[0], job.q))
-        with socket.create_connection((host, port)) as stalled:
-            stalled.sendall(frame[:len(frame) // 2])
-            for shard in shards[1:]:
-                send_summary(host, port, worker_round(shard, job.q))
-            res = round_.result(5.0)
-        assert time.monotonic() - start <= 1.5
-        assert res.missing == (1,)
-        assert np.array_equal(res.sigma_beta, run_local(shards[1:], job).sigma_beta)
-
-    def test_frame_in_small_pieces_reassembled(self, serve_in_thread):
-        # machine 1's frame arrives 7 bytes at a time and is followed by junk
-        # that is never read, since a connection is read up to its length prefix
-        shards, _ = gaussian_shards(m=3)
-        job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
-        round_, host, port = serve_in_thread(3, job, timeout=10.0)
-        frame = encode_summary(worker_round(shards[0], job.q))
-        with socket.create_connection((host, port)) as conn:
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            for i in range(0, len(frame), 7):
-                conn.sendall(frame[i:i + 7])
-                time.sleep(0.001)
-            conn.sendall(b"junk" * 4)
-            for shard in shards[1:]:
-                send_summary(host, port, worker_round(shard, job.q))
-            res = round_.result(5.0)
-        assert res.missing == ()
-        assert np.array_equal(res.sigma_beta, run_local(shards, job).sigma_beta)
+            start = time.monotonic()
+            if entry == "coordinator_round":
+                res = coordinator_round([msgs[s] for s in sends], job, expected_ids=(1, 2, 3))
+            else:
+                round_, *addr = serve_in_thread(3, job, self.DEADLINE)
+                with contextlib.ExitStack() as hold:
+                    for s in sends:
+                        if isinstance(s, str):
+                            send_summary(*addr, msgs[s])
+                        else:
+                            s(tuple(addr), encode_summary(msgs["3"]), hold)
+                    res = round_.result(self.DEADLINE + 5.0)
+            elapsed = time.monotonic() - start
+        assert elapsed <= self.DEADLINE + 0.5
+        assert fault.missing or elapsed < self.DEADLINE
+        assert res.missing == fault.missing
+        for line in (fault.drop, fault.missing and f"aggregating without machines {fault.missing}"):
+            assert not line or line in caplog.text
+        assert fault.drop or fault.missing or not caplog.records
+        want = coordinator_round([msgs[k] for k in fault.kept], job, expected_ids=(1, 2, 3))
+        for field in ("span_values", "span_vectors", "complement_value", "leading.values", "leading.vectors"):
+            assert np.array_equal(attrgetter(field)(res), attrgetter(field)(want))
 
 
 class TestTimeoutResolution:

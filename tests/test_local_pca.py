@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,6 +140,20 @@ class TestShardIo:
         back = read_shard(path)
         assert back.machine_id == 42
         assert np.array_equal(back.samples, shard.samples)
+
+    def test_samples_are_read_into_one_array(self, tmp_path):
+        # a 4 MB shard: holding the file bytes and a copy of the samples would peak at 2x its size or more
+        path = tmp_path / "shard.bdpx"
+        write_shard(path, make_shard(np.random.default_rng(30).standard_normal((250, 2000))))
+        tracemalloc.start()
+        try:
+            back = read_shard(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * path.stat().st_size
+        assert back.samples.flags.writeable
+        assert back.samples.tobytes(order="F") == path.read_bytes()[20:]
 
     def test_truncated_binary_rejected(self, tmp_path):
         rng = np.random.default_rng(28)
