@@ -24,9 +24,8 @@ from .errors import (ConvergenceError, CorruptMessage, DomainError, InvalidInput
                      ParseError, PreconditionError)
 from .local_pca import read_shard, write_shard
 from .perturbation import PerturbationScenario, tolerance
-from .rngs import NOISE_EIGENVALUES, stream
 from .selection import make_folds
-from .simgen import DISTRIBUTIONS, make_population, sample_data, signal_eigenvalues, split_shards
+from .simgen import DISTRIBUTIONS, make_population, planted_spectra, sample_data, split_shards
 
 _NPZ_HELP = "write the factored estimate and leading block (with --beta cv, also the fold scores) to this .npz"
 
@@ -170,25 +169,19 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_perturb(args) -> int:
-    # Shared signal block from the planted-eigenvalue law and per-machine noise draws, each row
-    # sorted descending; the last machine's first noise eigenvalue (index r) is the one inflated.
-    lines = ["beta,d_l,lambda_tilde_l,tau,order_invariant"]
-    noise_rng = stream(args.seed, NOISE_EIGENVALUES)
-    signal = signal_eigenvalues(args.p, args.n, args.r)
-    spectra = np.empty((args.m, args.p))
-    for ell in range(args.m):
-        noise = noise_rng.uniform(0.5, 1.5, args.p - args.r)
-        spectra[ell] = np.sort(np.concatenate([signal, noise]))[::-1]
+    # One planted spectrum per machine, each sorted descending; the last machine's first
+    # noise eigenvalue (index r) is the one inflated.
+    spectra = np.sort(planted_spectra(args.p, args.n, args.r, args.m, args.seed), axis=1)[:, ::-1]
+    rows = []
     for beta in args.beta:
         for d in args.d_l:
-            sc = PerturbationScenario(base_spectra=spectra, r=args.r,
-                                      noise_index=args.r, d_l=d, beta=beta)
-            rep = tolerance(sc)
-            lines.append(f"{beta!r},{d!r},{rep.lambda_tilde_l!r},{rep.tau!r},{int(rep.order_invariant)}")
-    text = "\n".join(lines) + "\n"
+            rep = tolerance(PerturbationScenario(base_spectra=spectra, r=args.r,
+                                                 noise_index=args.r, d_l=d, beta=beta))
+            rows.append((beta, d, rep.lambda_tilde_l, rep.tau, int(rep.order_invariant)))
+    text = experiment.csv_text("beta,d_l,lambda_tilde_l,tau,order_invariant", rows)
     if args.out:
         experiment.write_text(args.out, text)
-        print(f"wrote {args.out} ({len(lines) - 1} rows)")
+        print(f"wrote {args.out} ({len(rows)} rows)")
     else:
         sys.stdout.write(text)
     return 0

@@ -151,7 +151,8 @@ def decode_summary(frame: bytes) -> LocalSummaryMsg:
     """Parse and verify one frame; the inverse of encode_summary.
 
     Structural problems raise ParseError; a checksum mismatch raises
-    CorruptMessage carrying the claimed machine_id.
+    CorruptMessage carrying the claimed machine_id.  The summary's shape rule
+    (1 <= q <= p) is TruncatedEig's alone: a payload that breaks it raises ParseError.
     """
     if len(frame) < FRAME_OVERHEAD:
         raise ParseError(f"frame of {len(frame)} bytes is shorter than any valid message")
@@ -168,8 +169,6 @@ def decode_summary(frame: bytes) -> LocalSummaryMsg:
     machine_id, p, q, n_ell = struct.unpack("<IIII", payload[:16])
     if zlib.crc32(payload) & 0xFFFFFFFF != crc:
         raise CorruptMessage(machine_id, "checksum mismatch")
-    if p < 1 or q < 1 or q > p:
-        raise ParseError(f"inconsistent dimensions p={p}, q={q}")
     if len(payload) != 16 + 8 * q * (p + 1):
         raise ParseError(f"payload of {len(payload)} bytes does not fit p={p}, q={q}")
     values = np.frombuffer(payload, dtype="<f8", count=q, offset=16).copy()
@@ -367,9 +366,8 @@ def send_summary(host: str, port: int, msg: LocalSummaryMsg,
             time.sleep(CONNECT_BACKOFF_SECS)
 
 
-def run_sockets(shards: Sequence[DataShard], job: JobSpec, host: str = "127.0.0.1",
-                port: int = 0, timeout: float = DEFAULT_TIMEOUT_SECS) -> AggregateResult:
-    """Drive a full round over loopback TCP: bind, collect on one pool
+def run_sockets(shards: Sequence[DataShard], job: JobSpec, timeout: float = DEFAULT_TIMEOUT_SECS) -> AggregateResult:
+    """Drive a full round over loopback TCP: bind a free port, collect on one pool
     thread, send one frame per shard from the caller.  Functionally
     identical to run_local.
 
@@ -378,7 +376,7 @@ def run_sockets(shards: Sequence[DataShard], job: JobSpec, host: str = "127.0.0.
     raises InvalidInput before anything is bound.
     """
     _check_timeout(timeout)
-    server = listen(host, port, len(shards))
+    server = listen("127.0.0.1", 0, len(shards))
     bound = server.getsockname()[:2]
     expected = [s.machine_id for s in shards]
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="bdpca-coordinator") as pool:

@@ -130,31 +130,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def csv_text(header: str, rows) -> str:
+    """The header line, then one comma-separated line per row: None is written
+    as "", a float as its repr, anything else as str."""
+    lines = [header] + [",".join(map(_fmt, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def write_rows_csv(rows, path) -> None:
     """The main output: one row per (replicate, method, k)."""
-    lines = [CSV_HEADER]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    write_text(path, "\n".join(lines) + "\n")
+    write_text(path, csv_text(CSV_HEADER, rows))
 
 
 def write_summary_files(result: ExperimentResult, out_dir) -> tuple[Path, Path]:
     """Selection-frequency and mean-similarity summaries next to the main CSV."""
     out_dir = Path(out_dir)
-    freq_path = out_dir / FREQ_FILENAME
-    lines = [FREQ_HEADER]
-    for b in DEFAULT_CANDIDATES:
-        lines.append(",".join([
-            result.spec.distribution, str(result.spec.p), str(result.spec.m),
-            repr(b), str(result.selection_counts[b]),
-        ]))
-    write_text(freq_path, "\n".join(lines) + "\n")
-
-    rho_path = out_dir / RHO_FILENAME
-    lines = [RHO_HEADER]
-    for method in result.spec.methods:
-        for k in result.spec.k_range:
-            lines.append(f"{method},{k},{repr(result.mean_rho[method][k])}")
-    write_text(rho_path, "\n".join(lines) + "\n")
+    spec = result.spec
+    freq_path, rho_path = out_dir / FREQ_FILENAME, out_dir / RHO_FILENAME
+    write_text(freq_path, csv_text(FREQ_HEADER, [(spec.distribution, spec.p, spec.m, b, result.selection_counts[b])
+                                                 for b in DEFAULT_CANDIDATES]))
+    write_text(rho_path, csv_text(RHO_HEADER, [(method, k, result.mean_rho[method][k])
+                                               for method in spec.methods for k in spec.k_range]))
     return freq_path, rho_path
 
 

@@ -54,18 +54,11 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 def _order_tied_columns(values: np.ndarray, vectors: np.ndarray):
     # Values are already non-increasing.  Inside runs of exactly equal values
     # the solver's basis is kept but columns are ordered lexicographically
-    # descending (after the sign fix), so e.g. I_p decomposes to I_p.
-    p = values.size
-    cols = np.arange(p)
-    j = 0
-    while j < p:
-        k = j + 1
-        while k < p and values[k] == values[j]:
-            k += 1
-        if k - j > 1:
-            run = sorted(range(j, k), key=lambda c: tuple(vectors[:, c]), reverse=True)
-            cols[j:k] = run
-        j = k
+    # descending (after the sign fix), so e.g. I_p decomposes to I_p: one stable
+    # sort on (-value, -column entries), made only when two values are equal.
+    if not (values[1:] == values[:-1]).any():
+        return values, vectors
+    cols = np.lexsort(np.vstack([-vectors[::-1], -values]))
     return values[cols], vectors[:, cols]
 
 

@@ -51,14 +51,27 @@ def signal_eigenvalues(p: int, n: int, r: int) -> np.ndarray:
     return 1.0 + np.sqrt(p / n) + p ** (1.0 / (1.0 + j))
 
 
-def make_population(p: int, n: int, r: int, distribution: str, seed: int) -> PopulationModel:
-    """Draw the population: orthogonal basis from QR of an iid normal matrix
-    (positive-diagonal convention), planted signal eigenvalues, and noise
-    eigenvalues uniform on (0.5, 1.5)."""
+def planted_spectra(p: int, n: int, r: int, m: int, seed: int) -> np.ndarray:
+    """m rows (m x p) of the planted law: the r signal_eigenvalues, then p - r
+    noise eigenvalues uniform on (0.5, 1.5) from the seed's noise stream.
+
+    Rows are unsorted: a noise draw may top a signal eigenvalue at small p.
+    Row 0 is the population's spectrum; perturb takes all m as machine spectra.
+    """
     if not 1 <= r < p:
         raise InvalidInput(f"need 1 <= r < p, got r={r}, p={p}")
     if n < 1:
         raise InvalidInput("n must be positive")
+    if m < 1:
+        raise InvalidInput("m must be positive")
+    noise = stream(seed, NOISE_EIGENVALUES).uniform(0.5, 1.5, (m, p - r))
+    return np.hstack([np.broadcast_to(signal_eigenvalues(p, n, r), (m, r)), noise])
+
+
+def make_population(p: int, n: int, r: int, distribution: str, seed: int) -> PopulationModel:
+    """Draw the population: orthogonal basis from QR of an iid normal matrix
+    (positive-diagonal convention) and the spectrum of planted_spectra."""
+    lam = planted_spectra(p, n, r, 1, seed)[0]
     if distribution not in DISTRIBUTIONS:
         raise InvalidInput(f"unknown distribution {distribution!r}; pick one of {DISTRIBUTIONS}")
     z = stream(seed, POPULATION).standard_normal((p, p))
@@ -66,10 +79,6 @@ def make_population(p: int, n: int, r: int, distribution: str, seed: int) -> Pop
     signs = np.sign(np.diag(r_mat))
     signs[signs == 0] = 1.0
     q_mat = q_mat * signs
-    lam = np.concatenate([
-        signal_eigenvalues(p, n, r),
-        stream(seed, NOISE_EIGENVALUES).uniform(0.5, 1.5, p - r),
-    ])
     # Re-sort descending in case a noise draw tops a signal eigenvalue; the
     # permutation travels with the basis so gamma[:, :r] stays the true top-r.
     order = np.argsort(-lam, kind="stable")

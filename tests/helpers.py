@@ -2,8 +2,9 @@
 oracles (2x2 characteristic polynomial, the divergence family's closed forms,
 the coordinate-wise power mean, scenario builders), the explicit square-root
 sampler, the shard covariance and rank-q reconstruction, the spectral power
-M^beta, and the dense p x p aggregation formulas and the per-fold CV loop the
-factored and span paths are checked against."""
+M^beta, the dense p x p aggregation formulas and the per-fold CV loop the
+factored and span paths are checked against, and the explicit tie scan that
+canonical_order's column order is checked against."""
 
 import dataclasses
 import struct
@@ -57,6 +58,26 @@ def sign_fix(v):
     """Apply the package's eigenvector sign convention to a single vector."""
     i = int(np.argmax(np.abs(v)))
     return -v if v[i] < 0 else v
+
+
+def run_scan_order(values, vectors):
+    """canonical_order written as the scan it replaced, the reference for its one
+    stable sort: values sorted non-increasing (stably), each column's sign fixed
+    by sign_fix, then the columns of every run of exactly equal values sorted
+    lexicographically descending by Python's stable sort."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(-values, kind="stable")
+    values = values[order]
+    vectors = np.column_stack([sign_fix(v) for v in np.asarray(vectors, dtype=float)[:, order].T])
+    cols = np.arange(values.size)
+    j = 0
+    while j < values.size:
+        k = j + 1
+        while k < values.size and values[k] == values[j]:
+            k += 1
+        cols[j:k] = sorted(range(j, k), key=lambda c: tuple(vectors[:, c]), reverse=True)
+        j = k
+    return values[cols], vectors[:, cols]
 
 
 def eig2x2(a, b, c):

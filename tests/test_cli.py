@@ -1,6 +1,7 @@
 import re
 import socket
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -317,6 +318,20 @@ class TestArgumentParsing:
         out, err = capsys.readouterr()
         assert "error: seed must be non-negative, got -1" in err
         assert "listening on" not in out
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("sizes,message", [
+        pytest.param(("--p", "5", "--r", "6"), "need 1 <= r < p, got r=6, p=5", id="r above p"),
+        pytest.param(("--n", "0"), "n must be positive", id="n zero"),
+        pytest.param(("--n", "-3"), "n must be positive", id="n negative"),
+        pytest.param(("--m", "-1"), "m must be positive", id="m negative"),
+    ])
+    def test_perturb_bad_sizes_exit_before_any_work(self, sizes, message, tmp_path, capsys):
+        # simgen's check, not numpy's traceback or RuntimeWarning, and no CSV written
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("perturb", *sizes, "--out", str(tmp_path / "perturb.csv")) == 2
+        assert f"error: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag", ["--beta=,", "--d-l=,"])

@@ -321,8 +321,8 @@ class TestTransports:
         # the dropped frame does not end the round: the others are aggregated at the deadline
         shards, job = self.overflowing_round()
         t0 = time.monotonic()
-        res = run_sockets(shards, job, timeout=2.0)
-        assert time.monotonic() - t0 <= 2.0 + 0.5
+        res = run_sockets(shards, job, timeout=TestOneBadWorker.DEADLINE)
+        assert time.monotonic() - t0 <= TestOneBadWorker.DEADLINE + 0.5
         assert res.missing == (4,)
         want = run_local(shards[:3], job)
         assert np.array_equal(res.span_values, want.span_values)
