@@ -14,8 +14,7 @@ from .cluster import (CvSelect, FixedBeta, JobSpec, LocalSummaryMsg, coordinator
 from .divergence import MinimizerReport, divergence, generating_value, verify_minimizer
 from .errors import (ConvergenceError, CorruptMessage, DomainError, InvalidInput, IoError,
                      NotPSD, ParseError, PrecisionWarning, PreconditionError, TieWarning)
-from .experiment import (CSV_HEADER, METHODS, ExperimentResult, ExperimentSpec, run_and_write,
-                         run_experiment, write_rows_csv, write_summary_files)
+from .experiment import CSV_HEADER, METHODS, ExperimentResult, ExperimentSpec, run_and_write, run_experiment
 from .linalg import EigenSystem, eig_sym, matrix_function, symmetrize
 from .local_pca import (DataShard, TruncatedEig, local_summary, read_shard, truncate_summary,
                         truncated_eig, write_shard)
@@ -34,8 +33,7 @@ __all__ = [
     "MinimizerReport", "divergence", "generating_value", "verify_minimizer",
     "ConvergenceError", "CorruptMessage", "DomainError", "InvalidInput", "IoError",
     "NotPSD", "ParseError", "PrecisionWarning", "PreconditionError", "TieWarning",
-    "CSV_HEADER", "METHODS", "ExperimentResult", "ExperimentSpec", "run_and_write",
-    "run_experiment", "write_rows_csv", "write_summary_files",
+    "CSV_HEADER", "METHODS", "ExperimentResult", "ExperimentSpec", "run_and_write", "run_experiment",
     "EigenSystem", "eig_sym", "matrix_function", "symmetrize",
     "DataShard", "TruncatedEig", "local_summary", "read_shard", "truncate_summary",
     "truncated_eig", "write_shard",

@@ -39,9 +39,9 @@ class BetaConfig:
     """Aggregator knobs.
 
     beta selects the branch (0 means the geometric-mean limit), delta
-    regularizes the beta < 0 branch; JobSpec, ExperimentSpec and the CLI read
-    delta's default from here.  Round-off is handled by the hull rule of
-    BranchTransform.inverse_within, at any scale.  At beta < 0 an eigenvalue
+    (positive and finite) regularizes the beta < 0 branch; JobSpec, ExperimentSpec
+    and the CLI read delta's default and its rule from here.  Round-off is handled
+    by the hull rule of BranchTransform.inverse_within, at any scale.  At beta < 0 an eigenvalue
     above about delta * eps^(1/beta) is not resolved (see beta_aggregate, which warns).
     """
 
@@ -50,8 +50,8 @@ class BetaConfig:
 
     def __post_init__(self):
         finite_beta(self.beta)
-        if not self.delta > 0:
-            raise InvalidInput("delta must be positive")
+        if not 0 < self.delta < np.inf:
+            raise InvalidInput(f"delta must be positive and finite, got {self.delta}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,27 +260,28 @@ class SpanCore:
 
         since the average equals Q C Q^T + c (I - Q Q^T).  s = c, except when every
         summary spans the basis (k == q): no term then has a complement direction
-        in it, and s = 0 keeps forward values far below c.  With s != 0, a forward
-        value below eps * |s| is lost in the core's round-off (the beta < 0
-        precision floor, see beta_aggregate), and one PrecisionWarning says so.
-        Cost O(k^2 m q + k^3).
+        in it, and s = 0 keeps forward values far below c.  A forward value below
+        eps * max(|s|, largest forward value) is lost in the core's round-off; on the
+        negative branch that is the beta < 0 precision floor (see beta_aggregate),
+        and one PrecisionWarning says so.  Cost O(k^2 m q + k^3).
         """
         k = coords.shape[0]
         w = 1.0 / len(summaries)
         c = transform.complement
         shift = c if k > summaries[0].q else 0.0
-        terms = [transform.forward(s.values) for s in summaries]
-        hull = np.concatenate(terms + [[c]])  # the complement is a term's eigenvalue too
-        if shift and hull.min() < np.finfo(float).eps * abs(shift):
+        forward = np.concatenate([transform.forward(s.values) for s in summaries])
+        scale = max(abs(shift), forward.max())
+        if transform.name == "negative" and forward.min() < np.finfo(float).eps * scale:
             warnings.warn(
-                f"forward values down to {hull.min():.3g} lie below the round-off of the shift "
-                f"{shift:.3g}; span eigenvalues beyond the beta < 0 precision floor are not resolved",
+                f"forward values down to {forward.min():.3g} lie below the round-off of the core's "
+                f"scale {scale:.3g}; span eigenvalues beyond the beta < 0 precision floor are not resolved",
                 PrecisionWarning,
                 stacklevel=3,
             )
-        scale = np.concatenate([w * (f - shift) for f in terms])
-        core = eig_sym((coords * scale) @ coords.T + shift * np.eye(k))
-        return cls(values=transform.inverse_within(core.values, hull), vectors=core.vectors,
+        weights = w * (forward - shift)
+        core = eig_sym((coords * weights) @ coords.T + shift * np.eye(k))
+        # the complement is a term's eigenvalue too, so it bounds the hull
+        return cls(values=transform.inverse_within(core.values, np.append(forward, c)), vectors=core.vectors,
                    complement=float(transform.inverse(np.array([c]))[0]), branch=transform.name)
 
     def lift(self, basis: np.ndarray, r: int, beta_used: float | None = None) -> AggregateResult:
@@ -338,7 +339,9 @@ def beta_aggregate(summaries: Sequence[TruncatedEig] | SummarySpan, cfg: BetaCon
     At beta < 0 a span eigenvalue above about delta * eps^(1/beta) is lost in the
     round-off of sums holding delta^beta (the dense beta_mean too): ~671 at beta = -2
     and ~4.5e10 at beta = -1 for delta = 1e-5, far above the paper's signal (~25).
-    Where that loss happens (a span wider than one summary), PrecisionWarning says so.
+    Where that loss happens, PrecisionWarning says so: delta^beta enters the core as
+    its shift when the span is wider than one summary, and as a forward value when
+    a summary eigenvalue is 0.
     """
     span = SummarySpan.of(summaries)
     if not 1 <= r <= span.q:

@@ -24,7 +24,7 @@ from .errors import (ConvergenceError, CorruptMessage, DomainError, InvalidInput
                      ParseError, PreconditionError)
 from .local_pca import read_shard, write_shard
 from .perturbation import PerturbationScenario, tolerance
-from .selection import make_folds
+from .selection import DEFAULT_CANDIDATES, make_folds
 from .simgen import DISTRIBUTIONS, make_population, planted_spectra, sample_data, split_shards
 
 _NPZ_HELP = "write the factored estimate and leading block (with --beta cv, also the fold scores) to this .npz"
@@ -66,10 +66,11 @@ _FLAGS = {
     "--cv-seed": dict(type=int, default=cluster.CvSelect.seed, help="fold-shuffle seed"),
     "--host": dict(default="127.0.0.1"),
     "--port": dict(type=_checked(int, "a port in 0-65535", cluster.valid_port), default=7071),
-    "--timeout": dict(type=_checked(float, "a positive number of seconds", cluster.valid_timeout),
+    "--timeout": dict(type=_checked(float, f"a positive number of seconds up to {cluster.MAX_TIMEOUT_SECS:g}",
+                                    cluster.valid_timeout),
                       default=cluster.DEFAULT_TIMEOUT_SECS,
-                      help="seconds for the round (serve), or for each connect and send (worker); "
-                           "default %(default)g"),
+                      help=f"seconds for the round (serve), or for each connect and send (worker), "
+                           f"at most {cluster.MAX_TIMEOUT_SECS:g}; default %(default)g"),
 }
 _SIZE_FLAGS = ("--p", "--n", "--m", "--r")
 _JOB_FLAGS = ("--q", "--r", "--beta", "--delta", "--cv-folds", "--cv-seed")  # see _build_job
@@ -234,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     pert = subs.add_parser("perturb", help="perturbation tolerance sweep of the first noise eigenvalue (CSV)")
     _add_flags(pert, *_SIZE_FLAGS)
     _add_flags(pert, "--seed")
-    pert.add_argument("--beta", type=_float_list, default=[-1.0, 0.0, 1.0],
+    pert.add_argument("--beta", type=_float_list, default=DEFAULT_CANDIDATES,
                       help="comma-separated betas")  # a list, not the job flag --beta
     pert.add_argument("--d-l", type=_float_list, default=[0.5, 5.0, 50.0],
                       help="comma-separated perturbation sizes")

@@ -28,7 +28,6 @@ CV rounds alike (see resolve_beta).
 from __future__ import annotations
 
 import logging
-import math
 import selectors
 import socket
 import struct
@@ -53,6 +52,8 @@ VERSION = 1
 FRAME_OVERHEAD = 4 + 4 + 2 + 16 + 4
 
 DEFAULT_TIMEOUT_SECS = 30.0
+# the longest timeout any socket call here takes; epoll refuses a wait above ~2.1e6 s (2**31 ms)
+MAX_TIMEOUT_SECS = 1e6
 # send_summary retries a refused connection this often, this many seconds apart
 CONNECT_RETRIES = 5
 CONNECT_BACKOFF_SECS = 0.2
@@ -63,12 +64,13 @@ def valid_port(port: int) -> bool:
 
 
 def valid_timeout(seconds: float) -> bool:
-    return 0 < seconds < math.inf  # positive and finite seconds; nan is neither
+    return 0 < seconds <= MAX_TIMEOUT_SECS  # nan is neither
 
 
 def _check_timeout(seconds: float) -> None:
     if not valid_timeout(seconds):
-        raise InvalidInput(f"timeout must be a positive, finite number of seconds, got {seconds!r}")
+        raise InvalidInput(f"timeout must be a positive number of seconds up to {MAX_TIMEOUT_SECS:g}, "
+                           f"got {seconds!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,8 +135,7 @@ class JobSpec:
             raise InvalidInput(f"need 1 <= r <= q, got r={self.r}, q={self.q}")
         if not isinstance(self.beta_mode, (FixedBeta, CvSelect)):
             raise InvalidInput("beta_mode must be FixedBeta or CvSelect")
-        if not self.delta > 0:
-            raise InvalidInput("delta must be positive")
+        BetaConfig(beta=0.0, delta=self.delta)  # delta's rule is BetaConfig's
 
 
 def encode_summary(msg: LocalSummaryMsg) -> bytes:
@@ -349,7 +350,7 @@ def send_summary(host: str, port: int, msg: LocalSummaryMsg,
 
     Retries connection refusals briefly so workers may start slightly before
     the coordinator.  timeout bounds each connect and send (InvalidInput, before
-    any connect, unless positive and finite).  Returns the bytes sent.
+    any connect, unless in (0, MAX_TIMEOUT_SECS]).  Returns the bytes sent.
     """
     _check_timeout(timeout)
     frame = encode_summary(msg)

@@ -16,7 +16,7 @@ from .errors import InvalidInput, IoError
 from .local_pca import local_summary, truncate_summary
 from .rngs import REPLICATE, child_seed
 from .selection import DEFAULT_CANDIDATES
-from .simgen import GAUSSIAN, make_population, rho_curve, sample_data, split_shards
+from .simgen import GAUSSIAN, check_sizes, make_population, rho_curve, sample_data, split_shards
 
 METHODS = (*(f"beta={b:g}" for b in DEFAULT_CANDIDATES), "beta=cv", "fan")
 CSV_HEADER = "replicate,method,beta_used,k,rho_k"
@@ -50,6 +50,7 @@ class ExperimentSpec:
     methods: ClassVar[tuple[str, ...]] = METHODS
 
     def __post_init__(self):
+        check_sizes(self.p, self.n, self.r)  # the planted law's sizes first, so a bad one is named
         # the beta=cv job validates r <= q, the folds, the seed and delta
         JobSpec(self.r, self.q, CvSelect(self.cv_folds, self.seed), self.delta)
         if self.q > self.p:
@@ -137,23 +138,6 @@ def csv_text(header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_rows_csv(rows, path) -> None:
-    """The main output: one row per (replicate, method, k)."""
-    write_text(path, csv_text(CSV_HEADER, rows))
-
-
-def write_summary_files(result: ExperimentResult, out_dir) -> tuple[Path, Path]:
-    """Selection-frequency and mean-similarity summaries next to the main CSV."""
-    out_dir = Path(out_dir)
-    spec = result.spec
-    freq_path, rho_path = out_dir / FREQ_FILENAME, out_dir / RHO_FILENAME
-    write_text(freq_path, csv_text(FREQ_HEADER, [(spec.distribution, spec.p, spec.m, b, result.selection_counts[b])
-                                                 for b in DEFAULT_CANDIDATES]))
-    write_text(rho_path, csv_text(RHO_HEADER, [(method, k, result.mean_rho[method][k])
-                                               for method in spec.methods for k in spec.k_range]))
-    return freq_path, rho_path
-
-
 def write_text(path, text: str) -> None:
     """Write text to path, raising IoError on failure."""
     try:
@@ -164,12 +148,16 @@ def write_text(path, text: str) -> None:
 
 
 def run_and_write(spec: ExperimentSpec, out_path) -> ExperimentResult:
-    """Run the experiment and emit the main CSV, both summary files, and a
-    gnuplot script for the rho_k curves (<csv stem>.gp beside the CSV)."""
+    """Run the experiment and emit the main CSV (one row per replicate, method
+    and k), the selection-frequency and mean-similarity summaries, and a gnuplot
+    script for the rho_k curves (<csv stem>.gp), all beside the CSV."""
     result = run_experiment(spec)
     out_path = Path(out_path)
-    write_rows_csv(result.rows, out_path)
-    write_summary_files(result, out_path.parent)
+    write_text(out_path, csv_text(CSV_HEADER, result.rows))
+    write_text(out_path.parent / FREQ_FILENAME, csv_text(FREQ_HEADER, [
+        (spec.distribution, spec.p, spec.m, b, result.selection_counts[b]) for b in DEFAULT_CANDIDATES]))
+    write_text(out_path.parent / RHO_FILENAME, csv_text(RHO_HEADER, [
+        (method, k, result.mean_rho[method][k]) for method in spec.methods for k in spec.k_range]))
     _write_plot_script(out_path, spec.methods, out_path.with_suffix(".gp"))
     return result
 

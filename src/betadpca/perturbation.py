@@ -103,22 +103,21 @@ def tolerance(sc: PerturbationScenario) -> ToleranceReport:
     is degenerate and PreconditionError is raised.
     """
     t = branch_transform(sc.beta, 0.0)
-    lam_bar = _mean_spectrum(t, sc.base_spectra)
-    lbar_r = lam_bar[sc.r - 1]
-    lbar_l = lam_bar[sc.noise_index]
-    if not lbar_r > lbar_l:
-        raise PreconditionError(
-            f"unperturbed aggregate is degenerate: lbar_r={lbar_r:.17g} <= lbar_l={lbar_l:.17g}"
-        )
     spectra = sc.base_spectra.copy()
     spectra[-1, sc.noise_index] += sc.d_l
-    lam_beta = _mean_spectrum(t, spectra)
     lam = sc.base_spectra[-1, sc.noise_index]
-    if sc.beta < 0:
-        tau, tilde = np.inf, np.nan
-    else:
-        f, f_inv = t.forward, t.inverse
-        with np.errstate(over="ignore"):  # a threshold past the float range reads inf
+    with np.errstate(over="ignore"):  # a mean spectrum or threshold past the float range reads inf
+        lam_bar, lam_beta = _mean_spectrum(t, sc.base_spectra), _mean_spectrum(t, spectra)
+        lbar_r = lam_bar[sc.r - 1]
+        lbar_l = lam_bar[sc.noise_index]
+        if not lbar_r > lbar_l:
+            raise PreconditionError(
+                f"unperturbed aggregate is degenerate: lbar_r={lbar_r:.17g} <= lbar_l={lbar_l:.17g}"
+            )
+        if sc.beta < 0:
+            tau, tilde = np.inf, np.nan
+        else:
+            f, f_inv = t.forward, t.inverse
             tau = float(f_inv(sc.m * (f(lbar_r) - f(lbar_l))))
             tilde = float(f_inv(f(lam + sc.d_l) - f(lam)))
     return ToleranceReport(

@@ -51,6 +51,14 @@ def signal_eigenvalues(p: int, n: int, r: int) -> np.ndarray:
     return 1.0 + np.sqrt(p / n) + p ** (1.0 / (1.0 + j))
 
 
+def check_sizes(p: int, n: int, r: int) -> None:
+    """The sizes the planted law can draw from (1 <= r < p, n >= 1); InvalidInput otherwise."""
+    if not 1 <= r < p:
+        raise InvalidInput(f"need 1 <= r < p, got r={r}, p={p}")
+    if n < 1:
+        raise InvalidInput("n must be positive")
+
+
 def planted_spectra(p: int, n: int, r: int, m: int, seed: int) -> np.ndarray:
     """m rows (m x p) of the planted law: the r signal_eigenvalues, then p - r
     noise eigenvalues uniform on (0.5, 1.5) from the seed's noise stream.
@@ -58,10 +66,7 @@ def planted_spectra(p: int, n: int, r: int, m: int, seed: int) -> np.ndarray:
     Rows are unsorted: a noise draw may top a signal eigenvalue at small p.
     Row 0 is the population's spectrum; perturb takes all m as machine spectra.
     """
-    if not 1 <= r < p:
-        raise InvalidInput(f"need 1 <= r < p, got r={r}, p={p}")
-    if n < 1:
-        raise InvalidInput("n must be positive")
+    check_sizes(p, n, r)
     if m < 1:
         raise InvalidInput("m must be positive")
     noise = stream(seed, NOISE_EIGENVALUES).uniform(0.5, 1.5, (m, p - r))

@@ -158,9 +158,10 @@ class TestBranchTransform:
 
 
 class TestBetaConfig:
-    def test_rejects_bad_delta(self):
-        with pytest.raises(InvalidInput):
-            BetaConfig(beta=1.0, delta=0.0)
+    @pytest.mark.parametrize("delta", [0.0, np.inf, np.nan])
+    def test_rejects_bad_delta(self, delta):
+        with pytest.raises(InvalidInput, match="delta must be positive and finite"):
+            BetaConfig(beta=1.0, delta=delta)
 
 
 class TestBetaAggregate:
@@ -253,12 +254,14 @@ class TestBetaAggregate:
         assert_allclose(res.span_values, np.array([1e7, 1e6]) + cfg.delta, rtol=1e-12, atol=0)
         assert_allclose(res.sigma_beta, beta_mean([np.diag([1e7, 1e6, 0.0])] * 2, cfg), rtol=1e-12, atol=0)
 
-    def test_wide_spectrum_beyond_the_floor_warns(self):
-        # the summaries share e2 but span three directions (k > q): the shift
-        # delta^-2 = 1e10 swamps the forward values 1e-14 and 1e-12, whose
-        # eigenvalues lie above the floor delta * eps^(-1/2) ~ 671
-        summaries = [e_summary([1e7, 1e6], p=4), TruncatedEig(values=np.array([1e7, 1e6]),
-                                                              vectors=np.eye(4)[:, [2, 1]])]
+    @pytest.mark.parametrize("summaries", [
+        # the summaries share e2 but span three directions (k > q): the shift delta^-2 = 1e10
+        [e_summary([1e7, 1e6], p=4), TruncatedEig(values=np.array([1e7, 1e6]), vectors=np.eye(4)[:, [2, 1]])],
+        # both summaries span the basis (k == q), but the eigenvalue 0 has forward value delta^-2
+        [e_summary([1e7, 0.0], p=4)] * 2], ids=["k > q", "k == q, an eigenvalue 0"])
+    def test_wide_spectrum_beyond_the_floor_warns(self, summaries):
+        # 1e10 in the core swamps the forward value 1e-14 of the eigenvalue 1e7,
+        # which lies above the floor delta * eps^(-1/2) ~ 671
         with pytest.warns(PrecisionWarning, match="precision floor"), warnings.catch_warnings():
             warnings.simplefilter("ignore", TieWarning)
             beta_aggregate(summaries, BetaConfig(beta=-2.0), 2)

@@ -2,6 +2,7 @@ import re
 import socket
 import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -223,42 +224,63 @@ class TestServeWorker:
         [(msg, _)] = seen
         assert (msg.machine_id, msg.q) == (1, 4)
 
-    @pytest.mark.parametrize("command", [("serve", "--port", "0", "--m", "2", "--timeout", "0.5"),
-                                         ("aggregate", "no_such_shard.bdpx")])
-    def test_a_single_fold_exits_before_any_work(self, command, capsys):
-        # JobSpec rejects CvSelect(folds=1): serve binds no port, aggregate reads no shard
-        assert run_cli(*command, "--r", "2", "--q", "4", "--beta", "cv", "--cv-folds", "1") == 2
-        out, err = capsys.readouterr()
-        assert "listening on" not in out
-        assert "error: need at least two folds, got 1" in err
 
-    @pytest.mark.parametrize("beta", ["nan", "inf"])
-    @pytest.mark.parametrize("command", [("serve", "--port", "0", "--m", "2", "--timeout", "0.5"),
-                                         ("aggregate", "no_such_shard.bdpx")], ids=lambda command: command[0])
-    def test_a_non_finite_beta_exits_before_any_work(self, command, beta, capsys):
-        # FixedBeta rejects it: serve binds no port, aggregate reads no shard
-        assert run_cli(*command, "--r", "2", "--q", "4", "--beta", beta) == 2
-        out, err = capsys.readouterr()
-        assert "listening on" not in out
-        assert f"error: beta must be finite, got {beta}" in err
+SERVE, AGGREGATE = ("serve", "--port", "0", "--m", "2", "--timeout", "0.5"), ("aggregate", "s.bdpx")
+WORKER, PERTURB = ("worker", "--shard", "s.bdpx"), ("perturb", "--out", "perturb.csv")
 
-    @pytest.mark.parametrize("command", [("serve", "--port", "0", "--m", "1", "--timeout", "0.5"),
-                                         ("aggregate", "no_such_shard.bdpx")], ids=lambda command: command[0])
-    def test_cv_over_one_machine_exits_before_any_work(self, command, capsys):
-        # serve binds no port and waits for no frame; aggregate reads no shard
-        assert run_cli(*command, "--r", "2", "--q", "4", "--beta", "cv") == 2
-        out, err = capsys.readouterr()
-        assert "listening on" not in out
-        assert "error: cross-validation needs at least two machines" in err
 
-    @pytest.mark.parametrize("flag", ["--r=2", "--beta=1", "--delta=1e-5", "--cv-folds=2", "--cv-seed=0"])
-    def test_worker_rejects_coordinator_flags(self, flag, sent, capsys):
-        shard, seen = sent
-        with pytest.raises(SystemExit) as exc:
-            run_cli("worker", "--shard", shard, "--q", "4", flag)
-        assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
-        assert seen == []
+def refused_commands():
+    """(argv, message on stderr) for every command that must exit 2 before any work."""
+    for job in (SERVE, AGGREGATE):  # the job's rules: JobSpec, its beta modes, BetaConfig's delta
+        yield (*job, "--r", "2", "--q", "4", "--beta", "cv", "--cv-folds", "1"), "error: need at least two folds, got 1"
+        for beta in ("nan", "inf"):
+            yield (*job, "--r", "2", "--q", "4", "--beta", beta), f"error: beta must be finite, got {beta}"
+        yield (*job, "--beta", "cv", "--cv-seed", "-1"), "error: seed must be non-negative, got -1"
+        yield (*job, "--beta", "-1", "--delta", "inf"), "error: delta must be positive and finite, got inf"
+    for job in (("serve", "--port", "0", "--m", "1", "--timeout", "0.5"), AGGREGATE):  # CV over one machine
+        yield (*job, "--r", "2", "--q", "4", "--beta", "cv"), "error: cross-validation needs at least two machines"
+    for cmd in (("gen", "--out", "data"), ("simulate",), PERTURB):
+        yield (*cmd, "--seed", "-1"), "error: seed must be non-negative, got -1"
+    yield ("simulate", "--delta", "inf"), "error: delta must be positive and finite, got inf"
+    for cmd in (PERTURB, ("simulate",)):  # simgen's size rule comes before any rule of the job
+        yield (*cmd, "--p", "5", "--r", "6"), "error: need 1 <= r < p, got r=6, p=5"
+        yield (*cmd, "--n", "0"), "error: n must be positive"
+    yield (*PERTURB, "--n", "-3"), "error: n must be positive"
+    yield (*PERTURB, "--m", "-1"), "error: m must be positive"
+    yield ("simulate", "--r", "0"), "error: need 1 <= r < p, got r=0, p=200"  # not JobSpec's r <= q
+    # argparse: a flag the command does not take, or a value that the flag's type refuses
+    coordinator_flags = ("--r=2", "--beta=1", "--delta=1e-5", "--cv-folds=2", "--cv-seed=0")  # a worker takes none
+    for argv in [(*AGGREGATE, "--center"), ("serve", "--m", "2", "--center"), ("simulate", "--center"),
+                 (*WORKER, "--center"), ("simulate", "--paper-scale"), (*WORKER, "--machine-id=3"),
+                 ("perturb", "--noise-index=2"), *((*WORKER, "--q", "4", flag) for flag in coordinator_flags)]:
+        yield argv, f"unrecognized arguments: {argv[-1]}"
+    for cmd in (("serve", "--m", "2"), WORKER):
+        for port in ("99999", "-5"):
+            yield (*cmd, f"--port={port}"), f"argument --port: expected a port in 0-65535, got '{port}'"
+        for t in ("-1", "0", "nan", "inf", "3e6", "1e10", "1e308"):
+            yield ((*cmd, f"--timeout={t}"),
+                   f"argument --timeout: expected a positive number of seconds up to 1e+06, got '{t}'")
+    for flag in ("--beta=,", "--d-l=,"):
+        yield (*PERTURB, flag), f"argument {flag[:-2]}: expected comma-separated numbers, got ','"
+
+
+class TestRefusedCommand:
+    @pytest.mark.parametrize("argv, message", [pytest.param(*row, id=" ".join(row[0])) for row in refused_commands()])
+    def test_exits_2_before_any_work(self, argv, message, tmp_path, monkeypatch, capsys):
+        # exit 2 with the message, and no warning, port, shard read or written, round or file
+        monkeypatch.chdir(tmp_path)  # a relative --out, or simulate's default, would land here
+        for owner, name in [(cli, "read_shard"), (cli, "write_shard"), (cli.cluster, "listen"),
+                            (cli.cluster, "send_summary"), (cli.experiment, "run_and_write")]:
+            monkeypatch.setattr(owner, name, mock.Mock(side_effect=AssertionError(f"{name} was called")))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                rc = cli.main(list(argv))
+            except SystemExit as exc:  # argparse refuses the command line
+                rc = exc.code
+        out, err = capsys.readouterr()
+        assert (rc, "listening on" in out, list(tmp_path.iterdir())) == (2, False, [])
+        assert message in err
 
 
 class TestArgumentParsing:
@@ -277,69 +299,6 @@ class TestArgumentParsing:
         job = JobSpec(r=spec.r, q=spec.q, beta_mode=CvSelect())
         assert parsed == {(spec.r, spec.q, spec.delta, spec.cv_folds)}
         assert (job.delta, job.beta_mode.folds) == (spec.delta, spec.cv_folds)
-
-    @pytest.mark.parametrize("command", [("aggregate", "s.bdpx", "--center"), ("serve", "--m", "2", "--center"),
-                                         ("simulate", "--center"), ("worker", "--shard", "s.bdpx", "--center"),
-                                         ("simulate", "--paper-scale"),
-                                         ("worker", "--shard", "s.bdpx", "--machine-id=3"),
-                                         ("perturb", "--noise-index=2")],
-                             ids=lambda command: f"{command[0]} {command[-1]}")
-    def test_removed_options_are_rejected(self, command, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(*command)
-        assert exc.value.code == 2
-        assert f"unrecognized arguments: {command[-1]}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flag,value", [("--port", "99999"), ("--port", "-5"),
-                                            ("--timeout", "-1"), ("--timeout", "0"), ("--timeout", "nan"),
-                                            ("--timeout", "inf")])
-    @pytest.mark.parametrize("command", [("serve", "--m", "2"), ("worker", "--shard", "no_such_shard.bdpx")],
-                             ids=lambda command: command[0])
-    def test_a_bad_port_or_timeout_exits_before_any_socket_work(self, command, flag, value, capsys):
-        # argparse rejects the value: serve binds nothing, worker reads no shard and connects nowhere
-        with pytest.raises(SystemExit) as exc:
-            run_cli(*command, f"{flag}={value}")
-        assert exc.value.code == 2
-        out, err = capsys.readouterr()
-        assert f"argument {flag}: expected " in err and repr(value) in err
-        assert "listening on" not in out
-
-    @pytest.mark.parametrize("command", [
-        ("gen", "--seed", "-1", "--out", "{tmp}/data"),
-        ("simulate", "--seed", "-1", "--out", "{tmp}/results.csv"),
-        ("perturb", "--seed", "-1", "--out", "{tmp}/perturb.csv"),
-        ("aggregate", "no_such_shard.bdpx", "--beta", "cv", "--cv-seed", "-1"),
-        ("serve", "--port", "0", "--m", "2", "--timeout", "0.5", "--beta", "cv", "--cv-seed", "-1"),
-    ], ids=lambda command: command[0])
-    def test_a_negative_seed_exits_before_any_work(self, command, tmp_path, capsys):
-        # a clean error, not numpy's traceback from SeedSequence: nothing is
-        # written, no shard read, no port bound
-        assert run_cli(*(arg.format(tmp=tmp_path) for arg in command)) == 2
-        out, err = capsys.readouterr()
-        assert "error: seed must be non-negative, got -1" in err
-        assert "listening on" not in out
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("sizes,message", [
-        pytest.param(("--p", "5", "--r", "6"), "need 1 <= r < p, got r=6, p=5", id="r above p"),
-        pytest.param(("--n", "0"), "n must be positive", id="n zero"),
-        pytest.param(("--n", "-3"), "n must be positive", id="n negative"),
-        pytest.param(("--m", "-1"), "m must be positive", id="m negative"),
-    ])
-    def test_perturb_bad_sizes_exit_before_any_work(self, sizes, message, tmp_path, capsys):
-        # simgen's check, not numpy's traceback or RuntimeWarning, and no CSV written
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert run_cli("perturb", *sizes, "--out", str(tmp_path / "perturb.csv")) == 2
-        assert f"error: {message}" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("flag", ["--beta=,", "--d-l=,"])
-    def test_perturb_rejects_an_empty_number_list(self, flag, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("perturb", "--p", "10", "--n", "25", "--m", "2", "--r", "2", flag)
-        assert exc.value.code == 2
-        assert "expected comma-separated numbers, got ','" in capsys.readouterr().err
 
     def test_beta_accepts_cv_and_numbers(self):
         assert cli._beta_value("cv") == "cv"

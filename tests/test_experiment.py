@@ -12,7 +12,6 @@ from betadpca import (
     experiment,
     run_and_write,
     run_experiment,
-    write_rows_csv,
 )
 from helpers import count_span_svds
 
@@ -50,10 +49,10 @@ class TestSpecValidation:
         with pytest.raises(InvalidInput, match="seed must be non-negative"):
             tiny_spec(seed=-1)
 
-    @pytest.mark.parametrize("delta", [-1.0, 0.0])
+    @pytest.mark.parametrize("delta", [-1.0, 0.0, float("inf")])
     def test_non_positive_delta_rejected(self, delta):
         # at construction, not inside the first replicate's beta=-1 aggregation
-        with pytest.raises(InvalidInput, match="delta must be positive"):
+        with pytest.raises(InvalidInput, match=f"delta must be positive and finite, got {delta}"):
             tiny_spec(delta=delta)
 
     def test_paper_scale_knobs(self):
@@ -161,10 +160,8 @@ class TestCsvOutputs:
         run_and_write(spec, tmp_path / "b.csv")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    def test_empty_beta_used_for_fan(self, tmp_path):
-        out = tmp_path / "results.csv"
-        write_rows_csv([(1, "fan", None, 2, 0.5)], out)
-        assert out.read_text().splitlines()[1] == "1,fan,,2,0.5"
+    def test_empty_beta_used_for_fan(self):
+        assert experiment.csv_text(CSV_HEADER, [(1, "fan", None, 2, 0.5)]).splitlines()[1] == "1,fan,,2,0.5"
 
 
 class TestPlotScript:

@@ -142,6 +142,14 @@ class TestTolerance:
         assert_allclose(rep.lambda_tilde_l, 6.0, rtol=1e-12)
         assert rep.order_invariant
 
+    def test_perturbed_spectrum_past_float_range_is_infinite(self):
+        # (1 + 1e308)^2 overflows in the mean spectrum as in lambda_tilde_l: both read inf, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = tolerance(scenario(beta=2.0, d_l=1e308))
+        assert rep.lambda_beta[1] == rep.lambda_tilde_l == np.inf
+        assert not rep.order_invariant
+
     def test_degenerate_scenario_rejected(self):
         flat = np.array([[2.0, 2.0], [2.0, 2.0]])
         with pytest.raises(PreconditionError):

@@ -90,6 +90,6 @@ def test_negative_beta_span_path_meets_the_closed_form(round_):
     assert (np.abs(got - exact)[resolved] <= (bound * exact)[resolved]).all()
     top = max(lam for c in covers for lam in c.values()) + delta
     assert (got >= delta * (1 - 1e-12)).all() and (got <= top * (1 + 1e-12)).all()
-    own = min((lam + delta) ** beta for c in covers for lam in c.values())
+    own = [(lam + delta) ** beta for c in covers for lam in c.values()]
     warned = any(issubclass(w.category, PrecisionWarning) for w in caught)
-    assert warned == (k > q and own < EPS * delta ** beta)
+    assert warned == (min(own) < EPS * max(shift, max(own)))
