@@ -38,10 +38,10 @@ def finite_beta(beta) -> float:
 class BetaConfig:
     """Aggregator knobs.
 
-    beta selects the branch (0 means the geometric-mean limit), delta
-    (positive and finite) regularizes the beta < 0 branch; JobSpec, ExperimentSpec
-    and the CLI read delta's default and its rule from here.  Round-off is handled
-    by the hull rule of BranchTransform.inverse_within, at any scale.  At beta < 0 an eigenvalue
+    beta selects the branch (0 means the geometric-mean limit), delta (positive and finite)
+    regularizes the beta < 0 branch; JobSpec, ExperimentSpec and the CLI read delta's default
+    and its rule from here, and branch_transform checks delta^beta at this beta.  Round-off is
+    handled by the hull rule of BranchTransform.inverse_within, at any scale.  At beta < 0 an eigenvalue
     above about delta * eps^(1/beta) is not resolved (see beta_aggregate, which warns).
     """
 
@@ -49,9 +49,9 @@ class BetaConfig:
     delta: float = 1e-5
 
     def __post_init__(self):
-        finite_beta(self.beta)
         if not 0 < self.delta < np.inf:
             raise InvalidInput(f"delta must be positive and finite, got {self.delta}")
+        branch_transform(finite_beta(self.beta), self.delta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,16 +162,20 @@ def branch_transform(b: float, shift: float) -> BranchTransform:
     positive shift goes with PSD inputs: the beta = 0 log then floors zero
     eigenvalues at EIGEN_FLOOR, as the formula defines it.  Shift 0 declares
     the inputs positive definite: the log is plain, and the beta < 0 entry's
-    complement 0^b = inf is never evaluated.  Callers that eigensolve an
-    average apply the inverse through BranchTransform.inverse_within.
+    complement 0^b = inf is never evaluated; a positive shift's shift^b must be a positive,
+    finite float (InvalidInput otherwise).  Callers that eigensolve an average apply the
+    inverse through BranchTransform.inverse_within.
     """
     if b > 0:
         return BranchTransform("positive", lambda v: v ** b, 0.0, lambda g: np.power(g, 1.0 / b))
     if b == 0:
         log = (lambda v: np.log(np.where(v < EIGEN_FLOOR, EIGEN_FLOOR, v))) if shift > 0 else np.log
         return BranchTransform("limit_zero", log, 0.0, np.exp)
-    return BranchTransform("negative", lambda v: (v + shift) ** b, shift ** b if shift > 0 else np.inf,
-                           lambda g: np.power(g, 1.0 / b))
+    with np.errstate(over="ignore"):
+        complement = float(np.float64(shift) ** b) if shift > 0 else np.inf
+    if shift > 0 and not 0 < complement < np.inf:
+        raise InvalidInput(f"delta^beta must be a positive, finite float, got delta={shift}, beta={b}")
+    return BranchTransform("negative", lambda v: (v + shift) ** b, complement, lambda g: np.power(g, 1.0 / b))
 
 
 PROJECTION_AVERAGE = BranchTransform("projection_average", np.ones_like, 0.0, lambda g: g)

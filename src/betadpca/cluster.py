@@ -135,7 +135,12 @@ class JobSpec:
             raise InvalidInput(f"need 1 <= r <= q, got r={self.r}, q={self.q}")
         if not isinstance(self.beta_mode, (FixedBeta, CvSelect)):
             raise InvalidInput("beta_mode must be FixedBeta or CvSelect")
-        BetaConfig(beta=0.0, delta=self.delta)  # delta's rule is BetaConfig's
+        for b in self.betas:  # delta's rule is BetaConfig's, delta^beta's branch_transform's
+            BetaConfig(beta=b, delta=self.delta)
+
+    @property
+    def betas(self) -> tuple[float, ...]:  # every beta the round may use: FixedBeta's, or each CV candidate
+        return self.beta_mode.candidates if isinstance(self.beta_mode, CvSelect) else (self.beta_mode.beta,)
 
 
 def encode_summary(msg: LocalSummaryMsg) -> bytes:
@@ -193,10 +198,9 @@ def worker_round(shard: DataShard, q: int) -> LocalSummaryMsg:
 
 
 def _overflows(values: np.ndarray, job: JobSpec) -> bool:
-    # a beta the job may use (its FixedBeta, or any CV candidate) maps a value to inf, as beta=2 does 1e200
-    betas = job.beta_mode.candidates if isinstance(job.beta_mode, CvSelect) else (job.beta_mode.beta,)
+    # a beta the job may use (JobSpec.betas) maps a value to inf, as beta=2 does 1e200
     with np.errstate(over="ignore"):
-        return not all(np.isfinite(branch_transform(b, job.delta).forward(values)).all() for b in betas)
+        return not all(np.isfinite(branch_transform(b, job.delta).forward(values)).all() for b in job.betas)
 
 
 def _keep(first: dict[int, LocalSummaryMsg], msg: LocalSummaryMsg, job: JobSpec,

@@ -47,6 +47,12 @@ def rand_summary(rng, p, q, lo=0.5, hi=4.0):
     return TruncatedEig(values=vals, vectors=basis)
 
 
+def e_summary(values, p, offset=0):
+    """Summary whose vectors are canonical basis columns offset..offset+q-1."""
+    values = np.asarray(values, dtype=float)
+    return TruncatedEig(values=values, vectors=np.eye(p)[:, offset:offset + len(values)])
+
+
 def wrap_frame(payload: bytes, version: int = 1) -> bytes:
     """A wire frame with a valid length prefix, magic and CRC around any payload."""
     body = b"BDPC" + struct.pack("<H", version) + payload
@@ -297,7 +303,10 @@ def dense_local_summary(shard, q):
 
 def dense_beta_sigma(summaries, cfg):
     """Aggregation oracle: the beta-mean of rank-q summaries on full p x p
-    matrices, one transformed term per machine and a dense inverse map."""
+    matrices, one transformed term per machine and a dense inverse map.  At
+    beta < 0 the term (M_l + delta I)^beta is V_l (lam_l + delta)^beta V_l^T
+    + delta^beta W_l W_l^T, with W_l an orthonormal basis of span(V_l)'s
+    complement, so no delta^beta is subtracted and re-added in span(V_l)."""
     p = summaries[0].p
     w = np.full(len(summaries), 1.0 / len(summaries))
     b = cfg.beta
@@ -311,10 +320,9 @@ def dense_beta_sigma(summaries, cfg):
             vals = np.where(s.values < EIGEN_FLOOR, EIGEN_FLOOR, s.values)
             acc += wl * (s.vectors * np.log(vals)) @ s.vectors.T
         return matrix_function(acc, np.exp)
-    db = cfg.delta ** b
     for wl, s in zip(w, summaries):
-        acc += wl * (s.vectors * ((s.values + cfg.delta) ** b - db)) @ s.vectors.T
-    acc += db * np.eye(p)
+        rest = np.linalg.qr(s.vectors, mode="complete")[0][:, s.q:]
+        acc += wl * ((s.vectors * (s.values + cfg.delta) ** b) @ s.vectors.T + cfg.delta ** b * rest @ rest.T)
     return matrix_power(acc, 1.0 / b)
 
 

@@ -237,6 +237,12 @@ def refused_commands():
             yield (*job, "--r", "2", "--q", "4", "--beta", beta), f"error: beta must be finite, got {beta}"
         yield (*job, "--beta", "cv", "--cv-seed", "-1"), "error: seed must be non-negative, got -1"
         yield (*job, "--beta", "-1", "--delta", "inf"), "error: delta must be positive and finite, got inf"
+    for delta in ("1e-200", "1e200"):  # delta^-2 past the float range, or rounded to 0
+        yield ((*AGGREGATE, "--beta", "-2", "--delta", delta),
+               f"error: delta^beta must be a positive, finite float, got delta={float(delta)}, beta=-2.0")
+    delta_past_range = "error: delta^beta must be a positive, finite float, got delta=1e-320, beta=-1.0"
+    yield ("serve", "--m", "2", "--beta", "cv", "--delta", "1e-320"), delta_past_range  # a CV candidate's
+    yield ("simulate", "--delta", "1e-320"), delta_past_range
     for job in (("serve", "--port", "0", "--m", "1", "--timeout", "0.5"), AGGREGATE):  # CV over one machine
         yield (*job, "--r", "2", "--q", "4", "--beta", "cv"), "error: cross-validation needs at least two machines"
     for cmd in (("gen", "--out", "data"), ("simulate",), PERTURB):

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -49,10 +50,12 @@ class TestSpecValidation:
         with pytest.raises(InvalidInput, match="seed must be non-negative"):
             tiny_spec(seed=-1)
 
-    @pytest.mark.parametrize("delta", [-1.0, 0.0, float("inf")])
-    def test_non_positive_delta_rejected(self, delta):
+    @pytest.mark.parametrize("delta, message", [
+        *((delta, f"delta must be positive and finite, got {delta}") for delta in (-1.0, 0.0, float("inf"))),
+        (1e-320, "delta^beta must be a positive, finite float, got delta=1e-320, beta=-1.0")])  # CV's beta=-1
+    def test_non_positive_delta_rejected(self, delta, message):
         # at construction, not inside the first replicate's beta=-1 aggregation
-        with pytest.raises(InvalidInput, match=f"delta must be positive and finite, got {delta}"):
+        with pytest.raises(InvalidInput, match=re.escape(message)):
             tiny_spec(delta=delta)
 
     def test_paper_scale_knobs(self):
