@@ -222,14 +222,6 @@ class TestBetaAggregate:
 
 
 class TestFanAggregate:
-    def test_values_ignored_by_construction(self):
-        rng = np.random.default_rng(43)
-        s = rand_summary(rng, 6, 3)
-        rescaled = TruncatedEig(values=s.values * 7.0, vectors=s.vectors)
-        a = fan_aggregate([s])
-        b = fan_aggregate([rescaled])
-        assert np.array_equal(a.sigma_beta, b.sigma_beta)
-
     def test_agrees_with_beta_mean_on_unit_spectra(self):
         # with all summary eigenvalues equal to 1 the projection average and
         # the beta=1 aggregate have the same leading subspace

@@ -205,10 +205,3 @@ class TestFoldTies:
         plan = make_folds(2, 2, seed=0, candidate_set=(1.0,))
         with pytest.warns(TieWarning):
             select_beta(summaries, [truncate_summary(s, 1) for s in summaries], plan, BetaConfig(beta=1.0))
-
-    def test_limit_zero_tie_warns(self):
-        rng = np.random.default_rng(82)
-        summaries = [rand_summary(rng, 10, 3, lo=0.05, hi=0.9) for _ in range(3)]
-        plan = make_folds(3, 3, seed=0, candidate_set=(0.0,))
-        with pytest.warns(TieWarning):
-            select_beta(summaries, [truncate_summary(s, 2) for s in summaries], plan, BetaConfig(beta=0.0))
