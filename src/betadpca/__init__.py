@@ -15,7 +15,7 @@ from .divergence import MinimizerReport, divergence, generating_value, verify_mi
 from .errors import (ConvergenceError, CorruptMessage, DomainError, InvalidInput, IoError,
                      NotPSD, ParseError, PrecisionWarning, PreconditionError, TieWarning)
 from .experiment import CSV_HEADER, METHODS, ExperimentResult, ExperimentSpec, run_and_write, run_experiment
-from .linalg import EigenSystem, eig_sym, matrix_function, symmetrize
+from .linalg import EigenSystem, eig_sym, symmetrize
 from .local_pca import (DataShard, TruncatedEig, local_summary, read_shard, truncate_summary,
                         truncated_eig, write_shard)
 from .perturbation import PerturbationScenario, ToleranceReport, tolerance
@@ -34,7 +34,7 @@ __all__ = [
     "ConvergenceError", "CorruptMessage", "DomainError", "InvalidInput", "IoError",
     "NotPSD", "ParseError", "PrecisionWarning", "PreconditionError", "TieWarning",
     "CSV_HEADER", "METHODS", "ExperimentResult", "ExperimentSpec", "run_and_write", "run_experiment",
-    "EigenSystem", "eig_sym", "matrix_function", "symmetrize",
+    "EigenSystem", "eig_sym", "symmetrize",
     "DataShard", "TruncatedEig", "local_summary", "read_shard", "truncate_summary",
     "truncated_eig", "write_shard",
     "PerturbationScenario", "ToleranceReport", "tolerance",

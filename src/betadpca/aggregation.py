@@ -1,7 +1,8 @@
 """Coordinator-side aggregation: the matrix beta-mean over local truncated
 eigendecompositions and the projection-averaging baseline.  Every beta branch
-is one entry of the branch-transform table (branch_transform), which both the
-dense beta_mean and summary aggregation apply.
+is one entry of the branch-transform table (branch_transform), and one solve
+(SpanCore.solve) applies it: summary aggregation in a span's basis, the dense
+beta_mean in the identity basis.
 
 Summary aggregation never forms a p x p matrix: every branch is a fixed value
 outside the span of the summaries, so one eigensolve of a k x k core
@@ -21,8 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidInput, PrecisionWarning, TieWarning
-from .linalg import (EIGEN_FLOOR, canonical_order, eig_sym, matrix_function, psd_eig, spectral_map, symmetrize,
-                     thin_svd)
+from .linalg import EIGEN_FLOOR, canonical_order, eig_sym, psd_eig, spectral_map, symmetrize, thin_svd
 from .local_pca import TruncatedEig, _top_block, _top_layout, _top_values
 
 
@@ -107,24 +107,19 @@ def beta_mean(inputs: Sequence, cfg: BetaConfig) -> np.ndarray:
     beta < 0:  { mean((M_l + delta I)^beta) }^(1/beta), no delta subtracted after
 
     An input that is not PSD up to its own round-off raises NotPSD for every
-    beta (linalg.psd_eig); that round-off is clipped to 0.  The beta = 0 branch
-    floors eigenvalues at EIGEN_FLOOR before the log.  The average's eigenvalues
-    are clipped into the hull of the terms' before the inverse (inverse_within).
+    beta (linalg.psd_eig), and its round-off of 0 is exactly 0.  Each input's
+    full eigensystem is a rank-p summary in the identity basis, so the mean is
+    SpanCore.solve's with no SVD and no shift, and it warns (PrecisionWarning)
+    where it loses digits, as summary aggregation does.
     """
     systems = [psd_eig(m) for m in inputs]
     if not systems:
         raise InvalidInput("need at least one input matrix")
-    p = systems[0].values.size
-    if any(es.values.size != p for es in systems):
+    if any(es.values.size != systems[0].values.size for es in systems):
         raise InvalidInput("input matrices differ in dimension")
-    w = 1.0 / len(systems)
-    transform = branch_transform(cfg.beta, cfg.delta)
-    acc = np.zeros((p, p))
-    terms = []
-    for es in systems:
-        terms.append(transform.forward(es.values))
-        acc += w * (es.vectors * terms[-1]) @ es.vectors.T
-    return matrix_function(acc, lambda g: transform.inverse_within(g, np.concatenate(terms)))
+    summaries = [TruncatedEig(values=es.values, vectors=es.vectors) for es in systems]
+    core = SpanCore.solve(summaries, np.hstack([es.vectors for es in systems]), branch_transform(cfg.beta, cfg.delta))
+    return symmetrize((core.vectors * core.values) @ core.vectors.T)
 
 
 @dataclass(frozen=True)
@@ -267,7 +262,10 @@ class SpanCore:
         in it, and s = 0 keeps forward values far below c.  A forward value below
         eps * max(|s|, largest forward value) is lost in the core's round-off; on the
         negative branch that is the beta < 0 precision floor (see beta_aggregate),
-        and one PrecisionWarning says so.  Cost O(k^2 m q + k^3).
+        and one PrecisionWarning says so.  On the positive and projection-average
+        branches C averages PSD terms (s = c = 0), so psd_eig solves it: a core value
+        within its round-off of 0 is exactly 0, not a root of round-off after the
+        inverse.  Cost O(k^2 m q + k^3).
         """
         k = coords.shape[0]
         w = 1.0 / len(summaries)
@@ -283,7 +281,8 @@ class SpanCore:
                 stacklevel=3,
             )
         weights = w * (forward - shift)
-        core = eig_sym((coords * weights) @ coords.T + shift * np.eye(k))
+        eigensolve = psd_eig if transform.name in ("positive", "projection_average") else eig_sym
+        core = eigensolve((coords * weights) @ coords.T + shift * np.eye(k))
         # the complement is a term's eigenvalue too, so it bounds the hull
         return cls(values=transform.inverse_within(core.values, np.append(forward, c)), vectors=core.vectors,
                    complement=float(transform.inverse(np.array([c]))[0]), branch=transform.name)

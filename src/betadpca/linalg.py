@@ -1,6 +1,7 @@
-"""Symmetric eigendecomposition with a deterministic output convention, plus
-spectral functional calculus (f(M)), the thin SVD, and deterministic
-completion of an orthonormal basis.
+"""Symmetric eigendecomposition with a deterministic output convention, the
+PSD eigendecomposition that owns the round-off rule for an eigenvalue 0, a
+checked scalar map on eigenvalues, the thin SVD, and deterministic completion
+of an orthonormal basis.
 
 All functions are pure: inputs are never mutated, outputs are fresh arrays.
 Outputs are deterministic down to the bit for bit-identical inputs, which the
@@ -17,7 +18,8 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, InvalidInput, NotPSD
 
 # PSD_SLACK: a symmetric eigensolve errs by about p * eps * ||M||_2 (Weyl), so
-# psd_eig calls a matrix not PSD only below -PSD_SLACK times that.
+# psd_eig calls a matrix not PSD only below -PSD_SLACK times that, and reads
+# any value within +-PSD_SLACK times that as an exact 0.
 # EIGEN_FLOOR: the beta = 0 branch floors zero eigenvalues at it before the
 # log, and the divergence's positive-definite slots require it.
 PSD_SLACK = 8
@@ -80,12 +82,17 @@ def eig_sym(m) -> EigenSystem:
 
 
 def psd_eig(m) -> EigenSystem:
-    """eig_sym of a PSD matrix: NotPSD below -PSD_SLACK * p * eps * ||M||_2, round-off above it clipped to 0."""
+    """eig_sym of a PSD matrix, the one owner of "this eigenvalue is round-off of 0".
+
+    With bound = PSD_SLACK * p * eps * ||M||_2, a value below -bound raises NotPSD,
+    and every value within [-bound, bound] becomes exactly 0: an eigensolve does not
+    resolve it from 0, and a power or root of it would be a power or root of round-off.
+    """
     es = eig_sym(m)
     bound = PSD_SLACK * es.values.size * np.finfo(float).eps * np.abs(es.values).max()
     if es.values[-1] < -bound:
         raise NotPSD(f"matrix is not PSD: eigenvalue {es.values[-1]:.17g} is below -{bound:.3g}")
-    return EigenSystem(values=np.clip(es.values, 0.0, None), vectors=es.vectors)
+    return EigenSystem(values=np.where(es.values <= bound, 0.0, es.values), vectors=es.vectors)
 
 
 def canonical_order(values, vectors) -> tuple[np.ndarray, np.ndarray]:
@@ -138,17 +145,9 @@ def complete_basis(basis, count: int) -> np.ndarray:
     return _fix_signs(out)
 
 
-def matrix_function(m, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Spectral functional calculus: V f(Lambda) V^T for the scalar map f.
-
-    f must accept an eigenvalue vector (any numpy ufunc-like map works).
-    """
-    es = eig_sym(m)
-    return symmetrize((es.vectors * spectral_map(es.values, f)) @ es.vectors.T)
-
-
 def spectral_map(values, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """The eigenvalue part of matrix_function: f(values), which must be finite."""
+    """f(values) for a scalar map f on an eigenvalue vector (any numpy ufunc-like map);
+    every result must be finite (DomainError otherwise)."""
     vals = np.asarray(values, dtype=float)
     with np.errstate(all="ignore"):
         fvals = np.asarray(f(vals), dtype=float)

@@ -1,10 +1,10 @@
 """Shared test fixtures: random SPD generators, independent closed-form
 oracles (2x2 characteristic polynomial, the divergence family's closed forms,
 the coordinate-wise power mean, scenario builders), the explicit square-root
-sampler, the shard covariance and rank-q reconstruction, the spectral power
-M^beta, the dense p x p aggregation formulas and the per-fold CV loop the
-factored and span paths are checked against, and the explicit tie scan that
-canonical_order's column order is checked against."""
+sampler, the shard covariance and rank-q reconstruction, the spectral function
+f(M) and power M^beta, the dense p x p aggregation formulas and the per-fold
+CV loop the factored and span paths are checked against, and the explicit tie
+scan that canonical_order's column order is checked against."""
 
 import dataclasses
 import struct
@@ -13,9 +13,8 @@ import zlib
 import numpy as np
 
 from betadpca import (GAUSSIAN, DomainError, InvalidInput, PerturbationScenario, TruncatedEig, aggregation,
-                      beta_aggregate, eig_sym, matrix_function, signal_eigenvalues, symmetrize, tolerance,
-                      truncated_eig)
-from betadpca.linalg import EIGEN_FLOOR, thin_svd
+                      beta_aggregate, eig_sym, signal_eigenvalues, symmetrize, tolerance, truncated_eig)
+from betadpca.linalg import EIGEN_FLOOR, spectral_map, thin_svd
 from betadpca.rngs import DATA, stream
 
 
@@ -129,6 +128,13 @@ def spectral_power(values, beta: float) -> np.ndarray:
     if bad.any():
         raise DomainError(f"power {beta} undefined at eigenvalue {vals[bad][0]:.17g}")
     return pvals
+
+
+def matrix_function(m, f) -> np.ndarray:
+    """Spectral functional calculus V f(Lambda) V^T for a scalar map f on an
+    eigenvalue vector, from one eig_sym: the dense oracle's f(M)."""
+    es = eig_sym(m)
+    return symmetrize((es.vectors * spectral_map(es.values, f)) @ es.vectors.T)
 
 
 def matrix_power(m, beta: float) -> np.ndarray:

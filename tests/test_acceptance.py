@@ -33,7 +33,6 @@ from betadpca import (
     generating_value,
     listen,
     make_population,
-    matrix_function,
     rho_similarity,
     run_experiment,
     run_local,
@@ -47,7 +46,7 @@ from betadpca import (
     worker_round,
 )
 from betadpca.cluster import FRAME_OVERHEAD
-from helpers import eig2x2, matrix_power, planted_scenario, rand_scenario, rand_spd, rand_summary
+from helpers import eig2x2, matrix_function, matrix_power, planted_scenario, rand_scenario, rand_spd, rand_summary
 
 
 @contextmanager

@@ -1,3 +1,4 @@
+import contextlib
 import re
 import warnings
 
@@ -7,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from betadpca import (
     BetaConfig,
-    DataShard,
     InvalidInput,
     NotPSD,
     PrecisionWarning,
@@ -20,10 +20,11 @@ from betadpca import (
     fan_aggregate,
     local_summary,
     rho_similarity,
+    split_shards,
     truncated_eig,
 )
 from betadpca.aggregation import branch_transform
-from helpers import dense_beta_sigma, e_summary, eig2x2, rand_spd, rand_summary, rotated_rank_two
+from helpers import dense_beta_sigma, e_summary, eig2x2, rand_orthogonal, rand_spd, rand_summary, rotated_rank_two
 
 BETAS = [-1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
 
@@ -98,7 +99,10 @@ class TestBetaMean:
         # a round-off negative grows with the scale (-2.2e-9 at 1e7); the PSD rule grows with it
         m = rotated_rank_two(scale)
         assert eig_sym(m).values[-1] < -1e-10
-        out = beta_mean([m, m], BetaConfig(beta=beta))
+        # at beta = -1 the eigenvalue 1e12 lies beyond the precision floor delta / eps ~ 4.5e10
+        lost = beta < 0 and scale > 1e11
+        with pytest.warns(PrecisionWarning, match="precision floor") if lost else contextlib.nullcontext():
+            out = beta_mean([m, m], BetaConfig(beta=beta))
         assert np.isfinite(out).all()
         if beta > 0:  # the mean of M with itself is M; its null space holds only round-off
             assert_allclose(eig_sym(out).values[:2], [scale, scale / 10], rtol=1e-12)
@@ -112,6 +116,32 @@ class TestBetaMean:
         expected = dense_beta_sigma([truncated_eig(m, p) for m in ms], cfg)
         rel = np.linalg.norm(beta_mean(ms, cfg) - expected) / np.linalg.norm(expected)
         assert rel <= 1e-13
+
+    @pytest.mark.parametrize("beta", [-0.5, 0.0, 0.5, 1.0])
+    def test_matches_dense_oracle_on_rank_deficient_sets(self, beta):
+        # 1 to 4 inputs of dimension 2 to 8 and rank 1..p, nonzero eigenvalues in [e^-3, e^3]; the
+        # oracle reads the exact spectra, so an input's round-off of 0 must come back as 0.  At beta < 0
+        # both sides also carry the delta^beta floor: the average's eigenvalues run from about
+        # (e^3)^beta to delta^beta, and a 50-digit reference puts the oracle itself 1.3e-12 off on seed 91
+        cfg = BetaConfig(beta=beta)
+        floor = 8 * np.finfo(float).eps * (np.exp(3.0) / cfg.delta) ** -beta if beta < 0 else 0.0
+        for seed in range(100):
+            rng = np.random.default_rng([39, seed])
+            p, inputs = int(rng.integers(2, 9)), []
+            for _ in range(int(rng.integers(1, 5))):
+                lam = np.sort(np.exp(rng.uniform(-3.0, 3.0, p)))[::-1]
+                lam[int(rng.integers(1, p + 1)):] = 0.0
+                inputs.append(TruncatedEig(values=lam, vectors=rand_orthogonal(rng, p)))
+            expected = dense_beta_sigma(inputs, cfg)
+            got = beta_mean([(s.vectors * s.values) @ s.vectors.T for s in inputs], cfg)
+            assert np.linalg.norm(got - expected) <= (1e-12 + floor) * np.linalg.norm(expected), seed
+
+    def test_common_null_direction_stays_zero(self):
+        # both rank-one inputs vanish on (2, -1, 1); at beta = 2 the core's round-off there
+        # would come back as its square root, ~sqrt(eps) * lambda_max
+        ms = [np.outer(v, v) for v in ([1.0, 2.0, 0.0], [0.0, 1.0, 1.0])]
+        values = eig_sym(beta_mean(ms, BetaConfig(beta=2.0))).values
+        assert abs(values[-1]) <= 1e-12 * values[0]
 
     def test_wide_spectrum_at_negative_beta(self):
         # 1e7^-2 = 1e-14 is no round-off: a matrix averaged with itself comes
@@ -165,17 +195,20 @@ class TestBetaAggregate:
         with pytest.warns(TieWarning):
             beta_aggregate([s1, s2], BetaConfig(beta=1.0), 1)
 
-    @pytest.mark.parametrize("beta", [0.5, 2.0, 3.0])
+    @pytest.mark.parametrize("beta", [0.5, 1.5, 2.0, 3.0])
     def test_rank_padded_summaries_scale(self, beta):
-        # q = 5 exceeds each shard's 3 samples, so every summary ends in exact
-        # zeros, and the core's round-off around them grows with the scale
-        x = np.random.default_rng(41).standard_normal((40, 6))
-        base = [local_summary(DataShard(x[:, 3 * i:3 * i + 3], i + 1), 5) for i in range(2)]
+        # the oracle table's rank-padded layout: q = 5 exceeds each shard's 3 samples, so every summary
+        # ends in exact zeros, and the span (K = 10) holds 6 nonzero values at any scale; at beta = 2 a
+        # root of the core's round-off would leave 2.0e-7, 1.2e-7 and 6.0e-8 there (lambda_max 13.8)
+        shards = split_shards(np.random.default_rng(41).standard_normal((40, 6)), 2)
+        base = [local_summary(s, 5) for s in shards]
         ref = beta_aggregate(base, BetaConfig(beta=beta), 3).leading.values
         for c in (1e-6, 1.0, 1e6, 1e9):
             scaled = [TruncatedEig(values=c * s.values, vectors=s.vectors) for s in base]
-            got = beta_aggregate(scaled, BetaConfig(beta=beta), 3).leading.values
-            assert_allclose(got, c * ref, rtol=1e-13, atol=0)
+            got = beta_aggregate(scaled, BetaConfig(beta=beta), 3)
+            assert_allclose(got.leading.values, c * ref, rtol=1e-13, atol=0)
+            assert got.span_values.size == 10 and (got.span_values[:6] > 0).all()
+            assert (got.span_values[6:] == 0.0).all()
 
     def test_wide_spectrum_at_negative_beta(self):
         # both summaries span the whole basis (k == q), so no delta^beta = 1e10
@@ -184,7 +217,10 @@ class TestBetaAggregate:
         s = e_summary([1e7, 1e6], p=3)
         res = beta_aggregate([s, s], cfg, 2)
         assert_allclose(res.span_values, np.array([1e7, 1e6]) + cfg.delta, rtol=1e-12, atol=0)
-        assert_allclose(res.sigma_beta, beta_mean([np.diag([1e7, 1e6, 0.0])] * 2, cfg), rtol=1e-12, atol=0)
+        # the dense mean's eigenvalue 0 has forward value delta^-2 = 1e10, which swamps 1e-14
+        with pytest.warns(PrecisionWarning, match="precision floor"):
+            dense = beta_mean([np.diag([1e7, 1e6, 0.0])] * 2, cfg)
+        assert_allclose(res.sigma_beta, dense, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("summaries", [
         # the summaries share e2 but span three directions (k > q): the shift delta^-2 = 1e10

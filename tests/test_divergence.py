@@ -10,10 +10,9 @@ from betadpca import (
     beta_mean,
     divergence,
     generating_value,
-    matrix_function,
     verify_minimizer,
 )
-from helpers import closed_form_divergence, matrix_power, rand_spd, rotated_rank_two
+from helpers import closed_form_divergence, matrix_function, matrix_power, rand_spd, rotated_rank_two
 
 # beta = 0 is the von Neumann limit, beta = -1 the log-det limit
 BETAS = [-2.0, -0.5, 0.5, 1.0, 2.0, 0.0, -1.0]

@@ -6,10 +6,9 @@ from betadpca import (
     DomainError,
     InvalidInput,
     eig_sym,
-    matrix_function,
     symmetrize,
 )
-from helpers import eig2x2, matrix_power, rand_spd
+from helpers import eig2x2, matrix_function, matrix_power, rand_spd
 
 
 class TestSymmetrize:

@@ -113,7 +113,7 @@ LAYOUTS = [
     Layout("nearly dependent", nearly_dependent, r=2, seeds=(86,), folds=3, K=9),
     Layout("n_ell > p shards", lambda s: split_shards(np.random.default_rng(s).standard_normal((8, 120)), 3),
            r=2, seeds=(87,), folds=3, q=4),
-    # at beta = 2 SpanCore.solve returns the eigenvalue 0 as a root of round-off (CHANGES.md, FOUND on SpanCore.solve)
+    # at beta = 2 the dense oracle returns the eigenvalue 0 as a root of round-off; SpanCore.solve returns 0
     Layout("rank-padded, q > n_ell", lambda s: split_shards(np.random.default_rng(s).standard_normal((40, 6)), 2),
            r=3, seeds=(41,), folds=2, q=5, K=10, round_off={2.0: ROOT_OF_ROUND_OFF}),
     Layout("2x2 fan", lambda s: [e_summary([5.0], 2), TruncatedEig(np.array([2.0]), np.ones((2, 1)) / np.sqrt(2.0))],
