@@ -16,7 +16,7 @@ from .errors import InvalidInput, IoError
 from .local_pca import local_summary, truncate_summary
 from .rngs import REPLICATE, child_seed
 from .selection import DEFAULT_CANDIDATES
-from .simgen import GAUSSIAN, check_sizes, make_population, rho_curve, sample_data, split_shards
+from .simgen import GAUSSIAN, check_distribution, check_sizes, make_population, rho_curve, sample_data, split_shards
 
 METHODS = (*(f"beta={b:g}" for b in DEFAULT_CANDIDATES), "beta=cv", "fan")
 CSV_HEADER = "replicate,method,beta_used,k,rho_k"
@@ -51,6 +51,7 @@ class ExperimentSpec:
 
     def __post_init__(self):
         check_sizes(self.p, self.n, self.r)  # the planted law's sizes first, so a bad one is named
+        check_distribution(self.distribution)
         # the beta=cv job validates r <= q, the folds, the seed and delta
         JobSpec(self.r, self.q, CvSelect(self.cv_folds, self.seed), self.delta)
         if self.q > self.p:

@@ -47,6 +47,7 @@ class PopulationModel:
 
 def signal_eigenvalues(p: int, n: int, r: int) -> np.ndarray:
     """1 + sqrt(p/n) + p^(1/(1+j)) for signal ranks j = 1..r (decreasing in j)."""
+    check_sizes(p, n, r)
     j = np.arange(1, r + 1)
     return 1.0 + np.sqrt(p / n) + p ** (1.0 / (1.0 + j))
 
@@ -57,6 +58,12 @@ def check_sizes(p: int, n: int, r: int) -> None:
         raise InvalidInput(f"need 1 <= r < p, got r={r}, p={p}")
     if n < 1:
         raise InvalidInput("n must be positive")
+
+
+def check_distribution(distribution: str) -> None:
+    """A distribution sample_data can draw from; InvalidInput otherwise."""
+    if distribution not in DISTRIBUTIONS:
+        raise InvalidInput(f"unknown distribution {distribution!r}; pick one of {DISTRIBUTIONS}")
 
 
 def planted_spectra(p: int, n: int, r: int, m: int, seed: int) -> np.ndarray:
@@ -77,8 +84,7 @@ def make_population(p: int, n: int, r: int, distribution: str, seed: int) -> Pop
     """Draw the population: orthogonal basis from QR of an iid normal matrix
     (positive-diagonal convention) and the spectrum of planted_spectra."""
     lam = planted_spectra(p, n, r, 1, seed)[0]
-    if distribution not in DISTRIBUTIONS:
-        raise InvalidInput(f"unknown distribution {distribution!r}; pick one of {DISTRIBUTIONS}")
+    check_distribution(distribution)
     z = stream(seed, POPULATION).standard_normal((p, p))
     q_mat, r_mat = np.linalg.qr(z)
     signs = np.sign(np.diag(r_mat))

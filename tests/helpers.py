@@ -14,7 +14,7 @@ import numpy as np
 
 from betadpca import (GAUSSIAN, DomainError, InvalidInput, PerturbationScenario, TruncatedEig, aggregation,
                       beta_aggregate, eig_sym, signal_eigenvalues, symmetrize, tolerance, truncated_eig)
-from betadpca.linalg import EIGEN_FLOOR, spectral_map, thin_svd
+from betadpca.linalg import EIGEN_FLOOR, thin_svd
 from betadpca.rngs import DATA, stream
 
 
@@ -102,48 +102,27 @@ def eig2x2(a, b, c):
     return values, vectors
 
 
-# spectral_power's round-off window: values in (-ROUND_OFF, 0) count as 0
-ROUND_OFF = 1e-10
-
-
-def spectral_power(values, beta: float) -> np.ndarray:
-    """values**beta for an eigenvalue vector, with a fixed round-off window.
-
-    For beta < 0, values in (-ROUND_OFF, EIGEN_FLOOR) become EIGEN_FLOOR and
-    anything still below EIGEN_FLOOR raises DomainError; for fractional beta > 0,
-    values in (-ROUND_OFF, 0) become 0.  A non-finite power raises DomainError.
-    """
-    vals = np.asarray(values, dtype=float)
-    if beta < 0:
-        vals = np.where((vals > -ROUND_OFF) & (vals < EIGEN_FLOOR), EIGEN_FLOOR, vals)
-        if vals.min() < EIGEN_FLOOR:
-            raise DomainError(
-                f"negative power {beta} needs eigenvalues >= {EIGEN_FLOOR:g}; found {vals.min():.17g}"
-            )
-    elif not float(beta).is_integer():
-        vals = np.where((vals > -ROUND_OFF) & (vals < 0.0), 0.0, vals)
-    with np.errstate(all="ignore"):
-        pvals = vals ** beta
-    bad = ~np.isfinite(pvals)
-    if bad.any():
-        raise DomainError(f"power {beta} undefined at eigenvalue {vals[bad][0]:.17g}")
-    return pvals
-
-
 def matrix_function(m, f) -> np.ndarray:
-    """Spectral functional calculus V f(Lambda) V^T for a scalar map f on an
-    eigenvalue vector, from one eig_sym: the dense oracle's f(M)."""
+    """Spectral functional calculus V f(Lambda) V^T from one eig_sym, the dense oracle's f(M), under one
+    scale-free round-off rule: an eigenvalue within 8 p eps max|lambda| of 0 is exactly 0, since an
+    eigensolve does not resolve it from 0.  A non-finite f(lambda) raises DomainError."""
     es = eig_sym(m)
-    return symmetrize((es.vectors * spectral_map(es.values, f)) @ es.vectors.T)
+    bound = 8 * es.values.size * np.finfo(float).eps * np.abs(es.values).max()
+    vals = np.where(np.abs(es.values) <= bound, 0.0, es.values)
+    with np.errstate(all="ignore"):
+        fvals = f(vals)
+    bad = ~np.isfinite(fvals)
+    if bad.any():
+        raise DomainError(f"map undefined at eigenvalue {vals[bad][0]:.17g}")
+    return symmetrize((es.vectors * fvals) @ es.vectors.T)
 
 
 def matrix_power(m, beta: float) -> np.ndarray:
-    """Spectral power M^beta with spectral_power's clamps; beta = 0 is a caller
-    error (the limiting branch is log/exp)."""
+    """M^beta by matrix_function's rule: a non-integer power of a value below its round-off of 0, or a
+    negative power of 0, raises DomainError.  beta = 0 is a caller error (the limiting branch is log/exp)."""
     if beta == 0:
         raise InvalidInput("beta=0 has no direct power form; use the log/exp limit")
-    es = eig_sym(m)
-    return symmetrize((es.vectors * spectral_power(es.values, beta)) @ es.vectors.T)
+    return matrix_function(m, lambda v: v ** beta)
 
 
 def closed_form_divergence(m1, m2, beta):

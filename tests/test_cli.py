@@ -251,6 +251,8 @@ def refused_commands():
     for cmd in (PERTURB, ("simulate",)):  # simgen's size rule comes before any rule of the job
         yield (*cmd, "--p", "5", "--r", "6"), "error: need 1 <= r < p, got r=6, p=5"
         yield (*cmd, "--n", "0"), "error: n must be positive"
+    yield ("gen", "--out", "data", "--p", "5", "--r", "6"), "error: need 1 <= r < p, got r=6, p=5"
+    yield ("gen", "--out", "data", "--n", "0"), "error: n must be positive"
     yield (*PERTURB, "--n", "-3"), "error: n must be positive"
     yield (*PERTURB, "--m", "-1"), "error: m must be positive"
     yield ("simulate", "--r", "0"), "error: need 1 <= r < p, got r=0, p=200"  # not JobSpec's r <= q

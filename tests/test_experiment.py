@@ -25,38 +25,20 @@ def tiny_spec(**over):
 
 
 class TestSpecValidation:
-    def test_rank_ordering_enforced(self):
-        with pytest.raises(InvalidInput):
-            tiny_spec(r=5, q=4)
-        with pytest.raises(InvalidInput):
-            tiny_spec(q=20, p=16)
-
-    def test_k_max_below_r_rejected(self):
-        with pytest.raises(InvalidInput):
-            tiny_spec(k_max=1)
-
-    def test_single_machine_rejected(self):
-        # every experiment runs beta=cv, which needs two machines
-        with pytest.raises(InvalidInput, match="2 <= m"):
-            tiny_spec(m=1)
-
-    def test_single_fold_rejected(self):
-        # at construction, not inside make_folds at the first beta=cv
-        with pytest.raises(InvalidInput, match="need at least two folds"):
-            tiny_spec(cv_folds=1)
-
-    def test_negative_seed_rejected(self):
-        # at construction, not inside the first replicate's SeedSequence
-        with pytest.raises(InvalidInput, match="seed must be non-negative"):
-            tiny_spec(seed=-1)
-
-    @pytest.mark.parametrize("delta, message", [
-        *((delta, f"delta must be positive and finite, got {delta}") for delta in (-1.0, 0.0, float("inf"))),
-        (1e-320, "delta^beta must be a positive, finite float, got delta=1e-320, beta=-1.0")])  # CV's beta=-1
-    def test_non_positive_delta_rejected(self, delta, message):
-        # at construction, not inside the first replicate's beta=-1 aggregation
+    # each at construction, not inside the first replicate's job, fold plan, seed, aggregation or population
+    @pytest.mark.parametrize("over, message", [
+        (dict(r=5, q=4), "need 1 <= r <= q, got r=5, q=4"),
+        (dict(q=20, p=16), "need q <= p, got q=20, p=16"),
+        (dict(k_max=1), "k_max=1 must be >= r=2"),
+        (dict(m=1), "beta=cv needs 2 <= m <= n, got m=1, n=36"),  # every experiment runs beta=cv
+        (dict(cv_folds=1), "need at least two folds, got 1"),
+        (dict(seed=-1), "seed must be non-negative, got -1"),
+        *((dict(delta=d), f"delta must be positive and finite, got {d}") for d in (-1.0, 0.0, float("inf"))),
+        (dict(delta=1e-320), "delta^beta must be a positive, finite float, got delta=1e-320, beta=-1.0"),  # CV's -1
+        (dict(distribution="cauchy"), "unknown distribution 'cauchy'; pick one of ('gaussian', 't3')")])  # simgen's
+    def test_rejected_at_construction(self, over, message):
         with pytest.raises(InvalidInput, match=re.escape(message)):
-            tiny_spec(delta=delta)
+            tiny_spec(**over)
 
     def test_paper_scale_knobs(self):
         spec = tiny_spec().paper_scale()

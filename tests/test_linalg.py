@@ -8,7 +8,7 @@ from betadpca import (
     eig_sym,
     symmetrize,
 )
-from helpers import eig2x2, matrix_function, matrix_power, rand_spd
+from helpers import eig2x2, matrix_function, matrix_power, rand_orthogonal, rand_spd
 
 
 class TestSymmetrize:
@@ -130,20 +130,19 @@ class TestMatrixPower:
         with pytest.raises(InvalidInput):
             matrix_power(np.eye(2), 0.0)
 
-    def test_negative_power_floors_round_off_zero(self):
-        # an exact 0 sits inside the round-off window and is clamped up
-        out = matrix_power(np.diag([1.0, 0.0]), -1.0)
-        assert out[1, 1] == 1e12
-
-    def test_negative_power_of_indefinite_rejected(self):
-        with pytest.raises(DomainError):
-            matrix_power(np.diag([1.0, -1.0]), -1.0)
-
-    def test_fractional_power_clamps_round_off_negatives(self):
-        # eigenvalue at -1e-12 sits inside the round-off window
-        out = matrix_power(np.diag([1.0, -1e-12]), 0.5)
-        assert_allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
-
-    def test_integer_power_of_indefinite_matrix(self):
-        m = np.diag([2.0, -5.0])
-        assert_allclose(matrix_power(m, 2.0), np.diag([4.0, 25.0]), rtol=1e-12)
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("values, beta, want", [
+        ([1.0, -1e-16], 0.5, [1.0, 0.0]),   # within 8 p eps max|lambda| of 0: exactly 0
+        ([1.0, -1e-13], 0.5, DomainError),  # below it: no real root
+        ([1.0, 0.0], -1.0, DomainError),    # a negative power of 0
+        ([2.0, -5.0], 2.0, [4.0, 25.0]),    # an integer power needs no sign
+        ([2.0, -5.0], -1.0, [0.5, -0.2])])
+    def test_one_scale_free_rule_for_zero(self, values, beta, want, scale):
+        q = rand_orthogonal(np.random.default_rng(14), 2)
+        m = (q * np.multiply(scale, values)) @ q.T
+        if want is DomainError:
+            with pytest.raises(DomainError, match="undefined at eigenvalue"):
+                matrix_power(m, beta)
+        else:
+            want = (q * np.multiply(scale ** beta, want)) @ q.T
+            assert_allclose(matrix_power(m, beta), want, rtol=0, atol=1e-14 * np.abs(want).max())

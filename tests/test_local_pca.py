@@ -61,7 +61,7 @@ class TestTruncatedEig:
         assert_allclose(top.values, values[:1], rtol=1e-12)
         assert_allclose(top.vectors[:, 0], vectors[0], rtol=1e-10, atol=1e-12)
 
-    def test_round_off_negatives_clamped(self):
+    def test_negative_values_clamped_to_zero(self):
         top = truncated_eig(np.diag([1.0, -1e-13]), 2)
         assert top.values[1] == 0.0
 

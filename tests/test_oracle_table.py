@@ -1,6 +1,7 @@
 """Every factored path against the dense p x p oracles in helpers, on one table of seeded summary layouts:
-beta_aggregate at each beta in BETAS, select_beta with all of them as candidates, fan_aggregate and local_summary.
-A row declares its warnings (any other fails it), lift class, span rank K, closed forms and round-off allowance."""
+beta_aggregate and beta_mean at each beta in BETAS, select_beta with all of them as candidates, fan_aggregate and
+local_summary.  A row declares its warnings (any other fails it), lift class, span rank K and closed forms; the
+scaled rows run a layout at x1e-6 and x1e6 under the same relative tolerances."""
 
 import contextlib
 import warnings
@@ -10,18 +11,19 @@ from typing import Callable, Sequence
 import numpy as np
 import pytest
 
-from betadpca import (BetaConfig, TieWarning, TruncatedEig, beta_aggregate, eig_sym, fan_aggregate,
-                      local_summary, make_folds, make_population, sample_data, select_beta, split_shards,
-                      truncate_summary, truncated_eig)
+from betadpca import (BetaConfig, PrecisionWarning, TieWarning, TruncatedEig, beta_aggregate, beta_mean, eig_sym,
+                      fan_aggregate, local_summary, make_folds, make_population, sample_data, select_beta,
+                      split_shards, truncate_summary, truncated_eig)
+from betadpca.linalg import complete_basis
 from helpers import (count_lifts, dense_beta_sigma, dense_fan_sigma, dense_local_summary, e_summary, eig2x2,
                      fold_loop_per_fold, power_mean, projector_distance, rand_orthogonal, rand_spd, rand_summary,
-                     sample_covariance)
+                     reconstruct, sample_covariance)
 
 BETAS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
-# The tolerance rule.  Values and eigenpair residuals are relative to lambda_max, sigma_beta to max |Sigma|.
+# The tolerance rule, at every beta and scale.  Values and eigenpair residuals are relative to lambda_max,
+# sigma_beta and beta_mean to max |Sigma|.
 VALUES = 1e-12
-ROOT_OF_ROUND_OFF = 1e-7  # beta > 1: a complement value (x lambda_max) and sigma_beta (absolute) are roots of round-off
 PROJECTOR = 1e-12         # the leading block's projector, absolute
 PER_FOLD = 1e-12          # absolute
 PER_FOLD_NEGATIVE = 1e-8  # beta < 0: both sides carry the delta^beta shift
@@ -42,7 +44,6 @@ class Layout:
     leads: tuple = ()          # the betas at which a complement direction enters the leading block
     warns: dict = field(default_factory=dict)  # a beta, "cv" or "fan" -> the one warning it emits
     exact: dict = field(default_factory=dict)  # a beta or "fan" -> the full spectrum in closed form
-    round_off: dict = field(default_factory=dict)  # a beta -> a relative allowance on values under it and on sigma_beta
 
     def summaries(self, seed):
         return [local_summary(s, self.q) for s in self.build(seed)] if self.q else self.build(seed)
@@ -79,6 +80,15 @@ def nearly_dependent(seed):
     return [s[0], TruncatedEig(s[1].values, near), s[2]]
 
 
+def scaled(c, summaries):
+    return [TruncatedEig(c * s.values, s.vectors) for s in summaries]
+
+
+def padded_shards(seed, c=1.0):
+    # q = 5 exceeds each shard's 3 samples, so every summary ends in exact zeros; c scales the covariance
+    return split_shards(np.sqrt(c) * np.random.default_rng(seed).standard_normal((40, 6)), 2)
+
+
 def commuting(spectra, p, delta=BetaConfig.delta):
     """{beta: full spectrum} of same-axis summaries: per-axis power means (of lam + delta at beta < 0), complements"""
     return {b: np.concatenate([power_mean(np.add(spectra, delta if b < 0 else 0.0), b),
@@ -113,13 +123,21 @@ LAYOUTS = [
     Layout("nearly dependent", nearly_dependent, r=2, seeds=(86,), folds=3, K=9),
     Layout("n_ell > p shards", lambda s: split_shards(np.random.default_rng(s).standard_normal((8, 120)), 3),
            r=2, seeds=(87,), folds=3, q=4),
-    # at beta = 2 the dense oracle returns the eigenvalue 0 as a root of round-off; SpanCore.solve returns 0
-    Layout("rank-padded, q > n_ell", lambda s: split_shards(np.random.default_rng(s).standard_normal((40, 6)), 2),
-           r=3, seeds=(41,), folds=2, q=5, K=10, round_off={2.0: ROOT_OF_ROUND_OFF}),
+    Layout("rank-padded, q > n_ell", padded_shards, r=3, seeds=(41,), folds=2, q=5, K=10),
     Layout("2x2 fan", lambda s: [e_summary([5.0], 2), TruncatedEig(np.array([2.0]), np.ones((2, 1)) / np.sqrt(2.0))],
            r=1, folds=2, exact={"fan": eig2x2(0.75, 0.25, 0.25)[0]}),
     Layout("orthogonal fan", lambda s: [e_summary([9.0], 2), e_summary([1.0], 2, offset=1)], r=1, folds=2,
            lifts=True, warns={"fan": TieWarning, "cv": TieWarning}, exact={"fan": np.full(2, 0.5)}),
+    # at x1e-6 the beta = 0 complement, eigenvalue 1, leads and ties at rank r; at x1e6 beta = -2 passes its
+    # precision floor
+    Layout("random x1e-6", lambda s: scaled(1e-6, randoms(s, 20, 4, 3)), r=3, seeds=(45,), folds=3, lifts=True,
+           K=12, leads=(0.0,), warns={0.0: TieWarning, "cv": TieWarning}),
+    Layout("random x1e6", lambda s: scaled(1e6, randoms(s, 20, 4, 3)), r=3, seeds=(45,), folds=3, K=12,
+           warns={-2.0: PrecisionWarning, "cv": PrecisionWarning}),
+    Layout("rank-padded x1e-6", lambda s: padded_shards(s, 1e-6), r=3, seeds=(41,), folds=2, lifts=True, q=5, K=10,
+           leads=(0.0,), warns={0.0: TieWarning, "cv": TieWarning}),
+    Layout("rank-padded x1e6", lambda s: padded_shards(s, 1e6), r=3, seeds=(41,), folds=2, q=5, K=10,
+           warns={-2.0: PrecisionWarning, "cv": PrecisionWarning}),
 ]
 
 
@@ -136,18 +154,17 @@ def emits(layout, key):
     assert {w.category for w in seen} == ({layout.warns[key]} if key in layout.warns else set())
 
 
-def check(res, sigma, summaries, r, layout, key, tol, root=0.0):
+def check(res, sigma, summaries, r, layout, key, tol):
     """top(k) for k = min(p, K + 2), the leading block and sigma_beta against the dense sigma."""
     p, k_span = res.span_vectors.shape
     k = min(p, k_span + 2)
     top, dense = res.top(k), eig_sym(sigma)
-    lam, slack = dense.values[0], layout.round_off.get(key, 0.0)
+    lam = dense.values[0]
     # top(k) lists span values at or above the complement, then complement directions
     first = min(k, int(np.count_nonzero(res.span_values >= res.complement_value)))
     comp = np.isin(np.arange(k) - first, np.arange(min(k - first, p - k_span)))
-    col_tol = lam * np.select([comp, dense.values[:k] <= slack * lam], [max(tol, root), max(tol, slack)], tol)
-    assert (np.abs(top.values - dense.values[:k]) <= col_tol).all()
-    assert (np.linalg.norm(sigma @ top.vectors - top.vectors * top.values, axis=0) <= col_tol).all()
+    assert np.abs(top.values - dense.values[:k]).max() <= tol * lam
+    assert np.linalg.norm(sigma @ top.vectors - top.vectors * top.values, axis=0).max() <= tol * lam
     assert np.abs(top.vectors.T @ top.vectors - np.eye(k)).max() <= ORTHONORMAL
     assert np.abs(np.hstack([s.vectors for s in summaries]).T @ top.vectors[:, comp]).max(initial=0.0) <= ORTHONORMAL
     assert np.array_equal(top.values[:r], res.leading.values)
@@ -157,7 +174,7 @@ def check(res, sigma, summaries, r, layout, key, tol, root=0.0):
     if layout.warns.get(key) is not TieWarning:  # a tie at rank r leaves the leading span to the tie-break
         assert projector_distance(res.leading.vectors, dense.vectors[:, :r]) <= PROJECTOR
     assert np.array_equal(res.sigma_beta, res.sigma_beta.T)
-    assert np.abs(res.sigma_beta - sigma).max() <= (tol + slack) * np.abs(sigma).max() + root
+    assert np.abs(res.sigma_beta - sigma).max() <= tol * np.abs(sigma).max()
 
 
 @pytest.mark.parametrize("layout, seed, beta", rows(*((b,) for b in BETAS)))
@@ -168,8 +185,24 @@ def test_beta_aggregate(layout, seed, beta):
     assert res.branch == ("positive" if beta > 0 else "limit_zero" if beta == 0 else "negative")
     assert layout.K in (None, res.span_vectors.shape[1])
     assert (res.complement_value in res.leading.values) == (beta in layout.leads)
-    check(res, dense_beta_sigma(summaries, cfg), summaries, layout.r, layout, beta, VALUES,
-          ROOT_OF_ROUND_OFF if beta > 1 else 0.0)
+    check(res, dense_beta_sigma(summaries, cfg), summaries, layout.r, layout, beta, VALUES)
+
+
+@pytest.mark.parametrize("layout, seed, beta", rows(*((b,) for b in BETAS)))
+def test_beta_mean(layout, seed, beta):
+    """beta_mean of the reconstructions against the oracle on the summaries padded to rank p with listed zeros,
+    and at beta != 0 against beta_aggregate.  At beta = 0 the two differ by design: beta_mean takes log of the
+    reconstruction's eigenvalue 0 floored at EIGEN_FLOOR, beta_aggregate gives the complement log 1 = 0."""
+    summaries, cfg = layout.summaries(seed), BetaConfig(beta=beta)
+    p, q = summaries[0].p, summaries[0].q
+    padded = [TruncatedEig(np.append(s.values, np.zeros(p - q)),
+                           np.hstack([s.vectors, complete_basis(s.vectors, p - q)])) for s in summaries]
+    with emits(layout, beta):  # the row declares beta_aggregate's warnings; beta_mean may emit no other
+        got, res = beta_mean([reconstruct(s) for s in summaries], cfg), beta_aggregate(summaries, cfg, layout.r)
+    sigma = dense_beta_sigma(padded, cfg)
+    assert np.abs(got - sigma).max() <= VALUES * np.abs(sigma).max()
+    if beta != 0:
+        assert np.abs(got - res.sigma_beta).max() <= VALUES * np.abs(sigma).max()
 
 
 @pytest.mark.parametrize("layout, seed", rows(where=lambda layout: layout.folds))
@@ -207,5 +240,6 @@ def test_local_summary(layout, seed):
         assert projector_distance(got.vectors[:, :n], want.vectors[:, :n]) <= PROJECTOR
         # beyond n_ell: exact zeros, on directions orthogonal to the samples, in a fixed order
         assert np.array_equal(got.values[n:], np.zeros(layout.q - n))
-        assert np.abs(shard.samples.T @ got.vectors[:, n:]).max(initial=0.0) <= 1e-13
+        x_norm = np.sqrt(lam * shard.n_ell)  # ||X||_2
+        assert np.abs(shard.samples.T @ got.vectors[:, n:]).max(initial=0.0) <= ORTHONORMAL * x_norm
         assert np.array_equal(local_summary(shard, layout.q).vectors, got.vectors)

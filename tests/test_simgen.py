@@ -82,6 +82,8 @@ class TestMakePopulation:
             make_population(10, 50, 10, GAUSSIAN, seed=0)
         with pytest.raises(InvalidInput):
             make_population(10, 50, 2, "cauchy", seed=0)
+        with pytest.raises(InvalidInput, match="n must be positive"):  # the exported law checks its sizes too
+            signal_eigenvalues(5, 0, 2)
 
 
 class TestSampleData:
