@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, IoError, ParseError
-from .linalg import canonical_order, complete_basis, eig_sym, thin_svd
+from .linalg import canonical_order, complete_basis, psd_eig, thin_svd
 
 logger = logging.getLogger(__name__)
 
@@ -114,10 +114,10 @@ def _top_block(values: np.ndarray, vectors: np.ndarray, complement: float, k: in
 
 
 def truncated_eig(m, q: int) -> TruncatedEig:
-    """Top-q eigenpairs of a symmetric matrix; negative values are clamped to 0
-    so rank-deficient covariances stay PSD."""
-    es = eig_sym(m)
-    return _top_block(np.clip(es.values, 0.0, None), es.vectors, 0.0, q)
+    """Top-q eigenpairs of a PSD matrix under psd_eig's rule: NotPSD below its
+    round-off bound, and a value within the bound is exactly 0."""
+    es = psd_eig(m)
+    return _top_block(es.values, es.vectors, 0.0, q)
 
 
 def truncate_summary(summary: TruncatedEig, r: int) -> TruncatedEig:

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from betadpca import (DEFAULT_CANDIDATES, CvSelect, ExperimentSpec, FixedBeta, JobSpec, ParseError, cli,
+from betadpca import (DEFAULT_CANDIDATES, CvSelect, ExperimentSpec, FixedBeta, JobSpec, cli,
                       read_shard, run_local)
 
 CV_KEYS = {"cv_betas", "cv_scores", "cv_per_fold"}
@@ -50,8 +50,6 @@ class TestGenAggregateSelect:
     def test_a_csv_shard_is_rejected_naming_the_magic(self, tmp_path, capsys):
         path = tmp_path / "data.csv"
         path.write_text("x1,x2\n1.0,2.0\n3.0,4.0\n5.0,6.0\n")
-        with pytest.raises(ParseError, match=r"expected the magic b'BDPX'"):
-            read_shard(path)
         assert run_cli("aggregate", str(path), str(path), "--r", "1", "--q", "1") == 2
         assert "expected the magic b'BDPX'" in capsys.readouterr().err
 

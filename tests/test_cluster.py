@@ -26,7 +26,6 @@ from betadpca import (
     IoError,
     JobSpec,
     LocalSummaryMsg,
-    ParseError,
     PrecisionWarning,
     TruncatedEig,
     beta_aggregate,
@@ -48,7 +47,7 @@ from betadpca import (
 )
 from betadpca import cluster
 from betadpca.cluster import FRAME_OVERHEAD
-from helpers import count_lifts, count_span_svds, rand_summary, wrap_frame
+from helpers import count_lifts, count_span_svds, rand_summary
 
 
 def rand_msg(rng, p=None, q=None):
@@ -86,20 +85,11 @@ class TestCodec:
             assert np.array_equal(back.summary.values, msg.summary.values)
             assert np.array_equal(back.summary.vectors, msg.summary.vectors)
 
-    def test_machine_id_must_fit_the_u32_field(self):
-        # 2**32 is InvalidInput at construction, so encode_summary never meets it
+    def test_u32_fields_round_trip_at_their_largest(self):
+        # 2**32 is refused at construction (test_refused_calls.py), so encode_summary never meets it
         summary = rand_summary(np.random.default_rng(94), 5, 2)
-        with pytest.raises(InvalidInput, match="machine_id must lie in 0..4294967295"):
-            LocalSummaryMsg(machine_id=2**32, n_ell=10, summary=summary)
-        msg = LocalSummaryMsg(machine_id=2**32 - 1, n_ell=10, summary=summary)
-        assert decode_summary(encode_summary(msg)).machine_id == 2**32 - 1
-
-    def test_n_ell_must_fit_the_u32_field(self):
-        summary = rand_summary(np.random.default_rng(95), 5, 2)
-        with pytest.raises(InvalidInput, match="n_ell must lie in 1..4294967295"):
-            LocalSummaryMsg(machine_id=1, n_ell=2**32, summary=summary)
-        msg = LocalSummaryMsg(machine_id=1, n_ell=2**32 - 1, summary=summary)
-        assert decode_summary(encode_summary(msg)).n_ell == 2**32 - 1
+        back = decode_summary(encode_summary(LocalSummaryMsg(machine_id=2**32 - 1, n_ell=2**32 - 1, summary=summary)))
+        assert (back.machine_id, back.n_ell) == (2**32 - 1, 2**32 - 1)
 
     def test_base_frame_size_is_exact(self):
         rng = np.random.default_rng(92)
@@ -114,65 +104,6 @@ class TestCodec:
         with pytest.raises(CorruptMessage) as exc_info:
             decode_summary(bytes(frame))
         assert exc_info.value.machine_id == msg.machine_id
-
-    def test_bad_magic(self):
-        rng = np.random.default_rng(94)
-        frame = bytearray(encode_summary(rand_msg(rng, p=4, q=1)))
-        frame[4:8] = b"NOPE"
-        with pytest.raises(ParseError):
-            decode_summary(bytes(frame))
-
-    def test_unknown_version(self):
-        rng = np.random.default_rng(95)
-        frame = bytearray(encode_summary(rand_msg(rng, p=4, q=1)))
-        frame[8:10] = struct.pack("<H", 9)
-        with pytest.raises(ParseError):
-            decode_summary(bytes(frame))
-
-    def test_version_2_frame_rejected(self):
-        # a well-formed frame of the retired bundled-block layout: the rank-q
-        # summary followed by r, values_r and vectors_r, with a valid CRC
-        rng = np.random.default_rng(95)
-        msg = rand_msg(rng, p=4, q=2)
-        block = truncate_summary(msg.summary, 1)
-        payload = encode_summary(msg)[10:-4] + struct.pack("<I", 1)
-        payload += block.values.astype("<f8").tobytes()
-        payload += block.vectors.astype("<f8").tobytes(order="F")
-        with pytest.raises(ParseError, match="unsupported protocol version 2"):
-            decode_summary(wrap_frame(payload, version=2))
-
-    @pytest.mark.parametrize("extra", [-8, 1, 8])
-    def test_payload_must_fit_p_and_q(self, extra):
-        # CRC and length prefix valid, payload a float short or bytes too long
-        rng = np.random.default_rng(95)
-        payload = encode_summary(rand_msg(rng, p=4, q=2))[10:-4]
-        payload = payload[:extra] if extra < 0 else payload + bytes(extra)
-        with pytest.raises(ParseError, match="does not fit"):
-            decode_summary(wrap_frame(payload))
-
-    def test_truncated_frame(self):
-        rng = np.random.default_rng(96)
-        frame = encode_summary(rand_msg(rng, p=4, q=2))
-        with pytest.raises(ParseError):
-            decode_summary(frame[:-5])
-
-    def test_non_orthonormal_payload_rejected_after_crc(self):
-        # hand-build a frame whose CRC is fine but whose vectors are invalid
-        payload = struct.pack("<IIII", 1, 2, 1, 10)
-        payload += np.array([1.0]).astype("<f8").tobytes()
-        payload += np.array([[2.0], [0.0]]).astype("<f8").tobytes(order="F")
-        with pytest.raises(ParseError, match="invalid summary"):
-            decode_summary(wrap_frame(payload))
-
-    def test_huge_vector_entries_rejected_without_a_warning(self):
-        # 1e308 in the vectors would overflow the gram; it is rejected before
-        payload = struct.pack("<IIII", 1, 2, 1, 10)
-        payload += np.array([1.0]).astype("<f8").tobytes()
-        payload += np.array([[1e308], [1e308]]).astype("<f8").tobytes(order="F")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ParseError, match="not orthonormal"):
-                decode_summary(wrap_frame(payload))
 
 
 class TestWorkerRound:
@@ -225,11 +156,6 @@ class TestCoordinatorRound:
         b = coordinator_round(msgs[::-1], self.JOB, expected_ids=(1, 2, 3))
         assert np.array_equal(a.sigma_beta, b.sigma_beta)
         assert np.array_equal(a.leading.vectors, b.leading.vectors)
-
-    def test_rank_mismatch_with_job_rejected(self):
-        msgs = self.msgs(q=3)
-        with pytest.raises(InvalidInput):
-            coordinator_round(msgs, self.JOB, expected_ids=(1, 2, 3))
 
     def test_cv_aggregates_plain_summaries(self):
         msgs = self.msgs(m=4)
@@ -357,25 +283,11 @@ class TestTransports:
         with pytest.raises(ConnectionRefusedError):
             socket.create_connection(addrs[0], timeout=1.0).close()
 
-    def test_listen_rejects_an_empty_round_and_a_taken_port(self):
-        with pytest.raises(InvalidInput):
-            listen("127.0.0.1", 0, 0)
-        with listen("127.0.0.1", 0, 1) as taken:
-            with pytest.raises(IoError, match="cannot bind"):
-                listen("127.0.0.1", taken.getsockname()[1], 1)
-
-    @pytest.mark.parametrize("port", [65536, -5])
-    def test_listen_reports_a_port_out_of_range(self, port):
-        # socket.create_server raises OverflowError here, not OSError
-        with pytest.raises(IoError, match=f"cannot bind 127.0.0.1:{port}"):
-            listen("127.0.0.1", port, 1)
-
-    def test_serve_with_no_workers_raises(self):
-        job = JobSpec(r=1, q=2, beta_mode=FixedBeta(1.0))
+    def test_serve_closes_its_listener_when_no_worker_arrives(self):
         server = listen("127.0.0.1", 0, 1)
-        with pytest.raises(IoError):
-            serve(server, 1, job, timeout=0.2)
-        assert server.fileno() == -1  # closed
+        with contextlib.suppress(IoError):  # the IoError is a row of test_refused_calls.py
+            serve(server, 1, JobSpec(r=1, q=2, beta_mode=FixedBeta(1.0)), timeout=0.2)
+        assert server.fileno() == -1
 
 
 # A raw act plays a bad party on its own loopback connection: it sends data(machine 3's frame), then

@@ -1,11 +1,10 @@
-import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from betadpca import InvalidInput, PerturbationScenario, PreconditionError, tolerance
+from betadpca import PerturbationScenario, tolerance
 from betadpca.aggregation import branch_transform
 from helpers import invariance_check, perturbed_beta_spectrum, rand_scenario, unperturbed_beta_spectrum
 
@@ -150,11 +149,6 @@ class TestTolerance:
         assert rep.lambda_beta[1] == rep.lambda_tilde_l == np.inf
         assert not rep.order_invariant
 
-    def test_degenerate_scenario_rejected(self):
-        flat = np.array([[2.0, 2.0], [2.0, 2.0]])
-        with pytest.raises(PreconditionError):
-            tolerance(scenario(beta=1.0, d_l=1.0, spectra=flat))
-
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 0.0])
     def test_threshold_matches_direct_check(self, beta):
         rng = np.random.default_rng(62)
@@ -164,30 +158,3 @@ class TestTolerance:
             assert (rep.lambda_tilde_l < rep.tau) == rep.order_invariant
             assert rep.order_invariant == invariance_check(sc)
 
-
-class TestScenarioValidation:
-    def test_increasing_row_rejected(self):
-        with pytest.raises(InvalidInput):
-            scenario(beta=1.0, d_l=1.0, spectra=np.array([[1.0, 4.0]]))
-
-    def test_negative_d_rejected(self):
-        with pytest.raises(InvalidInput):
-            scenario(beta=1.0, d_l=-0.5)
-
-    def test_noise_index_must_pass_signal_block(self):
-        with pytest.raises(InvalidInput):
-            scenario(beta=1.0, d_l=1.0, noise_index=0)
-
-    def test_nonpositive_spectrum_rejected(self):
-        with pytest.raises(InvalidInput):
-            scenario(beta=1.0, d_l=1.0, spectra=np.array([[4.0, 0.0]]))
-
-    def test_non_finite_beta_rejected(self):
-        for beta in (np.nan, np.inf, -np.inf):
-            with pytest.raises(InvalidInput, match="finite"):
-                scenario(beta=beta, d_l=1.0)
-
-    def test_replace_revalidates(self):
-        sc = scenario(beta=1.0, d_l=1.0)
-        with pytest.raises(InvalidInput):
-            dataclasses.replace(sc, d_l=-1.0)

@@ -5,7 +5,6 @@ from numpy.testing import assert_allclose
 from betadpca import (
     GAUSSIAN,
     STUDENT_T3,
-    InvalidInput,
     TruncatedEig,
     make_population,
     rho_curve,
@@ -16,7 +15,6 @@ from betadpca import (
     truncate_summary,
     truncated_eig,
 )
-from betadpca.rngs import REPLICATE, child_seed
 from helpers import dense_sample_data
 
 
@@ -47,13 +45,6 @@ class TestMakePopulation:
         assert noise.size == 36
         assert np.all((noise > 0.5) & (noise < 1.5))
 
-    def test_negative_seed_is_invalid_input(self):
-        # rejected by the seed streams themselves, not by numpy's SeedSequence
-        with pytest.raises(InvalidInput, match="seed must be non-negative"):
-            make_population(12, 50, 2, GAUSSIAN, seed=-1)
-        with pytest.raises(InvalidInput, match="seed must be non-negative"):
-            child_seed(-1, REPLICATE, 1)
-
     def test_covariance_consistency(self):
         model = make_population(12, 50, 2, GAUSSIAN, seed=6)
         assert_allclose(model.gamma.T @ model.gamma, np.eye(12), atol=1e-12)
@@ -74,16 +65,6 @@ class TestMakePopulation:
         c = make_population(15, 40, 2, STUDENT_T3, seed=10)
         assert np.array_equal(a.gamma, b.gamma) and np.array_equal(a.lam, b.lam)
         assert not np.array_equal(a.gamma, c.gamma)
-
-    def test_validation(self):
-        with pytest.raises(InvalidInput):
-            make_population(10, 50, 0, GAUSSIAN, seed=0)
-        with pytest.raises(InvalidInput):
-            make_population(10, 50, 10, GAUSSIAN, seed=0)
-        with pytest.raises(InvalidInput):
-            make_population(10, 50, 2, "cauchy", seed=0)
-        with pytest.raises(InvalidInput, match="n must be positive"):  # the exported law checks its sizes too
-            signal_eigenvalues(5, 0, 2)
 
 
 class TestSampleData:
@@ -146,10 +127,6 @@ class TestSplitShards:
         (shard,) = split_shards(x, 1)
         assert shard.n_ell == 4 and shard.machine_id == 1
 
-    def test_more_machines_than_samples_rejected(self):
-        with pytest.raises(InvalidInput):
-            split_shards(np.ones((2, 3)), 4)
-
 
 class TestRhoSimilarity:
     def test_exact_recovery(self):
@@ -183,16 +160,6 @@ class TestRhoSimilarity:
         rhos = [rho_similarity(truncated_eig(cov, k), truth) for k in range(3, 8)]
         assert all(b >= a - 1e-12 for a, b in zip(rhos, rhos[1:]))
 
-    def test_truth_must_be_orthonormal(self):
-        est = truncated_eig(np.eye(4), 2)
-        with pytest.raises(InvalidInput):
-            rho_similarity(est, np.ones((4, 2)))
-
-    def test_estimate_rank_must_cover_truth(self):
-        est = truncated_eig(np.eye(4), 1)
-        with pytest.raises(InvalidInput):
-            rho_similarity(est, np.eye(4)[:, :2])
-
 
 class TestRhoCurve:
     def test_matches_rho_similarity_of_each_prefix(self):
@@ -203,9 +170,3 @@ class TestRhoCurve:
         ks = range(3, 10)
         want = [rho_similarity(truncate_summary(block, k), truth) for k in ks]
         assert rho_curve(block, truth, ks) == want
-
-    @pytest.mark.parametrize("k", [1, 5])
-    def test_k_outside_r_to_q_rejected(self, k):
-        est = truncated_eig(np.eye(6), 4)
-        with pytest.raises(InvalidInput):
-            rho_curve(est, np.eye(6)[:, :2], [2, k])
