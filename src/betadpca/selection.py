@@ -28,7 +28,8 @@ DEFAULT_CANDIDATES = (-1.0, 0.0, 1.0)
 @dataclass(frozen=True)
 class CvPlan:
     """Fold assignment over machine indices 0..m-1 plus the candidate betas;
-    the folds fix the machine count m and the fold count k."""
+    the folds fix the machine count m and the fold count k.  The ranks r and
+    q, when given, need 1 <= r <= q."""
 
     folds: tuple[tuple[int, ...], ...]
     candidate_set: tuple[float, ...]
@@ -45,6 +46,9 @@ class CvPlan:
             raise InvalidInput("candidate_set must be non-empty")
         for b in self.candidate_set:
             finite_beta(b)
+        ranks = [x for x in (1, self.r, self.q) if x is not None]
+        if ranks != sorted(ranks):
+            raise InvalidInput(f"need 1 <= r <= q, got r={self.r}, q={self.q}")
 
     @property
     def m(self) -> int:

@@ -4,6 +4,12 @@ One test per criterion; each prints exactly one `[criterion N] PASS/FAIL`
 line (run with `pytest tests/test_acceptance.py -v -s` to see them live) and
 enforces its runtime budget.  Criteria 6 and 7 share a single pair of
 desk-scale experiment runs.
+
+Each criterion is the widest check of the guarantee it states: it runs on
+inputs at least as varied, and at a tolerance at least as tight, as any unit
+test of the same behaviour.  Where a unit test was stricter, its inputs or
+tolerance are folded in here; the unit test stays as a small check that points
+at the piece that broke.
 """
 
 import dataclasses
@@ -13,6 +19,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from betadpca import (
     BetaConfig,
@@ -23,6 +30,7 @@ from betadpca import (
     GAUSSIAN,
     JobSpec,
     LocalSummaryMsg,
+    PerturbationScenario,
     STUDENT_T3,
     TruncatedEig,
     beta_mean,
@@ -46,7 +54,8 @@ from betadpca import (
     worker_round,
 )
 from betadpca.cluster import FRAME_OVERHEAD
-from helpers import eig2x2, matrix_function, matrix_power, planted_scenario, rand_scenario, rand_spd, rand_summary
+from helpers import (eig2x2, invariance_check, matrix_function, matrix_power, planted_scenario, rand_scenario,
+                     rand_spd, rand_summary)
 
 
 @contextmanager
@@ -66,49 +75,48 @@ def criterion(n: int, desc: str, budget: float | None = None):
 
 
 def test_criterion_1_beta_mean_identities():
-    with criterion(1, "beta-mean branches match scalar closed forms and the "
-                      "2x2 beta=2 oracle at 1e-10", budget=1.0):
-        a, b = np.diag([1.0, 2.0, 3.0]), np.diag([4.0, 5.0, 6.0])
-        da, db = np.diag(a), np.diag(b)
+    with criterion(1, "beta-mean branches match scalar closed forms entrywise on diagonal inputs at 1e-12 "
+                      "relative, the arithmetic mean of non-commuting inputs, and the 2x2 beta=2 oracle",
+                   budget=1.0):
+        delta = 1e-2  # large enough to be visible: the harmonic mean keeps the shift
+        closed_forms = {1.0: lambda x, y: (x + y) / 2.0,
+                        -1.0: lambda x, y: 2.0 / (1.0 / (x + delta) + 1.0 / (y + delta)),
+                        0.0: lambda x, y: np.sqrt(x * y)}
+        # distinct, repeated and swapped eigenvalues; off the diagonal the mean is exactly 0
+        for x, y in [([1.0, 2.0, 3.0], [4.0, 5.0, 6.0]), ([2.0, 2.0], [4.0, 4.0]), ([1.0, 4.0], [4.0, 1.0])]:
+            x, y = np.array(x), np.array(y)
+            for beta, closed in closed_forms.items():
+                got = beta_mean([np.diag(x), np.diag(y)], BetaConfig(beta=beta, delta=delta))
+                assert_allclose(got, np.diag(closed(x, y)), rtol=1e-12, atol=0)
 
-        arith = beta_mean([a, b], BetaConfig(beta=1.0, delta=1e-5))
-        assert np.abs(arith - (a + b) / 2.0).max() <= 1e-10
+        rng = np.random.default_rng(32)
+        mats = [rand_spd(rng, 6) for _ in range(4)]
+        assert_allclose(beta_mean(mats, BetaConfig(beta=1.0)), sum(mats) / 4.0, rtol=1e-10, atol=1e-12)
 
-        delta = 1e-2  # large enough to be visible: the shift is not undone
-        harm = beta_mean([a, b], BetaConfig(beta=-1.0, delta=delta))
-        shifted = 2.0 / (1.0 / (da + delta) + 1.0 / (db + delta))
-        assert np.abs(harm - np.diag(shifted)).max() <= 1e-10
-
-        geo = beta_mean([a, b], BetaConfig(beta=0.0, delta=1e-5))
-        assert np.abs(geo - np.diag(np.sqrt(da * db))).max() <= 1e-10
-
-        # non-commuting beta=2: inputs are square roots of [[7,4],[4,5]] and
-        # diag(7,1), so the averaged square is [[7,2],[2,3]] exactly
-        m1 = matrix_power(np.array([[7.0, 4.0], [4.0, 5.0]]), 0.5)
-        m2 = matrix_power(np.diag([7.0, 1.0]), 0.5)
-        mean2 = beta_mean([m1, m2], BetaConfig(beta=2.0, delta=1e-5))
-        avg_sq = (m1 @ m1 + m2 @ m2) / 2.0
+        # non-commuting beta=2: each pair's averaged square is [[7,2],[2,3]] exactly
         vals, vecs = eig2x2(7.0, 2.0, 3.0)
         assert np.abs(vals - (5.0 + np.array([2.0, -2.0]) * np.sqrt(2.0))).max() <= 1e-10
-        got = np.sort(np.linalg.eigvalsh(avg_sq))[::-1]
-        assert np.abs(got - vals).max() <= 1e-10
         v = np.column_stack(vecs)
         oracle_sqrt = (v * np.sqrt(vals)) @ v.T
-        assert np.abs(mean2 - oracle_sqrt).max() <= 1e-10
+        roots = [matrix_power(np.array([[7.0, 4.0], [4.0, 5.0]]), 0.5), matrix_power(np.diag([7.0, 1.0]), 0.5)]
+        for m1, m2 in [(np.array([[2.0, 1.0], [1.0, 2.0]]), np.diag([3.0, 1.0])), roots]:
+            assert np.abs(np.sort(np.linalg.eigvalsh((m1 @ m1 + m2 @ m2) / 2.0))[::-1] - vals).max() <= 1e-10
+            assert_allclose(beta_mean([m1, m2], BetaConfig(beta=2.0)), oracle_sqrt, rtol=1e-12, atol=0)
 
 
 def test_criterion_2_limit_continuity():
-    with criterion(2, "beta->0 mean and the divergence limits are continuous "
-                      "at 1e-3 relative over 100 random PD pairs", budget=10.0):
+    with criterion(2, "beta->0 mean of two or three inputs and the divergence limits are continuous "
+                      "at 1e-3 relative over 100 random PD draws of dimension 2 to 8", budget=10.0):
         rng = np.random.default_rng(202)
-        for _ in range(100):
-            m1 = rand_spd(rng, 6, lo=0.5, hi=3.0)
-            m2 = rand_spd(rng, 6, lo=0.5, hi=3.0)
+        for i in range(100):
+            p = int(rng.integers(2, 9))
+            mats = [rand_spd(rng, p, lo=0.5, hi=3.0) for _ in range(2 + i % 2)]
 
-            near = beta_mean([m1, m2], BetaConfig(beta=1e-4, delta=1e-5))
-            at0 = beta_mean([m1, m2], BetaConfig(beta=0.0, delta=1e-5))
+            near = beta_mean(mats, BetaConfig(beta=1e-4, delta=1e-5))
+            at0 = beta_mean(mats, BetaConfig(beta=0.0, delta=1e-5))
             assert np.linalg.norm(near - at0) <= 1e-3 * np.linalg.norm(at0)
 
+            m1, m2 = mats[:2]
             d_vn = divergence(m1, m2, 0.0)
             assert abs(divergence(m1, m2, 1e-4) - d_vn) <= 1e-3 * abs(d_vn)
             d_ld = divergence(m1, m2, -1.0)
@@ -129,8 +137,8 @@ def _bregman_gradient(beta, m2):
 
 
 def test_criterion_3_divergence_properties():
-    with criterion(3, "divergence nonnegativity, identity, Bregman expansion, "
-                      "and midpoint convexity over 210 PD instances each", budget=30.0):
+    with criterion(3, "divergence nonnegativity (> 1e-8 between distinct draws), identity, Bregman "
+                      "expansion, and midpoint convexity over 210 PD instances each", budget=30.0):
         rng = np.random.default_rng(303)
         for beta in BETAS:
             for _ in range(30):
@@ -139,7 +147,7 @@ def test_criterion_3_divergence_properties():
                 m2 = rand_spd(rng, p, lo=0.4, hi=3.0)
 
                 d = divergence(m1, m2, beta)
-                assert d >= -1e-10
+                assert d > 1e-8  # distinct random draws separate
                 assert abs(divergence(m1, m1, beta)) <= 1e-10
 
                 grad = _bregman_gradient(beta, m2)
@@ -149,44 +157,50 @@ def test_criterion_3_divergence_properties():
 
                 mid = generating_value((m1 + m2) / 2.0, beta)
                 avg = (generating_value(m1, beta) + generating_value(m2, beta)) / 2.0
-                assert mid <= avg + 1e-10 * (1.0 + abs(avg))
+                assert mid <= avg + 1e-10
 
 
 def test_criterion_4_minimizer_margins():
-    with criterion(4, "beta-mean minimizes the averaged divergence: margins "
-                      ">= 0 in 50 trials x 4 betas x 2 noise scales", budget=30.0):
+    with criterion(4, "beta-mean minimizes the averaged divergence: margins >= 0 in 50 trials x 4 betas "
+                      "x 4 noise scales x 2 input sets", budget=30.0):
         rng = np.random.default_rng(404)
         for beta in (-1.0, 0.0, 0.5, 1.0):
-            for scale in (0.05, 0.5):
-                mats = [rand_spd(rng, 5, lo=0.5, hi=3.0) for _ in range(3)]
-                rep = verify_minimizer(mats, BetaConfig(beta=beta, delta=1e-5),
-                                       trials=50, noise_scale=scale, seed=17)
-                assert rep.all_nonnegative
-                assert rep.min_margin >= 0.0
+            for scale in (0.01, 0.05, 0.1, 0.5):
+                for n_inputs, p in ((3, 5), (5, 6)):
+                    mats = [rand_spd(rng, p, lo=0.5, hi=3.0) for _ in range(n_inputs)]
+                    rep = verify_minimizer(mats, BetaConfig(beta=beta, delta=1e-5),
+                                           trials=50, noise_scale=scale, seed=17)
+                    assert rep.margins.shape == (50,)
+                    assert rep.all_nonnegative
+                    assert rep.min_margin >= 0.0
 
 
 def test_criterion_5_order_invariance_tolerance():
-    with criterion(5, "order invariance <=> perturbation under tolerance "
-                      "(500/500 per beta >= 0); negative-beta invariance up to "
-                      "d_l=1e8 (500/500 per beta)", budget=10.0):
+    with criterion(5, "order invariance <=> perturbation under tolerance <=> the power-mean "
+                      "oracle's order (500/500 per beta >= 0); negative-beta invariance up to "
+                      "d_l=1e8 (502/502 per beta)", budget=10.0):
         for beta in (0.5, 1.0, 2.0, 0.0):
             rng = np.random.default_rng(505 + int(10 * beta))
             hits = 0
             for _ in range(500):
-                rep = tolerance(rand_scenario(rng, beta))
-                hits += (rep.lambda_tilde_l < rep.tau) == rep.order_invariant
+                sc = rand_scenario(rng, beta)
+                rep = tolerance(sc)
+                hits += (rep.lambda_tilde_l < rep.tau) == rep.order_invariant == invariance_check(sc)
             assert hits == 500, f"beta={beta}: equivalence held in {hits}/500"
 
         for beta in (-0.5, -1.0, -2.0):
             rng = np.random.default_rng(515 + int(10 * beta))
+            scenarios = [planted_scenario(rng, beta) for _ in range(500)]
+            # two machines with spectrum (4, 1): the perturbed noise value stays below 2^(-1/beta) <= 4
+            scenarios += [PerturbationScenario([[4.0, 1.0]] * 2, r=1, noise_index=1, d_l=d, beta=beta)
+                          for d in (10.0, 1e6)]
             hits = 0
-            for _ in range(500):
-                sc = planted_scenario(rng, beta)
+            for sc in scenarios:
                 rep = tolerance(sc)
                 rep_hi = tolerance(dataclasses.replace(sc, d_l=1e8))
                 hits += (np.isinf(rep.tau) and np.isnan(rep.lambda_tilde_l)
                          and rep.order_invariant and rep_hi.order_invariant)
-            assert hits == 500, f"beta={beta}: invariance held in {hits}/500"
+            assert hits == len(scenarios), f"beta={beta}: invariance held in {hits}/{len(scenarios)}"
 
 
 @pytest.fixture(scope="module")
@@ -235,8 +249,8 @@ def test_criterion_7_accuracy_curves(desk_runs):
 
 
 def _rand_msg(rng) -> LocalSummaryMsg:
-    p = int(rng.integers(3, 40))
-    q = int(rng.integers(1, min(p, 8) + 1))
+    p = int(rng.integers(3, 42))
+    q = int(rng.integers(1, min(p, 12) + 1))
     return LocalSummaryMsg(machine_id=int(rng.integers(0, 500)),
                            n_ell=int(rng.integers(1, 10_000)),
                            summary=rand_summary(rng, p, q))
@@ -248,9 +262,10 @@ def _same_block(a: TruncatedEig, b: TruncatedEig) -> bool:
 
 
 def test_criterion_8_protocol_correctness():
-    with criterion(8, "codec round-trips 1000 messages bit-exact at the exact "
-                      "frame size; socket and in-process transports agree on 5 "
-                      "seeded jobs with one message per worker", budget=30.0):
+    with criterion(8, "codec round-trips 1000 messages (p <= 41, q <= 12) bit-exact at the exact "
+                      "frame size; socket and in-process transports agree bit for bit, CV scores "
+                      "included, on 5 seeded jobs of 3 or 4 machines with one message per worker",
+                   budget=30.0):
         rng = np.random.default_rng(808)
         assert FRAME_OVERHEAD == 30
         for _ in range(1000):
@@ -262,15 +277,17 @@ def test_criterion_8_protocol_correctness():
             assert _same_block(back.summary, msg.summary)
 
         for seed in range(5):
-            model = make_population(16, 48, 2, GAUSSIAN, seed=seed)
-            shards = split_shards(sample_data(model), 4)
-            mode = FixedBeta(-1.0) if seed % 2 else CvSelect(folds=2, seed=seed)
+            mode, machines = (FixedBeta(-1.0), 3) if seed % 2 else (CvSelect(folds=2, seed=seed), 4)
+            shards = split_shards(sample_data(make_population(16, 48, 2, GAUSSIAN, seed=seed)), machines)
             job = JobSpec(r=2, q=5, beta_mode=mode)
             local = run_local(shards, job)
             sock = run_sockets(shards, job)
             assert sock.sigma_beta.tobytes() == local.sigma_beta.tobytes()
             assert _same_block(sock.leading, local.leading)
             assert sock.beta_used == local.beta_used and sock.branch == local.branch
+            assert (sock.cv is None) == (local.cv is None) == isinstance(mode, FixedBeta)
+            if local.cv is not None:
+                assert sock.cv.scores == local.cv.scores
             assert sock.missing == () and local.missing == ()
 
         # count the traffic by hand: one worker_round -> one send per shard
@@ -289,18 +306,18 @@ def test_criterion_8_protocol_correctness():
 
 
 def test_criterion_9_simulate_determinism(tmp_path):
-    with criterion(9, "fixed-seed simulate runs twice to byte-identical CSVs"):
+    with criterion(9, "fixed-seed simulate runs twice to byte-identical CSVs on gaussian and t3 data"):
         args = ["simulate", "--p", "20", "--n", "40", "--m", "3", "--r", "2",
-                "--q", "4", "--reps", "2", "--seed", "11", "--k-max", "6",
-                "--dist", "t3"]
-        dirs = []
-        for name in ("a", "b"):
-            d = tmp_path / name
-            d.mkdir()
-            assert cli.main(args + ["--out", str(d / "results.csv")]) == 0
-            dirs.append(d)
-        for fname in ("results.csv", "summary_frequencies.csv", "summary_rho.csv"):
-            assert (dirs[0] / fname).read_bytes() == (dirs[1] / fname).read_bytes()
+                "--q", "4", "--reps", "2", "--seed", "11", "--k-max", "6"]
+        for dist in (GAUSSIAN, STUDENT_T3):
+            dirs = []
+            for name in ("a", "b"):
+                d = tmp_path / dist / name
+                d.mkdir(parents=True)
+                assert cli.main(args + ["--dist", dist, "--out", str(d / "results.csv")]) == 0
+                dirs.append(d)
+            for fname in ("results.csv", "summary_frequencies.csv", "summary_rho.csv"):
+                assert (dirs[0] / fname).read_bytes() == (dirs[1] / fname).read_bytes()
 
 
 def test_criterion_10_one_contaminated_machine():

@@ -161,6 +161,8 @@ def refused_calls():
             ("CvPlan: unbalanced", lambda: CvPlan(((0,), (1, 2, 3)), (1.0,)), r"balanced \(differ by at most 1\)"),
             ("CvPlan: no fold", lambda: CvPlan((), (1.0,)), "fold sizes must be balanced"),
             ("CvPlan: no candidate", lambda: CvPlan(((0,), (1,)), ()), "candidate_set must be non-empty"),
+            ("make_folds: r = 0, q = -3", lambda: make_folds(4, 2, seed=0, r=0, q=-3), "need 1 <= r <= q, got r=0"),
+            ("CvPlan: r > q", lambda: CvPlan(((0,), (1,)), (1.0,), r=5, q=2), "need 1 <= r <= q, got r=5, q=2"),
             # simgen and the seed streams (not numpy's SeedSequence error)
             ("make_population: seed=-1", lambda: make_population(12, 50, 2, "gaussian", -1), "seed must be non-neg"),
             ("child_seed: seed=-1", lambda: child_seed(-1, REPLICATE, 1), "seed must be non-negative, got -1"),
