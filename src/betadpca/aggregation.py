@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidInput, PrecisionWarning, TieWarning
 from .linalg import EIGEN_FLOOR, canonical_order, eig_sym, psd_eig, spectral_map, symmetrize, thin_svd
-from .local_pca import TruncatedEig, _top_block, _top_layout, _top_values
+from .local_pca import TruncatedEig, _top_block, _top_order
 
 
 def finite_beta(beta) -> float:
@@ -117,8 +117,8 @@ def beta_mean(inputs: Sequence, cfg: BetaConfig) -> np.ndarray:
         raise InvalidInput("need at least one input matrix")
     if any(es.values.size != systems[0].values.size for es in systems):
         raise InvalidInput("input matrices differ in dimension")
-    summaries = [TruncatedEig(values=es.values, vectors=es.vectors) for es in systems]
-    core = SpanCore.solve(summaries, np.hstack([es.vectors for es in systems]), branch_transform(cfg.beta, cfg.delta))
+    core = SpanCore.solve([es.values for es in systems], np.hstack([es.vectors for es in systems]),
+                          branch_transform(cfg.beta, cfg.delta))
     return symmetrize((core.vectors * core.values) @ core.vectors.T)
 
 
@@ -174,15 +174,6 @@ def branch_transform(b: float, shift: float) -> BranchTransform:
 
 
 PROJECTION_AVERAGE = BranchTransform("projection_average", np.ones_like, 0.0, lambda g: g)
-
-
-def _tie_at(values: np.ndarray, complement: float, p: int, r: int) -> float | None:
-    # The eigenvalue that places r and r + 1 of the full spectrum share, or None
-    # when the rank-r boundary is strict; values are sorted non-increasing.
-    if r >= p:
-        return None
-    top = _top_values(values, complement, _top_layout(values, complement, p, r + 1))
-    return float(top[r - 1]) if top[r - 1] == top[r] else None
 
 
 def span_basis(stacked: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -248,10 +239,9 @@ class SpanCore:
     branch: str
 
     @classmethod
-    def solve(cls, summaries: Sequence[TruncatedEig], coords: np.ndarray,
-              transform: BranchTransform) -> "SpanCore":
-        """Sigma = inverse( (1/m) sum_l transform(M_l) ) for the m summaries V_l = Q B_l,
-        coords = [B_1 ... B_m].
+    def solve(cls, spectra: Sequence[np.ndarray], coords: np.ndarray, transform: BranchTransform) -> "SpanCore":
+        """Sigma = inverse( (1/m) sum_l transform(M_l) ) for the m summaries M_l = V_l diag(lam_l) V_l^T,
+        given as their spectra lam_l (each of rank q) and V_l = Q B_l, coords = [B_1 ... B_m].
 
         The only eigensolve is of the k x k core
 
@@ -268,10 +258,10 @@ class SpanCore:
         inverse.  Cost O(k^2 m q + k^3).
         """
         k = coords.shape[0]
-        w = 1.0 / len(summaries)
+        w = 1.0 / len(spectra)
         c = transform.complement
-        shift = c if k > summaries[0].q else 0.0
-        forward = np.concatenate([transform.forward(s.values) for s in summaries])
+        shift = c if k > spectra[0].size else 0.0
+        forward = np.concatenate([transform.forward(lam) for lam in spectra])
         scale = max(abs(shift), forward.max())
         if transform.name == "negative" and forward.min() < np.finfo(float).eps * scale:
             warnings.warn(
@@ -296,7 +286,7 @@ class SpanCore:
         """
         p = basis.shape[0]
         span_values, vectors = canonical_order(self.values, basis @ self.vectors)
-        tied = _tie_at(span_values, self.complement, p, r)
+        tied = self._top(p, r)[1]
         if tied is not None:
             warnings.warn(
                 f"eigenvalues {r} and {r + 1} of the aggregate coincide "
@@ -316,11 +306,16 @@ class SpanCore:
         The columns' order and signs are the core's, not linalg's convention;
         the projector they give is the leading block's.  p is the ambient dimension.
         """
-        order = np.argsort(-self.values, kind="stable")
-        values = self.values[order]
-        if _top_layout(values, self.complement, p, r)[1] or _tie_at(values, self.complement, p, r) is not None:
+        lead, tied = self._top(p, r)
+        if tied is not None or (lead >= self.values.size).any():
             return None
-        return self.vectors[:, order[:r]]
+        return self.vectors[:, lead]
+
+    def _top(self, p: int, r: int) -> tuple[np.ndarray, float | None]:
+        # Positions of the top r eigenvalues in `values` (one >= k names a complement direction), and
+        # the eigenvalue that places r and r + 1 share, or None when the rank-r boundary is strict.
+        order, top = _top_order(self.values, self.complement, p, min(r + 1, p))
+        return order[:r], (float(top[r - 1]) if r < p and top[r - 1] == top[r] else None)
 
 
 def beta_aggregate(summaries: Sequence[TruncatedEig] | SummarySpan, cfg: BetaConfig, r: int) -> AggregateResult:
@@ -349,8 +344,8 @@ def beta_aggregate(summaries: Sequence[TruncatedEig] | SummarySpan, cfg: BetaCon
     span = SummarySpan.of(summaries)
     if not 1 <= r <= span.q:
         raise InvalidInput(f"need 1 <= r <= q={span.q}, got r={r}")
-    return SpanCore.solve(span.summaries, span.coords, branch_transform(cfg.beta, cfg.delta)).lift(
-        span.basis, r, beta_used=cfg.beta)
+    core = SpanCore.solve([s.values for s in span.summaries], span.coords, branch_transform(cfg.beta, cfg.delta))
+    return core.lift(span.basis, r, beta_used=cfg.beta)
 
 
 def fan_aggregate(summaries: Sequence[TruncatedEig]) -> AggregateResult:
@@ -361,4 +356,4 @@ def fan_aggregate(summaries: Sequence[TruncatedEig]) -> AggregateResult:
     the summaries like beta_aggregate, with forward map 1 and complement 0.
     """
     span = SummarySpan.of(summaries)
-    return SpanCore.solve(span.summaries, span.coords, PROJECTION_AVERAGE).lift(span.basis, span.q)
+    return SpanCore.solve([s.values for s in span.summaries], span.coords, PROJECTION_AVERAGE).lift(span.basis, span.q)

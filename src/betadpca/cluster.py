@@ -33,6 +33,7 @@ import socket
 import struct
 import time
 import zlib
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import ClassVar, Iterable, Sequence
@@ -225,18 +226,23 @@ def coordinator_round(msgs: Sequence[LocalSummaryMsg], job: JobSpec,
                       expected_ids: Iterable[int]) -> AggregateResult:
     """Aggregate the received messages (sorted by machine_id for determinism).
 
-    The messages that _keep accepts are aggregated; every other one, such as
-    a message from a machine not in expected_ids, is dropped with a warning,
-    and InvalidInput is raised if none is kept.  Expected machines with no
-    message kept are listed in the result's `missing` field, and the
-    averaging weight becomes 1/(machines received).
+    The messages that _keep accepts and that have the round's p (the p most of
+    them share, on a tie the lowest machine id's) are aggregated; every other
+    one is dropped with a warning, and InvalidInput is raised if none is kept.
+    Expected machines with no message aggregated are listed in the result's
+    `missing` field, and the averaging weight becomes 1/(machines received).
     """
     expected = frozenset(expected_ids)
     first: dict[int, LocalSummaryMsg] = {}
     for m in msgs:
         _keep(first, m, job, expected)
     msgs = sorted(first.values(), key=lambda m: m.machine_id)
-    missing = tuple(i for i in sorted(expected) if i not in first)
+    for p, _ in Counter(m.p for m in msgs).most_common(1):  # most_common breaks a tie by first appearance
+        for m in msgs:
+            if m.p != p:
+                logger.warning("dropping machine %d's message of p=%d (the round's p=%d)", m.machine_id, m.p, p)
+        msgs = [m for m in msgs if m.p == p]
+    missing = tuple(sorted(expected - {m.machine_id for m in msgs}))
     if missing:
         logger.warning("aggregating without machines %s (%d of %d reported)",
                        missing, len(msgs), len(expected))
@@ -339,10 +345,10 @@ def serve(server: socket.socket, m: int, job: JobSpec,
     """Coordinator side of the TCP transport, on a socket from listen().
 
     Waits up to timeout seconds for a message from each of machines 1..m
-    (one frame per connection), then aggregates those; a frame that _keep drops
-    (another machine's, the wrong rank, overflowing or repeated) does not end the
-    round, and machines 1..m with no message kept are listed as missing.  The
-    listener is closed on every exit, a bad timeout's InvalidInput included.
+    (one frame per connection), then aggregates those as coordinator_round does,
+    missing machines included; a frame that _keep drops (another machine's, the
+    wrong rank, overflowing or repeated) does not end the round.  The listener
+    is closed on every exit, a bad timeout's InvalidInput included.
     """
     expected = range(1, m + 1)
     return coordinator_round(_collect(server, expected, job, timeout), job, expected_ids=expected)

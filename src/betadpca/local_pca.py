@@ -90,27 +90,24 @@ class TruncatedEig:
         return self.values.size
 
 
-def _top_layout(values: np.ndarray, complement: float, p: int, k: int) -> tuple[slice, int, slice]:
-    # The top k of a factored spectrum (`complement` outside the span): span values
-    # `first` (those >= complement), then `n_comp` complement directions, then span values `rest`.
+def _top_order(values: np.ndarray, complement: float, p: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    # The top k of a factored spectrum (span `values`, `complement` on the other p - K directions), as
+    # positions into the values followed by min(k, p - K) complement copies (a position >= K names a
+    # complement direction) and the values there.  The sort is stable, so a tie keeps the given order.
     if not 1 <= k <= p:
         raise InvalidInput(f"need 1 <= k <= p={p}, got k={k}")
-    above = int(np.count_nonzero(values >= complement))
-    head = min(k, above)
-    n_comp = min(k - head, p - values.size)
-    return slice(0, head), n_comp, slice(above, above + k - head - n_comp)
-
-
-def _top_values(values: np.ndarray, complement: float, layout) -> np.ndarray:
-    first, n_comp, rest = layout
-    return np.concatenate([values[first], np.full(n_comp, complement), values[rest]])
+    merged = np.append(values, np.full(min(k, p - values.size), complement))
+    order = np.argsort(-merged, kind="stable")[:k]
+    return order, merged[order]
 
 
 def _top_block(values: np.ndarray, vectors: np.ndarray, complement: float, k: int) -> TruncatedEig:
-    layout = _top_layout(values, complement, vectors.shape[0], k)
-    first, n_comp, rest = layout
-    top_vectors = np.hstack([vectors[:, first], complete_basis(vectors, n_comp), vectors[:, rest]])
-    return TruncatedEig(values=_top_values(values, complement, layout), vectors=top_vectors)
+    order, top_values = _top_order(values, complement, vectors.shape[0], k)
+    comp = order >= values.size
+    top_vectors = np.empty((vectors.shape[0], k))
+    top_vectors[:, ~comp] = vectors[:, order[~comp]]
+    top_vectors[:, comp] = complete_basis(vectors, int(np.count_nonzero(comp)))
+    return TruncatedEig(values=top_values, vectors=top_vectors)
 
 
 def truncated_eig(m, q: int) -> TruncatedEig:

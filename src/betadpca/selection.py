@@ -119,10 +119,10 @@ def select_beta(summaries_q: Sequence[TruncatedEig] | SummarySpan, summaries_r: 
     for j, fold in enumerate(plan.folds):
         train = [i for i in range(plan.m) if i not in fold]
         sub, sub_coords = span_basis(np.hstack([span.coords[:, i * q:(i + 1) * q] for i in train]), p)
-        train_q = [summaries_q[i] for i in train]
+        train_spectra = [summaries_q[i].values for i in train]
         fold_c = np.hstack([span.coords[:, i * q:i * q + r] for i in fold])
         for bi, transform in enumerate(transforms):
-            core = SpanCore.solve(train_q, sub_coords, transform)
+            core = SpanCore.solve(train_spectra, sub_coords, transform)
             lead_c = core.leading_coords(p, r)
             if lead_c is None:
                 lead = core.lift(span.basis @ sub, r).leading.vectors

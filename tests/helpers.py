@@ -3,8 +3,9 @@ oracles (2x2 characteristic polynomial, the divergence family's closed forms,
 the coordinate-wise power mean, scenario builders), the explicit square-root
 sampler, the shard covariance and rank-q reconstruction, the spectral function
 f(M) and power M^beta, the dense p x p aggregation formulas and the per-fold
-CV loop the factored and span paths are checked against, and the explicit tie
-scan that canonical_order's column order is checked against."""
+CV loop the factored and span paths are checked against, the explicit tie
+scan that canonical_order's column order is checked against, and the
+three-segment layout that the top of a factored spectrum is checked against."""
 
 import dataclasses
 import struct
@@ -14,7 +15,7 @@ import numpy as np
 
 from betadpca import (GAUSSIAN, DomainError, InvalidInput, PerturbationScenario, TruncatedEig, aggregation,
                       beta_aggregate, eig_sym, signal_eigenvalues, symmetrize, tolerance, truncated_eig)
-from betadpca.linalg import EIGEN_FLOOR, thin_svd
+from betadpca.linalg import EIGEN_FLOOR, complete_basis, thin_svd
 from betadpca.rngs import DATA, stream
 
 
@@ -83,6 +84,21 @@ def run_scan_order(values, vectors):
         cols[j:k] = sorted(range(j, k), key=lambda c: tuple(vectors[:, c]), reverse=True)
         j = k
     return values[cols], vectors[:, cols]
+
+
+def three_segment_top(values, vectors, complement, k):
+    """The top k of a factored spectrum (span values sorted non-increasing with their p x K vectors,
+    `complement` on the other p - K directions) as the three segments it was built from before one
+    stable sort replaced them: the span values at or above the complement, then complement directions
+    (complete_basis of the span, in order), then the next span values.  Returns the top values and
+    vectors, and how many complement directions they hold."""
+    above = int(np.count_nonzero(values >= complement))
+    head = min(k, above)
+    n_comp = min(k - head, vectors.shape[0] - values.size)
+    rest = slice(above, above + k - head - n_comp)
+    top_values = np.concatenate([values[:head], np.full(n_comp, complement), values[rest]])
+    top_vectors = np.hstack([vectors[:, :head], complete_basis(vectors, n_comp), vectors[:, rest]])
+    return top_values, top_vectors, n_comp
 
 
 def eig2x2(a, b, c):

@@ -7,7 +7,7 @@ import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import attrgetter
 
 import numpy as np
@@ -156,6 +156,13 @@ class TestCoordinatorRound:
         b = coordinator_round(msgs[::-1], self.JOB, expected_ids=(1, 2, 3))
         assert np.array_equal(a.sigma_beta, b.sigma_beta)
         assert np.array_equal(a.leading.vectors, b.leading.vectors)
+
+    def test_tied_p_goes_to_the_lowest_machine_id(self):
+        # machines 1 and 2 share p = 11, 3 and 4 p = 10: in either arrival order the round's p is machine 1's
+        msgs = [replace(m, machine_id=i) for i, m in zip((3, 4, 1, 2), self.msgs(m=2) + self.msgs(m=2, p=11))]
+        for order in (msgs, msgs[::-1]):
+            res = coordinator_round(order, self.JOB, expected_ids=(1, 2, 3, 4))
+            assert res.missing == (3, 4) and res.span_vectors.shape[0] == 11
 
     def test_cv_aggregates_plain_summaries(self):
         msgs = self.msgs(m=4)
@@ -347,6 +354,7 @@ FAULTS = [
     # the coordinator buffers the bytes that arrive, not the 4 GiB that the prefix claims
     Fault("length prefix 2**32-1", (raw(lambda f: b"\xff" * 4 + f[4:12], end="open"), *TWO), TWO, (3,)),
     Fault("wrong q, no retry", ("3 at q=2", *TWO), TWO, (3,), "dropping machine 3's message of rank 2 (job q=3)"),
+    Fault("wrong p", ("3 at p=21", *TWO), TWO, (3,), "dropping machine 3's message of p=21 (the round's p=20)"),
     Fault("values 1e200 at beta=2", ("3 at 1e200", *TWO), TWO, (3,), "machine 3's message: its values overflow"),
     Fault("values 1e200 at beta=1 kept", ("3 at 1e200", *TWO), ("1", "2", "3 at 1e200"), (), beta=1.0),
 ]
@@ -375,6 +383,7 @@ class TestOneBadWorker:
             ("3 at q=2", 3, truncate_summary(three, 2)),
             ("3 at 1e200", 3, TruncatedEig(np.array([1e200, 1e199, 1e198]), three.vectors)),
             ("3'", 3, rand_summary(np.random.default_rng(7), three.p, 3)),  # an impostor
+            ("3 at p=21", 3, rand_summary(np.random.default_rng(7), three.p + 1, 3)),
             ("7", 7, three)]}
 
     @pytest.mark.parametrize("fault, entry, order", fault_cases())

@@ -1,6 +1,8 @@
 """Property tests against independent references: canonical_order's one stable
-sort against the explicit tie scan it replaced (helpers.run_scan_order), and
-the beta < 0 span path against the closed form of axis-aligned summaries."""
+sort against the explicit tie scan it replaced (helpers.run_scan_order), the
+top of a factored spectrum against the three segments it replaced
+(helpers.three_segment_top), and the beta < 0 span path against the closed
+form of axis-aligned summaries."""
 
 import warnings
 
@@ -8,13 +10,15 @@ import numpy as np
 import pytest
 
 from betadpca import BetaConfig, PrecisionWarning, TruncatedEig, beta_aggregate
+from betadpca.aggregation import SpanCore
 from betadpca.linalg import canonical_order
+from betadpca.local_pca import _top_block
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from helpers import run_scan_order  # noqa: E402
+from helpers import rand_orthogonal, run_scan_order, three_segment_top  # noqa: E402
 
 PROPERTY = settings(max_examples=300, derandomize=True, database=None, deadline=None)
 EPS = np.finfo(float).eps
@@ -23,6 +27,10 @@ ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5]), st.floats(
 VALUE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.0]), st.floats(-1e3, 1e3))
 # summary eigenvalues on a log scale up to 1e10: beyond the beta < 0 floor at beta = -1 and -2
 LAMBDA = st.one_of(st.just(0.0), st.floats(-3.0, 10.0).map(lambda e: 10.0 ** e))
+# span values and complements share a small set of levels, so they tie each other often
+LEVEL = st.sampled_from([0.0, 1.0, 2.0, 3.0])
+SPAN_VALUE = st.one_of(LEVEL, st.floats(0.0, 3.0))
+COMPLEMENT = st.one_of(LEVEL, st.floats(0.0, 4.0))
 
 
 @st.composite
@@ -43,6 +51,39 @@ def test_canonical_order_matches_the_run_scan_bit_for_bit(pairs):
     want = run_scan_order(*pairs)
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].tobytes() == want[1].tobytes()
+
+
+@st.composite
+def factored_spectra(draw):
+    """K <= p span values sorted non-increasing, with repeats, an orthonormal p x K basis for them,
+    a complement that lies above, among (or equal to some of) or below them, and the order in which
+    a SpanCore holds the values, which need not be sorted."""
+    p = draw(st.integers(1, 7))
+    k = draw(st.integers(1, p))
+    values = np.array(sorted(draw(st.lists(SPAN_VALUE, min_size=k, max_size=k)), reverse=True))
+    basis = rand_orthogonal(np.random.default_rng(draw(st.integers(0, 2**16))), p)[:, :k]
+    return values, basis, draw(COMPLEMENT), draw(st.permutations(range(k)))
+
+
+@PROPERTY
+@given(factored_spectra())
+def test_top_of_a_factored_spectrum_matches_the_three_segments(spectrum):
+    # _top_block against the oracle bit for bit at every k, and leading_coords at every r: None exactly
+    # when the oracle's top r holds a complement direction or ties at r, else the core's top r columns
+    values, basis, complement, held = spectrum
+    p, k = basis.shape
+    core = SpanCore(values=values[held], vectors=np.eye(k)[:, held], complement=complement, branch="positive")
+    for top in range(1, p + 1):
+        got = _top_block(values, basis, complement, top)
+        want_values, want_vectors, n_comp = three_segment_top(values, basis, complement, top)
+        assert got.values.tobytes() == want_values.tobytes()
+        assert got.vectors.tobytes() == want_vectors.tobytes()
+        next_values = three_segment_top(values, basis, complement, top + 1)[0] if top < p else None
+        tied = next_values is not None and next_values[top - 1] == next_values[top]
+        lead = core.leading_coords(p, top)
+        assert (lead is None) == (n_comp > 0 or tied)
+        if lead is not None:
+            assert np.array_equal(lead, core.vectors[:, np.argsort(-core.values, kind="stable")[:top]])
 
 
 @st.composite
