@@ -204,44 +204,46 @@ def _overflows(values: np.ndarray, job: JobSpec) -> bool:
         return not all(np.isfinite(branch_transform(b, job.delta).forward(values)).all() for b in job.betas)
 
 
-def _keep(first: dict[int, LocalSummaryMsg], msg: LocalSummaryMsg, job: JobSpec,
+def _keep(kept: dict[tuple[int, int], LocalSummaryMsg], msg: LocalSummaryMsg, job: JobSpec,
           expected: frozenset[int]) -> None:
-    """Add msg to first (keyed by machine id) if the round keeps it: it is from
-    an expected machine, has the job's rank q and values that no beta of the job
-    overflows, and is that machine's first such message in arrival order (a
-    retried send counts once).  Others are dropped with a warning naming the machine."""
+    """Keep msg under (machine id, p), in arrival order, if it is from an expected machine, has the job's
+    rank q, overflows no beta of the job and is its machine's first at its p; else warn, naming the machine."""
     if msg.machine_id not in expected:
         logger.warning("dropping a message from unexpected machine %d", msg.machine_id)
     elif msg.q != job.q:
         logger.warning("dropping machine %d's message of rank %d (job q=%d)", msg.machine_id, msg.q, job.q)
     elif _overflows(msg.summary.values, job):
         logger.warning("dropping machine %d's message: its values overflow the job's beta map", msg.machine_id)
-    elif msg.machine_id in first:
+    elif (msg.machine_id, msg.p) in kept:
         logger.warning("dropping a repeated message from machine %d", msg.machine_id)
     else:
-        first[msg.machine_id] = msg
+        kept[msg.machine_id, msg.p] = msg
+
+
+def _at_round_p(kept: dict[tuple[int, int], LocalSummaryMsg]) -> list[LocalSummaryMsg]:
+    """The kept messages of the round's p, by machine id: the p most machines sent, on a tie the lowest id's first."""
+    by_id = sorted(kept.values(), key=lambda m: m.machine_id)  # stable: each machine's messages keep arrival order
+    return [m for p, _ in Counter(m.p for m in by_id).most_common(1) for m in by_id if m.p == p]  # a tie: first seen
 
 
 def coordinator_round(msgs: Sequence[LocalSummaryMsg], job: JobSpec,
                       expected_ids: Iterable[int]) -> AggregateResult:
     """Aggregate the received messages (sorted by machine_id for determinism).
 
-    The messages that _keep accepts and that have the round's p (the p most of
-    them share, on a tie the lowest machine id's) are aggregated; every other
-    one is dropped with a warning, and InvalidInput is raised if none is kept.
+    _keep keeps each machine's first message at each p, and the kept ones of
+    the round's p (_at_round_p: the p most machines sent, on a tie the lowest
+    machine id's first) are aggregated; every other one is dropped with a
+    warning, and InvalidInput is raised if none is kept.
     Expected machines with no message aggregated are listed in the result's
     `missing` field, and the averaging weight becomes 1/(machines received).
     """
     expected = frozenset(expected_ids)
-    first: dict[int, LocalSummaryMsg] = {}
+    kept: dict[tuple[int, int], LocalSummaryMsg] = {}
     for m in msgs:
-        _keep(first, m, job, expected)
-    msgs = sorted(first.values(), key=lambda m: m.machine_id)
-    for p, _ in Counter(m.p for m in msgs).most_common(1):  # most_common breaks a tie by first appearance
-        for m in msgs:
-            if m.p != p:
-                logger.warning("dropping machine %d's message of p=%d (the round's p=%d)", m.machine_id, m.p, p)
-        msgs = [m for m in msgs if m.p == p]
+        _keep(kept, m, job, expected)
+    msgs = _at_round_p(kept)
+    for m in [m for m in kept.values() if m.p != msgs[0].p]:
+        logger.warning("dropping machine %d's message of p=%d (the round's p=%d)", m.machine_id, m.p, msgs[0].p)
     missing = tuple(sorted(expected - {m.machine_id for m in msgs}))
     if missing:
         logger.warning("aggregating without machines %s (%d of %d reported)",
@@ -287,17 +289,18 @@ def _frame_size(buf: bytearray) -> int:
 
 def _collect(server: socket.socket, expected_ids: Iterable[int], job: JobSpec,
              timeout: float) -> list[LocalSummaryMsg]:
-    """Read frames until every expected machine has one that the round keeps
-    (see _keep), or until timeout; returns the kept messages in arrival order
-    and closes the listener and every connection.  IoError if none was kept."""
+    """Read frames until every expected machine has a kept message (_keep) of the
+    round's p (_at_round_p), or until timeout; returns every kept message in arrival
+    order and closes the listener and every connection.  IoError if none was kept."""
     expected = frozenset(expected_ids)
-    first: dict[int, LocalSummaryMsg] = {}
+    kept: dict[tuple[int, int], LocalSummaryMsg] = {}
     with server, selectors.DefaultSelector() as sel:
         _check_timeout(timeout)  # inside the with: a bad timeout still closes the listener
         deadline = time.monotonic() + timeout
         sel.register(server, selectors.EVENT_READ)
-        # a stray, wrong-rank or repeated frame is not kept, so it cannot end the round
-        while len(first) < len(expected) and (remaining := deadline - time.monotonic()) > 0:
+        # a stray, wrong-rank, wrong-p or repeated frame cannot end the round; the p rule runs once enough are kept
+        while (len(kept) < len(expected) or len(_at_round_p(kept)) < len(expected)) and \
+                (remaining := deadline - time.monotonic()) > 0:
             for key, _ in sel.select(remaining):
                 if key.fileobj is server:
                     conn, _addr = server.accept()
@@ -312,7 +315,7 @@ def _collect(server: socket.socket, expected_ids: Iterable[int], job: JobSpec,
                     buf += chunk
                     if len(buf) < _frame_size(buf):
                         continue
-                    _keep(first, decode_summary(buf), job, expected)
+                    _keep(kept, decode_summary(buf), job, expected)
                 except BlockingIOError:  # a spurious wakeup: nothing to read yet
                     continue
                 except (CorruptMessage, ParseError, OSError) as exc:  # OSError: reset or closed mid-frame
@@ -321,9 +324,9 @@ def _collect(server: socket.socket, expected_ids: Iterable[int], job: JobSpec,
                 conn.close()
         for key in sel.get_map().values():  # silent or stalled connections, and the listener: the round is over
             key.fileobj.close()
-    if not first:
+    if not kept:
         raise IoError(f"no usable worker message arrived within {timeout:g}s")
-    return list(first.values())
+    return list(kept.values())
 
 
 def listen(host: str, port: int, m: int) -> socket.socket:
@@ -344,11 +347,11 @@ def serve(server: socket.socket, m: int, job: JobSpec,
           timeout: float = DEFAULT_TIMEOUT_SECS) -> AggregateResult:
     """Coordinator side of the TCP transport, on a socket from listen().
 
-    Waits up to timeout seconds for a message from each of machines 1..m
-    (one frame per connection), then aggregates those as coordinator_round does,
-    missing machines included; a frame that _keep drops (another machine's, the
-    wrong rank, overflowing or repeated) does not end the round.  The listener
-    is closed on every exit, a bad timeout's InvalidInput included.
+    Waits up to timeout seconds until each of machines 1..m has a message of the
+    round's p (one frame per connection), then aggregates as coordinator_round does,
+    missing machines included; a stray, wrong-rank, wrong-p, overflowing or repeated
+    frame does not end the round, and a retry after it counts.  The listener is
+    closed on every exit, a bad timeout's InvalidInput included.
     """
     expected = range(1, m + 1)
     return coordinator_round(_collect(server, expected, job, timeout), job, expected_ids=expected)
@@ -358,9 +361,10 @@ def send_summary(host: str, port: int, msg: LocalSummaryMsg,
                  timeout: float = DEFAULT_TIMEOUT_SECS) -> int:
     """Worker side of the TCP transport: one connection, one frame.
 
-    Retries connection refusals briefly so workers may start slightly before
-    the coordinator.  timeout bounds each connect and send (InvalidInput, before
-    any connect, unless in (0, MAX_TIMEOUT_SECS]).  Returns the bytes sent.
+    Retries only a refused connection (CONNECT_RETRIES times, so workers may start
+    slightly before the coordinator); any other OSError, a timeout or a reset, raises
+    IoError at once.  timeout bounds each connect and send (InvalidInput, before any
+    connect, unless in (0, MAX_TIMEOUT_SECS]).  Returns the bytes sent.
     """
     _check_timeout(timeout)
     frame = encode_summary(msg)
@@ -372,7 +376,7 @@ def send_summary(host: str, port: int, msg: LocalSummaryMsg,
             return len(frame)
         except OSError as exc:
             attempt += 1
-            if attempt > CONNECT_RETRIES:
+            if not isinstance(exc, ConnectionRefusedError) or attempt > CONNECT_RETRIES:
                 raise IoError(f"cannot deliver summary to {host}:{port}: {exc}") from exc
             time.sleep(CONNECT_BACKOFF_SECS)
 

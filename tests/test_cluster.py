@@ -164,6 +164,17 @@ class TestCoordinatorRound:
             res = coordinator_round(order, self.JOB, expected_ids=(1, 2, 3, 4))
             assert res.missing == (3, 4) and res.span_vectors.shape[0] == 11
 
+    def test_a_machine_of_two_p_ties_by_its_first_message(self):
+        # machine 1 sends p = 11 then p = 10, or the reverse; 2 sends p = 10 and 3 p = 11: each p has two
+        # machines, so the round's p is machine 1's first, wherever 2 and 3 arrive
+        ten, eleven = self.msgs(m=3), self.msgs(m=3, p=11)
+        for first, then, kept, missing in [(eleven, ten, eleven[::2], (2,)), (ten, eleven, ten[:2], (3,))]:
+            want = coordinator_round(kept, self.JOB, expected_ids=(1, 2, 3))
+            for order in ([first[0], then[0], ten[1], eleven[2]], [eleven[2], first[0], ten[1], then[0]]):
+                res = coordinator_round(order, self.JOB, expected_ids=(1, 2, 3))
+                assert res.missing == want.missing == missing
+                assert np.array_equal(res.span_vectors, want.span_vectors)
+
     def test_cv_aggregates_plain_summaries(self):
         msgs = self.msgs(m=4)
         job = JobSpec(r=2, q=4, beta_mode=CvSelect(folds=2, seed=0))
@@ -290,6 +301,23 @@ class TestTransports:
         with pytest.raises(ConnectionRefusedError):
             socket.create_connection(addrs[0], timeout=1.0).close()
 
+    @pytest.mark.parametrize("error, attempts", [(TimeoutError, 1), (ConnectionResetError, 1),
+                                                 (ConnectionRefusedError, cluster.CONNECT_RETRIES + 1)])
+    def test_send_summary_retries_only_a_refused_connection(self, error, attempts, monkeypatch):
+        calls, sleeps = [], []
+
+        def fail(address, timeout=None):
+            calls.append(address)
+            raise error("no coordinator")
+
+        monkeypatch.setattr(socket, "create_connection", fail)
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        msg = worker_round(gaussian_shards(m=1)[0][0], 3)
+        with pytest.raises(IoError, match="cannot deliver summary to 127.0.0.1:9: no coordinator"):
+            send_summary("127.0.0.1", 9, msg, timeout=1.0)
+        assert len(calls) == attempts
+        assert sleeps == [cluster.CONNECT_BACKOFF_SECS] * (attempts - 1)
+
     def test_serve_closes_its_listener_when_no_worker_arrives(self):
         server = listen("127.0.0.1", 0, 1)
         with contextlib.suppress(IoError):  # the IoError is a row of test_refused_calls.py
@@ -355,6 +383,7 @@ FAULTS = [
     Fault("length prefix 2**32-1", (raw(lambda f: b"\xff" * 4 + f[4:12], end="open"), *TWO), TWO, (3,)),
     Fault("wrong q, no retry", ("3 at q=2", *TWO), TWO, (3,), "dropping machine 3's message of rank 2 (job q=3)"),
     Fault("wrong p", ("3 at p=21", *TWO), TWO, (3,), "dropping machine 3's message of p=21 (the round's p=20)"),
+    Fault("wrong p then a retry", ("3 at p=21", "1", "3", "2"), GOOD, (), "machine 3's message of p=21 (the round's p=20)"),
     Fault("values 1e200 at beta=2", ("3 at 1e200", *TWO), TWO, (3,), "machine 3's message: its values overflow"),
     Fault("values 1e200 at beta=1 kept", ("3 at 1e200", *TWO), ("1", "2", "3 at 1e200"), (), beta=1.0),
 ]
@@ -369,8 +398,9 @@ def fault_cases():
 
 
 class TestOneBadWorker:
-    """No single bad party hangs or aborts a round: it ends within its deadline,
-    aggregates exactly what a round of the kept messages alone does, and a
+    """No single bad party hangs or aborts a round: it ends within its deadline
+    (before it when no machine is missing; serve waits for a missing one until
+    it), aggregates exactly what a round of the kept messages alone does, and a
     warning names the dropped party."""
 
     DEADLINE = 0.4
@@ -406,6 +436,7 @@ class TestOneBadWorker:
             elapsed = time.monotonic() - start
         assert elapsed <= self.DEADLINE + 0.5
         assert fault.missing or elapsed < self.DEADLINE
+        assert not fault.missing or entry != "serve" or elapsed >= self.DEADLINE  # a missing machine is waited for
         assert res.missing == fault.missing
         for line in (fault.drop, fault.missing and f"aggregating without machines {fault.missing}"):
             assert not line or line in caplog.text
