@@ -11,7 +11,7 @@ from .aggregation import AggregateResult, BetaConfig, SummarySpan, beta_aggregat
 from .cluster import (CvSelect, FixedBeta, JobSpec, LocalSummaryMsg, coordinator_round,
                       decode_summary, encode_summary, listen, resolve_beta, run_local, run_sockets,
                       send_summary, serve, worker_round)
-from .divergence import MinimizerReport, divergence, generating_value, verify_minimizer
+from .divergence import MinimizerReport, divergence, verify_minimizer
 from .errors import (ConvergenceError, CorruptMessage, DomainError, InvalidInput, IoError,
                      NotPSD, ParseError, PrecisionWarning, PreconditionError, TieWarning)
 from .experiment import CSV_HEADER, METHODS, ExperimentResult, ExperimentSpec, run_and_write, run_experiment
@@ -30,7 +30,7 @@ __all__ = [
     "CvSelect", "FixedBeta", "JobSpec", "LocalSummaryMsg", "coordinator_round",
     "decode_summary", "encode_summary", "listen", "resolve_beta", "run_local", "run_sockets",
     "send_summary", "serve", "worker_round",
-    "MinimizerReport", "divergence", "generating_value", "verify_minimizer",
+    "MinimizerReport", "divergence", "verify_minimizer",
     "ConvergenceError", "CorruptMessage", "DomainError", "InvalidInput", "IoError",
     "NotPSD", "ParseError", "PrecisionWarning", "PreconditionError", "TieWarning",
     "CSV_HEADER", "METHODS", "ExperimentResult", "ExperimentSpec", "run_and_write", "run_experiment",

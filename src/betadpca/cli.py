@@ -86,7 +86,7 @@ def _build_job(args, m: int) -> cluster.JobSpec:
     """The job for a round of m machines; InvalidInput if it cannot run."""
     if args.beta == "cv":
         mode = cluster.CvSelect(folds=args.cv_folds, seed=args.cv_seed)
-        make_folds(m, mode.folds, mode.seed)  # CV needs two machines: say so now, not after the round
+        make_folds(m, mode.folds, mode.seed, r=args.r, q=args.q)  # CV needs two machines, r <= q: say so now
     else:
         mode = cluster.FixedBeta(beta=args.beta)
     return cluster.JobSpec(r=args.r, q=args.q, beta_mode=mode, delta=args.delta)

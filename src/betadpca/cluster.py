@@ -58,6 +58,8 @@ MAX_TIMEOUT_SECS = 1e6
 # send_summary retries a refused connection this often, this many seconds apart
 CONNECT_RETRIES = 5
 CONNECT_BACKOFF_SECS = 0.2
+# a machine id holds kept messages at this many p values at most: a wrong p and its retry
+MAX_P_PER_MACHINE = 2
 
 
 def valid_port(port: int) -> bool:
@@ -206,8 +208,8 @@ def _overflows(values: np.ndarray, job: JobSpec) -> bool:
 
 def _keep(kept: dict[tuple[int, int], LocalSummaryMsg], msg: LocalSummaryMsg, job: JobSpec,
           expected: frozenset[int]) -> None:
-    """Keep msg under (machine id, p), in arrival order, if it is from an expected machine, has the job's
-    rank q, overflows no beta of the job and is its machine's first at its p; else warn, naming the machine."""
+    """Keep msg under (machine id, p), in arrival order, if it is from an expected machine, has the job's rank q,
+    overflows no beta of the job, is its machine's first at its p and among its first MAX_P_PER_MACHINE p; else warn."""
     if msg.machine_id not in expected:
         logger.warning("dropping a message from unexpected machine %d", msg.machine_id)
     elif msg.q != job.q:
@@ -216,6 +218,9 @@ def _keep(kept: dict[tuple[int, int], LocalSummaryMsg], msg: LocalSummaryMsg, jo
         logger.warning("dropping machine %d's message: its values overflow the job's beta map", msg.machine_id)
     elif (msg.machine_id, msg.p) in kept:
         logger.warning("dropping a repeated message from machine %d", msg.machine_id)
+    elif sum(i == msg.machine_id for i, _ in kept) >= MAX_P_PER_MACHINE:
+        logger.warning("dropping machine %d's message of p=%d: it already has %d other p kept",
+                       msg.machine_id, msg.p, MAX_P_PER_MACHINE)
     else:
         kept[msg.machine_id, msg.p] = msg
 
@@ -291,9 +296,11 @@ def _collect(server: socket.socket, expected_ids: Iterable[int], job: JobSpec,
              timeout: float) -> list[LocalSummaryMsg]:
     """Read frames until every expected machine has a kept message (_keep) of the
     round's p (_at_round_p), or until timeout; returns every kept message in arrival
-    order and closes the listener and every connection.  IoError if none was kept."""
+    order and closes the listener and every connection.  IoError if none was kept.
+    A failed accept (EMFILE, ENFILE, ECONNABORTED) is logged once and costs only its connection."""
     expected = frozenset(expected_ids)
     kept: dict[tuple[int, int], LocalSummaryMsg] = {}
+    accept_failed = False
     with server, selectors.DefaultSelector() as sel:
         _check_timeout(timeout)  # inside the with: a bad timeout still closes the listener
         deadline = time.monotonic() + timeout
@@ -303,7 +310,14 @@ def _collect(server: socket.socket, expected_ids: Iterable[int], job: JobSpec,
                 (remaining := deadline - time.monotonic()) > 0:
             for key, _ in sel.select(remaining):
                 if key.fileobj is server:
-                    conn, _addr = server.accept()
+                    try:
+                        conn, _addr = server.accept()
+                    except OSError as exc:
+                        if not accept_failed:
+                            logger.warning("cannot accept a connection, polling the listener again: %s", exc)
+                        accept_failed = True
+                        time.sleep(0.005)  # poll again once a descriptor may be free, not in a busy loop
+                        continue
                     conn.setblocking(False)
                     sel.register(conn, selectors.EVENT_READ, bytearray())
                     continue
@@ -381,22 +395,21 @@ def send_summary(host: str, port: int, msg: LocalSummaryMsg,
             time.sleep(CONNECT_BACKOFF_SECS)
 
 
-def run_sockets(shards: Sequence[DataShard], job: JobSpec, timeout: float = DEFAULT_TIMEOUT_SECS) -> AggregateResult:
+def run_sockets(shards: Sequence[DataShard], job: JobSpec) -> AggregateResult:
     """Drive a full round over loopback TCP: bind a free port, collect on one pool
     thread, send one frame per shard from the caller.  Functionally
     identical to run_local.
 
-    A failed send raises once the collection has ended (at the latest at the
-    deadline), so no thread or listener outlives the call.  A bad timeout
-    raises InvalidInput before anything is bound.
+    The round's deadline and each send's timeout are DEFAULT_TIMEOUT_SECS, read at
+    call time.  A failed send raises once the collection has ended (at the latest
+    at the deadline), so no thread or listener outlives the call.
     """
-    _check_timeout(timeout)
     server = listen("127.0.0.1", 0, len(shards))
     bound = server.getsockname()[:2]
     expected = [s.machine_id for s in shards]
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="bdpca-coordinator") as pool:
-        collected = pool.submit(_collect, server, expected, job, timeout)
+        collected = pool.submit(_collect, server, expected, job, DEFAULT_TIMEOUT_SECS)
         for shard in shards:
-            send_summary(*bound, worker_round(shard, job.q), timeout=timeout)
+            send_summary(*bound, worker_round(shard, job.q), timeout=DEFAULT_TIMEOUT_SECS)
         msgs = collected.result()
     return coordinator_round(msgs, job, expected_ids=expected)

@@ -1,7 +1,7 @@
 """The matrix beta-divergence family on PSD matrices, indexed by beta alone:
-the Bregman divergence of one scalar generator phi_beta, with beta = 0 the
-von Neumann limit and beta = -1 the log-determinant limit.  Also a numerical
-check that the matrix beta-mean minimizes the averaged divergence.
+the Bregman divergence of tr phi_beta for one scalar generator phi_beta (not
+exported), with beta = 0 the von Neumann and beta = -1 the log-det limit.
+Also a numerical check that the matrix beta-mean minimizes the averaged divergence.
 
 Unlike the aggregation module, nothing here floors eigenvalues silently: a
 slot that needs a log or an inverse raises DomainError when the spectrum dips
@@ -44,24 +44,11 @@ def _phi_prime(lam: np.ndarray, b: float) -> np.ndarray:
     return np.log(lam) if b == 0.0 else (lam ** b - 1.0) / b
 
 
-def generating_value(m, beta: float) -> float:
-    """The strictly convex generating functional tr phi_beta(M) behind the divergence.
-
-    phi_beta(lam) = (lam^(beta+1) - (beta+1) lam + beta) / (beta (beta+1)),
-    with the limits lam log lam - lam + 1 at beta = 0 (von Neumann) and
-    -log lam + lam - 1 at beta = -1 (log-det).  M must be positive definite
-    for beta < -1 and at both limits, PSD otherwise.
-    """
-    b = finite_beta(beta)
-    vals, _ = _spectrum(m, need_pd=b < -1 or b in (0.0, -1.0), side="M")
-    return float(np.sum(_phi(vals, b)))
-
-
 def divergence(m1, m2, beta: float) -> float:
     """Matrix beta-divergence D(M1, M2); M1 plays the data slot, M2 the model.
 
-    The Bregman divergence of the generator phi_beta of generating_value
-    (Dhillon & Tropp 2007):
+    The Bregman divergence of tr phi_beta(M), phi_beta(lam) = (lam^(beta+1)
+    - (beta+1) lam + beta) / (beta (beta+1)) and its limits (Dhillon & Tropp 2007):
 
         D(M1, M2) = tr phi(M1) - tr phi(M2) - tr(phi'(M2) (M1 - M2)),
 

@@ -32,10 +32,10 @@ def check_u32(name: str, value, low: int = 0) -> int:
 
 @dataclass(frozen=True, eq=False)
 class DataShard:
-    """One machine's slice of the sample-partitioned data, one sample per column."""
+    """One machine's slice of the sample-partitioned data, one sample per column, and its machine id (u32)."""
 
     samples: np.ndarray  # (p, n_ell)
-    machine_id: int = 1
+    machine_id: int
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=float)

@@ -27,14 +27,14 @@ DEFAULT_CANDIDATES = (-1.0, 0.0, 1.0)
 
 @dataclass(frozen=True)
 class CvPlan:
-    """Fold assignment over machine indices 0..m-1 plus the candidate betas;
-    the folds fix the machine count m and the fold count k.  The ranks r and
-    q, when given, need 1 <= r <= q."""
+    """Fold assignment over machine indices 0..m-1, the candidate betas, and the
+    target rank r and summary rank q (1 <= r <= q) that select_beta checks its
+    summaries against; the folds fix the machine count m and the fold count k."""
 
     folds: tuple[tuple[int, ...], ...]
     candidate_set: tuple[float, ...]
-    r: int | None = None
-    q: int | None = None
+    r: int
+    q: int
 
     def __post_init__(self):
         if sorted(i for fold in self.folds for i in fold) != list(range(self.m)):
@@ -46,8 +46,7 @@ class CvPlan:
             raise InvalidInput("candidate_set must be non-empty")
         for b in self.candidate_set:
             finite_beta(b)
-        ranks = [x for x in (1, self.r, self.q) if x is not None]
-        if ranks != sorted(ranks):
+        if not 1 <= self.r <= self.q:
             raise InvalidInput(f"need 1 <= r <= q, got r={self.r}, q={self.q}")
 
     @property
@@ -60,8 +59,8 @@ class CvPlan:
 
 
 def make_folds(m: int, k: int, seed: int, *, candidate_set: Sequence[float] = DEFAULT_CANDIDATES,
-               r: int | None = None, q: int | None = None) -> CvPlan:
-    """Shuffle machine indices with the plan seed, then chunk contiguously.
+               r: int, q: int) -> CvPlan:
+    """Shuffle machine indices with the plan seed, then chunk contiguously; r and q are the round's ranks.
 
     With m <= k the plan degenerates to leave-one-out (k becomes m).
     """
@@ -105,10 +104,10 @@ def select_beta(summaries_q: Sequence[TruncatedEig] | SummarySpan, summaries_r: 
     if len(summaries_q) != plan.m or len(summaries_r) != plan.m:
         raise InvalidInput(f"plan covers {plan.m} machines, got {len(summaries_q)}/{len(summaries_r)}")
     r = summaries_r[0].q
-    if plan.r is not None and plan.r != r:
+    if plan.r != r:
         raise InvalidInput(f"plan expects rank r={plan.r}, validation summaries have {r}")
     p, q = summaries_q[0].p, summaries_q[0].q
-    if plan.q is not None and plan.q != q:
+    if plan.q != q:
         raise InvalidInput(f"plan expects rank q={plan.q}, training summaries have {q}")
     if not all(np.array_equal(v.vectors, s.vectors[:, :r]) for v, s in zip(summaries_r, summaries_q)):
         raise InvalidInput(f"each validation summary must be the leading r={r} columns of its machine's summary")

@@ -1,9 +1,10 @@
 """Shared test fixtures: random SPD generators, independent closed-form
-oracles (2x2 characteristic polynomial, the divergence family's closed forms,
-the coordinate-wise power mean, scenario builders), the explicit square-root
-sampler, the shard covariance and rank-q reconstruction, the spectral function
-f(M) and power M^beta, the dense p x p aggregation formulas and the per-fold
-CV loop the factored and span paths are checked against, the explicit tie
+oracles (2x2 characteristic polynomial, the divergence family's closed forms
+and its generator tr phi_beta, the coordinate-wise power mean, scenario
+builders), the explicit square-root sampler, the shard covariance and rank-q
+reconstruction, the spectral function f(M) and power M^beta, the dense p x p
+aggregation formulas and the per-fold CV loop the factored and span paths are
+checked against, the explicit tie
 scan that canonical_order's column order is checked against, and the
 three-segment layout that the top of a factored spectrum is checked against."""
 
@@ -162,6 +163,21 @@ def closed_form_divergence(m1, m2, beta):
         return float(cross(lambda v: 1.0 / v) - (np.log(vals1).sum() - np.log(vals2).sum()) - vals1.size)
     t1, t2 = np.sum(vals1 ** (b + 1)), np.sum(vals2 ** (b + 1))
     return float((t1 + b * t2 - (b + 1) * cross(lambda v: v ** b)) / (b * (b + 1)))
+
+
+def generator_trace(m, beta):
+    """Generator oracle: tr phi_beta(M) from eigvalsh, each eigenvalue through its closed form:
+
+    beta:       (lam^(b+1) - (b+1) lam + b) / (b (b+1))
+    beta = 0:   lam log lam - lam + 1     (von Neumann)
+    beta = -1:  -log lam + lam - 1        (log-det)
+    """
+    b, lam = float(beta), np.linalg.eigvalsh(m)
+    if b == 0.0:
+        return float(np.sum(lam * np.log(lam) - lam + 1.0))
+    if b == -1.0:
+        return float(np.sum(-np.log(lam) + lam - 1.0))
+    return float(np.sum(lam ** (b + 1) - (b + 1) * lam + b) / (b * (b + 1)))
 
 
 def power_mean(spectra, beta):

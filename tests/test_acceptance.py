@@ -38,7 +38,6 @@ from betadpca import (
     decode_summary,
     divergence,
     encode_summary,
-    generating_value,
     listen,
     make_population,
     rho_similarity,
@@ -54,8 +53,8 @@ from betadpca import (
     worker_round,
 )
 from betadpca.cluster import FRAME_OVERHEAD
-from helpers import (eig2x2, invariance_check, matrix_function, matrix_power, planted_scenario, rand_scenario,
-                     rand_spd, rand_summary)
+from helpers import (eig2x2, generator_trace, invariance_check, matrix_function, matrix_power, planted_scenario,
+                     rand_scenario, rand_spd, rand_summary)
 
 
 @contextmanager
@@ -151,12 +150,12 @@ def test_criterion_3_divergence_properties():
                 assert abs(divergence(m1, m1, beta)) <= 1e-10
 
                 grad = _bregman_gradient(beta, m2)
-                expansion = (generating_value(m1, beta) - generating_value(m2, beta)
+                expansion = (generator_trace(m1, beta) - generator_trace(m2, beta)
                              - np.sum(grad * (m1 - m2)))
                 assert abs(d - expansion) <= 1e-8 * abs(expansion) + 1e-10
 
-                mid = generating_value((m1 + m2) / 2.0, beta)
-                avg = (generating_value(m1, beta) + generating_value(m2, beta)) / 2.0
+                mid = generator_trace((m1 + m2) / 2.0, beta)
+                avg = (generator_trace(m1, beta) + generator_trace(m2, beta)) / 2.0
                 assert mid <= avg + 1e-10
 
 

@@ -1,14 +1,20 @@
+import contextlib
+import os
 import re
 import socket
+import subprocess
+import sys
 import threading
+import time
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from betadpca import (DEFAULT_CANDIDATES, CvSelect, ExperimentSpec, FixedBeta, JobSpec, cli,
-                      read_shard, run_local)
+from betadpca import (DEFAULT_CANDIDATES, CvSelect, DataShard, ExperimentSpec, FixedBeta, JobSpec, cli,
+                      read_shard, run_local, send_summary, worker_round)
 
 CV_KEYS = {"cv_betas", "cv_scores", "cv_per_fold"}
 
@@ -194,6 +200,37 @@ class TestServeWorker:
         else:
             assert not CV_KEYS & set(data.files)
 
+    def test_a_descriptor_flood_costs_only_its_connections(self):
+        # serve runs in a process whose soft RLIMIT_NOFILE is 64.  After machine 1's frame, one peer opens
+        # silent connections until the listener stops answering, past the descriptors that process has left.
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_NOFILE, (64, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))\n"
+                  "from betadpca import cli\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n")
+        argv = [sys.executable, "-c", script, "serve", "--port", "0", "--m", "2", "--r", "1", "--q", "2",
+                "--beta", "1", "--timeout", "3"]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env) as proc, \
+                contextlib.ExitStack() as hold:
+            host, port = re.search(r"listening on (\S+):(\d+)", proc.stdout.readline()).groups()
+            start = time.monotonic()
+            shard = DataShard(np.random.default_rng(3).standard_normal((4, 9)), 1)
+            send_summary(host, int(port), worker_round(shard, 2))
+            misses = 0  # a connect times out while the listener's queue is full; three in a row end the flood
+            for _ in range(100):
+                time.sleep(0.002)  # let the coordinator drain its queue of 3, or the flood outruns it in lockstep
+                try:
+                    hold.enter_context(socket.create_connection((host, int(port)), timeout=0.1))
+                    misses = 0
+                except TimeoutError:
+                    misses += 1
+                    if misses == 3:
+                        break
+            out = proc.communicate(timeout=10)[0]
+            elapsed = time.monotonic() - start
+        assert proc.returncode == 0 and out.count("cannot accept a connection") == 1, out
+        assert "missing machines: [2]" in out and elapsed <= 3 + 1.0
+
     @pytest.fixture
     def sent(self, tmp_path, monkeypatch):
         """A one-shard directory and a send_summary spy: returns (shard path, [(msg, timeout)])."""
@@ -241,6 +278,9 @@ def refused_commands():
     delta_past_range = "error: delta^beta must be a positive, finite float, got delta=1e-320, beta=-1.0"
     yield ("serve", "--m", "2", "--beta", "cv", "--delta", "1e-320"), delta_past_range  # a CV candidate's
     yield ("simulate", "--delta", "1e-320"), delta_past_range
+    for job in (SERVE, (*AGGREGATE, "t.bdpx")):  # CvPlan's rank rule, checked early, in JobSpec's words
+        for beta in ("1", "cv"):
+            yield (*job, "--r", "5", "--q", "4", "--beta", beta), "error: need 1 <= r <= q, got r=5, q=4"
     for job in (("serve", "--port", "0", "--m", "1", "--timeout", "0.5"), AGGREGATE):  # CV over one machine
         yield (*job, "--r", "2", "--q", "4", "--beta", "cv"), "error: cross-validation needs at least two machines"
     for cmd in (("gen", "--out", "data"), ("simulate",), PERTURB):

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import logging
 import math
 import socket
@@ -175,6 +176,16 @@ class TestCoordinatorRound:
                 assert res.missing == want.missing == missing
                 assert np.array_equal(res.span_vectors, want.span_vectors)
 
+    def test_a_machine_keeps_messages_at_two_p_at_most(self, caplog):
+        # machine 3 floods p = 2..1001: two p are kept (a wrong p and its retry), so a round's stop test stays cheap
+        kept, job = {}, JobSpec(r=1, q=1, beta_mode=FixedBeta(1.0))
+        with caplog.at_level(logging.WARNING):
+            for p in range(2, 1002):
+                msg = LocalSummaryMsg(machine_id=3, n_ell=5, summary=TruncatedEig(np.ones(1), np.eye(p, 1)))
+                cluster._keep(kept, msg, job, frozenset({3}))
+        assert list(kept) == [(3, 2), (3, 3)]
+        assert "dropping machine 3's message of p=4: it already has 2 other p kept" in caplog.text
+
     def test_cv_aggregates_plain_summaries(self):
         msgs = self.msgs(m=4)
         job = JobSpec(r=2, q=4, beta_mode=CvSelect(folds=2, seed=0))
@@ -261,11 +272,12 @@ class TestTransports:
         assert np.array_equal(res.span_values, want.span_values)
         assert np.array_equal(res.leading.vectors, want.leading.vectors)
 
-    def test_overflowing_worker_dropped_over_sockets(self):
+    def test_overflowing_worker_dropped_over_sockets(self, monkeypatch):
         # the dropped frame does not end the round: the others are aggregated at the deadline
         shards, job = self.overflowing_round()
+        monkeypatch.setattr(cluster, "DEFAULT_TIMEOUT_SECS", TestOneBadWorker.DEADLINE)
         t0 = time.monotonic()
-        res = run_sockets(shards, job, timeout=TestOneBadWorker.DEADLINE)
+        res = run_sockets(shards, job)
         assert time.monotonic() - t0 <= TestOneBadWorker.DEADLINE + 0.5
         assert res.missing == (4,)
         want = run_local(shards[:3], job)
@@ -294,9 +306,10 @@ class TestTransports:
             return real(host, port, msg, timeout=timeout)
 
         monkeypatch.setattr(cluster, "send_summary", flaky)
+        monkeypatch.setattr(cluster, "DEFAULT_TIMEOUT_SECS", 0.5)
         before = threading.active_count()
         with pytest.raises(IoError, match="link down"):
-            run_sockets(shards, job, timeout=0.5)
+            run_sockets(shards, job)
         assert threading.active_count() == before
         with pytest.raises(ConnectionRefusedError):
             socket.create_connection(addrs[0], timeout=1.0).close()
@@ -317,6 +330,29 @@ class TestTransports:
             send_summary("127.0.0.1", 9, msg, timeout=1.0)
         assert len(calls) == attempts
         assert sleeps == [cluster.CONNECT_BACKOFF_SECS] * (attempts - 1)
+
+    def test_a_failed_accept_costs_only_its_connection(self, monkeypatch, caplog, serve_in_thread):
+        # the listener's first three accepts fail as if out of descriptors: both machines still count, one warning
+        real, calls = socket.socket.accept, []
+
+        def accept(sock):
+            calls.append(sock)
+            if len(calls) <= 3:
+                raise OSError(errno.EMFILE, "Too many open files")
+            return real(sock)
+
+        monkeypatch.setattr(socket.socket, "accept", accept)
+        shards, _ = gaussian_shards(m=2)
+        job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
+        with caplog.at_level(logging.WARNING):
+            round_, host, port = serve_in_thread(2, job, timeout=5.0)
+            for shard in shards:
+                send_summary(host, port, worker_round(shard, job.q))
+            res = round_.result(10.0)
+        assert len(calls) == 5 and res.missing == ()
+        assert [r.getMessage() for r in caplog.records] == [
+            "cannot accept a connection, polling the listener again: [Errno 24] Too many open files"]
+        assert np.array_equal(res.span_vectors, run_local(shards, job).span_vectors)
 
     def test_serve_closes_its_listener_when_no_worker_arrives(self):
         server = listen("127.0.0.1", 0, 1)
@@ -447,7 +483,8 @@ class TestOneBadWorker:
 
 
 class TestTimeoutResolution:
-    """The deadline is the timeout argument, which defaults to 30 s."""
+    """The deadline is the timeout argument, which defaults to DEFAULT_TIMEOUT_SECS (30 s); run_sockets
+    takes no timeout and reads that constant when it is called."""
 
     @staticmethod
     def spy_connect(monkeypatch):
@@ -479,14 +516,15 @@ class TestTimeoutResolution:
         round_.result(10.0)
         assert seen == [30.0]
 
-    def test_run_sockets_passes_its_timeout_to_every_send(self, monkeypatch):
-        seen = self.spy_connect(monkeypatch)
-        shards, _ = gaussian_shards(m=2)
-        run_sockets(shards, JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0)), timeout=4.5)
-        assert seen == [4.5, 4.5]
+    def test_run_sockets_reads_the_default_when_called(self, monkeypatch):
+        seen, deadlines, real = self.spy_connect(monkeypatch), [], cluster._collect
+        monkeypatch.setattr(cluster, "_collect", lambda *args: deadlines.append(args[-1]) or real(*args))
+        monkeypatch.setattr(cluster, "DEFAULT_TIMEOUT_SECS", 4.5)
+        run_sockets(gaussian_shards(m=2)[0], JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0)))
+        assert (deadlines, seen) == ([4.5], [4.5, 4.5])
 
     @pytest.mark.parametrize("timeout", [math.inf, math.nan, -1.0, 0.0, cluster.MAX_TIMEOUT_SECS * 3], ids=repr)
-    @pytest.mark.parametrize("call", ["run_sockets", "serve", "send_summary"])
+    @pytest.mark.parametrize("call", ["serve", "send_summary"])
     def test_a_bad_timeout_is_invalid_input_before_any_socket_work(self, call, timeout, monkeypatch):
         job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
         shards, _ = gaussian_shards(m=2)
@@ -498,8 +536,7 @@ class TestTimeoutResolution:
 
         monkeypatch.setattr(socket, "create_server", no_socket)
         monkeypatch.setattr(socket, "create_connection", no_socket)
-        calls = {"run_sockets": lambda: run_sockets(shards, job, timeout=timeout),
-                 "serve": lambda: serve(server, 2, job, timeout=timeout),
+        calls = {"serve": lambda: serve(server, 2, job, timeout=timeout),
                  "send_summary": lambda: send_summary(*address, worker_round(shards[0], job.q), timeout=timeout)}
         with server:
             with pytest.raises(InvalidInput, match="timeout must be a positive number of seconds up to 1e\\+06"):

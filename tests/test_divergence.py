@@ -6,10 +6,9 @@ from betadpca import (
     BetaConfig,
     beta_mean,
     divergence,
-    generating_value,
     verify_minimizer,
 )
-from helpers import closed_form_divergence, matrix_function, matrix_power, rand_spd, rotated_rank_two
+from helpers import closed_form_divergence, generator_trace, matrix_function, matrix_power, rand_spd, rotated_rank_two
 
 # beta = 0 is the von Neumann limit, beta = -1 the log-det limit
 BETAS = [-2.0, -0.5, 0.5, 1.0, 2.0, 0.0, -1.0]
@@ -38,19 +37,19 @@ class TestKinds:
         for beta in (-1, -1.0, np.float64(-1.0)):
             assert_allclose(divergence(m1, m2, beta), log_det, rtol=1e-10)
         assert divergence(m1, m2, 1) == divergence(m1, m2, 1.0) == divergence(m1, m2, np.int64(1))
-        assert generating_value(m1, 0) == generating_value(m1, 0.0)
-        assert generating_value(m1, -1) == generating_value(m1, -1.0)
 
 
-class TestGeneratingValue:
+class TestGeneratorOracle:
+    """generator_trace, the tr phi_beta that test_bregman_expansion expands the divergence around."""
+
     @pytest.mark.parametrize("beta", BETAS)
     def test_zero_at_identity(self, beta):
-        assert abs(generating_value(np.eye(4), beta)) <= 1e-12
+        assert abs(generator_trace(np.eye(4), beta)) <= 1e-12
 
     def test_frozen_examples(self):
         # scalar checks: e under von Neumann, 2 under beta=1
-        assert_allclose(generating_value(np.diag([np.e]), 0.0), 1.0, rtol=1e-12)
-        assert_allclose(generating_value(np.diag([2.0]), 1.0), 0.5, rtol=1e-12)
+        assert_allclose(generator_trace(np.diag([np.e]), 0.0), 1.0, rtol=1e-12)
+        assert_allclose(generator_trace(np.diag([2.0]), 1.0), 0.5, rtol=1e-12)
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_convex_along_midpoints(self, beta):
@@ -58,8 +57,8 @@ class TestGeneratingValue:
         for _ in range(10):
             m1 = rand_spd(rng, 4, lo=0.4, hi=3.0)
             m2 = rand_spd(rng, 4, lo=0.4, hi=3.0)
-            mid = generating_value((m1 + m2) / 2.0, beta)
-            avg = (generating_value(m1, beta) + generating_value(m2, beta)) / 2.0
+            mid = generator_trace((m1 + m2) / 2.0, beta)
+            avg = (generator_trace(m1, beta) + generator_trace(m2, beta)) / 2.0
             assert mid <= avg + 1e-10
 
 
@@ -97,7 +96,7 @@ class TestDivergence:
             m1 = rand_spd(rng, 4, lo=0.4, hi=3.0)
             m2 = rand_spd(rng, 4, lo=0.4, hi=3.0)
             grad = bregman_gradient(beta, m2)
-            expected = (generating_value(m1, beta) - generating_value(m2, beta)
+            expected = (generator_trace(m1, beta) - generator_trace(m2, beta)
                         - np.sum(grad * (m1 - m2)))
             got = divergence(m1, m2, beta)
             assert_allclose(got, expected, rtol=1e-8, atol=1e-10)
@@ -112,7 +111,7 @@ class TestDivergence:
                 p = int(rng.integers(2, 31))
                 m1 = rand_spd(rng, p)
                 m2 = rand_spd(rng, p)
-                scale = abs(generating_value(m1, beta)) + abs(generating_value(m2, beta)) + 1.0
+                scale = abs(generator_trace(m1, beta)) + abs(generator_trace(m2, beta)) + 1.0
                 assert_allclose(divergence(m1, m2, beta), closed_form_divergence(m1, m2, beta),
                                 rtol=1e-12, atol=1e-13 * scale)
 

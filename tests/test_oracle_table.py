@@ -209,7 +209,8 @@ def test_beta_mean(layout, seed, beta):
 def test_select_beta(layout, seed, monkeypatch):
     summaries = layout.summaries(seed)
     summaries_r = [truncate_summary(s, layout.r) for s in summaries]
-    plan, cfg = make_folds(len(summaries), layout.folds, seed=0, candidate_set=BETAS), BetaConfig(beta=1.0)
+    plan = make_folds(len(summaries), layout.folds, seed=0, candidate_set=BETAS, r=layout.r, q=summaries[0].q)
+    cfg = BetaConfig(beta=1.0)
     with emits(layout, "cv"):
         lifts = count_lifts(monkeypatch)
         got = select_beta(summaries, summaries_r, plan, cfg).per_fold

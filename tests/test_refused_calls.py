@@ -15,7 +15,7 @@ import pytest
 from betadpca import (BetaConfig, CorruptMessage, CvPlan, DataShard, DomainError, ExperimentSpec, FixedBeta,
                       InvalidInput, IoError, JobSpec, LocalSummaryMsg, NotPSD, ParseError, PerturbationScenario,
                       PreconditionError, TruncatedEig, beta_aggregate, beta_mean, coordinator_round, decode_summary,
-                      divergence, eig_sym, encode_summary, generating_value, listen, local_summary,
+                      divergence, eig_sym, encode_summary, listen, local_summary,
                       make_population, make_folds, read_shard, rho_curve, rho_similarity, run_experiment,
                       select_beta, serve, signal_eigenvalues, split_shards, symmetrize, tolerance,
                       truncate_summary, truncated_eig, verify_minimizer, write_shard)
@@ -32,7 +32,7 @@ U32 = r"must lie in {}\.\.4294967295, got {}"
 def shard_file(edit):
     """A 4 x 6 shard file in the working directory, its bytes passed through edit."""
     path = Path("shard.bdpx")
-    write_shard(path, DataShard(np.ones((4, 6))))
+    write_shard(path, DataShard(np.ones((4, 6)), 1))
     path.write_bytes(edit(path.read_bytes()))
     return path
 
@@ -59,9 +59,8 @@ def refused_calls():
     for b in (np.nan, np.inf, -np.inf):  # 0 and -1 are the limits: only a non-finite beta names no member
         for name, call in [("BetaConfig", lambda b=b: BetaConfig(beta=b)),
                            ("divergence", lambda b=b: divergence(eye2, eye2, b)),
-                           ("generating_value", lambda b=b: generating_value(eye2, b)),
                            ("PerturbationScenario", lambda b=b: scenario(beta=b)),
-                           ("make_folds", lambda b=b: make_folds(4, 2, seed=0, candidate_set=(1.0, b)))]:
+                           ("make_folds", lambda b=b: make_folds(4, 2, seed=0, candidate_set=(1.0, b), r=1, q=1))]:
             yield f"{name}: beta={b}", call, InvalidInput, f"beta must be finite, got {b}"
     for side, b, args in [("M1", 0.0, (singular, eye2)), *(("M2", b, (eye2, singular)) for b in (-1.0, -2.0))]:
         yield (f"divergence: a singular {side} at beta={b}", lambda a=args, b=b: divergence(*a, b), DomainError,
@@ -113,13 +112,13 @@ def refused_calls():
             ("TruncatedEig: not orthonormal", lambda: TruncatedEig([1.0, 0.5], np.ones((3, 2))), "not orthonormal"),
             *((f"truncated_eig: q={q}", lambda q=q: truncated_eig(np.eye(3), q), f"need 1 <= k <= p=3, got k={q}")
               for q in (0, 4)),
-            *((f"local_summary: q={q} in p=3", lambda q=q: local_summary(DataShard(np.ones((3, 5))), q),
+            *((f"local_summary: q={q} in p=3", lambda q=q: local_summary(DataShard(np.ones((3, 5)), 1), q),
                f"need 1 <= q <= p=3, got q={q}") for q in (0, 4)),
             ("truncate_summary: r > q", lambda: truncate_summary(s52, 3), "need 1 <= r <= q=2, got r=3"),
-            *((f"DataShard: samples of shape {shape}", lambda s=shape: DataShard(np.zeros(s)),
+            *((f"DataShard: samples of shape {shape}", lambda s=shape: DataShard(np.zeros(s), 1),
                rf"samples must be a p x n matrix with n >= 1, got shape \({shape[0]},{shape[1:] and ' 0'}\)")
               for shape in ((3,), (3, 0))),
-            ("DataShard: non-finite", lambda: DataShard(np.array([[1.0, np.inf]])), "shard has non-finite entries"),
+            ("DataShard: non-finite", lambda: DataShard(np.array([[1.0, np.inf]]), 1), "shard has non-finite entries"),
             *((f"DataShard: machine_id={i}", lambda i=i: DataShard([[1.0]], i), "machine_id " + U32.format(0, i))
               for i in (-1, 2**32)),  # the shard header stores it as u32, as the frame does the id and n_ell
             *((f"LocalSummaryMsg: {field}={msg[field]}", lambda m=msg: LocalSummaryMsg(**m, summary=s52),
@@ -155,12 +154,14 @@ def refused_calls():
                 ("noise_index past p", dict(noise_index=2), r"in the noise block \[1, 1\], got 2"),
                 ("d_l < 0", dict(d_l=-0.5), "d_l must be non-negative")]),
             ("PerturbationScenario: replace", lambda: dataclasses.replace(scenario(), d_l=-1.0), "d_l must be"),
-            ("make_folds: one machine", lambda: make_folds(1, 5, seed=0), "needs at least two machines"),
-            ("make_folds: one fold", lambda: make_folds(4, 1, seed=0), "need at least two folds"),
-            ("CvPlan: a repeated machine", lambda: CvPlan(((0, 1), (2, 2)), (1.0,)), "must partition the machine"),
-            ("CvPlan: unbalanced", lambda: CvPlan(((0,), (1, 2, 3)), (1.0,)), r"balanced \(differ by at most 1\)"),
-            ("CvPlan: no fold", lambda: CvPlan((), (1.0,)), "fold sizes must be balanced"),
-            ("CvPlan: no candidate", lambda: CvPlan(((0,), (1,)), ()), "candidate_set must be non-empty"),
+            ("make_folds: one machine", lambda: make_folds(1, 5, seed=0, r=1, q=1), "needs at least two machines"),
+            ("make_folds: one fold", lambda: make_folds(4, 1, seed=0, r=1, q=1), "need at least two folds"),
+            ("CvPlan: a repeated machine", lambda: CvPlan(((0, 1), (2, 2)), (1.0,), 1, 1),
+             "must partition the machine"),
+            ("CvPlan: unbalanced", lambda: CvPlan(((0,), (1, 2, 3)), (1.0,), 1, 1),
+             r"balanced \(differ by at most 1\)"),
+            ("CvPlan: no fold", lambda: CvPlan((), (1.0,), 1, 1), "fold sizes must be balanced"),
+            ("CvPlan: no candidate", lambda: CvPlan(((0,), (1,)), (), 1, 1), "candidate_set must be non-empty"),
             ("make_folds: r = 0, q = -3", lambda: make_folds(4, 2, seed=0, r=0, q=-3), "need 1 <= r <= q, got r=0"),
             ("CvPlan: r > q", lambda: CvPlan(((0,), (1,)), (1.0,), r=5, q=2), "need 1 <= r <= q, got r=5, q=2"),
             # simgen and the seed streams (not numpy's SeedSequence error)
@@ -185,19 +186,21 @@ def refused_calls():
     rng = np.random.default_rng(75)
     sq = [rand_summary(rng, 8, 4) for _ in range(4)]
     sr = [truncate_summary(s, 2) for s in sq]
-    plan, leading = make_folds(4, 2, seed=3), "each validation summary must be the leading r={} columns"
+    plan, leading = make_folds(4, 2, seed=3, r=2, q=4), "each validation summary must be the leading r={} columns"
     for rule, summaries_q, summaries_r, plan_, message in [
             ("validation blocks are a training aggregate", sq,
              [beta_aggregate(sq[1:], BetaConfig(beta=-1.0), 2).leading, *sr[1:]], plan, leading.format(2)),
             ("validation blocks are random", sq,
              [TruncatedEig(np.ones(2), rand_orthogonal(rng, 8)[:, :2]) for _ in range(4)], plan, leading.format(2)),
             ("validation blocks are another machine's", sq, [sr[1], *sr[1:]], plan, leading.format(2)),
-            ("validation rank above training rank", sq, [rand_summary(rng, 8, 5)] * 4, plan, leading.format(5)),
+            # the plan's 1 <= r <= q leaves no plan that fits a validation rank above the training rank
+            ("validation rank above training rank", sq, [rand_summary(rng, 8, 5)] * 4, plan,
+             "plan expects rank r=2, validation summaries have 5"),
             ("a validation summary of another p", sq, [*sr[:3], rand_summary(rng, 7, 2)], plan, leading.format(2)),
             ("a training summary of another p", [*sq[:3], rand_summary(rng, 7, 4)], sr, plan, "differ in p or q"),
-            ("the plan's m", sq, sr, make_folds(3, 2, seed=3), "plan covers 3 machines, got 4/4"),
-            ("the plan's r", sq, sr, make_folds(4, 2, seed=3, r=1), "plan expects rank r=1, validation .* 2"),
-            ("the plan's q", sq, sr, make_folds(4, 2, seed=3, q=3), "plan expects rank q=3, training .* 4")]:
+            ("the plan's m", sq, sr, make_folds(3, 2, seed=3, r=2, q=4), "plan covers 3 machines, got 4/4"),
+            ("the plan's r", sq, sr, make_folds(4, 2, seed=3, r=1, q=4), "plan expects rank r=1, validation .* 2"),
+            ("the plan's q", sq, sr, make_folds(4, 2, seed=3, r=2, q=3), "plan expects rank q=3, training .* 4")]:
         yield (f"select_beta: {rule}", lambda a=(summaries_q, summaries_r, plan_): select_beta(*a, CFG),
                InvalidInput, message)
 
@@ -239,3 +242,13 @@ class TestRefusedCall:
         with pytest.raises(error, match=message) as raised:
             call()
         assert type(raised.value) is error
+
+
+@pytest.mark.parametrize("call, missing", [(lambda: DataShard(np.ones((2, 3))), "'machine_id'"),
+                                           (lambda: make_folds(4, 2, seed=0), "'r' and 'q'"),
+                                           (lambda: CvPlan(((0,), (1,)), (1.0,)), "'r' and 'q'")],
+                         ids=["DataShard", "make_folds", "CvPlan"])
+def test_no_default_stands_in_for_a_machine_id_or_a_rank(call, missing):
+    # two shards built without an id would share one, and a round would drop one of them as a repeat
+    with pytest.raises(TypeError, match=f"missing .*required .*argument.*: {missing}"):
+        call()

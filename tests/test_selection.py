@@ -17,25 +17,25 @@ from helpers import projection_discrepancy, rand_summary
 
 class TestMakeFolds:
     def test_partitions_indices(self):
-        plan = make_folds(10, 5, seed=0)
+        plan = make_folds(10, 5, seed=0, r=1, q=2)
         assert (plan.m, plan.k) == (10, 5)
         assert sorted(i for fold in plan.folds for i in fold) == list(range(10))
         assert all(len(f) == 2 for f in plan.folds)
 
     def test_balanced_sizes_on_remainder(self):
-        plan = make_folds(7, 3, seed=0)
+        plan = make_folds(7, 3, seed=0, r=1, q=2)
         sizes = sorted(len(f) for f in plan.folds)
         assert sizes == [2, 2, 3]
 
     def test_degenerates_to_leave_one_out(self):
-        plan = make_folds(3, 5, seed=0)
+        plan = make_folds(3, 5, seed=0, r=1, q=2)
         assert plan.k == 3
         assert all(len(f) == 1 for f in plan.folds)
 
     def test_seed_controls_shuffle(self):
-        a = make_folds(8, 4, seed=1)
-        b = make_folds(8, 4, seed=1)
-        c = make_folds(8, 4, seed=2)
+        a = make_folds(8, 4, seed=1, r=1, q=2)
+        b = make_folds(8, 4, seed=1, r=1, q=2)
+        c = make_folds(8, 4, seed=2, r=1, q=2)
         assert a.folds == b.folds
         assert a.folds != c.folds
 
@@ -91,7 +91,7 @@ class TestSelectBeta:
         s = rand_summary(rng, 8, 4)
         summaries_q = [s] * 4
         summaries_r = [truncate_summary(s, 2)] * 4
-        plan = make_folds(4, 2, seed=0)
+        plan = make_folds(4, 2, seed=0, r=2, q=4)
         res = select_beta(summaries_q, summaries_r, plan, self.cfg())
         assert res.best_beta in plan.candidate_set
         assert all(v < 1e-12 for v in res.scores.values())
@@ -101,7 +101,7 @@ class TestSelectBeta:
         rng = np.random.default_rng(76)
         summaries_q = [rand_summary(rng, 6, 3) for _ in range(3)]
         summaries_r = [truncate_summary(s, 2) for s in summaries_q]
-        plan = make_folds(3, 3, seed=0, candidate_set=(1.0, 1.0))
+        plan = make_folds(3, 3, seed=0, candidate_set=(1.0, 1.0), r=2, q=3)
         res = select_beta(summaries_q, summaries_r, plan, self.cfg())
         assert np.array_equal(res.per_fold[:, 0], res.per_fold[:, 1])
         assert res.best_beta == 1.0
@@ -110,7 +110,7 @@ class TestSelectBeta:
         rng = np.random.default_rng(77)
         summaries_q = [rand_summary(rng, 7, 4) for _ in range(5)]
         summaries_r = [truncate_summary(s, 2) for s in summaries_q]
-        plan = make_folds(5, 2, seed=9)
+        plan = make_folds(5, 2, seed=9, r=2, q=4)
         a = select_beta(summaries_q, summaries_r, plan, self.cfg())
         b = select_beta(summaries_q, summaries_r, plan, self.cfg())
         assert np.array_equal(a.per_fold, b.per_fold)
@@ -120,7 +120,7 @@ class TestSelectBeta:
         rng = np.random.default_rng(78)
         summaries_q = [rand_summary(rng, 9, 3) for _ in range(4)]
         summaries_r = [truncate_summary(s, 2) for s in summaries_q]
-        plan = make_folds(4, 2, seed=5)
+        plan = make_folds(4, 2, seed=5, r=2, q=3)
         a = select_beta(SummarySpan.of(summaries_q), summaries_r, plan, self.cfg())
         b = select_beta(summaries_q, summaries_r, plan, self.cfg())
         assert np.array_equal(a.per_fold, b.per_fold)
@@ -131,6 +131,6 @@ class TestFoldTies:
         # each training fold is one machine with a double eigenvalue, so
         # eigenvalue r ties r + 1 inside the span: the fold is lifted and warns
         summaries = [TruncatedEig(values=np.ones(2), vectors=np.eye(4)[:, 2 * i:2 * i + 2]) for i in range(2)]
-        plan = make_folds(2, 2, seed=0, candidate_set=(1.0,))
+        plan = make_folds(2, 2, seed=0, candidate_set=(1.0,), r=1, q=2)
         with pytest.warns(TieWarning):
             select_beta(summaries, [truncate_summary(s, 1) for s in summaries], plan, BetaConfig(beta=1.0))
