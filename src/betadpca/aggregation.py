@@ -212,8 +212,8 @@ class SummarySpan:
         if not summaries:
             raise InvalidInput("need at least one local summary")
         p, q = summaries[0].p, summaries[0].q
-        if any(s.p != p or s.q != q for s in summaries):
-            raise InvalidInput("local summaries differ in p or q")
+        if other := [s for s in summaries if (s.p, s.q) != (p, q)]:
+            raise InvalidInput(f"local summaries differ in p or q: p={p}, q={q} and p={other[0].p}, q={other[0].q}")
         basis, coords = span_basis(np.hstack([s.vectors for s in summaries]), p)
         return cls(tuple(summaries), basis, coords)
 

@@ -4,10 +4,10 @@ Subcommands, one per job: gen, simulate, aggregate, perturb, serve, worker.
 A flag that several of them take is declared once, in _FLAGS, with the type
 that checks it.  `aggregate` and `serve` take the job flags, `simulate` the ones
 it shares with them (`--r --q --delta --cv-folds`), and `worker` only `--q`.
-A job that cannot run (a bad flag, or CV over fewer than two machines) exits 2
-before any shard is read or port bound.  Each output comes from the run that
-computes it: `simulate` writes its gnuplot script beside the CSV;
-`aggregate`/`serve --beta cv --out` keep the CV scores.
+A job that cannot run (a bad flag, CV over fewer than two machines, or a `serve`
+q above its `--p`) exits 2 before any shard is read or port bound.  Each output
+comes from the run that computes it: `simulate` writes its gnuplot script beside
+the CSV; `aggregate`/`serve --beta cv --out` keep the CV scores.
 """
 
 from __future__ import annotations
@@ -189,11 +189,12 @@ def cmd_perturb(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    job = _build_job(args, args.m)  # a bad job exits before the port is bound
-    server = cluster.listen(args.host, args.port, args.m)
+    job = _build_job(args, args.m)
+    cluster.check_round(args.m, args.p, job)  # a bad job or round exits before the port is bound
+    server = cluster.listen(args.host, args.port)
     host, port = server.getsockname()[:2]
     print(f"listening on {host}:{port}", flush=True)
-    agg = cluster.serve(server, args.m, job, timeout=args.timeout)
+    agg = cluster.serve(server, args.m, args.p, job, timeout=args.timeout)
     _report(agg, args.out)
     return 0
 
@@ -245,6 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     srv = subs.add_parser("serve", help="coordinator: listen for worker summaries")
     _add_flags(srv, *_ENDPOINT_FLAGS)
     srv.add_argument("--m", type=int, required=True, help="number of expected workers")
+    srv.add_argument("--p", type=int, required=True, help="dimension of every worker's shard; fixes the frame size")
     _add_flags(srv, *_JOB_FLAGS)
     srv.add_argument("--out", help=_NPZ_HELP)
     srv.set_defaults(func=cmd_serve)

@@ -4,7 +4,7 @@ Each worker computes its local truncated eigendecomposition and sends exactly
 one message; the coordinator aggregates whatever arrives before the deadline.
 Two transports share the same codec: in-process (frames still pass through
 encode/decode, so results are bit-identical with the socket path) and TCP.
-Over TCP each connection carries one frame, read up to its length prefix, and
+Over TCP each connection carries one frame, of the one size p and q fix, and
 one selector loop reads them all under one round deadline.  The coordinator
 binds (listen) before it serves, so its address is known before anyone sends.
 
@@ -22,7 +22,7 @@ Wire frame, all little-endian:
     u32  CRC32 over everything between the version field and this checksum
 
 The frame size is exactly q*(p+1)*8 + FRAME_OVERHEAD bytes, in fixed-beta and
-CV rounds alike (see resolve_beta).
+CV rounds alike (see resolve_beta and check_round).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import socket
 import struct
 import time
 import zlib
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import ClassVar, Iterable, Sequence
@@ -58,8 +57,6 @@ MAX_TIMEOUT_SECS = 1e6
 # send_summary retries a refused connection this often, this many seconds apart
 CONNECT_RETRIES = 5
 CONNECT_BACKOFF_SECS = 0.2
-# a machine id holds kept messages at this many p values at most: a wrong p and its retry
-MAX_P_PER_MACHINE = 2
 
 
 def valid_port(port: int) -> bool:
@@ -206,49 +203,37 @@ def _overflows(values: np.ndarray, job: JobSpec) -> bool:
         return not all(np.isfinite(branch_transform(b, job.delta).forward(values)).all() for b in job.betas)
 
 
-def _keep(kept: dict[tuple[int, int], LocalSummaryMsg], msg: LocalSummaryMsg, job: JobSpec,
-          expected: frozenset[int]) -> None:
-    """Keep msg under (machine id, p), in arrival order, if it is from an expected machine, has the job's rank q,
-    overflows no beta of the job, is its machine's first at its p and among its first MAX_P_PER_MACHINE p; else warn."""
+def _keep(kept: dict[int, LocalSummaryMsg], msg: LocalSummaryMsg, job: JobSpec, expected: frozenset[int]) -> None:
+    """Keep msg under its machine id, in arrival order, if it is from an expected machine, has the job's
+    rank q, overflows no beta of the job and is its machine's first; else warn."""
     if msg.machine_id not in expected:
         logger.warning("dropping a message from unexpected machine %d", msg.machine_id)
     elif msg.q != job.q:
         logger.warning("dropping machine %d's message of rank %d (job q=%d)", msg.machine_id, msg.q, job.q)
     elif _overflows(msg.summary.values, job):
         logger.warning("dropping machine %d's message: its values overflow the job's beta map", msg.machine_id)
-    elif (msg.machine_id, msg.p) in kept:
+    elif msg.machine_id in kept:
         logger.warning("dropping a repeated message from machine %d", msg.machine_id)
-    elif sum(i == msg.machine_id for i, _ in kept) >= MAX_P_PER_MACHINE:
-        logger.warning("dropping machine %d's message of p=%d: it already has %d other p kept",
-                       msg.machine_id, msg.p, MAX_P_PER_MACHINE)
     else:
-        kept[msg.machine_id, msg.p] = msg
-
-
-def _at_round_p(kept: dict[tuple[int, int], LocalSummaryMsg]) -> list[LocalSummaryMsg]:
-    """The kept messages of the round's p, by machine id: the p most machines sent, on a tie the lowest id's first."""
-    by_id = sorted(kept.values(), key=lambda m: m.machine_id)  # stable: each machine's messages keep arrival order
-    return [m for p, _ in Counter(m.p for m in by_id).most_common(1) for m in by_id if m.p == p]  # a tie: first seen
+        kept[msg.machine_id] = msg
 
 
 def coordinator_round(msgs: Sequence[LocalSummaryMsg], job: JobSpec,
                       expected_ids: Iterable[int]) -> AggregateResult:
     """Aggregate the received messages (sorted by machine_id for determinism).
 
-    _keep keeps each machine's first message at each p, and the kept ones of
-    the round's p (_at_round_p: the p most machines sent, on a tie the lowest
-    machine id's first) are aggregated; every other one is dropped with a
-    warning, and InvalidInput is raised if none is kept.
+    _keep keeps each machine's first message and drops every other one with a
+    warning.  InvalidInput (SummarySpan.of's) if none is kept, or if the kept
+    ones differ in p: the caller's own messages disagree, since over TCP a
+    frame of another p than the round's never reaches here (_collect).
     Expected machines with no message aggregated are listed in the result's
     `missing` field, and the averaging weight becomes 1/(machines received).
     """
     expected = frozenset(expected_ids)
-    kept: dict[tuple[int, int], LocalSummaryMsg] = {}
+    kept: dict[int, LocalSummaryMsg] = {}
     for m in msgs:
         _keep(kept, m, job, expected)
-    msgs = _at_round_p(kept)
-    for m in [m for m in kept.values() if m.p != msgs[0].p]:
-        logger.warning("dropping machine %d's message of p=%d (the round's p=%d)", m.machine_id, m.p, msgs[0].p)
+    msgs = [kept[i] for i in sorted(kept)]
     missing = tuple(sorted(expected - {m.machine_id for m in msgs}))
     if missing:
         logger.warning("aggregating without machines %s (%d of %d reported)",
@@ -287,31 +272,35 @@ def run_local(shards: Sequence[DataShard], job: JobSpec) -> AggregateResult:
     return coordinator_round(msgs, job, expected_ids=[s.machine_id for s in shards])
 
 
-def _frame_size(buf: bytearray) -> int:
-    # the whole frame once its u32 length prefix is in, else the prefix
-    return 4 + int.from_bytes(buf[:4], "little") if len(buf) >= 4 else 4
+def check_round(m: int, p: int, job: JobSpec) -> int:
+    """The exact size of every frame in a round of m machines at dimension p; InvalidInput unless m >= 1, q <= p."""
+    if m < 1:
+        raise InvalidInput("need at least one expected worker")
+    if not 1 <= job.q <= p:
+        raise InvalidInput(f"need 1 <= q <= p, got q={job.q}, p={p}")
+    return FRAME_OVERHEAD + 8 * job.q * (p + 1)
 
 
-def _collect(server: socket.socket, expected_ids: Iterable[int], job: JobSpec,
+def _collect(server: socket.socket, expected_ids: Iterable[int], p: int, job: JobSpec,
              timeout: float) -> list[LocalSummaryMsg]:
-    """Read frames until every expected machine has a kept message (_keep) of the
-    round's p (_at_round_p), or until timeout; returns every kept message in arrival
-    order and closes the listener and every connection.  IoError if none was kept.
-    A failed accept (EMFILE, ENFILE, ECONNABORTED) is logged once and costs only its connection."""
+    """Read frames until every expected machine has a kept message (_keep), or until timeout; returns every
+    kept message in arrival order and closes the listener and every connection.  IoError if none was kept.
+    A connection whose 4-byte length prefix is not check_round's size is dropped right after it, so none buffers
+    more than one frame.  A failed accept (EMFILE, ENFILE, ECONNABORTED) is logged once and costs its connection."""
     expected = frozenset(expected_ids)
-    kept: dict[tuple[int, int], LocalSummaryMsg] = {}
+    kept: dict[int, LocalSummaryMsg] = {}
     accept_failed = False
     with server, selectors.DefaultSelector() as sel:
-        _check_timeout(timeout)  # inside the with: a bad timeout still closes the listener
+        size = check_round(len(expected), p, job)  # inside the with, as the timeout: a refusal closes the listener
+        _check_timeout(timeout)
         deadline = time.monotonic() + timeout
         sel.register(server, selectors.EVENT_READ)
-        # a stray, wrong-rank, wrong-p or repeated frame cannot end the round; the p rule runs once enough are kept
-        while (len(kept) < len(expected) or len(_at_round_p(kept)) < len(expected)) and \
-                (remaining := deadline - time.monotonic()) > 0:
+        # a stray, wrong-rank, wrong-size or repeated frame cannot end the round
+        while len(kept) < len(expected) and (remaining := deadline - time.monotonic()) > 0:
             for key, _ in sel.select(remaining):
                 if key.fileobj is server:
                     try:
-                        conn, _addr = server.accept()
+                        conn, addr = server.accept()
                     except OSError as exc:
                         if not accept_failed:
                             logger.warning("cannot accept a connection, polling the listener again: %s", exc)
@@ -319,21 +308,24 @@ def _collect(server: socket.socket, expected_ids: Iterable[int], job: JobSpec,
                         time.sleep(0.005)  # poll again once a descriptor may be free, not in a busy loop
                         continue
                     conn.setblocking(False)
-                    sel.register(conn, selectors.EVENT_READ, bytearray())
+                    sel.register(conn, selectors.EVENT_READ, (f"{addr[0]}:{addr[1]}", bytearray()))
                     continue
-                conn, buf = key.fileobj, key.data
+                conn, (peer, buf) = key.fileobj, key.data
                 try:
-                    chunk = conn.recv(min(65536, _frame_size(buf) - len(buf)))
+                    chunk = conn.recv(min(65536, (4 if len(buf) < 4 else size) - len(buf)))
                     if not chunk:
                         raise ConnectionError(f"connection closed after {len(buf)} bytes")
                     buf += chunk
-                    if len(buf) < _frame_size(buf):
+                    if len(buf) == 4 and (claimed := int.from_bytes(buf, "little")) != size - 4:
+                        raise ParseError(f"its length prefix says {claimed} bytes, the job's frames have {size - 4} "
+                                         f"after the prefix (p={p}, q={job.q})")
+                    if len(buf) < size:
                         continue
                     _keep(kept, decode_summary(buf), job, expected)
                 except BlockingIOError:  # a spurious wakeup: nothing to read yet
                     continue
                 except (CorruptMessage, ParseError, OSError) as exc:  # OSError: reset or closed mid-frame
-                    logger.warning("dropping bad worker connection: %s", exc)
+                    logger.warning("dropping bad worker connection from %s: %s", peer, exc)
                 sel.unregister(conn)
                 conn.close()
         for key in sel.get_map().values():  # silent or stalled connections, and the listener: the round is over
@@ -343,32 +335,30 @@ def _collect(server: socket.socket, expected_ids: Iterable[int], job: JobSpec,
     return list(kept.values())
 
 
-def listen(host: str, port: int, m: int) -> socket.socket:
-    """Bind the coordinator's listening socket for a round of m workers;
-    port=0 picks a free port (read it from getsockname()).  IoError if it
-    cannot bind, a port outside 0-65535 included."""
-    if m < 1:
-        raise InvalidInput("need at least one expected worker")
+def listen(host: str, port: int) -> socket.socket:
+    """Bind the coordinator's listening socket, its queue SOMAXCONN long whatever the round's m, so peers
+    connecting at once wait for no SYN retransmission; port=0 picks a free port (read it from
+    getsockname()).  IoError if it cannot bind, a port outside 0-65535 included."""
     if not valid_port(port):  # create_server would raise OverflowError and leave its socket open
         raise IoError(f"cannot bind {host}:{port}: a port lies in 0-65535")
     try:
-        return socket.create_server((host, port), backlog=m)
+        return socket.create_server((host, port), backlog=socket.SOMAXCONN)
     except OSError as exc:
         raise IoError(f"cannot bind {host}:{port}: {exc}") from exc
 
 
-def serve(server: socket.socket, m: int, job: JobSpec,
+def serve(server: socket.socket, m: int, p: int, job: JobSpec,
           timeout: float = DEFAULT_TIMEOUT_SECS) -> AggregateResult:
-    """Coordinator side of the TCP transport, on a socket from listen().
+    """Coordinator side of the TCP transport, on a socket from listen(), for machines 1..m of dimension p.
 
-    Waits up to timeout seconds until each of machines 1..m has a message of the
-    round's p (one frame per connection), then aggregates as coordinator_round does,
-    missing machines included; a stray, wrong-rank, wrong-p, overflowing or repeated
-    frame does not end the round, and a retry after it counts.  The listener is
-    closed on every exit, a bad timeout's InvalidInput included.
+    Waits up to timeout seconds until each of them has a kept message (one frame
+    per connection, of check_round's size), then aggregates as coordinator_round
+    does, missing machines included; a stray, wrong-size, wrong-rank, overflowing
+    or repeated frame does not end the round, and a retry after it counts.  The
+    listener is closed on every exit, check_round's and a bad timeout's InvalidInput included.
     """
     expected = range(1, m + 1)
-    return coordinator_round(_collect(server, expected, job, timeout), job, expected_ids=expected)
+    return coordinator_round(_collect(server, expected, p, job, timeout), job, expected_ids=expected)
 
 
 def send_summary(host: str, port: int, msg: LocalSummaryMsg,
@@ -400,15 +390,21 @@ def run_sockets(shards: Sequence[DataShard], job: JobSpec) -> AggregateResult:
     thread, send one frame per shard from the caller.  Functionally
     identical to run_local.
 
-    The round's deadline and each send's timeout are DEFAULT_TIMEOUT_SECS, read at
-    call time.  A failed send raises once the collection has ended (at the latest
-    at the deadline), so no thread or listener outlives the call.
+    The round's p is the shards': InvalidInput, before any bind, if they differ in p
+    or check_round refuses.  The round's deadline and each send's timeout are
+    DEFAULT_TIMEOUT_SECS, read at call time.  A failed send raises once the
+    collection has ended (at the latest at the deadline), so no thread or
+    listener outlives the call.
     """
-    server = listen("127.0.0.1", 0, len(shards))
+    if len(dims := sorted({s.p for s in shards})) > 1:
+        raise InvalidInput(f"shards differ in p: {dims}")
+    p = dims[0] if dims else 0  # no shard: check_round refuses m = 0
+    check_round(len(shards), p, job)
+    server = listen("127.0.0.1", 0)
     bound = server.getsockname()[:2]
     expected = [s.machine_id for s in shards]
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="bdpca-coordinator") as pool:
-        collected = pool.submit(_collect, server, expected, job, DEFAULT_TIMEOUT_SECS)
+        collected = pool.submit(_collect, server, expected, p, job, DEFAULT_TIMEOUT_SECS)
         for shard in shards:
             send_summary(*bound, worker_round(shard, job.q), timeout=DEFAULT_TIMEOUT_SECS)
         msgs = collected.result()

@@ -292,10 +292,10 @@ def test_criterion_8_protocol_correctness():
         # count the traffic by hand: one worker_round -> one send per shard
         msgs = [worker_round(s, job.q) for s in shards]
         assert len(msgs) == len(shards)
-        server = listen("127.0.0.1", 0, len(shards))
+        server = listen("127.0.0.1", 0)
         host, port = server.getsockname()[:2]
         with ThreadPoolExecutor(max_workers=1) as pool:
-            coordinator = pool.submit(serve, server, len(shards), job, 30.0)
+            coordinator = pool.submit(serve, server, len(shards), shards[0].p, job, 30.0)
             sent = [send_summary(host, port, m) for m in msgs]
             result = coordinator.result(30.0)
         assert len(sent) == len(shards)

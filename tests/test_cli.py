@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from betadpca import (DEFAULT_CANDIDATES, CvSelect, DataShard, ExperimentSpec, FixedBeta, JobSpec, cli,
-                      read_shard, run_local, send_summary, worker_round)
+                      read_shard, run_local, send_summary, worker_round, write_shard)
 
 CV_KEYS = {"cv_betas", "cv_scores", "cv_per_fold"}
 
@@ -111,6 +111,14 @@ class TestGenAggregateSelect:
         assert sorted(tmp_path.iterdir()) == [out]
         assert np.load(out)["values"].shape == (2,)
 
+    def test_shards_of_two_p_are_refused_naming_both(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        paths = [tmp_path / f"p{p}.bdpx" for p in (12, 13)]
+        for i, (path, p) in enumerate(zip(paths, (12, 13)), 1):
+            write_shard(path, DataShard(rng.standard_normal((p, 30)), i))
+        assert run_cli("aggregate", *map(str, paths), "--r", "2", "--q", "4") == 2
+        assert "error: local summaries differ in p or q: p=12, q=4 and p=13, q=4" in capsys.readouterr().err
+
     def test_missing_shard_file_is_reported(self, tmp_path, capsys):
         rc = run_cli("aggregate", str(tmp_path / "ghost.bdpx"))
         assert rc == 2
@@ -176,7 +184,7 @@ class TestServeWorker:
 
         def _serve():
             box["rc"] = run_cli("serve", "--host", "127.0.0.1", "--port", str(port),
-                                "--m", "2", "--r", "2", "--q", "4", "--beta", beta,
+                                "--m", "2", "--p", "12", "--r", "2", "--q", "4", "--beta", beta,
                                 "--timeout", "20", "--out", str(out))
 
         thread = threading.Thread(target=_serve, daemon=True)
@@ -201,13 +209,14 @@ class TestServeWorker:
             assert not CV_KEYS & set(data.files)
 
     def test_a_descriptor_flood_costs_only_its_connections(self):
-        # serve runs in a process whose soft RLIMIT_NOFILE is 64.  After machine 1's frame, one peer opens
-        # silent connections until the listener stops answering, past the descriptors that process has left.
+        # serve runs in a process whose soft RLIMIT_NOFILE is 64.  After machine 1's frame, one peer opens 100
+        # silent connections, past the descriptors that process has left; its listen queue (SOMAXCONN) holds
+        # the ones it cannot accept, so no connect waits and the flood needs no pacing.
         script = ("import resource, sys\n"
                   "resource.setrlimit(resource.RLIMIT_NOFILE, (64, resource.getrlimit(resource.RLIMIT_NOFILE)[1]))\n"
                   "from betadpca import cli\n"
                   "sys.exit(cli.main(sys.argv[1:]))\n")
-        argv = [sys.executable, "-c", script, "serve", "--port", "0", "--m", "2", "--r", "1", "--q", "2",
+        argv = [sys.executable, "-c", script, "serve", "--port", "0", "--m", "2", "--p", "4", "--r", "1", "--q", "2",
                 "--beta", "1", "--timeout", "3"]
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env) as proc, \
@@ -216,16 +225,8 @@ class TestServeWorker:
             start = time.monotonic()
             shard = DataShard(np.random.default_rng(3).standard_normal((4, 9)), 1)
             send_summary(host, int(port), worker_round(shard, 2))
-            misses = 0  # a connect times out while the listener's queue is full; three in a row end the flood
             for _ in range(100):
-                time.sleep(0.002)  # let the coordinator drain its queue of 3, or the flood outruns it in lockstep
-                try:
-                    hold.enter_context(socket.create_connection((host, int(port)), timeout=0.1))
-                    misses = 0
-                except TimeoutError:
-                    misses += 1
-                    if misses == 3:
-                        break
+                hold.enter_context(socket.create_connection((host, int(port)), timeout=1.0))
             out = proc.communicate(timeout=10)[0]
             elapsed = time.monotonic() - start
         assert proc.returncode == 0 and out.count("cannot accept a connection") == 1, out
@@ -260,7 +261,7 @@ class TestServeWorker:
         assert (msg.machine_id, msg.q) == (1, 4)
 
 
-SERVE, AGGREGATE = ("serve", "--port", "0", "--m", "2", "--timeout", "0.5"), ("aggregate", "s.bdpx")
+SERVE, AGGREGATE = ("serve", "--port", "0", "--m", "2", "--timeout", "0.5", "--p", "100"), ("aggregate", "s.bdpx")
 WORKER, PERTURB = ("worker", "--shard", "s.bdpx"), ("perturb", "--out", "perturb.csv")
 
 
@@ -276,13 +277,15 @@ def refused_commands():
         yield ((*AGGREGATE, "--beta", "-2", "--delta", delta),
                f"error: delta^beta must be a positive, finite float, got delta={float(delta)}, beta=-2.0")
     delta_past_range = "error: delta^beta must be a positive, finite float, got delta=1e-320, beta=-1.0"
-    yield ("serve", "--m", "2", "--beta", "cv", "--delta", "1e-320"), delta_past_range  # a CV candidate's
+    yield ("serve", "--m", "2", "--beta", "cv", "--delta", "1e-320", "--p", "100"), delta_past_range  # a CV candidate's
     yield ("simulate", "--delta", "1e-320"), delta_past_range
     for job in (SERVE, (*AGGREGATE, "t.bdpx")):  # CvPlan's rank rule, checked early, in JobSpec's words
         for beta in ("1", "cv"):
             yield (*job, "--r", "5", "--q", "4", "--beta", beta), "error: need 1 <= r <= q, got r=5, q=4"
-    for job in (("serve", "--port", "0", "--m", "1", "--timeout", "0.5"), AGGREGATE):  # CV over one machine
+    serve_one = ("serve", "--port", "0", "--m", "1", "--timeout", "0.5", "--p", "100")
+    for job in (serve_one, AGGREGATE):  # CV over one machine
         yield (*job, "--r", "2", "--q", "4", "--beta", "cv"), "error: cross-validation needs at least two machines"
+    yield ("serve", "--m", "2", "--p", "5", "--q", "10"), "error: need 1 <= q <= p, got q=10, p=5"  # no frame fits
     for cmd in (("gen", "--out", "data"), ("simulate",), PERTURB):
         yield (*cmd, "--seed", "-1"), "error: seed must be non-negative, got -1"
     yield ("simulate", "--delta", "inf"), "error: delta must be positive and finite, got inf"
@@ -294,9 +297,10 @@ def refused_commands():
     yield (*PERTURB, "--n", "-3"), "error: n must be positive"
     yield (*PERTURB, "--m", "-1"), "error: m must be positive"
     yield ("simulate", "--r", "0"), "error: need 1 <= r < p, got r=0, p=200"  # not JobSpec's r <= q
-    # argparse: a flag the command does not take, or a value that the flag's type refuses
+    # argparse: a flag the command does not take, or a value that the flag's type refuses (a type refuses its
+    # value before argparse asks for serve's required --p, so the --port and --timeout rows need none)
     coordinator_flags = ("--r=2", "--beta=1", "--delta=1e-5", "--cv-folds=2", "--cv-seed=0")  # a worker takes none
-    for argv in [(*AGGREGATE, "--center"), ("serve", "--m", "2", "--center"), ("simulate", "--center"),
+    for argv in [(*AGGREGATE, "--center"), ("serve", "--m", "2", "--p", "100", "--center"), ("simulate", "--center"),
                  (*WORKER, "--center"), ("simulate", "--paper-scale"), (*WORKER, "--machine-id=3"),
                  ("perturb", "--noise-index=2"), *((*WORKER, "--q", "4", flag) for flag in coordinator_flags)]:
         yield argv, f"unrecognized arguments: {argv[-1]}"
@@ -340,7 +344,7 @@ class TestArgumentParsing:
         parser = cli.build_parser()
         parsed = {(a.r, a.q, a.delta, a.cv_folds)
                   for a in (parser.parse_args(["simulate"]), parser.parse_args(["aggregate", "s.bdpx"]),
-                            parser.parse_args(["serve", "--m", "2"]))}
+                            parser.parse_args(["serve", "--m", "2", "--p", "100"]))}
         spec = ExperimentSpec()
         job = JobSpec(r=spec.r, q=spec.q, beta_mode=CvSelect())
         assert parsed == {(spec.r, spec.q, spec.delta, spec.cv_folds)}

@@ -8,7 +8,7 @@ import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
@@ -66,12 +66,12 @@ def gaussian_shards(p=20, n=60, m=3, r=2, seed=0):
 
 @pytest.fixture
 def serve_in_thread():
-    """start(m, job, timeout) serves a round on a free loopback port and
+    """start(m, p, job, timeout) serves a round on a free loopback port and
     returns (future, host, port), the future holding the round's result."""
     with ThreadPoolExecutor(max_workers=1) as pool:
-        def start(m, job, timeout):
-            server = listen("127.0.0.1", 0, m)
-            return pool.submit(serve, server, m, job, timeout), *server.getsockname()[:2]
+        def start(m, p, job, timeout):
+            server = listen("127.0.0.1", 0)
+            return pool.submit(serve, server, m, p, job, timeout), *server.getsockname()[:2]
         yield start
 
 
@@ -157,34 +157,6 @@ class TestCoordinatorRound:
         b = coordinator_round(msgs[::-1], self.JOB, expected_ids=(1, 2, 3))
         assert np.array_equal(a.sigma_beta, b.sigma_beta)
         assert np.array_equal(a.leading.vectors, b.leading.vectors)
-
-    def test_tied_p_goes_to_the_lowest_machine_id(self):
-        # machines 1 and 2 share p = 11, 3 and 4 p = 10: in either arrival order the round's p is machine 1's
-        msgs = [replace(m, machine_id=i) for i, m in zip((3, 4, 1, 2), self.msgs(m=2) + self.msgs(m=2, p=11))]
-        for order in (msgs, msgs[::-1]):
-            res = coordinator_round(order, self.JOB, expected_ids=(1, 2, 3, 4))
-            assert res.missing == (3, 4) and res.span_vectors.shape[0] == 11
-
-    def test_a_machine_of_two_p_ties_by_its_first_message(self):
-        # machine 1 sends p = 11 then p = 10, or the reverse; 2 sends p = 10 and 3 p = 11: each p has two
-        # machines, so the round's p is machine 1's first, wherever 2 and 3 arrive
-        ten, eleven = self.msgs(m=3), self.msgs(m=3, p=11)
-        for first, then, kept, missing in [(eleven, ten, eleven[::2], (2,)), (ten, eleven, ten[:2], (3,))]:
-            want = coordinator_round(kept, self.JOB, expected_ids=(1, 2, 3))
-            for order in ([first[0], then[0], ten[1], eleven[2]], [eleven[2], first[0], ten[1], then[0]]):
-                res = coordinator_round(order, self.JOB, expected_ids=(1, 2, 3))
-                assert res.missing == want.missing == missing
-                assert np.array_equal(res.span_vectors, want.span_vectors)
-
-    def test_a_machine_keeps_messages_at_two_p_at_most(self, caplog):
-        # machine 3 floods p = 2..1001: two p are kept (a wrong p and its retry), so a round's stop test stays cheap
-        kept, job = {}, JobSpec(r=1, q=1, beta_mode=FixedBeta(1.0))
-        with caplog.at_level(logging.WARNING):
-            for p in range(2, 1002):
-                msg = LocalSummaryMsg(machine_id=3, n_ell=5, summary=TruncatedEig(np.ones(1), np.eye(p, 1)))
-                cluster._keep(kept, msg, job, frozenset({3}))
-        assert list(kept) == [(3, 2), (3, 3)]
-        assert "dropping machine 3's message of p=4: it already has 2 other p kept" in caplog.text
 
     def test_cv_aggregates_plain_summaries(self):
         msgs = self.msgs(m=4)
@@ -345,7 +317,7 @@ class TestTransports:
         shards, _ = gaussian_shards(m=2)
         job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
         with caplog.at_level(logging.WARNING):
-            round_, host, port = serve_in_thread(2, job, timeout=5.0)
+            round_, host, port = serve_in_thread(2, 20, job, timeout=5.0)
             for shard in shards:
                 send_summary(host, port, worker_round(shard, job.q))
             res = round_.result(10.0)
@@ -355,27 +327,62 @@ class TestTransports:
         assert np.array_equal(res.span_vectors, run_local(shards, job).span_vectors)
 
     def test_serve_closes_its_listener_when_no_worker_arrives(self):
-        server = listen("127.0.0.1", 0, 1)
+        server = listen("127.0.0.1", 0)
         with contextlib.suppress(IoError):  # the IoError is a row of test_refused_calls.py
-            serve(server, 1, JobSpec(r=1, q=2, beta_mode=FixedBeta(1.0)), timeout=0.2)
+            serve(server, 1, 5, JobSpec(r=1, q=2, beta_mode=FixedBeta(1.0)), timeout=0.2)
         assert server.fileno() == -1
+
+    def test_the_listen_queue_holds_more_peers_than_a_round_has_machines(self):
+        # eight peers connect before any accept: none waits for a SYN retransmission (1 s), whatever m will be
+        with listen("127.0.0.1", 0) as server, contextlib.ExitStack() as hold:
+            for _ in range(8):
+                hold.enter_context(socket.create_connection(server.getsockname()[:2], timeout=0.3))
+
+    def test_a_connection_never_buffers_more_than_one_frame(self, monkeypatch, caplog, serve_in_thread):
+        # a prefix of 2**32-1 and 4 KB of junk: serve asks that connection for its 4 prefix bytes only, then
+        # drops it at once with a warning that names the peer; no recv asks for more than the job's frame
+        real, asked = socket.socket.recv, []
+
+        def recv(sock, size, *flags):
+            asked.append((sock.getpeername()[:2], size))
+            return real(sock, size, *flags)
+
+        monkeypatch.setattr(socket.socket, "recv", recv)
+        job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
+        with caplog.at_level(logging.WARNING), contextlib.ExitStack() as hold:
+            start = time.time()  # the clock of a log record's `created`
+            round_, host, port = serve_in_thread(1, 20, job, timeout=TestOneBadWorker.DEADLINE)
+            bad = hold.enter_context(socket.create_connection((host, port)))
+            bad.sendall(b"\xff" * 4 + bytes(4096))
+            peer = bad.getsockname()[:2]
+            with pytest.raises(IoError, match="no usable worker message"):
+                round_.result(5.0)
+        [record] = caplog.records
+        assert record.created - start < TestOneBadWorker.DEADLINE
+        assert record.getMessage() == (f"dropping bad worker connection from {peer[0]}:{peer[1]}: its length prefix "
+                                       f"says 4294967295 bytes, the job's frames have 530 after the prefix (p=20, q=3)")
+        assert [size for who, size in asked if who == peer] == [4]
+        assert max(size for _, size in asked) <= cluster.check_round(1, 20, job) == 534
 
 
 # A raw act plays a bad party on its own loopback connection: it sends data(machine 3's frame), then
 # closes the connection, resets it (SO_LINGER 0) or leaves it open (in `hold`) until the round is over.
+# It returns its own address, the peer that the coordinator's warning names.
 def raw(data, end="close"):
     def act(addr, frame, hold):
         conn = hold.enter_context(socket.create_connection(addr))
         conn.sendall(data(frame))
+        peer = "%s:%d" % conn.getsockname()[:2]
         if end == "reset":
             conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
         if end != "open":
             conn.close()
+        return peer
     return act
 
 
 def in_7_byte_pieces(addr, frame, hold):
-    # the junk after the frame is never read, since a connection is read up to its length prefix
+    # the junk after the frame is never read, since a connection is read up to the job's frame size
     with socket.create_connection(addr) as conn:
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         for i in range(0, len(frame), 7):
@@ -388,7 +395,10 @@ def in_7_byte_pieces(addr, frame, hold):
 class Fault:
     """One bad party against good machines 1-3, `sends` in arrival order: message names (sent
     by send_summary) or raw acts.  The round keeps the `kept` messages, lists `missing` and logs
-    `drop` (a part of the warning naming the dropped party); with neither, it logs no warning."""
+    `drop` (a part of the warning naming the dropped party; under serve `serve_drop`, if given,
+    since serve drops a frame not of the job's size at its length prefix); with neither, it logs
+    no warning.  A row of messages alone also runs through coordinator_round, unless `in_process`
+    is False: coordinator_round refuses messages of two p (test_refused_calls.py)."""
 
     name: str
     sends: tuple
@@ -396,30 +406,38 @@ class Fault:
     missing: tuple[int, ...]
     drop: str | None = None
     beta: float = 2.0
+    serve_drop: str | None = None
+    in_process: bool = True
 
 
 silent, half = raw(lambda f: b"", end="open"), (lambda f: f[:len(f) // 2])
 GOOD, TWO = ("1", "2", "3"), ("1", "2")
+PREFIX = "its length prefix says {} bytes, the job's frames have 530 after the prefix (p=20, q=3)"
 FAULTS = [
     Fault("absent", TWO, TWO, (3,)),
     Fault("silent machine", (silent, *TWO), TWO, (3,)),
     Fault("silent extra connection", (silent, *GOOD), GOOD, ()),
     Fault("stalled mid-frame", (raw(half, end="open"), *TWO), TWO, (3,)),
     Fault("reset mid-frame", (raw(lambda f: f[:8], end="reset"), *TWO), TWO, (3,), "dropping bad worker connection"),
-    Fault("garbage bytes", (raw(lambda f: struct.pack("<I", 8) + b"junkjunk"), *GOOD), GOOD, (), "frame of 12 bytes"),
-    Fault("wrong q then a retry", ("3 at q=2", "1", "3", "2"), GOOD, (), "machine 3's message of rank 2 (job q=3)"),
+    Fault("garbage bytes", (raw(lambda f: struct.pack("<I", 8) + b"junkjunk"), *GOOD), GOOD, (), PREFIX.format(8)),
+    Fault("wrong q then a retry", ("3 at q=2", "1", "3", "2"), GOOD, (), "machine 3's message of rank 2 (job q=3)",
+          serve_drop=PREFIX.format(362)),
     Fault("stray id 7", ("1", "7", "2", "3"), GOOD, (), "dropping a message from unexpected machine 7"),
     Fault("repeated frame", ("3", "3", *TWO), GOOD, (), "dropping a repeated message from machine 3"),
     Fault("impostor before real frame", ("3'", "1", "3", "2"), (*TWO, "3'"), (), "repeated message from machine 3"),
     Fault("impostor after real frame", ("3", "3'", *TWO), GOOD, (), "dropping a repeated message from machine 3"),
     Fault("frame in 7-byte pieces then junk", (in_7_byte_pieces, *TWO), GOOD, ()),
-    Fault("clean close mid-frame", (raw(half), *TWO), TWO, (3,), "connection: connection closed after 267 bytes"),
+    Fault("clean close mid-frame", (raw(half), *TWO), TWO, (3,), "connection closed after 267 bytes"),
     Fault("flipped crc byte", (raw(lambda f: f[:-1] + bytes([f[-1] ^ 0xFF])), *TWO), TWO, (3,), "checksum mismatch"),
-    # the coordinator buffers the bytes that arrive, not the 4 GiB that the prefix claims
-    Fault("length prefix 2**32-1", (raw(lambda f: b"\xff" * 4 + f[4:12], end="open"), *TWO), TWO, (3,)),
-    Fault("wrong q, no retry", ("3 at q=2", *TWO), TWO, (3,), "dropping machine 3's message of rank 2 (job q=3)"),
-    Fault("wrong p", ("3 at p=21", *TWO), TWO, (3,), "dropping machine 3's message of p=21 (the round's p=20)"),
-    Fault("wrong p then a retry", ("3 at p=21", "1", "3", "2"), GOOD, (), "machine 3's message of p=21 (the round's p=20)"),
+    # a prefix other than the job's frame size is dropped right after its 4 bytes, which are all that is read
+    Fault("length prefix 2**32-1", (raw(lambda f: b"\xff" * 4 + f[4:12], end="open"), *TWO), TWO, (3,),
+          PREFIX.format(2**32 - 1)),
+    Fault("length prefix one byte long", (raw(lambda f: struct.pack("<I", len(f) - 3) + f[4:] + b"\0", end="open"),
+                                          *TWO), TWO, (3,), PREFIX.format(531)),
+    Fault("wrong q, no retry", ("3 at q=2", *TWO), TWO, (3,), "dropping machine 3's message of rank 2 (job q=3)",
+          serve_drop=PREFIX.format(362)),
+    Fault("wrong p", ("3 at p=21", *TWO), TWO, (3,), PREFIX.format(554), in_process=False),
+    Fault("wrong p then a retry", ("3 at p=21", "1", "3", "2"), GOOD, (), PREFIX.format(554), in_process=False),
     Fault("values 1e200 at beta=2", ("3 at 1e200", *TWO), TWO, (3,), "machine 3's message: its values overflow"),
     Fault("values 1e200 at beta=1 kept", ("3 at 1e200", *TWO), ("1", "2", "3 at 1e200"), (), beta=1.0),
 ]
@@ -428,7 +446,7 @@ FAULTS = [
 def fault_cases():
     # a message-only row also runs in-process; a row that waits out the deadline plays one arrival order
     for f in FAULTS:
-        for entry in ["serve"] + ["coordinator_round"] * all(isinstance(s, str) for s in f.sends):
+        for entry in ["serve"] + ["coordinator_round"] * (f.in_process and all(isinstance(s, str) for s in f.sends)):
             for order in ("1 before 2", "2 before 1")[:1 if f.missing else 2]:
                 yield pytest.param(f, entry, order, id=f"{entry}-{f.name}-{order}")
 
@@ -437,7 +455,8 @@ class TestOneBadWorker:
     """No single bad party hangs or aborts a round: it ends within its deadline
     (before it when no machine is missing; serve waits for a missing one until
     it), aggregates exactly what a round of the kept messages alone does, and a
-    warning names the dropped party."""
+    warning logged before the deadline names the dropped party: a dropped raw
+    connection by its address."""
 
     DEADLINE = 0.4
 
@@ -456,27 +475,31 @@ class TestOneBadWorker:
     def test_round(self, fault, entry, order, msgs, caplog, serve_in_thread):
         job = JobSpec(r=2, q=3, beta_mode=FixedBeta(fault.beta))
         sends = [({"1": "2", "2": "1"} if order == "2 before 1" else {}).get(s, s) for s in fault.sends]
+        drop = fault.serve_drop if entry == "serve" and fault.serve_drop else fault.drop
+        peers = []  # the addresses of the raw acts
         with caplog.at_level(logging.WARNING):
-            start = time.monotonic()
+            start, wall = time.monotonic(), time.time()  # time.time() is the clock of a record's `created`
             if entry == "coordinator_round":
                 res = coordinator_round([msgs[s] for s in sends], job, expected_ids=(1, 2, 3))
             else:
-                round_, *addr = serve_in_thread(3, job, self.DEADLINE)
+                round_, *addr = serve_in_thread(3, 20, job, self.DEADLINE)
                 with contextlib.ExitStack() as hold:
                     for s in sends:
                         if isinstance(s, str):
                             send_summary(*addr, msgs[s])
                         else:
-                            s(tuple(addr), encode_summary(msgs["3"]), hold)
+                            peers.append(s(tuple(addr), encode_summary(msgs["3"]), hold))
                     res = round_.result(self.DEADLINE + 5.0)
             elapsed = time.monotonic() - start
         assert elapsed <= self.DEADLINE + 0.5
         assert fault.missing or elapsed < self.DEADLINE
         assert not fault.missing or entry != "serve" or elapsed >= self.DEADLINE  # a missing machine is waited for
         assert res.missing == fault.missing
-        for line in (fault.drop, fault.missing and f"aggregating without machines {fault.missing}"):
+        for line in (drop, fault.missing and f"aggregating without machines {fault.missing}"):
             assert not line or line in caplog.text
-        assert fault.drop or fault.missing or not caplog.records
+        assert not drop or all(f"dropping bad worker connection from {peer}: " in caplog.text for peer in peers)
+        assert all(r.created - wall < self.DEADLINE for r in caplog.records if r.getMessage().startswith("dropping"))
+        assert drop or fault.missing or not caplog.records
         want = coordinator_round([msgs[k] for k in fault.kept], job, expected_ids=(1, 2, 3))
         for field in ("span_values", "span_vectors", "complement_value", "leading.values", "leading.vectors"):
             assert np.array_equal(attrgetter(field)(res), attrgetter(field)(want))
@@ -502,7 +525,7 @@ class TestTimeoutResolution:
         seen = self.spy_connect(monkeypatch)
         job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
         shards, _ = gaussian_shards(m=1)
-        round_, host, port = serve_in_thread(1, job, timeout=5.0)
+        round_, host, port = serve_in_thread(1, 20, job, timeout=5.0)
         send_summary(host, port, worker_round(shards[0], job.q), timeout=2.5)
         round_.result(10.0)
         assert seen == [2.5]
@@ -511,7 +534,7 @@ class TestTimeoutResolution:
         seen = self.spy_connect(monkeypatch)
         job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
         shards, _ = gaussian_shards(m=1)
-        round_, host, port = serve_in_thread(1, job, timeout=5.0)
+        round_, host, port = serve_in_thread(1, 20, job, timeout=5.0)
         send_summary(host, port, worker_round(shards[0], job.q))
         round_.result(10.0)
         assert seen == [30.0]
@@ -528,7 +551,7 @@ class TestTimeoutResolution:
     def test_a_bad_timeout_is_invalid_input_before_any_socket_work(self, call, timeout, monkeypatch):
         job = JobSpec(r=1, q=3, beta_mode=FixedBeta(1.0))
         shards, _ = gaussian_shards(m=2)
-        server = listen("127.0.0.1", 0, 2)
+        server = listen("127.0.0.1", 0)
         address = server.getsockname()[:2]
 
         def no_socket(*args, **kwargs):
@@ -536,7 +559,7 @@ class TestTimeoutResolution:
 
         monkeypatch.setattr(socket, "create_server", no_socket)
         monkeypatch.setattr(socket, "create_connection", no_socket)
-        calls = {"serve": lambda: serve(server, 2, job, timeout=timeout),
+        calls = {"serve": lambda: serve(server, 2, 20, job, timeout=timeout),
                  "send_summary": lambda: send_summary(*address, worker_round(shards[0], job.q), timeout=timeout)}
         with server:
             with pytest.raises(InvalidInput, match="timeout must be a positive number of seconds up to 1e\\+06"):

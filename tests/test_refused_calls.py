@@ -7,7 +7,9 @@ a value the error carries, a socket closed after it, a round trip that fits."""
 import dataclasses
 import re
 import struct
+import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from betadpca import (BetaConfig, CorruptMessage, CvPlan, DataShard, DomainError
                       PreconditionError, TruncatedEig, beta_aggregate, beta_mean, coordinator_round, decode_summary,
                       divergence, eig_sym, encode_summary, listen, local_summary,
                       make_population, make_folds, read_shard, rho_curve, rho_similarity, run_experiment,
-                      select_beta, serve, signal_eigenvalues, split_shards, symmetrize, tolerance,
+                      run_sockets, select_beta, serve, signal_eigenvalues, split_shards, symmetrize, tolerance,
                       truncate_summary, truncated_eig, verify_minimizer, write_shard)
 from betadpca.linalg import complete_basis, spectral_map
 from betadpca.rngs import REPLICATE, child_seed
@@ -38,8 +40,18 @@ def shard_file(edit):
 
 
 def bind_a_taken_port():
-    with listen("127.0.0.1", 0, 1) as taken:
-        listen("127.0.0.1", taken.getsockname()[1], 1)
+    with listen("127.0.0.1", 0) as taken:
+        listen("127.0.0.1", taken.getsockname()[1])
+
+
+def sockets_of_two_p():
+    """run_sockets over shards of p = 20 and p = 21, where binding a listener fails the row, as does a thread left."""
+    threads = threading.active_count()
+    try:
+        with mock.patch("socket.create_server", side_effect=AssertionError("a listener was bound")):
+            run_sockets([DataShard(np.ones((p, 4)), i) for i, p in ((1, 20), (2, 21))], JOB)
+    finally:
+        assert threading.active_count() == threads
 
 
 def scenario(**over):
@@ -74,15 +86,17 @@ def refused_calls():
              PreconditionError, "unperturbed aggregate is degenerate: lbar_r=2 <= lbar_l=2"),
             ("read_shard: no file", lambda: read_shard("nope.bdpx"), IoError, "cannot read shard nope.bdpx"),
             ("listen: a taken port", bind_a_taken_port, IoError, r"cannot bind 127\.0\.0\.1:\d+: "),
-            *((f"listen: port {port}", lambda p=port: listen("127.0.0.1", p, 1), IoError,  # not socket's OverflowError
+            *((f"listen: port {port}", lambda p=port: listen("127.0.0.1", p), IoError,  # not socket's OverflowError
                f"cannot bind 127.0.0.1:{port}: a port lies in 0-65535") for port in (65536, -5)),
-            ("serve: no worker within the deadline", lambda: serve(listen("127.0.0.1", 0, 1), 1, JOB, timeout=0.2),
+            ("serve: no worker within the deadline", lambda: serve(listen("127.0.0.1", 0), 1, 5, JOB, timeout=0.2),
              IoError, r"no usable worker message arrived within 0\.2s")]:
         yield rule, call, error, message
 
     # InvalidInput, in module order
     est = truncated_eig(np.eye(6), 4)
     msgs = [LocalSummaryMsg(machine_id=i, n_ell=20, summary=s52) for i in (1, 2, 3)]
+    two_p = [LocalSummaryMsg(machine_id=i, n_ell=20, summary=TruncatedEig(np.ones(3), np.eye(p, 3)))
+             for i, p in ((1, 20), (2, 21))]
     for rule, call, message in [
             ("beta_mean: no input", lambda: beta_mean([], CFG), "need at least one input matrix"),
             ("beta_mean: two dimensions", lambda: beta_mean([eye2, np.eye(3)], CFG), "input matrices differ in dim"),
@@ -130,7 +144,16 @@ def refused_calls():
             ("JobSpec: a beta_mode of another type", lambda: JobSpec(1, 2, 1.0), "must be FixedBeta or CvSelect"),
             ("coordinator_round: every message of another q than the job's",
              lambda: coordinator_round(msgs, JOB, expected_ids=(1, 2, 3)), "need at least one local summary"),
-            ("listen: no worker", lambda: listen("127.0.0.1", 0, 0), "need at least one expected worker"),
+            # a round's p is the caller's: coordinator_round aggregates one p, run_sockets reads it from its shards
+            ("coordinator_round: messages of p=20 and p=21", lambda: coordinator_round(two_p, JOB, expected_ids=(1, 2)),
+             "local summaries differ in p or q: p=20, q=3 and p=21, q=3"),
+            ("run_sockets: shards of two p", sockets_of_two_p, r"shards differ in p: \[20, 21\]"),
+            ("run_sockets: q > p", lambda: run_sockets([DataShard(np.ones((2, 4)), 1)], JOB),
+             "need 1 <= q <= p, got q=3, p=2"),
+            ("serve: no expected worker", lambda: serve(listen("127.0.0.1", 0), 0, 5, JOB, timeout=0.2),
+             "need at least one expected worker"),
+            ("serve: q > p", lambda: serve(listen("127.0.0.1", 0), 1, 2, JOB, timeout=0.2),
+             "need 1 <= q <= p, got q=3, p=2"),
             # experiment: each at construction, not inside the first replicate's job, fold plan, seed or population
             *((f"ExperimentSpec: {over}", lambda o=over: ExperimentSpec(**o), message) for over, message in [
                 (dict(r=5, q=4), "need 1 <= r <= q, got r=5, q=4"),  # JobSpec's
